@@ -65,7 +65,6 @@ from .semispace import (
     kron,
     matrix_from_json,
     matrix_to_json,
-    reduce_operator,
     reduce_to_range,
     validate_q,
     weight_from_json,

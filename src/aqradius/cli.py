@@ -23,7 +23,6 @@ from .semispace import (
     Weight,
     a_opnorm,
     matrix_from_json,
-    matrix_to_json,
     reduce_to_range,
     validate_q,
 )
@@ -33,13 +32,7 @@ __all__ = ["main"]
 
 def _load_matrix(path: str) -> np.ndarray:
     with open(path) as fh:
-        obj = json.load(fh)
-    # round-trip guard: what we parsed must serialize back to the same object
-    mat = matrix_from_json(obj)
-    again = matrix_from_json(matrix_to_json(mat))
-    if not np.array_equal(mat, again):
-        raise ValueError(f"matrix file {path} does not round-trip")
-    return mat
+        return matrix_from_json(json.load(fh))
 
 
 def _load_weight(path: str | None, dim: int) -> Weight:
@@ -217,6 +210,15 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+def _operator_trace(seq, quantity: str, q, budget: Budget, seed: int):
+    if quantity == "radius":
+        return sequences.trace_radius(seq, q, budget=budget, seed=seed)
+    if quantity == "crawford":
+        return sequences.trace_crawford(seq, q, budget=budget, seed=seed)
+    trace_omega, trace_c = sequences.trace_gaps(seq, q, budget=budget, seed=seed)
+    return trace_omega if quantity == "gap_omega" else trace_c
+
+
 def _cmd_converge(args) -> int:
     budget = _budget_from_flag(args.budget)
     if args.rule == "multiplication":
@@ -225,9 +227,7 @@ def _cmd_converge(args) -> int:
             phi=lambda n, x: 1.0 + x / n,
             grid_points=args.grid_points,
         )
-        q = validate_q(_parse_q(args.q))
-        trace_omega, trace_crawford = sequences.trace_gaps(seq, q, budget=budget, seed=args.seed)
-        trace = trace_omega if args.quantity == "gap_omega" else trace_crawford
+        trace = _operator_trace(seq, args.quantity, validate_q(_parse_q(args.q)), budget, args.seed)
     elif args.rule == "perturb":
         if args.matrix is None:
             raise ValueError("--matrix is required for the perturb rule")
@@ -235,20 +235,17 @@ def _cmd_converge(args) -> int:
         w = _load_weight(args.weight, mat.shape[0])
         direction = _load_matrix(args.direction) if args.direction else np.eye(mat.shape[0], dtype=complex)
         seq = sequences.OperatorSequence.perturbation(w, mat, direction)
-        q = validate_q(_parse_q(args.q))
-        if args.quantity == "crawford":
-            trace = sequences.trace_crawford(seq, q, budget=budget, seed=args.seed)
-        else:
-            trace = sequences.trace_radius(seq, q, budget=budget, seed=args.seed)
+        trace = _operator_trace(seq, args.quantity, validate_q(_parse_q(args.q)), budget, args.seed)
     else:  # qseq
+        if args.quantity not in ("radius", "crawford"):
+            raise ValueError(f"--quantity {args.quantity} needs an operator rule; qseq traces radius or crawford")
         if args.matrix is None:
             raise ValueError("--matrix is required for the qseq rule")
         mat = _load_matrix(args.matrix)
         w = _load_weight(args.weight, mat.shape[0])
         q_list = [1.0 - n ** (-args.qexp) for n in sequences.DEFAULT_INDICES]
         q_list = [q if q > 0 else 1e-6 for q in q_list]
-        kind = "crawford" if args.quantity == "crawford" else "radius"
-        trace = sequences.trace_q(w, mat, q_list, budget=budget, seed=args.seed, kind=kind)
+        trace = sequences.trace_q(w, mat, q_list, budget=budget, seed=args.seed, kind=args.quantity)
     sequences.trace_to_csv(trace, args.out)
     print(f"target {_fmt(trace.target)}, final value {_fmt(trace.values[-1])}")
     return 0

@@ -1,11 +1,26 @@
 """The radius/Crawford inequalities as executable predicates, plus a suite runner.
 
 Each law evaluates both sides on a concrete (weight, matrix, q) instance and
-reports the slack.  Since suprema are estimated from below and infima from
-above, a law whose *larger* side carries such an estimate can look violated
-purely from estimator shortfall; those laws get a loose tolerance and the
-suite re-runs near-violations at 4x and then 16x the restart budget before
-reporting a failure.
+reports the slack.  An :class:`_Instance` builds, once each, the partner
+operators the laws compare T with (alpha T, the weighted adjoint, S and T - S,
+the Kronecker product and the direct sum with a second instance) and shares
+their estimator caches.  ``_LAWS`` is the one table of laws: :func:`run_suite`
+loops over it, and each public ``law_*`` function builds an instance and calls
+its row.  Adding a law means one check function, returning ``(law id,
+(lhs, rhs))`` pairs or ``(law id, skip reason)``, plus one table row.
+
+Since suprema are estimated from below and infima from above, a law whose
+*larger* side carries such an estimate can look violated purely from estimator
+shortfall.  A row's tolerance class says how much slack is forgiven:
+
+* ``EXACT`` (1e-7): the larger side is exact, so shortfall only widens the
+  slack.  Only ``t1_1`` is here (its right side ||T||_A is a singular value);
+  a larger budget cannot change its verdict, so it is the one law not re-run.
+* ``IDENTITY`` (2e-3, two-sided): both sides estimate the same number.
+* ``ESTIMATED`` (5e-3): the larger side carries an estimate.
+
+A row of the last two classes that does not pass is re-run at 4x and then 16x
+the restart budget before its failure is reported.
 """
 
 from __future__ import annotations
@@ -14,8 +29,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .radius import Budget, a_radius, aq_crawford, aq_radius
 from .semispace import (
@@ -49,10 +67,16 @@ __all__ = [
     "summarize_reports",
 ]
 
-TOL_EXACT = 1e-7
-TOL_EQ = 2e-3
-TOL_LOOSE = 5e-3
 NEAR_ZERO_DENOMINATOR = 1e-6
+# share of suite instances whose q (and q2) is forced to 1, the boundary case
+FORCED_Q1_FRACTION = 0.1
+
+
+# tolerance classes (tol, kind): kind "le" passes when rhs - lhs >= -tol,
+# kind "eq" when |rhs - lhs| <= tol
+EXACT = (1e-7, "le")
+IDENTITY = (2e-3, "eq")
+ESTIMATED = (5e-3, "le")
 
 
 @dataclass
@@ -110,7 +134,8 @@ class LinComboParams:
         return cls(lam=complex(lam), mu=complex(mu), gamma=math.sqrt(g2))
 
 
-def _report(law_id, lhs, rhs, tol, digest, budget, kind="le") -> LawReport:
+def _report(law_id, lhs, rhs, tolerance, digest, budget) -> LawReport:
+    tol, kind = tolerance
     slack = rhs - lhs
     passed = abs(slack) <= tol if kind == "eq" else slack >= -tol
     return LawReport(
@@ -199,189 +224,254 @@ def _sqrt_2_1mre(q: complex) -> float:
     return math.sqrt(max(0.0, 2.0 * (1.0 - q.real)))
 
 
-# --- individual laws (internal forms working on evaluators) -----------------
+class _Instance:
+    """One (A, T, q) instance and the partner operators the laws compare T with.
+
+    The optional ingredients feed only the laws that read them: ``alpha``
+    t1_23, ``params`` (with the ``adjoint``/``composite`` switches of
+    :func:`law_t1_45`) t1_45, ``s`` t5_3, and ``partner = (A2, T2, q2)`` the
+    tensor laws t3/cor1 and the direct-sum law app1.  Reports carry
+    ``digest``, the digest of (A, T, q) unless a caller replaces it.
+    """
+
+    def __init__(self, w: Weight, t, q, seed: int, *, alpha=1.0, params: LinComboParams | None = None,
+                 s=None, partner=None, adjoint: str = "weighted", composite: str = "statement"):
+        if abs(abs(alpha) - 1.0) > 1e-12:
+            raise ValueError("alpha must be unimodular")
+        if adjoint not in ("weighted", "ordinary") or composite not in ("statement", "proof"):
+            raise ValueError(f"unknown adjoint {adjoint!r} or composite {composite!r}")
+        self.ev = _Ev(w, t, seed)
+        self.q = validate_q(q)
+        self.seed = seed
+        self.alpha = complex(alpha)
+        self.params = params
+        self.s = s
+        self.adjoint = adjoint
+        self.composite = composite
+        if partner is not None:
+            w2, t2, q2 = partner
+            self.partner = _Ev(w2, t2, seed)
+            self.q2 = validate_q(q2)
+        self.digest = _digest(w, self.ev.t, self.q, seed)
+
+    @cached_property
+    def scaled(self) -> _Ev:
+        """alpha T."""
+        return _Ev(self.ev.w, self.alpha * self.ev.t, self.seed)
+
+    @cached_property
+    def adj(self) -> _Ev:
+        """A^+ T^H A, or T^H with ``adjoint="ordinary"`` (wrong on skewed weights; diagnosis only)."""
+        w, t = self.ev.w, self.ev.t
+        return _Ev(w, a_adjoint(w, t) if self.adjoint == "weighted" else t.conj().T, self.seed)
+
+    @cached_property
+    def near(self) -> _Ev:
+        """S."""
+        return _Ev(self.ev.w, self.s, self.seed)
+
+    @cached_property
+    def difference(self) -> _Ev:
+        """T - S."""
+        return _Ev(self.ev.w, self.ev.t - as_operator(self.s), self.seed)
+
+    @cached_property
+    def tensor(self) -> _Ev:
+        """T (x) T2 under the weight A (x) A2."""
+        ev, ev2 = self.ev, self.partner
+        return _Ev(Weight(kron(ev.w.a, ev2.w.a)), kron(ev.t, ev2.t), self.seed)
+
+    @cached_property
+    def direct_sum(self) -> _Ev:
+        """T (+) T2 under the weight A (+) A2."""
+        ev, ev2 = self.ev, self.partner
+        return _Ev(Weight(block_diag(ev.w.a, ev2.w.a)), block_diag(ev.t, ev2.t), self.seed)
 
 
-def _law_t1_1(ev: _Ev, q, budget, tol, digest) -> LawReport:
-    return _report("t1_1", ev.radius_q(q, budget), ev.opnorm(), tol, digest, budget)
+# --- the laws: one check function each --------------------------------------
 
 
-def _law_t1_23(ev: _Ev, ev_alpha: _Ev, q, alpha, budget, tol, digest):
-    r_scaled = ev_alpha.radius_q(q, budget)
-    r_moved = ev.radius_q(alpha * q, budget)
-    c_scaled = ev_alpha.crawford_q(q, budget)
-    c_moved = ev.crawford_q(alpha * q, budget)
-    return (
-        _report("t1_2", r_scaled, r_moved, tol, digest, budget, kind="eq"),
-        _report("t1_3", c_scaled, c_moved, tol, digest, budget, kind="eq"),
-    )
+def _t1_1(inst: _Instance, b: Budget):
+    return [("t1_1", (inst.ev.radius_q(inst.q, b), inst.ev.opnorm()))]
 
 
-def _composite_q(params: LinComboParams, q: complex, composite: str) -> complex:
-    if composite == "proof":
-        return (params.lam + np.conj(params.mu) * q) / params.gamma
-    return (params.lam + params.mu * np.conj(q)) / params.gamma
+def _t1_23(inst: _Instance, b: Budget):
+    ev, q, moved = inst.ev, inst.q, inst.alpha * inst.q
+    return [
+        ("t1_2", (inst.scaled.radius_q(q, b), ev.radius_q(moved, b))),
+        ("t1_3", (inst.scaled.crawford_q(q, b), ev.crawford_q(moved, b))),
+    ]
 
 
-def _law_t1_45(ev: _Ev, ev_adj: _Ev, q, params, composite, budget, tol, digest):
-    qc = _composite_q(params, q, composite)
+def _t1_45(inst: _Instance, b: Budget):
+    p, q = inst.params, inst.q
+    if p is None:
+        return []
+    if inst.composite == "proof":
+        qc = (p.lam + np.conj(p.mu) * q) / p.gamma
+    else:
+        qc = (p.lam + p.mu * np.conj(q)) / p.gamma
     m = abs(qc)
     if m < 1e-12 or m > 1.0 + 1e-12:
         reason = f"composite parameter |{qc:.4f}| outside (0, 1]"
-        return (_skip("t1_4", reason, digest, budget), _skip("t1_5", reason, digest, budget))
-    al, am = abs(params.lam), abs(params.mu)
-    base = al * ev.radius_a(budget)
-    rep4 = _report(
-        "t1_4",
-        params.gamma * ev.radius_q(qc, budget),
-        base + am * ev_adj.radius_q(q, budget),
-        tol,
-        digest,
-        budget,
-    )
-    rep5 = _report(
-        "t1_5",
-        params.gamma * ev.crawford_q(qc, budget),
-        base + am * ev_adj.crawford_q(q, budget),
-        tol,
-        digest,
-        budget,
-    )
-    return rep4, rep5
+        return [("t1_4", reason), ("t1_5", reason)]
+    ev, am = inst.ev, abs(p.mu)
+    base = abs(p.lam) * ev.radius_a(b)
+    return [
+        ("t1_4", (p.gamma * ev.radius_q(qc, b), base + am * inst.adj.radius_q(q, b))),
+        ("t1_5", (p.gamma * ev.crawford_q(qc, b), base + am * inst.adj.crawford_q(q, b))),
+    ]
 
 
-def _law_t1_78(ev: _Ev, q, budget, tol, digest):
+def _t1_78(inst: _Instance, b: Budget):
+    ev, q = inst.ev, inst.q
     if abs(q - 1.0) < 1e-12:
-        return (
-            _skip("t1_7", "q = 1: correction term degenerates", digest, budget),
-            _skip("t1_8", "q = 1: correction term degenerates", digest, budget),
-        )
+        reason = "q = 1: correction term degenerates"
+        return [("t1_7", reason), ("t1_8", reason)]
     s = _sqrt_2_1mre(q)
-    q78 = (1.0 - q) / s
-    corr = s * ev.radius_q(q78, budget)
-    rep7 = _report(
-        "t1_7", ev.radius_a(budget), ev.radius_q(q, budget) + corr, tol, digest, budget
-    )
-    rep8 = _report(
-        "t1_8", ev.crawford_a(budget), ev.crawford_q(q, budget) + corr, tol, digest, budget
-    )
-    return rep7, rep8
+    corr = s * ev.radius_q((1.0 - q) / s, b)
+    return [
+        ("t1_7", (ev.radius_a(b), ev.radius_q(q, b) + corr)),
+        ("t1_8", (ev.crawford_a(b), ev.crawford_q(q, b) + corr)),
+    ]
 
 
-def _law_note(ev: _Ev, q, budget, tol, digest) -> LawReport:
-    lhs = (1.0 - _sqrt_2_1mre(q)) * ev.radius_a(budget)
-    return _report("note", lhs, ev.radius_q(q, budget), tol, digest, budget)
+def _note(inst: _Instance, b: Budget):
+    ev, q = inst.ev, inst.q
+    return [("note", ((1.0 - _sqrt_2_1mre(q)) * ev.radius_a(b), ev.radius_q(q, b)))]
 
 
-def _law_t2(ev: _Ev, q, budget, tol, digest):
-    pair_sum = ev.radius_q(q, budget) + ev.radius_q(np.conj(q), budget)
-    lower = _report(
-        "t2_lower", 2.0 * abs(q.real) * ev.radius_a(budget), pair_sum, tol, digest, budget
-    )
-    upper_rhs = 2.0 * ev.radius_a(budget) + 2.0 * math.sqrt(2.0) * math.sqrt(
+def _t2(inst: _Instance, b: Budget):
+    ev, q = inst.ev, inst.q
+    pair_sum = ev.radius_q(q, b) + ev.radius_q(np.conj(q), b)
+    upper = 2.0 * ev.radius_a(b) + 2.0 * math.sqrt(2.0) * math.sqrt(
         max(0.0, 1.0 - q.real)
     ) * ev.opnorm()
-    upper = _report("t2_upper", pair_sum, upper_rhs, tol, digest, budget)
-    return lower, upper
+    return [
+        ("t2_lower", (2.0 * abs(q.real) * ev.radius_a(b), pair_sum)),
+        ("t2_upper", (pair_sum, upper)),
+    ]
 
 
-def _law_t4_1(ev: _Ev, q, budget, tol, digest) -> LawReport:
-    lhs = abs(ev.radius_q(q, budget) - ev.radius_a(budget))
-    return _report("t4_1", lhs, _sqrt_2_1mre(q) * ev.opnorm(), tol, digest, budget)
+def _t4_1(inst: _Instance, b: Budget):
+    ev, q = inst.ev, inst.q
+    return [("t4_1", (abs(ev.radius_q(q, b) - ev.radius_a(b)), _sqrt_2_1mre(q) * ev.opnorm()))]
 
 
-def _law_t5_1(ev: _Ev, q, budget, tol, digest) -> LawReport:
-    lhs = abs(ev.crawford_q(q, budget) - ev.crawford_a(budget))
-    return _report("t5_1", lhs, _sqrt_2_1mre(q) * ev.opnorm(), tol, digest, budget)
+def _t5_1(inst: _Instance, b: Budget):
+    ev, q = inst.ev, inst.q
+    return [("t5_1", (abs(ev.crawford_q(q, b) - ev.crawford_a(b)), _sqrt_2_1mre(q) * ev.opnorm()))]
 
 
-def _law_t5_3(ev: _Ev, ev_s: _Ev, ev_diff: _Ev, q, budget, tol, digest) -> LawReport:
-    lhs = abs(ev.crawford_q(q, budget) - ev_s.crawford_q(q, budget))
-    return _report("t5_3", lhs, ev_diff.radius_q(q, budget), tol, digest, budget)
+def _t5_3(inst: _Instance, b: Budget):
+    q = inst.q
+    lhs = abs(inst.ev.crawford_q(q, b) - inst.near.crawford_q(q, b))
+    return [("t5_3", (lhs, inst.difference.radius_q(q, b)))]
 
 
-def _law_t3(ev1: _Ev, q1, ev2: _Ev, q2, ev_prod: _Ev, budget, tol, digest):
-    q = complex(q1) * complex(q2)
-    c1 = ev1.crawford_q(q1, budget)
-    c2 = ev2.crawford_q(q2, budget)
-    o1 = ev1.radius_q(q1, budget)
-    o2 = ev2.radius_q(q2, budget)
-    return (
-        _report("t3_link1", ev_prod.crawford_q(q, budget), c1 * c2, tol, digest, budget),
-        _report("t3_link2", c1 * c2, o1 * o2, tol, digest, budget),
-        _report("t3_link3", o1 * o2, ev_prod.radius_q(q, budget), tol, digest, budget),
-    )
+def _factor_values(inst: _Instance, b: Budget):
+    """c1, c2, o1, o2: Crawford numbers and radii of T at q and of T2 at q2."""
+    ev1, ev2, q1, q2 = inst.ev, inst.partner, inst.q, inst.q2
+    return ev1.crawford_q(q1, b), ev2.crawford_q(q2, b), ev1.radius_q(q1, b), ev2.radius_q(q2, b)
 
 
-def _law_cor1(ev1: _Ev, q1, ev2: _Ev, q2, ev_prod: _Ev, budget, tol, digest):
+def _t3(inst: _Instance, b: Budget):
+    q = inst.q * inst.q2
+    c1, c2, o1, o2 = _factor_values(inst, b)
+    return [
+        ("t3_link1", (inst.tensor.crawford_q(q, b), c1 * c2)),
+        ("t3_link2", (c1 * c2, o1 * o2)),
+        ("t3_link3", (o1 * o2, inst.tensor.radius_q(q, b))),
+    ]
+
+
+def _cor1(inst: _Instance, b: Budget):
     # scalar consequences of the tensor chain: dividing the sup/inf links by a
     # positive factor (the paper's printed direction for the Crawford pair
     # contradicts the chain; the derivable direction is implemented)
-    q = complex(q1) * complex(q2)
-    c1 = ev1.crawford_q(q1, budget)
-    c2 = ev2.crawford_q(q2, budget)
-    o1 = ev1.radius_q(q1, budget)
-    o2 = ev2.radius_q(q2, budget)
-    op = ev_prod.radius_q(q, budget)
-    cp = ev_prod.crawford_q(q, budget)
-    reports = []
+    q = inst.q * inst.q2
+    c1, c2, o1, o2 = _factor_values(inst, b)
+    op = inst.tensor.radius_q(q, b)
+    cp = inst.tensor.crawford_q(q, b)
     pairs = [
         ("cor1_1", c1, o2, op / c1 if c1 > NEAR_ZERO_DENOMINATOR else None),
         ("cor1_2", c2, o1, op / c2 if c2 > NEAR_ZERO_DENOMINATOR else None),
         ("cor1_3", o1, cp / o1 if o1 > NEAR_ZERO_DENOMINATOR else None, c2),
         ("cor1_4", o2, cp / o2 if o2 > NEAR_ZERO_DENOMINATOR else None, c1),
     ]
-    for law_id, denom, lhs, rhs in pairs:
-        if denom <= NEAR_ZERO_DENOMINATOR or lhs is None or rhs is None:
-            reports.append(_skip(law_id, "near-zero denominator", digest, budget))
-        else:
-            reports.append(_report(law_id, lhs, rhs, tol, digest, budget))
-    return tuple(reports)
+    return [
+        (law_id, "near-zero denominator")
+        if denom <= NEAR_ZERO_DENOMINATOR or lhs is None or rhs is None
+        else (law_id, (lhs, rhs))
+        for law_id, denom, lhs, rhs in pairs
+    ]
 
 
-def _law_app1(ev_s: _Ev, ev_m: _Ev, ev_sum: _Ev, q, budget, tol, digest):
-    g_omega = lambda ev: ev.opnorm() - ev.radius_q(q, budget)
-    g_crawford = lambda ev: ev.opnorm() - ev.crawford_q(q, budget)
-    rep_omega = _report(
-        "app1_omega",
-        g_omega(ev_sum),
-        max(g_omega(ev_s), g_omega(ev_m)),
-        tol,
-        digest,
-        budget,
-    )
-    rep_crawford = _report(
-        "app1_crawford",
-        max(g_crawford(ev_s), g_crawford(ev_m)),
-        g_crawford(ev_sum),
-        tol,
-        digest,
-        budget,
-    )
-    return rep_omega, rep_crawford
+def _app1(inst: _Instance, b: Budget):
+    q = inst.q2
+
+    def gaps(ev):
+        return ev.opnorm() - ev.radius_q(q, b), ev.opnorm() - ev.crawford_q(q, b)
+
+    (o_sum, c_sum), (o1, c1), (o2, c2) = gaps(inst.direct_sum), gaps(inst.ev), gaps(inst.partner)
+    return [("app1_omega", (o_sum, max(o1, o2))), ("app1_crawford", (max(c1, c2), c_sum))]
+
+
+class _Law(NamedTuple):
+    check: Callable[[_Instance, Budget], list]
+    tolerance: tuple[float, str]
+    ladder: bool  # re-run at 4x and 16x the budget before reporting a failure
+
+    def reports(self, inst: _Instance, budget: Budget) -> list[LawReport]:
+        out = []
+        for law_id, sides in self.check(inst, budget):
+            if isinstance(sides, str):
+                out.append(_skip(law_id, sides, inst.digest, budget))
+            else:
+                out.append(_report(law_id, *sides, self.tolerance, inst.digest, budget))
+        return out
+
+    def run(self, inst: _Instance, budget: Budget) -> list[LawReport]:
+        reports = self.reports(inst, budget)
+        if self.ladder:
+            for factor in (4, 16):
+                if all(r.passed for r in reports):
+                    break
+                reports = self.reports(inst, budget.scaled(factor))
+        return reports
+
+
+_LAWS = {
+    "t1_1": _Law(_t1_1, EXACT, ladder=False),
+    "t1_23": _Law(_t1_23, IDENTITY, ladder=True),
+    "t1_45": _Law(_t1_45, ESTIMATED, ladder=True),
+    "t1_78": _Law(_t1_78, ESTIMATED, ladder=True),
+    "note": _Law(_note, ESTIMATED, ladder=True),
+    "t2": _Law(_t2, ESTIMATED, ladder=True),
+    "t4_1": _Law(_t4_1, ESTIMATED, ladder=True),
+    "t5_1": _Law(_t5_1, ESTIMATED, ladder=True),
+    "t5_3": _Law(_t5_3, ESTIMATED, ladder=True),
+    "t3": _Law(_t3, ESTIMATED, ladder=True),
+    "cor1": _Law(_cor1, ESTIMATED, ladder=True),
+    "app1": _Law(_app1, ESTIMATED, ladder=True),
+}
 
 
 # --- public single-instance law API ------------------------------------------
 
 
-def _prep(w, t, q, seed):
-    q = validate_q(q)
-    return _Ev(w, t, seed), q, _digest(w, t, q, seed)
+def _check(name: str, inst: _Instance, budget: Budget | None) -> tuple[LawReport, ...]:
+    return tuple(_LAWS[name].reports(inst, budget or Budget()))
 
 
-def law_t1_1(w: Weight, t, q, budget: Budget | None = None, seed: int = 0, tol: float = TOL_EXACT):
+def law_t1_1(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
     """omega_{A,q}(T) <= ||T||_A."""
-    ev, q, digest = _prep(w, t, q, seed)
-    return _law_t1_1(ev, q, budget or Budget(), tol, digest)
+    return _check("t1_1", _Instance(w, t, q, seed), budget)[0]
 
 
-def law_t1_23(w: Weight, t, q, alpha, budget: Budget | None = None, seed: int = 0, tol: float = TOL_EQ):
+def law_t1_23(w: Weight, t, q, alpha, budget: Budget | None = None, seed: int = 0):
     """Phase covariance: the radius/Crawford numbers of alpha T at q equal those of T at alpha q."""
-    if abs(abs(alpha) - 1.0) > 1e-12:
-        raise ValueError("alpha must be unimodular")
-    ev, q, digest = _prep(w, t, q, seed)
-    ev_alpha = _Ev(w, alpha * as_operator(t), seed)
-    return _law_t1_23(ev, ev_alpha, q, complex(alpha), budget or Budget(), tol, digest)
+    return _check("t1_23", _Instance(w, t, q, seed, alpha=alpha), budget)
 
 
 def law_t1_45(
@@ -391,7 +481,6 @@ def law_t1_45(
     params: LinComboParams,
     budget: Budget | None = None,
     seed: int = 0,
-    tol: float = TOL_LOOSE,
     adjoint: str = "weighted",
     composite: str = "statement",
 ):
@@ -403,92 +492,59 @@ def law_t1_45(
     for diagnosis only.  `composite` can switch to the "proof" variant
     (lambda + conj(mu) q)/gamma of the parameter.
     """
-    ev, q, digest = _prep(w, t, q, seed)
-    t_adj = a_adjoint(w, t) if adjoint == "weighted" else as_operator(t).conj().T
-    ev_adj = _Ev(w, t_adj, seed)
-    return _law_t1_45(ev, ev_adj, q, params, composite, budget or Budget(), tol, digest)
+    inst = _Instance(w, t, q, seed, params=params, adjoint=adjoint, composite=composite)
+    return _check("t1_45", inst, budget)
 
 
-def law_t1_78(w: Weight, t, q, budget: Budget | None = None, seed: int = 0, tol: float = TOL_LOOSE):
+def law_t1_78(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
     """Reverse triangle bounds recovering the plain radius/Crawford from the q-versions."""
-    ev, q, digest = _prep(w, t, q, seed)
-    return _law_t1_78(ev, q, budget or Budget(), tol, digest)
+    return _check("t1_78", _Instance(w, t, q, seed), budget)
 
 
-def law_note(w: Weight, t, q, budget: Budget | None = None, seed: int = 0, tol: float = TOL_LOOSE):
+def law_note(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
     """(1 - sqrt(2(1 - Re q))) omega_A(T) <= omega_{A,q}(T)."""
-    ev, q, digest = _prep(w, t, q, seed)
-    return _law_note(ev, q, budget or Budget(), tol, digest)
+    return _check("note", _Instance(w, t, q, seed), budget)[0]
 
 
-def law_t2(w: Weight, t, q, budget: Budget | None = None, seed: int = 0, tol: float = TOL_LOOSE):
+def law_t2(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
     """Two-sided chain for omega_{A,q}(T) + omega_{A,conj(q)}(T)."""
-    ev, q, digest = _prep(w, t, q, seed)
-    return _law_t2(ev, q, budget or Budget(), tol, digest)
+    return _check("t2", _Instance(w, t, q, seed), budget)
 
 
-def law_t3(w1: Weight, t1, q1, w2: Weight, t2, q2, budget: Budget | None = None, seed: int = 0, tol: float = TOL_LOOSE):
+def law_t3(w1: Weight, t1, q1, w2: Weight, t2, q2, budget: Budget | None = None, seed: int = 0):
     """Tensor-product chain c <= c1 c2 <= o1 o2 <= o at q = q1 q2."""
-    q1 = validate_q(q1)
-    q2 = validate_q(q2)
-    ev1 = _Ev(w1, t1, seed)
-    ev2 = _Ev(w2, t2, seed)
-    w_prod = Weight(kron(w1.a, w2.a))
-    ev_prod = _Ev(w_prod, kron(t1, t2), seed)
-    digest = _digest(w_prod, ev_prod.t, complex(q1) * complex(q2), seed)
-    return _law_t3(ev1, q1, ev2, q2, ev_prod, budget or Budget(), tol, digest)
+    inst = _Instance(w1, t1, q1, seed, partner=(w2, t2, q2))
+    inst.digest = _digest(inst.tensor.w, inst.tensor.t, inst.q * inst.q2, seed)
+    return _check("t3", inst, budget)
 
 
-def law_cor1(w1: Weight, t1, q1, w2: Weight, t2, q2, budget: Budget | None = None, seed: int = 0, tol: float = TOL_LOOSE):
+def law_cor1(w1: Weight, t1, q1, w2: Weight, t2, q2, budget: Budget | None = None, seed: int = 0):
     """Scalar consequences of the tensor chain (skipping near-zero denominators)."""
-    q1 = validate_q(q1)
-    q2 = validate_q(q2)
-    ev1 = _Ev(w1, t1, seed)
-    ev2 = _Ev(w2, t2, seed)
-    w_prod = Weight(kron(w1.a, w2.a))
-    ev_prod = _Ev(w_prod, kron(t1, t2), seed)
-    digest = _digest(w_prod, ev_prod.t, complex(q1) * complex(q2), seed)
-    return _law_cor1(ev1, q1, ev2, q2, ev_prod, budget or Budget(), tol, digest)
+    inst = _Instance(w1, t1, q1, seed, partner=(w2, t2, q2))
+    inst.digest = _digest(inst.tensor.w, inst.tensor.t, inst.q * inst.q2, seed)
+    return _check("cor1", inst, budget)
 
 
-def law_t4_1(w: Weight, t, q, budget: Budget | None = None, seed: int = 0, tol: float = TOL_LOOSE):
+def law_t4_1(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
     """|omega_{A,q}(T) - omega_A(T)| <= sqrt(2(1 - Re q)) ||T||_A."""
-    ev, q, digest = _prep(w, t, q, seed)
-    return _law_t4_1(ev, q, budget or Budget(), tol, digest)
+    return _check("t4_1", _Instance(w, t, q, seed), budget)[0]
 
 
-def law_t5_1(w: Weight, t, q, budget: Budget | None = None, seed: int = 0, tol: float = TOL_LOOSE):
+def law_t5_1(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
     """|c_{A,q}(T) - c_A(T)| <= sqrt(2(1 - Re q)) ||T||_A."""
-    ev, q, digest = _prep(w, t, q, seed)
-    return _law_t5_1(ev, q, budget or Budget(), tol, digest)
+    return _check("t5_1", _Instance(w, t, q, seed), budget)[0]
 
 
-def law_t5_3(w: Weight, t, s, q, budget: Budget | None = None, seed: int = 0, tol: float = TOL_LOOSE):
+def law_t5_3(w: Weight, t, s, q, budget: Budget | None = None, seed: int = 0):
     """|c_{A,q}(T) - c_{A,q}(S)| <= omega_{A,q}(T - S)."""
-    ev, q, digest = _prep(w, t, q, seed)
-    ev_s = _Ev(w, s, seed)
-    ev_diff = _Ev(w, as_operator(t) - as_operator(s), seed)
-    return _law_t5_3(ev, ev_s, ev_diff, q, budget or Budget(), tol, digest)
+    return _check("t5_3", _Instance(w, t, q, seed, s=s), budget)[0]
 
 
-def law_app1(w1: Weight, s, w2: Weight, m, q, budget: Budget | None = None, seed: int = 0, tol: float = TOL_LOOSE):
+def law_app1(w1: Weight, s, w2: Weight, m, q, budget: Budget | None = None, seed: int = 0):
     """Direct-sum gap bounds: omega-gap bounded by the block maxima, Crawford-gap from below."""
-    q = validate_q(q)
-    s = as_operator(s)
-    m = as_operator(m)
-    ev_s = _Ev(w1, s, seed)
-    ev_m = _Ev(w2, m, seed)
-    n1, n2 = s.shape[0], m.shape[0]
-    a_sum = np.zeros((n1 + n2, n1 + n2), dtype=np.complex128)
-    a_sum[:n1, :n1] = w1.a
-    a_sum[n1:, n1:] = w2.a
-    t_sum = np.zeros_like(a_sum)
-    t_sum[:n1, :n1] = s
-    t_sum[n1:, n1:] = m
-    w_sum = Weight(a_sum)
-    ev_sum = _Ev(w_sum, t_sum, seed)
-    digest = _digest(w_sum, t_sum, q, seed)
-    return _law_app1(ev_s, ev_m, ev_sum, q, budget or Budget(), tol, digest)
+    inst = _Instance(w1, s, q, seed, partner=(w2, m, q))
+    inst.digest = _digest(inst.direct_sum.w, inst.direct_sum.t, inst.q, seed)
+    return _check("app1", inst, budget)
 
 
 # --- randomized suite --------------------------------------------------------
@@ -502,10 +558,6 @@ class SuiteConfig:
     dims: tuple[int, ...] = (2, 3, 4)
     seed: int = 0
     budget: Budget = Budget(restarts=32, iterations=200, grid_resolution=128)
-    tol_law: float = TOL_EXACT
-    tol_eq: float = TOL_EQ
-    tol_loose: float = TOL_LOOSE
-    forced_q1_fraction: float = 0.1
 
 
 def _crandn(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -519,91 +571,44 @@ def _random_weight(rng: np.random.Generator, n: int) -> Weight:
     return Weight((u * d) @ u.conj().T)
 
 
-def _random_q(rng: np.random.Generator, forced_q1_fraction: float) -> complex:
-    if rng.random() < forced_q1_fraction:
+def _random_q(rng: np.random.Generator) -> complex:
+    if rng.random() < FORCED_Q1_FRACTION:
         return 1.0 + 0.0j
     modulus = 1.0 - rng.random()  # uniform on (0, 1]
     phase = rng.uniform(0.0, 2.0 * math.pi)
     return modulus * complex(math.cos(phase), math.sin(phase))
 
 
-def _ladder(make_reports, budget: Budget, unsafe: bool):
-    reports = make_reports(budget)
-    if all(r.passed for r in reports) or not unsafe:
-        return reports
-    reports = make_reports(budget.scaled(4))
-    if all(r.passed for r in reports):
-        return reports
-    return make_reports(budget.scaled(16))
+def _random_instance(seed: int, idx: int, dims: tuple[int, ...]) -> _Instance:
+    """Suite instance ``idx``; the draws depend only on (seed, idx), in this order."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
+    n = int(dims[rng.integers(len(dims))])
+    w = _random_weight(rng, n)
+    t = _crandn(rng, n)
+    q = _random_q(rng)
+    alpha = complex(np.exp(2j * math.pi * rng.random()))
+    lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
+    mu = complex(rng.standard_normal() + 1j * rng.standard_normal())
+    # independent small partner instance for the tensor and direct-sum laws
+    w2 = _random_weight(rng, 2)
+    t2 = _crandn(rng, 2)
+    q2 = _random_q(rng)
+    s = t + 0.05 * _crandn(rng, n)
+    est_seed = int(np.random.SeedSequence((seed, idx, 0xE57)).generate_state(1)[0])
+    try:
+        params = LinComboParams.for_q(lam, mu, q)
+    except ValueError:
+        params = None  # t1_45 is left out of this instance
+    return _Instance(w, t, q, est_seed, alpha=alpha, params=params, s=s, partner=(w2, t2, q2))
 
 
 def run_suite(config: SuiteConfig) -> list[LawReport]:
     """Run every law on randomized instances; deterministic for a fixed config."""
     all_reports: list[LawReport] = []
     for idx in range(config.n_instances):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, idx)))
-        n = int(config.dims[rng.integers(len(config.dims))])
-        w = _random_weight(rng, n)
-        t = _crandn(rng, n)
-        q = _random_q(rng, config.forced_q1_fraction)
-        alpha = complex(np.exp(2j * math.pi * rng.random()))
-        lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        mu = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        # independent small partner instance for the tensor and direct-sum laws
-        w2 = _random_weight(rng, 2)
-        t2 = _crandn(rng, 2)
-        q2 = _random_q(rng, config.forced_q1_fraction)
-        s_mat = t + 0.05 * _crandn(rng, n)
-        est_seed = int(np.random.SeedSequence((config.seed, idx, 0xE57)).generate_state(1)[0])
-
-        digest = _digest(w, t, q, est_seed)
-        ev = _Ev(w, t, est_seed)
-        ev_alpha = _Ev(w, alpha * t, est_seed)
-        ev_adj = _Ev(w, a_adjoint(w, t), est_seed)
-        ev_s = _Ev(w, s_mat, est_seed)
-        ev_diff = _Ev(w, t - s_mat, est_seed)
-        ev2 = _Ev(w2, t2, est_seed)
-        w_prod = Weight(kron(w.a, w2.a))
-        ev_prod = _Ev(w_prod, kron(t, t2), est_seed)
-        a_sum = np.zeros((n + 2, n + 2), dtype=np.complex128)
-        a_sum[:n, :n] = w.a
-        a_sum[n:, n:] = w2.a
-        t_sum = np.zeros_like(a_sum)
-        t_sum[:n, :n] = t
-        t_sum[n:, n:] = t2
-        ev_sum = _Ev(Weight(a_sum), t_sum, est_seed)
-
-        try:
-            params = LinComboParams.for_q(lam, mu, q)
-        except ValueError:
-            params = None
-
-        groups = [
-            (lambda b: [_law_t1_1(ev, q, b, config.tol_law, digest)], False),
-            (lambda b: list(_law_t1_23(ev, ev_alpha, q, alpha, b, config.tol_eq, digest)), True),
-            (lambda b: list(_law_t1_78(ev, q, b, config.tol_loose, digest)), True),
-            (lambda b: [_law_note(ev, q, b, config.tol_loose, digest)], True),
-            (lambda b: list(_law_t2(ev, q, b, config.tol_loose, digest)), True),
-            (lambda b: [_law_t4_1(ev, q, b, config.tol_loose, digest)], True),
-            (lambda b: [_law_t5_1(ev, q, b, config.tol_loose, digest)], True),
-            (lambda b: [_law_t5_3(ev, ev_s, ev_diff, q, b, config.tol_loose, digest)], True),
-            (lambda b: list(_law_t3(ev, q, ev2, q2, ev_prod, b, config.tol_loose, digest)), True),
-            (lambda b: list(_law_cor1(ev, q, ev2, q2, ev_prod, b, config.tol_loose, digest)), True),
-            (lambda b: list(_law_app1(ev, ev2, ev_sum, q2, b, config.tol_loose, digest)), True),
-        ]
-        if params is not None:
-            groups.insert(
-                2,
-                (
-                    lambda b: list(
-                        _law_t1_45(ev, ev_adj, q, params, "statement", b, config.tol_loose, digest)
-                    ),
-                    True,
-                ),
-            )
-        for make_reports, unsafe in groups:
-            all_reports.extend(_ladder(make_reports, config.budget, unsafe))
-
+        inst = _random_instance(config.seed, idx, config.dims)
+        for law in _LAWS.values():
+            all_reports.extend(law.run(inst, config.budget))
     all_reports.sort(key=lambda r: (r.instance_digest, r.law_id))
     return all_reports
 

@@ -25,7 +25,6 @@ __all__ = [
     "kron",
     "matrix_from_json",
     "matrix_to_json",
-    "reduce_operator",
     "reduce_to_range",
     "validate_q",
     "weight_from_json",
@@ -93,8 +92,6 @@ class Weight:
         Unitary matrix of eigenvectors matching ``eigvals``.
     rank : int
         Number of eigenvalues above ``psd_tol``.
-    sqrt_a, pinv_sqrt_a : ndarray
-        A^{1/2} and the pseudo-inverse of A^{1/2} on range(A).
     """
 
     def __init__(self, a, psd_tol: float | None = None):
@@ -125,8 +122,6 @@ class Weight:
         self.rank = rank
         vr = vecs[:, :rank]
         sr = np.sqrt(vals[:rank])
-        self.sqrt_a = (vr * sr) @ vr.conj().T
-        self.pinv_sqrt_a = (vr / sr) @ vr.conj().T
         self.range_projector = vr @ vr.conj().T
         self._range_basis = vr
         self._range_scale = sr
@@ -187,23 +182,13 @@ def _check_compatible(w: Weight, t: np.ndarray) -> None:
         )
 
 
-def reduce_operator(w: Weight, t) -> np.ndarray:
-    """Return the reduced operator A^{1/2} T A^{1/2+} (full size, supported on range(A)).
-
-    Contract: <T x, y>_A = v^H (reduced) u with u = A^{1/2} x, v = A^{1/2} y,
-    so every weighted quantity of T equals the standard one of the reduction
-    restricted to range(A).  Raises :class:`NotABounded` if T is incompatible
-    with a rank-deficient weight.
-    """
-    t = as_operator(t)
-    if t.shape[0] != w.dim:
-        raise ValueError("operator and weight dimensions differ")
-    _check_compatible(w, t)
-    return w.sqrt_a @ t @ w.pinv_sqrt_a
-
-
 def reduce_to_range(w: Weight, t) -> np.ndarray:
-    """Reduced operator compressed to an orthonormal basis of range(A) (rank x rank)."""
+    """Reduced operator B = S_r V_r^H T V_r S_r^{-1} on range(A), of size rank x rank.
+
+    Contract: <T x, y>_A = v^H B u for x = ``w.lift(u)``, y = ``w.lift(v)``, so
+    every weighted quantity of T equals the standard one of B.  Raises
+    :class:`NotABounded` if T is incompatible with a rank-deficient weight.
+    """
     t = as_operator(t)
     if t.shape[0] != w.dim:
         raise ValueError("operator and weight dimensions differ")

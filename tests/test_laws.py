@@ -28,6 +28,7 @@ from aqradius import (
     run_suite,
     summarize_reports,
 )
+from aqradius.laws import _random_instance
 from conftest import crandn, random_pd_weight, random_q
 
 EX1 = np.array([[0.0, 1.0 / 70.0], [0.0, 0.0]], dtype=complex)
@@ -140,6 +141,12 @@ class TestT1_45:
         params = LinComboParams.for_q(1.0 + 0.5j, 0.7, q)
         for rep in law_t1_45(w, t, q, params, budget=FAST, composite="proof"):
             assert rep.passed or rep.skipped
+
+    @pytest.mark.parametrize("switch", [{"adjoint": "weightd"}, {"composite": "prof"}])
+    def test_rejects_unknown_switch_value(self, switch):
+        params = LinComboParams.for_q(1.0, 0.5, 0.5)
+        with pytest.raises(ValueError, match="unknown adjoint"):
+            law_t1_45(I2, EX1, 0.5, params, **switch)
 
 
 class TestT1_78:
@@ -349,3 +356,58 @@ class TestRunSuite:
         assert len(lines) == len(reports)
         parsed = json.loads(lines[0])
         assert {"law_id", "lhs", "rhs", "slack", "pass", "instance_digest"} <= parsed.keys()
+
+
+LAW_IDS = {
+    "t1_1", "t1_2", "t1_3", "t1_4", "t1_5", "t1_7", "t1_8", "note", "t2_lower", "t2_upper",
+    "t4_1", "t5_1", "t5_3", "t3_link1", "t3_link2", "t3_link3",
+    "cor1_1", "cor1_2", "cor1_3", "cor1_4", "app1_omega", "app1_crawford",
+}  # fmt: skip
+
+# each public law called positionally on the ingredients of a suite instance
+PUBLIC_LAWS = {
+    "t1_1": lambda i, b: law_t1_1(i.ev.w, i.ev.t, i.q, b, i.seed),
+    "t1_23": lambda i, b: law_t1_23(i.ev.w, i.ev.t, i.q, i.alpha, b, i.seed),
+    "t1_45": lambda i, b: law_t1_45(i.ev.w, i.ev.t, i.q, i.params, b, i.seed),
+    "t1_78": lambda i, b: law_t1_78(i.ev.w, i.ev.t, i.q, b, i.seed),
+    "note": lambda i, b: law_note(i.ev.w, i.ev.t, i.q, b, i.seed),
+    "t2": lambda i, b: law_t2(i.ev.w, i.ev.t, i.q, b, i.seed),
+    "t4_1": lambda i, b: law_t4_1(i.ev.w, i.ev.t, i.q, b, i.seed),
+    "t5_1": lambda i, b: law_t5_1(i.ev.w, i.ev.t, i.q, b, i.seed),
+    "t5_3": lambda i, b: law_t5_3(i.ev.w, i.ev.t, i.s, i.q, b, i.seed),
+    "t3": lambda i, b: law_t3(i.ev.w, i.ev.t, i.q, i.partner.w, i.partner.t, i.q2, b, i.seed),
+    "cor1": lambda i, b: law_cor1(i.ev.w, i.ev.t, i.q, i.partner.w, i.partner.t, i.q2, b, i.seed),
+    "app1": lambda i, b: law_app1(i.ev.w, i.ev.t, i.partner.w, i.partner.t, i.q2, b, i.seed),
+}
+
+
+@pytest.fixture(scope="module")
+def suite_instance():
+    """Instance 0 of suite seed 1, whose (lambda, mu) is valid, and its suite reports at FAST."""
+    config = SuiteConfig(n_instances=1, seed=1, budget=FAST)
+    inst = _random_instance(config.seed, 0, config.dims)
+    assert inst.params is not None
+    return inst, run_suite(config)
+
+
+class TestLawTable:
+    def test_one_instance_emits_every_law_id_once(self, suite_instance):
+        _, reports = suite_instance
+        assert sorted(r.law_id for r in reports) == sorted(LAW_IDS)
+
+    @pytest.mark.parametrize("name", sorted(PUBLIC_LAWS))
+    def test_public_law_matches_suite_report(self, suite_instance, name):
+        inst, suite_reports = suite_instance
+        by_id = {r.law_id: r for r in suite_reports}
+        reports = PUBLIC_LAWS[name](inst, FAST)
+        reports = reports if isinstance(reports, tuple) else (reports,)
+        for rep in reports:
+            suite_rep = by_id[rep.law_id]
+            # no near-violation re-run in the suite, so both sides used FAST
+            assert suite_rep.estimator_budget == FAST
+            assert (rep.lhs, rep.rhs, rep.passed, rep.skipped) == (
+                suite_rep.lhs,
+                suite_rep.rhs,
+                suite_rep.passed,
+                suite_rep.skipped,
+            )

@@ -14,13 +14,17 @@ from aqradius import (
     kron,
     matrix_from_json,
     matrix_to_json,
-    reduce_operator,
     reduce_to_range,
     validate_q,
     weight_from_json,
     weight_to_json,
 )
 from conftest import crandn, random_pd_weight
+
+
+def lift_basis(w):
+    """Columns w.lift(e_i): an A-orthonormal basis of range(A) (A^{1/2+} V_r)."""
+    return np.column_stack([w.lift(e) for e in np.eye(w.rank)])
 
 
 def inner_by_summation(a, x, y):
@@ -88,9 +92,13 @@ class TestWeight:
         np.testing.assert_allclose(w.a, w.a.conj().T)
 
     def test_sqrt_squares_back(self, rng):
+        # F = A lift_basis(w) = V_r S_r is a square root of A (F F^H = A),
+        # and the lifted basis is A-orthonormal (lift_basis^H F = I)
         w = random_pd_weight(rng, 5)
-        err = np.linalg.norm(w.sqrt_a @ w.sqrt_a - w.a) / np.linalg.norm(w.a)
+        f = w.a @ lift_basis(w)
+        err = np.linalg.norm(f @ f.conj().T - w.a) / np.linalg.norm(w.a)
         assert err < 1e-10
+        np.testing.assert_allclose(lift_basis(w).conj().T @ f, np.eye(5), atol=1e-10)
 
     def test_rank_counts_positive_eigenvalues(self):
         assert Weight.diagonal([3, 1, 0]).rank == 2
@@ -120,36 +128,42 @@ class TestValidateQ:
 
 class TestReduce:
     def test_identity_weight_is_identity_map(self, rng):
+        # the lifted basis of the identity weight is unitary, and B is T in that basis
         t = crandn(rng, 3, 3)
-        np.testing.assert_allclose(reduce_operator(Weight.identity(3), t), t, atol=1e-12)
+        w = Weight.identity(3)
+        basis = lift_basis(w)
+        np.testing.assert_allclose(basis @ reduce_to_range(w, t) @ basis.conj().T, t, atol=1e-12)
 
     def test_hand_computed_diagonal_case(self):
+        # A-orthonormal basis {e1/2, e2}: T e2 = e1 = 2 (e1/2), so B has one entry, 2
         w = Weight.diagonal([4, 1])
         t = np.array([[0, 1], [0, 0]], dtype=complex)
-        np.testing.assert_allclose(
-            reduce_operator(w, t), [[0, 2], [0, 0]], atol=1e-12
-        )
+        b = reduce_to_range(w, t)
+        basis = lift_basis(w)
+        np.testing.assert_allclose(np.abs(basis), [[0.5, 0], [0, 1]], atol=1e-12)
+        np.testing.assert_allclose(np.abs(b), [[0, 2], [0, 0]], atol=1e-12)
+        np.testing.assert_allclose(t @ basis, basis @ b, atol=1e-12)
 
     def test_rejects_operator_leaking_null_space(self):
         w = Weight.diagonal([1, 0])
         t = np.array([[0, 1], [0, 0]], dtype=complex)  # sends null(A) into range(A)
         with pytest.raises(NotABounded):
-            reduce_operator(w, t)
+            reduce_to_range(w, t)
 
     def test_accepts_operator_into_null_space(self):
         w = Weight.diagonal([1, 0])
         t = np.array([[0, 0], [1, 0]], dtype=complex)  # sends range into null(A)
-        np.testing.assert_allclose(reduce_operator(w, t), np.zeros((2, 2)), atol=1e-12)
+        np.testing.assert_allclose(reduce_to_range(w, t), np.zeros((1, 1)), atol=1e-12)
+        assert a_norm_vec(w, t @ w.lift([1.0])) == 0.0
 
     def test_reduction_soundness(self, rng):
-        # <T x, y>_A equals v^H (reduced) u with u = A^(1/2) x, v = A^(1/2) y
+        # <T x, y>_A equals v^H B u with x = lift(u), y = lift(v)
         w = random_pd_weight(rng, 4)
         t = crandn(rng, 4, 4)
-        red = reduce_operator(w, t)
+        red = reduce_to_range(w, t)
         for _ in range(25):
-            x, y = crandn(rng, 4), crandn(rng, 4)
-            u = w.sqrt_a @ x
-            v = w.sqrt_a @ y
+            u, v = crandn(rng, 4), crandn(rng, 4)
+            x, y = w.lift(u), w.lift(v)
             assert a_inner(w, t @ x, y) == pytest.approx(complex(v.conj() @ red @ u), abs=1e-9)
 
     def test_psd_weight_quantities_match_grid_sampling(self, rng):
