@@ -6,7 +6,8 @@ over all admissible partner vectors form a circle (reduced dimension 2) or a
 full disk (dimension >= 3) of radius ``p * ||(I - u u^H) B u||`` centered at
 ``q <B u, u>`` with ``p = sqrt(1 - |q|^2)``, so the partner search collapses
 analytically and only the unit sphere in u remains.  The sphere search uses
-multi-start projected ascent/descent with finite-difference gradients.
+multi-start projected ascent/descent with the closed-form gradient of
+``|q| |<B u, u>|`` and ``p ||(I - u u^H) B u||``, which is tangent to the sphere.
 
 Suprema are therefore reported as lower bounds and infima as upper bounds; an
 independent brute-force grid oracle over the raw pair parameterization (no
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .pairs import RankTooLow, sample_pairs
+from .pairs import RankTooLow
 from .semispace import Weight, a_opnorm, reduce_to_range, validate_q
 
 __all__ = [
@@ -108,47 +109,64 @@ def _inf_objective(
     return np.abs(t) if circle else np.maximum(t, 0.0)
 
 
-def _fd_gradient(fn, u: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient in the 2r real coordinates, as complex rows."""
-    m, r = u.shape
-    grad = np.zeros((m, r), dtype=np.complex128)
-    for j in range(r):
-        for delta in (h, 1j * h):
-            up = u.copy()
-            up[:, j] += delta
-            um = u.copy()
-            um[:, j] -= delta
-            comp = (fn(up) - fn(um)) / (2.0 * h)
-            grad[:, j] += comp if delta == h else 1j * comp
-    return grad
+def _sphere_gradients(
+    b: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """|c|, rho and their gradients at unit rows u, c = <B u, u>, rho = ||B u - c u||.
+
+    Gradients are complex rows g = df/dRe(u) + i df/dIm(u) of the row-scale
+    invariant extensions, so g is orthogonal to u; with r = B u - c u,
+
+        grad |c| = (conj(c) r + c (B^H u - conj(c) u)) / |c|,
+        grad rho = ((B - c I)^H r - rho^2 u) / rho,
+
+    each taken as 0 where |c| = 0 or rho = 0 (a kink of that term).
+    """
+    bu = u @ b.T
+    c = np.einsum("ij,ij->i", u.conj(), bu)
+    r = bu - c[:, None] * u
+    abs_c = np.abs(c)
+    rho = np.linalg.norm(r, axis=1)
+    cc = c.conj()[:, None]
+    g_c = cc * r + c[:, None] * (u @ b.conj() - cc * u)
+    g_rho = r @ b.conj() - cc * r - (rho**2)[:, None] * u
+    g_c = np.divide(g_c, abs_c[:, None], out=np.zeros_like(u), where=abs_c[:, None] > 0.0)
+    g_rho = np.divide(g_rho, rho[:, None], out=np.zeros_like(u), where=rho[:, None] > 0.0)
+    return abs_c, rho, g_c, g_rho
+
+
+def _sup_gradient(b: np.ndarray, u: np.ndarray, absq: float, p: float) -> np.ndarray:
+    _, _, g_c, g_rho = _sphere_gradients(b, u)
+    return absq * g_c + p * g_rho
+
+
+def _neg_inf_gradient(
+    b: np.ndarray, u: np.ndarray, absq: float, p: float, circle: bool
+) -> np.ndarray:
+    """Gradient of minus the inf objective: -sign(t) grad t (circle), -[t > 0] grad t (disk)."""
+    abs_c, rho, g_c, g_rho = _sphere_gradients(b, u)
+    t = absq * abs_c - p * rho
+    slope = np.sign(t) if circle else (t > 0.0).astype(float)
+    return -slope[:, None] * (absq * g_c - p * g_rho)
 
 
 _MAX_PERTURBS = 3
 
 
-def _extremize(
-    fn,
-    dim: int,
-    budget: Budget,
-    seed: int,
-    extra_inits: list[np.ndarray],
-) -> tuple[float, np.ndarray]:
+def _extremize(fn, grad_fn, dim: int, budget: Budget, seed: int) -> tuple[float, np.ndarray]:
     """Multi-start projected ascent of `fn` over the unit sphere in C^dim.
 
-    `fn` maps a batch of rows to values and must be invariant under row scaling.
-    Returns the best value found and its (normalized) argument.  Restart i
-    draws its start and its stagnation perturbations from its own seed-sequence
-    child, so results depend only on the seed and the restart index.
+    `fn` maps a batch of rows to values and must be invariant under row scaling;
+    `grad_fn` gives its gradient at unit rows.  Returns the best value found and
+    its (normalized) argument.  Restart i draws its start and its stagnation
+    perturbations from its own seed-sequence child, so results depend only on
+    the seed and the restart index.
     """
     n_restarts = max(1, int(budget.restarts))
-    children = np.random.SeedSequence(seed).spawn(n_restarts + len(extra_inits))
+    children = np.random.SeedSequence(seed).spawn(n_restarts)
     rngs = [np.random.default_rng(c) for c in children]
 
-    starts = []
-    for i in range(n_restarts):
-        raw = rngs[i].standard_normal(dim) + 1j * rngs[i].standard_normal(dim)
-        starts.append(raw)
-    starts.extend(np.asarray(e, dtype=np.complex128) for e in extra_inits)
+    starts = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for rng in rngs]
     u = _normalize_rows(np.array(starts))
     m = u.shape[0]
 
@@ -162,7 +180,7 @@ def _extremize(
     for _ in range(max(1, int(budget.iterations))):
         if not active.any():
             break
-        grad = _fd_gradient(fn, u)
+        grad = grad_fn(u)
         gnorm = np.linalg.norm(grad, axis=1)
         cand = _normalize_rows(u + alpha[:, None] * grad)
         f_cand = fn(cand)
@@ -205,8 +223,8 @@ def _orth_unit(vectors: list[np.ndarray], dim: int) -> np.ndarray:
         nc = float(np.linalg.norm(cand))
         if nc > best_norm:
             best_norm = nc
-            best = cand / nc
-    return best
+            best = cand
+    return best / best_norm
 
 
 def _sup_witness(b: np.ndarray, u: np.ndarray, q: complex, p: float) -> np.ndarray:
@@ -291,31 +309,12 @@ def _check_rank_vs_q(w: Weight, q: complex) -> None:
         )
 
 
-def _pair_seed(seed: int) -> int:
-    return int(np.random.SeedSequence((seed, 0x5041)).generate_state(1)[0])
-
-
-def _extra_inits(
-    w: Weight, t, b: np.ndarray, q: complex, seed: int, want_max: bool
-) -> list[np.ndarray]:
-    # one start from the classical-radius direction, one from raw pair sampling
-    _, eig_u = _phase_sweep(b, 64)
-    inits = [eig_u]
-    pairs = sample_pairs(w, q, 32, _pair_seed(seed))
-    vals = [abs(pair.y.conj() @ (w.a @ (np.asarray(t, dtype=complex) @ pair.x))) for pair in pairs]
-    pick = int(np.argmax(vals)) if want_max else int(np.argmin(vals))
-    u = w.project_reduced(pairs[pick].x)
-    inits.append(u / np.linalg.norm(u))
-    return inits
-
-
 def aq_radius(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> Estimate:
     """Lower-bound estimate of the weighted q-numerical radius.
 
     Maximizes ``|q <B u, u>| + sqrt(1 - |q|^2) ||(I - u u^H) B u||`` over unit
-    u in the reduced space by multi-start projected ascent, initialized from
-    Gaussian starts, the classical-radius maximizer, and the best raw sampled
-    pair.  The returned witnesses are an exact constraint pair attaining the
+    u in the reduced space by multi-start projected ascent from Gaussian
+    starts.  The returned witnesses are an exact constraint pair attaining the
     reported value.
     """
     q = validate_q(q, allow_zero=True)
@@ -324,13 +323,12 @@ def aq_radius(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> E
     _check_rank_vs_q(w, q)
     absq, p = abs(q), _p_of(q)
 
-    extra = _extra_inits(w, t, b, q, seed, want_max=True)
     value, u = _extremize(
         lambda uu: _sup_objective(b, uu, absq, p),
+        lambda uu: _sup_gradient(b, uu, absq, p),
         b.shape[0],
         budget,
         seed,
-        extra,
     )
     v = _sup_witness(b, u, q, p)
     return Estimate(
@@ -357,13 +355,12 @@ def aq_crawford(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) ->
     absq, p = abs(q), _p_of(q)
     circle = b.shape[0] == 2
 
-    extra = _extra_inits(w, t, b, q, seed, want_max=False)
     neg_value, u = _extremize(
         lambda uu: -_inf_objective(b, uu, absq, p, circle),
+        lambda uu: _neg_inf_gradient(b, uu, absq, p, circle),
         b.shape[0],
         budget,
         seed,
-        extra,
     )
     v = _inf_witness(b, u, q, p, circle)
     return Estimate(

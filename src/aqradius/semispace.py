@@ -146,11 +146,6 @@ class Weight:
         u = as_vector(u, self.rank)
         return self._range_basis @ (u / self._range_scale)
 
-    def project_reduced(self, x: np.ndarray) -> np.ndarray:
-        """Reduced coordinates of x: u = S_r V_r^H x (so that ||u|| = ||x||_A)."""
-        x = as_vector(x, self.dim)
-        return self._range_scale * (self._range_basis.conj().T @ x)
-
 
 def a_inner(w: Weight, x, y) -> complex:
     """Weighted inner product <x, y>_A = y^H A x (conjugation on the second slot)."""
@@ -160,9 +155,12 @@ def a_inner(w: Weight, x, y) -> complex:
 
 
 def a_norm_vec(w: Weight, x) -> float:
-    """Weighted seminorm sqrt(Re <x, x>_A); may vanish on nonzero vectors."""
+    """Weighted seminorm sqrt(Re <x, x>_A); may vanish on nonzero vectors.
+
+    Raises if Im <x, x>_A exceeds 1e-10 ||A|| ||x||^2, the scale of its round-off.
+    """
     s = a_inner(w, x, x)
-    if abs(s.imag) >= 1e-10:
+    if abs(s.imag) > 1e-10 * float(w.eigvals[0]) * float(np.vdot(x, x).real):
         raise ValueError(
             f"self inner product has imaginary part {s.imag:.3e}; weight is broken"
         )

@@ -108,3 +108,13 @@ class TestSamplePairs:
             assert abs(pair.x[2]) < 1e-12
             assert abs(pair.y[2]) < 1e-12
             assert abs(pair.q_achieved - 0.6) < 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8, 1e12])
+    def test_constraints_hold_at_every_weight_scale(self, rng, scale):
+        # round-off in <x, x>_A grows with ||A||; the checks must scale with it
+        w = Weight(scale * random_pd_weight(rng, 4).a)
+        q = 0.6 + 0.3j
+        for pair in sample_pairs(w, q, 50, seed=3):
+            assert abs(a_norm_vec(w, pair.x) - 1) <= 1e-9
+            assert abs(a_norm_vec(w, pair.y) - 1) <= 1e-9
+            assert abs(pair.q_achieved - q) <= 1e-9

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqradius import (
     LOWER_BOUND_OF_SUP,
@@ -18,6 +20,15 @@ from aqradius import (
     gaps,
     oracle_grid,
     reduce_to_range,
+)
+from aqradius.radius import (
+    _inf_objective,
+    _inf_witness,
+    _neg_inf_gradient,
+    _normalize_rows,
+    _sup_gradient,
+    _sup_objective,
+    _sup_witness,
 )
 from conftest import crandn, random_pd_weight, random_q
 
@@ -264,3 +275,98 @@ class TestEstimatorContracts:
             t = crandn(rng, n, n)
             q = random_q(rng)
             assert aq_radius(w, t, q).value <= a_opnorm(w, t) + 1e-9
+
+
+def central_difference(fn, u, h=1e-6):
+    """Central differences in the 2r real coordinates, as complex rows d/dRe + i d/dIm."""
+    grad = np.zeros(u.shape, dtype=complex)
+    for j in range(u.shape[1]):
+        for step in (h, 1j * h):
+            up, um = u.copy(), u.copy()
+            up[:, j] += step
+            um[:, j] -= step
+            grad[:, j] += (fn(up) - fn(um)) / (2 * h) * (step / h)
+    return grad
+
+
+def sphere_objectives(b, absq):
+    """(name, value, analytic gradient) of the sup objective and minus the inf objectives."""
+    p = np.sqrt(1 - absq**2)
+    return [
+        ("sup", lambda u: _sup_objective(b, u, absq, p), lambda u: _sup_gradient(b, u, absq, p)),
+    ] + [
+        (
+            "circle" if circle else "disk",
+            lambda u, circle=circle: -_inf_objective(b, u, absq, p, circle),
+            lambda u, circle=circle: _neg_inf_gradient(b, u, absq, p, circle),
+        )
+        for circle in (True, False)
+    ]
+
+
+class TestSphereGradient:
+    @pytest.mark.parametrize("absq", [0.0, 0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("r", [1, 2, 3, 8, 16])
+    def test_matches_central_differences(self, rng, r, absq):
+        # the shifted operator puts the disk objective on its smooth side t > 0
+        for b in (crandn(rng, r, r), crandn(rng, r, r) + 2 * r * np.eye(r)):
+            u = _normalize_rows(crandn(rng, 6, r))
+            scale = np.linalg.norm(b, 2)
+            for name, fn, grad_fn in sphere_objectives(b, absq):
+                numeric = central_difference(fn, u)
+                np.testing.assert_allclose(
+                    grad_fn(u), numeric, rtol=0, atol=1e-7 * max(scale, np.abs(numeric).max()),
+                    err_msg=name,
+                )
+
+    def test_finite_at_kinks(self, rng):
+        herm = crandn(rng, 4, 4)
+        herm = herm + herm.conj().T
+        off_diag = np.array([[0, 1, 0], [2, 0, 1j], [0, 1, 3]], dtype=complex)
+        kinks = [
+            (herm, np.linalg.eigh(herm)[1].T),  # rho = 0 up to round-off
+            (np.diag([2.0, -1.0, 0.5]).astype(complex), np.eye(3, dtype=complex)),  # rho = 0
+            (off_diag, np.eye(3, dtype=complex)[:1]),  # c = 0
+            (np.zeros((3, 3), dtype=complex), np.eye(3, dtype=complex)),  # c = rho = 0
+        ]
+        with np.errstate(all="raise"):
+            for b, u in kinks:
+                for absq in (0.0, 0.3, 0.9, 1.0):
+                    for name, _, grad_fn in sphere_objectives(b, absq):
+                        assert np.all(np.isfinite(grad_fn(u))), name
+
+
+def test_witnesses_at_exact_eigenvector():
+    # rho = 0 at a standard basis vector: the partner direction is completed
+    # from the other basis vectors, one of which projects to zero
+    b = np.diag([2.0, -1.0, 0.5]).astype(complex)
+    u = np.eye(3, dtype=complex)[0]
+    q = 0.6 + 0.3j
+    p = np.sqrt(1 - abs(q) ** 2)
+    with np.errstate(all="raise"):
+        for v in (_sup_witness(b, u, q, p), _inf_witness(b, u, q, p, circle=False)):
+            assert np.vdot(v, u) == pytest.approx(q, abs=1e-12)  # <u, v> = v^H u
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+)
+def test_estimates_invariant_under_weight_scaling(seed, n, scale):
+    rng = np.random.default_rng(seed)
+    w = random_pd_weight(rng, n)
+    t = crandn(rng, n, n) + rng.choice([0.0, 2.0 * n]) * np.eye(n)
+    q = random_q(rng)
+    w_scaled = Weight(scale * w.a)
+    budget = Budget(8, 150)
+    tol = 1e-9 * a_opnorm(w, t)
+    for estimator in (aq_radius, aq_crawford):
+        est = estimator(w_scaled, t, q, budget, seed=3)
+        again = estimator(w_scaled, t, q, budget, seed=3)
+        assert again.value == est.value
+        assert np.array_equal(again.witness_x, est.witness_x)
+        assert np.array_equal(again.witness_y, est.witness_y)
+        assert est.value == pytest.approx(estimator(w, t, q, budget, seed=3).value, abs=tol)
