@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exact, laws, sequences
 from .pairs import RankTooLow
-from .radius import Budget, a_crawford, a_radius, aq_crawford, aq_radius, oracle_grid
+from .radius import Budget, a_crawford, a_radius, aq_crawford, aq_radius
 from .semispace import (
     NotABounded,
     Weight,
@@ -59,12 +59,19 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _budget_from_flag(n: int) -> Budget:
     # scale the default 64-restart budget proportionally so --budget 64
     # reproduces the library default and --budget 1 is genuinely starved
     return Budget(
-        restarts=max(1, n),
-        iterations=max(1, round(500 * n / 64)),
+        restarts=n,
+        iterations=round(500 * n / 64),
         grid_resolution=max(4, round(256 * n / 64)),
     )
 
@@ -262,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="matrix JSON file")
     p.add_argument("--weight", default=None, help="weight JSON file (default: identity)")
     p.add_argument("--q", required=True, help="constraint parameter RE[,IM]")
-    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--budget", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact", action="store_true", help="use the 2x2 closed form (real q)")
     p.set_defaults(func=_cmd_compute)
@@ -274,10 +281,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("verify", help="run the randomized law suite")
-    p.add_argument("--instances", type=int, default=200)
+    p.add_argument("--instances", type=_positive_int, default=200)
     p.add_argument("--dims", default="2,3,4")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=32)
+    p.add_argument("--budget", type=_positive_int, default=32)
     p.add_argument("--out", required=True, help="summary CSV path (JSONL written alongside)")
     p.set_defaults(func=_cmd_verify)
 
@@ -296,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="radius",
         choices=("radius", "crawford", "gap_omega", "gap_c"),
     )
-    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--budget", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_converge)

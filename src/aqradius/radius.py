@@ -5,9 +5,9 @@ dimension = rank of the weight).  For a unit vector u, the values attainable
 over all admissible partner vectors form a circle (reduced dimension 2) or a
 full disk (dimension >= 3) of radius ``p * ||(I - u u^H) B u||`` centered at
 ``q <B u, u>`` with ``p = sqrt(1 - |q|^2)``, so the partner search collapses
-analytically and only the unit sphere in u remains.  The sphere search uses
-multi-start projected ascent/descent with the closed-form gradient of
-``|q| |<B u, u>|`` and ``p ||(I - u u^H) B u||``, which is tangent to the sphere.
+analytically and only the unit sphere in u remains.  The sphere search is
+multi-start projected ascent on one rule per estimator, which returns the
+value and the closed-form gradient together, so each step costs one evaluation.
 
 Suprema are therefore reported as lower bounds and infima as upper bounds; an
 independent brute-force grid oracle over the raw pair parameterization (no
@@ -88,28 +88,7 @@ def _normalize_rows(u: np.ndarray) -> np.ndarray:
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
-def _center_and_spread(b: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """<B u, u> and ||(I - u u^H) B u|| for rows of a normalized batch."""
-    bu = u @ b.T
-    c = np.einsum("ij,ij->i", u.conj(), bu)
-    resid = bu - c[:, None] * u
-    return c, np.linalg.norm(resid, axis=1)
-
-
-def _sup_objective(b: np.ndarray, u: np.ndarray, absq: float, p: float) -> np.ndarray:
-    c, rho = _center_and_spread(b, _normalize_rows(u))
-    return absq * np.abs(c) + p * rho
-
-
-def _inf_objective(
-    b: np.ndarray, u: np.ndarray, absq: float, p: float, circle: bool
-) -> np.ndarray:
-    c, rho = _center_and_spread(b, _normalize_rows(u))
-    t = absq * np.abs(c) - p * rho
-    return np.abs(t) if circle else np.maximum(t, 0.0)
-
-
-def _sphere_gradients(
+def _sphere_terms(
     b: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """|c|, rho and their gradients at unit rows u, c = <B u, u>, rho = ||B u - c u||.
@@ -135,134 +114,120 @@ def _sphere_gradients(
     return abs_c, rho, g_c, g_rho
 
 
-def _sup_gradient(b: np.ndarray, u: np.ndarray, absq: float, p: float) -> np.ndarray:
-    _, _, g_c, g_rho = _sphere_gradients(b, u)
-    return absq * g_c + p * g_rho
+def _sup(b: np.ndarray, absq: float, p: float):
+    """Rule of the sup: unit rows -> (|q| |c| + p rho, its gradient)."""
+
+    def rule(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        abs_c, rho, g_c, g_rho = _sphere_terms(b, u)
+        return absq * abs_c + p * rho, absq * g_c + p * g_rho
+
+    return rule
 
 
-def _neg_inf_gradient(
-    b: np.ndarray, u: np.ndarray, absq: float, p: float, circle: bool
-) -> np.ndarray:
-    """Gradient of minus the inf objective: -sign(t) grad t (circle), -[t > 0] grad t (disk)."""
-    abs_c, rho, g_c, g_rho = _sphere_gradients(b, u)
-    t = absq * abs_c - p * rho
-    slope = np.sign(t) if circle else (t > 0.0).astype(float)
-    return -slope[:, None] * (absq * g_c - p * g_rho)
+def _neg_inf(b: np.ndarray, absq: float, p: float, circle: bool):
+    """Rule of minus the inf, t = |q| |c| - p rho: -|t| on the circle, -max(t, 0) on the disk."""
+
+    def rule(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        abs_c, rho, g_c, g_rho = _sphere_terms(b, u)
+        t = absq * abs_c - p * rho
+        slope = np.sign(t) if circle else (t > 0.0).astype(float)
+        value = -np.abs(t) if circle else -np.maximum(t, 0.0)
+        return value, -slope[:, None] * (absq * g_c - p * g_rho)
+
+    return rule
 
 
 _MAX_PERTURBS = 3
 
 
-def _extremize(fn, grad_fn, dim: int, budget: Budget, seed: int) -> tuple[float, np.ndarray]:
-    """Multi-start projected ascent of `fn` over the unit sphere in C^dim.
+def _extremize(value_grad, dim: int, budget: Budget, seed: int) -> tuple[float, np.ndarray]:
+    """Multi-start projected ascent of a rule (`_sup`, `_neg_inf`) over the unit sphere in C^dim.
 
-    `fn` maps a batch of rows to values and must be invariant under row scaling;
-    `grad_fn` gives its gradient at unit rows.  Returns the best value found and
-    its (normalized) argument.  Restart i draws its start and its stagnation
-    perturbations from its own seed-sequence child, so results depend only on
-    the seed and the restart index.
+    Each step evaluates the candidates once and keeps the gradient of the
+    accepted rows for the next step; stagnant rows are perturbed and
+    re-evaluated as one batch.  Returns the best value found and its unit
+    argument.  Restart i draws its start and its stagnation perturbations from
+    its own seed-sequence child, so results depend only on the seed and the
+    restart index.
     """
     n_restarts = max(1, int(budget.restarts))
     children = np.random.SeedSequence(seed).spawn(n_restarts)
     rngs = [np.random.default_rng(c) for c in children]
 
-    starts = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for rng in rngs]
-    u = _normalize_rows(np.array(starts))
-    m = u.shape[0]
+    def gaussian(i: int) -> np.ndarray:
+        return rngs[i].standard_normal(dim) + 1j * rngs[i].standard_normal(dim)
 
-    f_cur = fn(u)
+    u = _normalize_rows(np.array([gaussian(i) for i in range(n_restarts)]))
+    f_cur, grad = value_grad(u)
     best_val = f_cur.copy()
     best_u = u.copy()
-    alpha = np.full(m, 0.1)
-    active = np.ones(m, dtype=bool)
-    perturbs = np.zeros(m, dtype=int)
+    alpha = np.full(n_restarts, 0.1)
+    active = np.ones(n_restarts, dtype=bool)
+    perturbs = np.zeros(n_restarts, dtype=int)
 
     for _ in range(max(1, int(budget.iterations))):
         if not active.any():
             break
-        grad = grad_fn(u)
         gnorm = np.linalg.norm(grad, axis=1)
         cand = _normalize_rows(u + alpha[:, None] * grad)
-        f_cand = fn(cand)
+        f_cand, g_cand = value_grad(cand)
         improved = active & (f_cand >= f_cur + 1e-4 * alpha * gnorm**2)
         u[improved] = cand[improved]
         f_cur[improved] = f_cand[improved]
+        grad[improved] = g_cand[improved]
         alpha[improved] = np.minimum(alpha[improved] * 1.3, 1.0)
-        rejected = active & ~improved
-        alpha[rejected] *= 0.5
+        alpha[active & ~improved] *= 0.5
 
         better = f_cur > best_val
         best_val[better] = f_cur[better]
         best_u[better] = u[better]
 
         stagnant = active & ((alpha < 1e-12) | (gnorm < 1e-11))
-        for i in np.flatnonzero(stagnant):
-            if perturbs[i] < _MAX_PERTURBS:
-                noise = rngs[i].standard_normal(dim) + 1j * rngs[i].standard_normal(dim)
-                u[i] = u[i] + 1e-3 * noise
-                u[i] /= np.linalg.norm(u[i])
-                f_cur[i] = fn(u[i][None, :])[0]
-                alpha[i] = 0.01
-                perturbs[i] += 1
-            else:
-                active[i] = False
+        active[stagnant & (perturbs >= _MAX_PERTURBS)] = False
+        kick = np.flatnonzero(stagnant & active)
+        if kick.size:
+            noise = np.array([gaussian(i) for i in kick])
+            u[kick] = _normalize_rows(u[kick] + 1e-3 * noise)
+            f_cur[kick], grad[kick] = value_grad(u[kick])
+            alpha[kick] = 0.01
+            perturbs[kick] += 1
 
     idx = int(np.argmax(best_val))
     return float(best_val[idx]), best_u[idx]
 
 
-def _orth_unit(vectors: list[np.ndarray], dim: int) -> np.ndarray:
-    """A unit vector orthogonal to the given (orthonormal-ish) vectors."""
-    best = None
-    best_norm = -1.0
-    for k in range(dim):
-        cand = np.zeros(dim, dtype=np.complex128)
-        cand[k] = 1.0
-        for v in vectors:
-            cand = cand - v * (v.conj() @ cand)
-        nc = float(np.linalg.norm(cand))
-        if nc > best_norm:
-            best_norm = nc
-            best = cand
-    return best / best_norm
+def _orth_unit(vectors: list[np.ndarray]) -> np.ndarray:
+    """A unit vector orthogonal to orthonormal `vectors`: the normalized residual
+    of the standard basis vector they overlap least, which has the largest residual."""
+    v = np.array(vectors)
+    k = int(np.argmin(np.sum(np.abs(v) ** 2, axis=0)))
+    cand = -(v[:, k].conj() @ v)
+    cand[k] += 1.0
+    return cand / np.linalg.norm(cand)
 
 
-def _sup_witness(b: np.ndarray, u: np.ndarray, q: complex, p: float) -> np.ndarray:
-    """Reduced partner vector attaining |q c| + p rho at u."""
+def _witness(b: np.ndarray, u: np.ndarray, q: complex, p: float, sup: bool) -> np.ndarray:
+    """Reduced partner v with <u, v> = q and |v^H B u| the rule's value at unit u.
+
+    v = conj(q) u +- p conj(d) w, d the phase of q c, w a unit vector orthogonal
+    to u: w^H B u = rho along the residual, beta rho when the disk tilts w out of it.
+    """
+    if u.size == 1 or p == 0.0:
+        return np.conj(q) * u
     bu = b @ u
     c = complex(u.conj() @ bu)
     resid = bu - c * u
     rho = float(np.linalg.norm(resid))
-    if u.size == 1 or p == 0.0:
-        return np.conj(q) * u
-    w = resid / rho if rho > 1e-14 else _orth_unit([u], u.size)
-    qc = q * c
-    d = qc / abs(qc) if abs(qc) > 0.0 else 1.0
-    return np.conj(q) * u + p * np.conj(d) * w
-
-
-def _inf_witness(
-    b: np.ndarray, u: np.ndarray, q: complex, p: float, circle: bool
-) -> np.ndarray:
-    """Reduced partner vector attaining the inner minimum at u."""
-    bu = b @ u
-    c = complex(u.conj() @ bu)
-    resid = bu - c * u
-    rho = float(np.linalg.norm(resid))
-    if u.size == 1 or p == 0.0:
-        return np.conj(q) * u
     qc = q * c
     d = qc / abs(qc) if abs(qc) > 0.0 else 1.0
     if rho <= 1e-14:
-        w = _orth_unit([u], u.size)
+        return np.conj(q) * u + p * np.conj(d) * _orth_unit([u])
+    w = resid / rho
+    if sup:
         return np.conj(q) * u + p * np.conj(d) * w
-    w_par = resid / rho
-    if circle:
-        w = w_par
-    else:
+    if u.size > 2:
         beta = min(1.0, abs(qc) / (p * rho))
-        w_perp = _orth_unit([u, w_par], u.size)
-        w = beta * w_par + math.sqrt(max(0.0, 1.0 - beta * beta)) * w_perp
+        w = beta * w + math.sqrt(max(0.0, 1.0 - beta * beta)) * _orth_unit([u, w])
     return np.conj(q) * u - p * np.conj(d) * w
 
 
@@ -309,6 +274,25 @@ def _check_rank_vs_q(w: Weight, q: complex) -> None:
         )
 
 
+def _sphere_estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> Estimate:
+    """Sphere search for the sup (or the inf) of |<T x, y>_A| and its witness pair."""
+    q = validate_q(q, allow_zero=True)
+    budget = budget or Budget()
+    b = reduce_to_range(w, t)
+    _check_rank_vs_q(w, q)
+    absq, p = abs(q), _p_of(q)
+    rule = _sup(b, absq, p) if sup else _neg_inf(b, absq, p, circle=b.shape[0] == 2)
+    value, u = _extremize(rule, b.shape[0], budget, seed)
+    return Estimate(
+        value=value if sup else -value,
+        direction=LOWER_BOUND_OF_SUP if sup else UPPER_BOUND_OF_INF,
+        witness_x=w.lift(u),
+        witness_y=w.lift(_witness(b, u, q, p, sup)),
+        budget=budget,
+        seed=seed,
+    )
+
+
 def aq_radius(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> Estimate:
     """Lower-bound estimate of the weighted q-numerical radius.
 
@@ -317,28 +301,7 @@ def aq_radius(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> E
     starts.  The returned witnesses are an exact constraint pair attaining the
     reported value.
     """
-    q = validate_q(q, allow_zero=True)
-    budget = budget or Budget()
-    b = reduce_to_range(w, t)
-    _check_rank_vs_q(w, q)
-    absq, p = abs(q), _p_of(q)
-
-    value, u = _extremize(
-        lambda uu: _sup_objective(b, uu, absq, p),
-        lambda uu: _sup_gradient(b, uu, absq, p),
-        b.shape[0],
-        budget,
-        seed,
-    )
-    v = _sup_witness(b, u, q, p)
-    return Estimate(
-        value=value,
-        direction=LOWER_BOUND_OF_SUP,
-        witness_x=w.lift(u),
-        witness_y=w.lift(v),
-        budget=budget,
-        seed=seed,
-    )
+    return _sphere_estimate(w, t, q, budget, seed, sup=True)
 
 
 def aq_crawford(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> Estimate:
@@ -348,29 +311,7 @@ def aq_crawford(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) ->
     minimum keeps the absolute value; in dimension >= 3 they fill a disk and
     the minimum clamps at zero.
     """
-    q = validate_q(q, allow_zero=True)
-    budget = budget or Budget()
-    b = reduce_to_range(w, t)
-    _check_rank_vs_q(w, q)
-    absq, p = abs(q), _p_of(q)
-    circle = b.shape[0] == 2
-
-    neg_value, u = _extremize(
-        lambda uu: -_inf_objective(b, uu, absq, p, circle),
-        lambda uu: _neg_inf_gradient(b, uu, absq, p, circle),
-        b.shape[0],
-        budget,
-        seed,
-    )
-    v = _inf_witness(b, u, q, p, circle)
-    return Estimate(
-        value=-neg_value,
-        direction=UPPER_BOUND_OF_INF,
-        witness_x=w.lift(u),
-        witness_y=w.lift(v),
-        budget=budget,
-        seed=seed,
-    )
+    return _sphere_estimate(w, t, q, budget, seed, sup=False)
 
 
 def a_crawford(w: Weight, t, budget: Budget | None = None, seed: int = 0) -> Estimate:

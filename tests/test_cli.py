@@ -90,3 +90,29 @@ def test_converge_qseq_rejects_gap_quantities(converge_qseq, quantity, capsys):
     assert cli.main(argv + ["--quantity", quantity]) == 2
     assert "needs an operator rule" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("compute", "--budget", "0"),
+        ("compute", "--budget", "-3"),
+        ("verify", "--budget", "0"),
+        ("verify", "--instances", "-1"),
+        ("verify", "--instances", "0"),
+        ("converge", "--budget", "-3"),
+    ],
+)
+def test_rejects_nonpositive_counts(command, flag, value, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(matrix_to_json(EX2)))
+    out = str(tmp_path / "o.csv")
+    argv = {
+        "compute": ["compute", "--matrix", str(path), "--q", "0.5"],
+        "verify": ["verify", "--instances", "1", "--dims", "2", "--out", out],
+        "converge": ["converge", "--rule", "perturb", "--matrix", str(path), "--out", out],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"{flag}: must be positive, got {value}" in capsys.readouterr().err

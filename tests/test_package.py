@@ -1,0 +1,34 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import aqradius
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(aqradius.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"aqradius.{name}")
+    missing = [export for export in module.__all__ if not hasattr(module, export)]
+    assert not missing
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_module_level_import(name):
+    # __init__ re-exports what it imports, so only the submodules are scanned
+    tree = ast.parse((Path(aqradius.__file__).parent / f"{name}.py").read_text())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(getattr(importlib.import_module(f"aqradius.{name}"), "__all__", ()))
+    unused = {bound: line for bound, line in imported.items() if bound not in used | exported}
+    assert not unused

@@ -21,15 +21,7 @@ from aqradius import (
     oracle_grid,
     reduce_to_range,
 )
-from aqradius.radius import (
-    _inf_objective,
-    _inf_witness,
-    _neg_inf_gradient,
-    _normalize_rows,
-    _sup_gradient,
-    _sup_objective,
-    _sup_witness,
-)
+from aqradius.radius import _neg_inf, _normalize_rows, _sup, _witness
 from conftest import crandn, random_pd_weight, random_q
 
 EX1 = np.array([[0.0, 1.0 / 70.0], [0.0, 0.0]], dtype=complex)
@@ -290,17 +282,20 @@ def central_difference(fn, u, h=1e-6):
 
 
 def sphere_objectives(b, absq):
-    """(name, value, analytic gradient) of the sup objective and minus the inf objectives."""
+    """(name, value, analytic gradient) of the sup rule and the two minus-inf rules.
+
+    The value is taken at the normalized rows, so central differences see the
+    row-scale invariant extension whose gradient the rules return.
+    """
     p = np.sqrt(1 - absq**2)
+    rules = [
+        ("sup", _sup(b, absq, p)),
+        ("circle", _neg_inf(b, absq, p, circle=True)),
+        ("disk", _neg_inf(b, absq, p, circle=False)),
+    ]
     return [
-        ("sup", lambda u: _sup_objective(b, u, absq, p), lambda u: _sup_gradient(b, u, absq, p)),
-    ] + [
-        (
-            "circle" if circle else "disk",
-            lambda u, circle=circle: -_inf_objective(b, u, absq, p, circle),
-            lambda u, circle=circle: _neg_inf_gradient(b, u, absq, p, circle),
-        )
-        for circle in (True, False)
+        (name, lambda u, rule=rule: rule(_normalize_rows(u))[0], lambda u, rule=rule: rule(u)[1])
+        for name, rule in rules
     ]
 
 
@@ -344,9 +339,54 @@ def test_witnesses_at_exact_eigenvector():
     q = 0.6 + 0.3j
     p = np.sqrt(1 - abs(q) ** 2)
     with np.errstate(all="raise"):
-        for v in (_sup_witness(b, u, q, p), _inf_witness(b, u, q, p, circle=False)):
+        for v in (_witness(b, u, q, p, sup=True), _witness(b, u, q, p, sup=False)):
             assert np.vdot(v, u) == pytest.approx(q, abs=1e-12)  # <u, v> = v^H u
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+def _unit(*entries):
+    u = np.array(entries, dtype=complex)
+    return u / np.linalg.norm(u)
+
+
+SUP_B = np.array([[1, 2, 0], [0, 1j, 1], [1, 0, -1]], dtype=complex)
+SUP_U = _unit(1, 1j, -1)
+WITNESS_BRANCHES = [
+    # (id, B, unit u, q, sup); the inf rule is the circle in dimension 2, the disk above
+    *(
+        (f"{case}-{'sup' if sup else 'inf'}", b, u, q, sup)
+        for case, b, u, q in [
+            ("dim1", np.array([[2 - 1j]]), _unit(np.exp(0.3j)), -1.0),
+            ("p0", SUP_B, SUP_U, 1j),
+            ("rho0-dim2", np.diag([2, -1j]), _unit(1, 0), 0.6 + 0.3j),
+            ("rho0-dim3", np.diag([2, -1, 0.5]).astype(complex), _unit(1, 0, 0), 0.6 + 0.3j),
+        ]
+        for sup in (True, False)
+    ),
+    ("sup", SUP_B, SUP_U, 0.6 + 0.3j, True),
+    ("circle", np.array([[1, 2], [0, -1j]]), _unit(1, 1j), 0.6 + 0.3j, False),
+    # nilpotent shift: |q c| = 0.2 < p rho = 0.45, so beta < 1
+    ("disk-beta<1", JORDAN3, _unit(1, 1, 1), 0.3, False),
+    # |q c| = 3 >= p rho = 0.65, so beta = 1
+    ("disk-beta=1", np.diag([4, 5, 6]).astype(complex), _unit(1, 1, 1), 0.6, False),
+]
+
+
+@pytest.mark.parametrize(
+    "b, u, q, sup", [pytest.param(*case[1:], id=case[0]) for case in WITNESS_BRANCHES]
+)
+def test_witness_attains_the_rule_value(b, u, q, sup):
+    absq = abs(q)
+    p = np.sqrt(max(0.0, 1 - absq**2))
+    if sup:
+        value = _sup(b, absq, p)(u[None, :])[0][0]
+    else:
+        value = -_neg_inf(b, absq, p, circle=u.size == 2)(u[None, :])[0][0]
+    with np.errstate(all="raise"):
+        v = _witness(b, u, q, p, sup)
+    assert np.vdot(v, u) == pytest.approx(q, abs=1e-12)  # <u, v> = v^H u
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(v, b @ u)) == pytest.approx(value, abs=1e-12 * np.linalg.norm(b, 2))
 
 
 @settings(max_examples=20, deadline=None)
