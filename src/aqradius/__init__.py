@@ -1,10 +1,12 @@
 """Weighted q-numerical radius and Crawford number toolbox.
 
 Computes the q-numerical radius and q-Crawford number of complex matrices over
-a positive-semidefinite weighted semi-inner product, their gaps against the
-weighted operator seminorm, closed forms for 2x2 matrices and the 3x3 Jordan
-block, an executable suite of the inequalities these quantities satisfy, and
-convergence experiments for operator and parameter sequences.
+a positive-semidefinite weighted semi-inner product (``semispace`` reduces to
+the standard one, ``radius`` estimates with witness pairs), their gaps against
+the weighted operator seminorm, closed forms for 2x2 matrices and the 3x3
+Jordan block (``exact``), an executable suite of the inequalities these
+quantities satisfy (``laws``), and convergence experiments for operator and
+parameter sequences (``sequences``).
 """
 
 from .exact import (
@@ -39,7 +41,6 @@ from .laws import (
     run_suite,
     summarize_reports,
 )
-from .pairs import RankTooLow, UnitPair, complete_pair, sample_pairs
 from .radius import (
     LOWER_BOUND_OF_SUP,
     TWO_SIDED,
@@ -52,10 +53,10 @@ from .radius import (
     aq_crawford,
     aq_radius,
     gaps,
-    oracle_grid,
 )
 from .semispace import (
     NotABounded,
+    RankTooLow,
     Weight,
     a_adjoint,
     a_inner,
@@ -75,10 +76,9 @@ from .sequences import (
     ConvergenceTrace,
     EnvelopeViolation,
     OperatorSequence,
-    trace_crawford,
+    trace,
     trace_gaps,
     trace_q,
-    trace_radius,
     trace_to_csv,
 )
 

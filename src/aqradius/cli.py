@@ -1,9 +1,10 @@
 """Command-line front end: compute values, reproduce figure data, verify laws, trace limits.
 
 Exit codes: 0 success, 2 usage/domain errors (a convergence trace that fails
-its checks included), 3 operator incompatible with the weight.  All CSV output
-uses a header row, comma separator and 12 significant digits, so repeated runs
-with the same flags are byte-identical.
+its checks included), 3 operator incompatible with the weight, 141 standard
+output closed by its reader (128 + SIGPIPE).  All CSV output uses a header
+row, comma separator and 12 significant digits, so repeated runs with the same
+flags are byte-identical.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import exact, laws, sequences
-from .pairs import RankTooLow
 from .radius import Budget, a_crawford, a_radius, aq_crawford, aq_radius
 from .semispace import (
     NotABounded,
@@ -217,33 +218,24 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _operator_trace(seq, quantity: str, q, budget: Budget, seed: int):
-    if quantity == "radius":
-        return sequences.trace_radius(seq, q, budget=budget, seed=seed)
-    if quantity == "crawford":
-        return sequences.trace_crawford(seq, q, budget=budget, seed=seed)
-    trace_omega, trace_c = sequences.trace_gaps(seq, q, budget=budget, seed=seed)
-    return trace_omega if quantity == "gap_omega" else trace_c
-
-
-def _cmd_converge(args) -> int:
-    budget = _budget_from_flag(args.budget)
+def _operator_sequence(args) -> sequences.OperatorSequence:
     if args.rule == "multiplication":
-        seq = sequences.OperatorSequence.multiplication(
+        return sequences.OperatorSequence.multiplication(
             psi=lambda x: 1.0 + x,
             phi=lambda n, x: 1.0 + x / n,
             grid_points=args.grid_points,
         )
-        trace = _operator_trace(seq, args.quantity, validate_q(_parse_q(args.q)), budget, args.seed)
-    elif args.rule == "perturb":
-        if args.matrix is None:
-            raise ValueError("--matrix is required for the perturb rule")
-        mat = _load_matrix(args.matrix)
-        w = _load_weight(args.weight, mat.shape[0])
-        direction = _load_matrix(args.direction) if args.direction else np.eye(mat.shape[0], dtype=complex)
-        seq = sequences.OperatorSequence.perturbation(w, mat, direction)
-        trace = _operator_trace(seq, args.quantity, validate_q(_parse_q(args.q)), budget, args.seed)
-    else:  # qseq
+    if args.matrix is None:
+        raise ValueError("--matrix is required for the perturb rule")
+    mat = _load_matrix(args.matrix)
+    w = _load_weight(args.weight, mat.shape[0])
+    direction = _load_matrix(args.direction) if args.direction else np.eye(mat.shape[0], dtype=complex)
+    return sequences.OperatorSequence.perturbation(w, mat, direction)
+
+
+def _cmd_converge(args) -> int:
+    budget = _budget_from_flag(args.budget)
+    if args.rule == "qseq":
         if args.quantity not in ("radius", "crawford"):
             raise ValueError(f"--quantity {args.quantity} needs an operator rule; qseq traces radius or crawford")
         if args.matrix is None:
@@ -253,6 +245,10 @@ def _cmd_converge(args) -> int:
         q_list = [1.0 - n ** (-args.qexp) for n in sequences.DEFAULT_INDICES]
         q_list = [q if q > 0 else 1e-6 for q in q_list]
         trace = sequences.trace_q(w, mat, q_list, budget=budget, seed=args.seed, kind=args.quantity)
+    else:
+        seq = _operator_sequence(args)
+        q = validate_q(_parse_q(args.q))
+        trace = sequences.trace(seq, args.quantity, q, budget=budget, seed=args.seed)
     sequences.trace_to_csv(trace, args.out)
     print(f"target {_fmt(trace.target)}, final value {_fmt(trace.values[-1])}")
     return 0
@@ -319,16 +315,13 @@ def main(argv=None) -> int:
     except NotABounded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        ValueError,
-        RankTooLow,
-        exact.ComplexQUnsupported,
-        exact.QOutOfRange,
-        OSError,
-        KeyError,
-        json.JSONDecodeError,
-        sequences.EnvelopeViolation,
-    ) as exc:
+    except BrokenPipeError:
+        # the reader closed stdout: exit as a write into a closed pipe does
+        # (128 + SIGPIPE), silently, and give the final flush a sink that cannot fail
+        sys.stdout = open(os.devnull, "w")
+        return 141
+    # ValueError includes RankTooLow, the closed forms' domain errors and bad JSON
+    except (ValueError, KeyError, OSError, sequences.EnvelopeViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

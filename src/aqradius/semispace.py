@@ -2,10 +2,11 @@
 
 A positive-semidefinite weight matrix A turns C^n into a semi-Hilbert space via
 ``<x, y>_A = y^H A x`` (linear in the first slot, conjugate-linear in the second).
-Everything downstream (operator seminorms, numerical radii, constraint pairs)
-is computed by changing variables u = A^{1/2} x, which maps every A-quantity of
-an operator T onto the corresponding standard quantity of the reduced operator
-``A^{1/2} T A^{1/2+}`` restricted to range(A).
+Everything downstream (operator seminorms, numerical radii, Crawford numbers
+and their witness vectors) is computed by changing variables u = A^{1/2} x,
+which maps every A-quantity of an operator T onto the corresponding standard
+quantity of the reduced operator ``A^{1/2} T A^{1/2+}`` restricted to range(A);
+:meth:`Weight.lift` maps reduced witnesses back to A-unit vectors.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "NotABounded",
+    "RankTooLow",
     "Weight",
     "a_adjoint",
     "a_inner",
@@ -38,6 +40,10 @@ class NotABounded(ValueError):
     Such an operator has no finite weighted operator seminorm, so every
     computation built on the reduction rejects it up front.
     """
+
+
+class RankTooLow(ValueError):
+    """The weight has rank < 2, so no A-orthogonal partner direction exists."""
 
 
 def as_operator(m) -> np.ndarray:

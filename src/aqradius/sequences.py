@@ -1,8 +1,9 @@
 """Convergence experiments for operator sequences and q-sequences.
 
-Every trace evaluates a radius/Crawford/gap quantity along a sequence and
-checks it against the limiting value pointwise, using the Lipschitz-type
-envelopes that the quantities satisfy:
+:func:`trace` follows the q-radius, the q-Crawford number or either gap along
+an operator sequence (:func:`trace_gaps` both gaps in one pass, :func:`trace_q`
+the radius or Crawford number along a q-sequence) and checks each value against
+the limiting value pointwise, using the Lipschitz-type envelopes:
 
     |omega_{A,q}(T_n) - omega_{A,q}(T)| <= ||T_n - T||_A
     |c_{A,q}(T_n)     - c_{A,q}(T)|     <= ||T_n - T||_A
@@ -41,10 +42,9 @@ __all__ = [
     "ConvergenceTrace",
     "EnvelopeViolation",
     "OperatorSequence",
-    "trace_crawford",
+    "trace",
     "trace_gaps",
     "trace_q",
-    "trace_radius",
     "trace_to_csv",
 ]
 
@@ -163,44 +163,63 @@ def _finish(
     )
 
 
-def trace_radius(
+# quantity -> (estimated by the radius rather than the Crawford number, taken
+# as the gap against the seminorm, whose envelope has Lipschitz factor 2)
+_QUANTITIES = {
+    "radius": (True, False),
+    "crawford": (False, False),
+    "gap_omega": (True, True),
+    "gap_c": (False, True),
+}
+
+
+def _operator_traces(seq: OperatorSequence, quantities, q, indices, budget, seed, slack):
+    """Each quantity along the sequence vs. at the limit, from one pass over the indices.
+
+    At each index the deviation from the limit and (for a gap) the seminorm
+    are evaluated once and shared by every quantity.
+    """
+    q = validate_q(q)
+    w = seq.weight
+    specs = [_QUANTITIES[k] for k in quantities]
+
+    def values(t, opnorm) -> list[float]:
+        out = []
+        for from_radius, is_gap in specs:
+            estimator = aq_radius if from_radius else aq_crawford
+            value = estimator(w, t, q, budget=budget, seed=seed).value
+            out.append(opnorm - value if is_gap else value)
+        return out
+
+    scale = a_opnorm(w, seq.limit)
+    any_gap = any(is_gap for _, is_gap in specs)
+    rows, deviations = [values(seq.limit, scale)], []
+    for n in indices:
+        t_n = seq.term(n)
+        rows.append(values(t_n, a_opnorm(w, t_n) if any_gap else None))
+        deviations.append(seq.deviation(n))
+    traces = []
+    for k, (from_radius, is_gap) in enumerate(specs):
+        target, *vals = [row[k] for row in rows]
+        envelopes = [(2.0 if is_gap else 1.0) * d + slack for d in deviations]
+        label = ("radius" if from_radius else "crawford") + ("-gap" if is_gap else "") + " trace"
+        traces.append(_finish(indices, vals, target, envelopes, deviations, scale, label))
+    return traces
+
+
+def trace(
     seq: OperatorSequence,
+    quantity: str,
     q,
     indices: Sequence[int] = DEFAULT_INDICES,
     budget: Budget | None = None,
     seed: int = 0,
     slack: float = DEFAULT_SLACK,
 ) -> ConvergenceTrace:
-    """q-radius along the sequence vs. the q-radius of the limit."""
-    q = validate_q(q)
-    target = aq_radius(seq.weight, seq.limit, q, budget=budget, seed=seed).value
-    values, deviations = [], []
-    for n in indices:
-        values.append(aq_radius(seq.weight, seq.term(n), q, budget=budget, seed=seed).value)
-        deviations.append(seq.deviation(n))
-    envelopes = [d + slack for d in deviations]
-    scale = a_opnorm(seq.weight, seq.limit)
-    return _finish(indices, values, target, envelopes, deviations, scale, "radius trace")
-
-
-def trace_crawford(
-    seq: OperatorSequence,
-    q,
-    indices: Sequence[int] = DEFAULT_INDICES,
-    budget: Budget | None = None,
-    seed: int = 0,
-    slack: float = DEFAULT_SLACK,
-) -> ConvergenceTrace:
-    """q-Crawford number along the sequence vs. that of the limit."""
-    q = validate_q(q)
-    target = aq_crawford(seq.weight, seq.limit, q, budget=budget, seed=seed).value
-    values, deviations = [], []
-    for n in indices:
-        values.append(aq_crawford(seq.weight, seq.term(n), q, budget=budget, seed=seed).value)
-        deviations.append(seq.deviation(n))
-    envelopes = [d + slack for d in deviations]
-    scale = a_opnorm(seq.weight, seq.limit)
-    return _finish(indices, values, target, envelopes, deviations, scale, "crawford trace")
+    """``quantity`` (radius, crawford, gap_omega or gap_c) along the sequence vs. at the limit."""
+    if quantity not in _QUANTITIES:
+        raise ValueError(f"quantity must be one of {', '.join(_QUANTITIES)}, got {quantity!r}")
+    return _operator_traces(seq, (quantity,), q, indices, budget, seed, slack)[0]
 
 
 def trace_q(
@@ -243,23 +262,8 @@ def trace_gaps(
     slack: float = DEFAULT_SLACK,
 ) -> tuple[ConvergenceTrace, ConvergenceTrace]:
     """Radius gap and Crawford gap along the sequence (2-Lipschitz envelopes)."""
-    q = validate_q(q)
-    w = seq.weight
-    op_lim = a_opnorm(w, seq.limit)
-    target_omega = op_lim - aq_radius(w, seq.limit, q, budget=budget, seed=seed).value
-    target_crawford = op_lim - aq_crawford(w, seq.limit, q, budget=budget, seed=seed).value
-    vals_o, vals_c, deviations = [], [], []
-    for n in indices:
-        t_n = seq.term(n)
-        op_n = a_opnorm(w, t_n)
-        vals_o.append(op_n - aq_radius(w, t_n, q, budget=budget, seed=seed).value)
-        vals_c.append(op_n - aq_crawford(w, t_n, q, budget=budget, seed=seed).value)
-        deviations.append(seq.deviation(n))
-    envs = [2.0 * d + slack for d in deviations]
-    return (
-        _finish(indices, vals_o, target_omega, envs, deviations, op_lim, "radius-gap trace"),
-        _finish(indices, vals_c, target_crawford, envs, deviations, op_lim, "crawford-gap trace"),
-    )
+    omega, crawford = _operator_traces(seq, ("gap_omega", "gap_c"), q, indices, budget, seed, slack)
+    return omega, crawford
 
 
 def trace_to_csv(trace: ConvergenceTrace, path) -> None:

@@ -1,10 +1,12 @@
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
 
-from aqradius import Weight, cli, sequences
-from aqradius.semispace import matrix_to_json
+from aqradius import Weight, cli, exact, sequences
+from aqradius.semispace import matrix_to_json, weight_to_json
 
 EX2 = np.array([[0.0, 1.0 / 24.0], [0.0, 0.0]], dtype=complex)
 
@@ -67,11 +69,11 @@ def test_converge_writes_the_trace_of_each_quantity(rule, tmp_path, capsys):
     budget = cli._budget_from_flag(2)
     gap_omega, gap_c = sequences.trace_gaps(seq, 0.5, budget=budget)
     expected = {
-        "radius": sequences.trace_radius(seq, 0.5, budget=budget),
-        "crawford": sequences.trace_crawford(seq, 0.5, budget=budget),
-        "gap_omega": gap_omega,
-        "gap_c": gap_c,
+        quantity: sequences.trace(seq, quantity, 0.5, budget=budget)
+        for quantity in ("radius", "crawford", "gap_omega", "gap_c")
     }
+    for quantity, from_gaps in (("gap_omega", gap_omega), ("gap_c", gap_c)):
+        assert expected[quantity] == from_gaps, quantity
     written = {}
     for quantity, trace in expected.items():
         out = tmp_path / f"{quantity}.csv"
@@ -116,3 +118,65 @@ def test_rejects_nonpositive_counts(command, flag, value, tmp_path, capsys):
         cli.main(argv + [flag, value])
     assert exc.value.code == 2
     assert f"{flag}: must be positive, got {value}" in capsys.readouterr().err
+
+
+def _matrix_file(tmp_path, mat, name="t.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(matrix_to_json(np.asarray(mat, dtype=complex))))
+    return str(path)
+
+
+def test_compute_exits_3_on_an_operator_the_weight_does_not_bound(tmp_path, capsys):
+    # T e2 = e1 leaves the null space of diag(1, 0), so ||T||_A is infinite
+    weight = tmp_path / "w.json"
+    weight.write_text(json.dumps(weight_to_json(Weight.diagonal([1.0, 0.0]))))
+    matrix = _matrix_file(tmp_path, [[0.0, 1.0], [0.0, 0.0]])
+    assert cli.main(["compute", "--matrix", matrix, "--weight", str(weight), "--q", "0.5"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_compute_exact_uses_the_closed_forms(tmp_path, capsys):
+    mat = np.array([[1.0, 2.0], [0.5j, -1.0]])
+    argv = ["compute", "--matrix", _matrix_file(tmp_path, mat), "--q", "0.5", "--exact", "--budget", "4"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    form = exact.canonical_2x2(mat)
+    assert out["omega_aq"] == pytest.approx(exact.q_radius_2x2(form, 0.5), abs=1e-14)
+    assert out["c_aq"] == pytest.approx(exact.q_crawford_2x2(form, 0.5), abs=1e-14)
+    assert out["witnesses"] is None
+
+
+def test_compute_exact_rejects_complex_q(tmp_path, capsys):
+    argv = ["compute", "--matrix", _matrix_file(tmp_path, EX2), "--q", "0.5,0.1", "--exact", "--budget", "4"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("example", ["1", "4"])
+def test_figure_output_is_byte_identical_across_runs(example, tmp_path):
+    outputs = []
+    for run in ("a", "b"):
+        out = tmp_path / f"{run}.csv"
+        assert cli.main(["figure", "--example", example, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 102  # header and the default 101 grid points
+
+
+class _ClosedPipe:
+    """A standard output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_output_into_a_closed_pipe_exits_141_silently(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    argv = ["compute", "--matrix", _matrix_file(tmp_path, EX2), "--q", "0.5", "--budget", "4"]
+    assert cli.main(argv) == 141
+    assert sys.stdout.name == os.devnull  # the interpreter's final flush cannot fail
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""

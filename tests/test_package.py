@@ -32,3 +32,12 @@ def test_no_unused_module_level_import(name):
     exported = set(getattr(importlib.import_module(f"aqradius.{name}"), "__all__", ()))
     unused = {bound: line for bound, line in imported.items() if bound not in used | exported}
     assert not unused
+
+
+def test_namespace_reexports_exactly_the_submodule_exports():
+    # cli exports only main, the console entry point, which is not library API
+    exports = set().union(
+        *(importlib.import_module(f"aqradius.{name}").__all__ for name in MODULES if name != "cli")
+    )
+    public = {name for name in vars(aqradius) if not name.startswith("_")} - set(MODULES)
+    assert public == exports

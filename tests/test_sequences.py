@@ -6,10 +6,9 @@ from aqradius import (
     EnvelopeViolation,
     OperatorSequence,
     Weight,
-    trace_crawford,
+    sequences,
     trace_gaps,
     trace_q,
-    trace_radius,
     trace_to_csv,
 )
 from conftest import crandn, random_pd_weight
@@ -29,7 +28,7 @@ def scaled_sequence(base, weight):
 class TestTraceRadius:
     def test_scaled_example1_rates_follow_scaling(self):
         seq = scaled_sequence(EX1, I2)
-        trace = trace_radius(seq, 0.5, indices=SHORT, budget=FAST)
+        trace = sequences.trace(seq, "radius", 0.5, indices=SHORT, budget=FAST)
         target = (1 + np.sqrt(0.75)) / 140
         assert trace.target == pytest.approx(target, abs=1e-6)
         # the q-radius is positively homogeneous, so the rate is target / n
@@ -39,7 +38,7 @@ class TestTraceRadius:
     def test_constant_sequence_has_zero_rates(self, rng):
         t = crandn(rng, 2, 2)
         seq = OperatorSequence(I2, lambda n: t, t)
-        trace = trace_radius(seq, 0.7, indices=SHORT, budget=FAST)
+        trace = sequences.trace(seq, "radius", 0.7, indices=SHORT, budget=FAST)
         for rate in trace.rates:
             assert rate <= 1e-9
 
@@ -47,7 +46,7 @@ class TestTraceRadius:
         seq = OperatorSequence.multiplication(
             psi=lambda x: 1.0 + x, phi=lambda n, x: 1.0 + x / n, grid_points=64
         )
-        trace = trace_radius(seq, 0.5, indices=SHORT, budget=FAST)
+        trace = sequences.trace(seq, "radius", 0.5, indices=SHORT, budget=FAST)
         assert trace.target == pytest.approx(0.5, abs=1e-9)
         assert trace.rates[-1] <= trace.envelopes[-1]
 
@@ -56,27 +55,27 @@ class TestTraceRadius:
         wrong_limit = t + np.eye(2)
         seq = OperatorSequence(I2, lambda n: t, wrong_limit)
         with pytest.raises(EnvelopeViolation):
-            trace_radius(seq, 0.9, indices=(64, 128), budget=FAST, slack=1e-4)
+            sequences.trace(seq, "radius", 0.9, indices=(64, 128), budget=FAST, slack=1e-4)
 
     def test_growing_deviation_detected(self, rng):
         t = crandn(rng, 2, 2)
         seq = OperatorSequence(I2, lambda n: t + n * np.eye(2), t)
         with pytest.raises(EnvelopeViolation, match="grows"):
-            trace_radius(seq, 0.9, indices=(1, 2), budget=FAST)
+            sequences.trace(seq, "radius", 0.9, indices=(1, 2), budget=FAST)
 
 
 class TestTraceCrawford:
     def test_constant_sequence(self, rng):
         t = crandn(rng, 2, 2)
         seq = OperatorSequence(I2, lambda n: t, t)
-        trace = trace_crawford(seq, 0.6, indices=SHORT, budget=FAST)
+        trace = sequences.trace(seq, "crawford", 0.6, indices=SHORT, budget=FAST)
         for rate in trace.rates:
             assert rate <= 1e-9
 
     def test_perturbed_scalar_target(self):
         base = np.eye(2) / 20
         seq = OperatorSequence.perturbation(I2, base, np.eye(2))
-        trace = trace_crawford(seq, 0.8, indices=SHORT, budget=FAST)
+        trace = sequences.trace(seq, "crawford", 0.8, indices=SHORT, budget=FAST)
         assert trace.target == pytest.approx(0.8 / 20, abs=1e-9)
         for n, value in zip(trace.indices, trace.values):
             # T_n is the scalar (1/20 + 1/n) I, so the value is q * that scalar
@@ -86,14 +85,14 @@ class TestTraceCrawford:
         seq = OperatorSequence.multiplication(
             psi=lambda x: 1.0 + x, phi=lambda n, x: 1.0 + x / n, grid_points=32
         )
-        trace = trace_crawford(seq, 0.3, indices=SHORT, budget=FAST)
+        trace = sequences.trace(seq, "crawford", 0.3, indices=SHORT, budget=FAST)
         assert trace.target == pytest.approx(0.3, abs=1e-9)
 
     def test_envelope_violation_detected_for_wrong_limit(self, rng):
         t = crandn(rng, 2, 2)
         seq = OperatorSequence(I2, lambda n: t, t + np.eye(2))
         with pytest.raises(EnvelopeViolation, match="does not decay"):
-            trace_crawford(seq, 0.9, indices=(64, 128), budget=FAST, slack=1e-4)
+            sequences.trace(seq, "crawford", 0.9, indices=(64, 128), budget=FAST, slack=1e-4)
 
 
 class TestTraceQ:
@@ -204,16 +203,22 @@ class TestSequenceTypes:
             psi=lambda x: x, phi=lambda n, x: 1.0 + x / n, grid_points=16
         )
         assert seq.weight.rank == 15
-        trace = trace_radius(seq, 0.9, indices=(1, 2, 4), budget=FAST)
+        trace = sequences.trace(seq, "radius", 0.9, indices=(1, 2, 4), budget=FAST)
         assert trace.target == pytest.approx(0.9, abs=1e-9)
 
 
 def test_trace_to_csv(tmp_path, rng):
     t = crandn(rng, 2, 2)
     seq = OperatorSequence(I2, lambda n: t, t)
-    trace = trace_radius(seq, 0.5, indices=(1, 2), budget=FAST)
+    trace = sequences.trace(seq, "radius", 0.5, indices=(1, 2), budget=FAST)
     path = tmp_path / "trace.csv"
     trace_to_csv(trace, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "n,value,target,rate,envelope"
     assert len(lines) == 3
+
+
+def test_trace_rejects_unknown_quantity():
+    seq = scaled_sequence(EX1, I2)
+    with pytest.raises(ValueError, match="quantity must be one of radius, crawford, gap_omega, gap_c"):
+        sequences.trace(seq, "norm", 0.5, indices=(1, 2), budget=FAST)
