@@ -11,7 +11,6 @@ parameter sequences (``sequences``).
 
 from .exact import (
     CanonicalForm2x2,
-    ComplexQUnsupported,
     EllipseDisk,
     QOutOfRange,
     canonical_2x2,

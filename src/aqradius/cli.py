@@ -100,8 +100,7 @@ def _cmd_compute(args) -> int:
         if b.shape[0] != 2:
             raise ValueError("--exact needs a 2x2 operator after reduction")
         form = exact.canonical_2x2(b)
-        omega_aq = exact.q_radius_2x2(form, q)  # rejects complex q
-        c_aq = exact.q_crawford_2x2(form, q)
+        omega_aq, c_aq = exact.q_radius_2x2(form, q), exact.q_crawford_2x2(form, q)
         witnesses = None
     else:
         rad = aq_radius(w, mat, q, budget=budget, seed=args.seed)
@@ -236,7 +235,7 @@ def _operator_sequence(args) -> sequences.OperatorSequence:
 def _cmd_converge(args) -> int:
     budget = _budget_from_flag(args.budget)
     if args.rule == "qseq":
-        if args.quantity not in ("radius", "crawford"):
+        if sequences._quantities()[args.quantity].limit is None:
             raise ValueError(f"--quantity {args.quantity} needs an operator rule; qseq traces radius or crawford")
         if args.matrix is None:
             raise ValueError("--matrix is required for the qseq rule")
@@ -267,13 +266,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, help="constraint parameter RE[,IM]")
     p.add_argument("--budget", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact", action="store_true", help="use the 2x2 closed form (real q)")
+    p.add_argument("--exact", action="store_true", help="use the 2x2 closed form")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("figure", help="write figure-reproduction data as CSV")
     p.add_argument("--example", type=int, required=True, choices=(1, 2, 3, 4))
     p.add_argument("--out", required=True)
-    p.add_argument("--grid", type=int, default=101)
+    p.add_argument("--grid", type=_positive_int, default=101)
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("verify", help="run the randomized law suite")
@@ -293,12 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--qexp", type=_positive_float, default=2.0, help="qseq rule: q_n = 1 - n^(-qexp), qexp > 0"
     )
-    p.add_argument("--grid-points", type=int, default=64)
-    p.add_argument(
-        "--quantity",
-        default="radius",
-        choices=("radius", "crawford", "gap_omega", "gap_c"),
-    )
+    p.add_argument("--grid-points", type=_positive_int, default=64)
+    p.add_argument("--quantity", default="radius", choices=tuple(sequences._quantities()))
     p.add_argument("--budget", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -1,10 +1,12 @@
 """Closed-form q-radius and q-Crawford values for special matrices.
 
 Any 2x2 complex matrix is unitarily similar to ``exp(i t) [[gamma, a], [b, gamma]]``
-with 0 <= b <= a, and its q-numerical range for real q in [0, 1] is a translated
-filled ellipse.  This module computes that canonical form, the ellipse, and the
-resulting extremal moduli, plus the known formula for the 3x3 nilpotent Jordan
-block.
+with 0 <= b <= a, and its q-numerical range for |q| <= 1 is a translated filled
+ellipse.  Since W_q(T) = (q/|q|) W_{|q|}(T), a complex q rotates the ellipse of
+|q| by arg q and leaves every modulus unchanged, so the radius and Crawford
+values are evaluated at |q|.  This module computes that canonical form, the
+ellipse, and the resulting extremal moduli, plus the known formula for the 3x3
+nilpotent Jordan block.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .semispace import as_operator
 
 __all__ = [
     "CanonicalForm2x2",
-    "ComplexQUnsupported",
     "EllipseDisk",
     "QOutOfRange",
     "canonical_2x2",
@@ -29,10 +30,6 @@ __all__ = [
     "q_radius_2x2",
     "q_range_2x2",
 ]
-
-
-class ComplexQUnsupported(ValueError):
-    """The ellipse closed form only covers real q in [0, 1]."""
 
 
 class QOutOfRange(ValueError):
@@ -61,7 +58,7 @@ class CanonicalForm2x2:
 
 @dataclass
 class EllipseDisk:
-    """Filled rotated ellipse: the q-numerical range of a 2x2 matrix (real q).
+    """Filled rotated ellipse: the q-numerical range of a 2x2 matrix.
 
     The set is ``center + exp(i rotation) * {r (M cos s + i m sin s)}`` over
     r in [0, 1], s in [0, 2 pi), with semi-axes M = semi_major, m = semi_minor.
@@ -140,29 +137,25 @@ def canonical_2x2(t) -> CanonicalForm2x2:
     return CanonicalForm2x2(t=phase, gamma=gamma, a=a_val, b=b_val, u_similar=basis)
 
 
-def _check_real_q(q) -> float:
-    qc = complex(q)
-    if abs(qc.imag) > 1e-12:
-        raise ComplexQUnsupported(
-            "the ellipse closed form needs real q; use the sampling estimator instead"
-        )
-    qr = float(qc.real)
-    if not 0.0 <= qr <= 1.0 + 1e-12:
-        raise QOutOfRange(f"q = {qr} is outside [0, 1]")
-    return min(qr, 1.0)
+def _modulus(q) -> float:
+    """|q|, the only part of q the closed-form values depend on; |q| > 1 is out of range."""
+    m = abs(complex(q))
+    if not m <= 1.0 + 1e-12:
+        raise QOutOfRange(f"|q| = {m} is outside [0, 1]")
+    return min(m, 1.0)
 
 
 def q_range_2x2(form: CanonicalForm2x2, q) -> EllipseDisk:
-    """Ellipse-disk q-numerical range of a canonical 2x2 form, real q in [0, 1]."""
-    qr = _check_real_q(q)
+    """Ellipse-disk q-numerical range of a canonical 2x2 form: the |q| ellipse rotated by arg q."""
+    m, theta = _modulus(q), cmath.phase(complex(q))
     c = 0.5 * (form.a + form.b)
     d = 0.5 * (form.a - form.b)
-    p = math.sqrt(max(0.0, 1.0 - qr * qr))
+    p = math.sqrt(max(0.0, 1.0 - m * m))
     return EllipseDisk(
-        center=cmath.exp(1j * form.t) * form.gamma * qr,
+        center=cmath.exp(1j * form.t) * form.gamma * m * cmath.exp(1j * theta),
         semi_major=c + p * d,
         semi_minor=d + p * c,
-        rotation=form.t,
+        rotation=form.t + theta,
     )
 
 
@@ -189,9 +182,8 @@ def _extreme_on_boundary(disk: EllipseDisk, sign: float) -> float:
 
 
 def q_radius_2x2(form: CanonicalForm2x2, q) -> float:
-    """Largest modulus over the ellipse-disk range (attained on the boundary)."""
-    disk = q_range_2x2(form, q)
-    return _extreme_on_boundary(disk, 1.0)
+    """Largest modulus over the ellipse-disk range (attained on the boundary), at |q|."""
+    return _extreme_on_boundary(q_range_2x2(form, _modulus(q)), 1.0)
 
 
 def _distance_to_ellipse(px: float, py: float, big: float, small: float) -> float:
@@ -225,8 +217,8 @@ def _distance_to_ellipse(px: float, py: float, big: float, small: float) -> floa
 
 
 def q_crawford_2x2(form: CanonicalForm2x2, q) -> float:
-    """Smallest modulus over the ellipse-disk range (0 if the origin is inside)."""
-    disk = q_range_2x2(form, q)
+    """Smallest modulus over the ellipse-disk range (0 if the origin is inside), at |q|."""
+    disk = q_range_2x2(form, _modulus(q))
     if disk.contains(0.0):
         return 0.0
     zeta = -disk.center * cmath.exp(-1j * disk.rotation)
@@ -234,17 +226,15 @@ def q_crawford_2x2(form: CanonicalForm2x2, q) -> float:
 
 
 def jordan3_q_radius(q) -> float:
-    """q-numerical radius of the 3x3 nilpotent Jordan block, q in [1/2, 1].
+    """q-numerical radius of the 3x3 nilpotent Jordan block, |q| in [1/2, 1].
 
-    omega_q = (1/8) sqrt(27 + 18 q - 13 q^2 + (9 + 7q) sqrt((1 - q)(9 + 7q))).
+    omega_q = (1/8) sqrt(27 + 18 q - 13 q^2 + (9 + 7q) sqrt((1 - q)(9 + 7q)))
+    at q = |q|; a complex q gives the value at its modulus.
     """
-    qc = complex(q)
-    if abs(qc.imag) > 1e-12:
-        raise ComplexQUnsupported("the Jordan-block formula needs real q")
-    qr = float(qc.real)
-    if not 0.5 - 1e-12 <= qr <= 1.0 + 1e-12:
-        raise QOutOfRange(f"q = {qr} is outside [1/2, 1]")
-    qr = min(max(qr, 0.5), 1.0)
-    inner = (1.0 - qr) * (9.0 + 7.0 * qr)
-    val = 27.0 + 18.0 * qr - 13.0 * qr * qr + (9.0 + 7.0 * qr) * math.sqrt(inner)
+    m = _modulus(q)
+    if m < 0.5 - 1e-12:
+        raise QOutOfRange(f"|q| = {m} is outside [1/2, 1]")
+    m = max(m, 0.5)
+    inner = (1.0 - m) * (9.0 + 7.0 * m)
+    val = 27.0 + 18.0 * m - 13.0 * m * m + (9.0 + 7.0 * m) * math.sqrt(inner)
     return 0.125 * math.sqrt(val)

@@ -167,7 +167,11 @@ def _skip(law_id, reason, digest, budget) -> LawReport:
 
 
 class _Ev:
-    """Cached estimator front-end for one (weight, matrix) instance."""
+    """Cached estimator front-end for one (weight, matrix) instance.
+
+    The values depend on q only through |q|, so each is computed once per
+    (estimator, |q|, budget): q, alpha q and conj(q) share one sphere search.
+    """
 
     def __init__(self, w: Weight, t, seed: int):
         self.w = w
@@ -175,40 +179,26 @@ class _Ev:
         self.seed = seed
         self._cache: dict = {}
 
-    def _key(self, op: str, q, budget) -> tuple:
-        if q is None:
-            qk = None
-        else:
-            qc = complex(q)
-            qk = (round(qc.real, 13), round(qc.imag, 13))
-        return (op, qk, budget)
-
-    def opnorm(self) -> float:
-        key = self._key("opnorm", None, None)
+    def _cached(self, estimator: Callable, q, budget: Budget) -> float:
+        """``estimator`` at (A, T, q), once per (estimator, |q|, budget); q is None for a_radius."""
+        key = (estimator, None if q is None else round(abs(q), 13), budget)
         if key not in self._cache:
-            self._cache[key] = a_opnorm(self.w, self.t)
+            args = (self.w, self.t) if q is None else (self.w, self.t, q)
+            self._cache[key] = estimator(*args, budget=budget, seed=self.seed).value
         return self._cache[key]
+
+    @cached_property
+    def opnorm(self) -> float:
+        return a_opnorm(self.w, self.t)
 
     def radius_a(self, budget: Budget) -> float:
-        key = self._key("ra", None, budget)
-        if key not in self._cache:
-            self._cache[key] = a_radius(self.w, self.t, budget=budget, seed=self.seed).value
-        return self._cache[key]
+        return self._cached(a_radius, None, budget)
 
     def radius_q(self, q, budget: Budget) -> float:
-        key = self._key("rq", q, budget)
-        if key not in self._cache:
-            self._cache[key] = aq_radius(self.w, self.t, q, budget=budget, seed=self.seed).value
-        return self._cache[key]
+        return self._cached(aq_radius, q, budget)
 
     def crawford_q(self, q, budget: Budget) -> float:
-        key = self._key("cq", q, budget)
-        if key not in self._cache:
-            self._cache[key] = aq_crawford(self.w, self.t, q, budget=budget, seed=self.seed).value
-        return self._cache[key]
-
-    def crawford_a(self, budget: Budget) -> float:
-        return self.crawford_q(1.0, budget)
+        return self._cached(aq_crawford, q, budget)
 
 
 def _digest(w: Weight, t, q, seed: int) -> str:
@@ -292,7 +282,7 @@ class _Instance:
 
 
 def _t1_1(inst: _Instance, b: Budget):
-    return [("t1_1", (inst.ev.radius_q(inst.q, b), inst.ev.opnorm()))]
+    return [("t1_1", (inst.ev.radius_q(inst.q, b), inst.ev.opnorm))]
 
 
 def _t1_23(inst: _Instance, b: Budget):
@@ -332,7 +322,7 @@ def _t1_78(inst: _Instance, b: Budget):
     corr = s * ev.radius_q((1.0 - q) / s, b)
     return [
         ("t1_7", (ev.radius_a(b), ev.radius_q(q, b) + corr)),
-        ("t1_8", (ev.crawford_a(b), ev.crawford_q(q, b) + corr)),
+        ("t1_8", (ev.crawford_q(1.0, b), ev.crawford_q(q, b) + corr)),
     ]
 
 
@@ -346,7 +336,7 @@ def _t2(inst: _Instance, b: Budget):
     pair_sum = ev.radius_q(q, b) + ev.radius_q(np.conj(q), b)
     upper = 2.0 * ev.radius_a(b) + 2.0 * math.sqrt(2.0) * math.sqrt(
         max(0.0, 1.0 - q.real)
-    ) * ev.opnorm()
+    ) * ev.opnorm
     return [
         ("t2_lower", (2.0 * abs(q.real) * ev.radius_a(b), pair_sum)),
         ("t2_upper", (pair_sum, upper)),
@@ -355,12 +345,12 @@ def _t2(inst: _Instance, b: Budget):
 
 def _t4_1(inst: _Instance, b: Budget):
     ev, q = inst.ev, inst.q
-    return [("t4_1", (abs(ev.radius_q(q, b) - ev.radius_a(b)), _sqrt_2_1mre(q) * ev.opnorm()))]
+    return [("t4_1", (abs(ev.radius_q(q, b) - ev.radius_a(b)), _sqrt_2_1mre(q) * ev.opnorm))]
 
 
 def _t5_1(inst: _Instance, b: Budget):
     ev, q = inst.ev, inst.q
-    return [("t5_1", (abs(ev.crawford_q(q, b) - ev.crawford_a(b)), _sqrt_2_1mre(q) * ev.opnorm()))]
+    return [("t5_1", (abs(ev.crawford_q(q, b) - ev.crawford_q(1.0, b)), _sqrt_2_1mre(q) * ev.opnorm))]
 
 
 def _t5_3(inst: _Instance, b: Budget):
@@ -411,7 +401,7 @@ def _app1(inst: _Instance, b: Budget):
     q = inst.q2
 
     def gaps(ev):
-        return ev.opnorm() - ev.radius_q(q, b), ev.opnorm() - ev.crawford_q(q, b)
+        return ev.opnorm - ev.radius_q(q, b), ev.opnorm - ev.crawford_q(q, b)
 
     (o_sum, c_sum), (o1, c1), (o2, c2) = gaps(inst.direct_sum), gaps(inst.ev), gaps(inst.partner)
     return [("app1_omega", (o_sum, max(o1, o2))), ("app1_crawford", (max(c1, c2), c_sum))]

@@ -51,6 +51,10 @@ class Budget:
     iterations: int = 500
     grid_resolution: float = 256.0
 
+    def __post_init__(self):
+        if not (self.restarts >= 1 and self.iterations >= 1 and self.grid_resolution >= 4):
+            raise ValueError(f"{self} needs restarts >= 1, iterations >= 1, grid_resolution >= 4")
+
     def scaled(self, factor: int) -> "Budget":
         """Budget with `factor` times the restarts (best-so-far semantics)."""
         return replace(self, restarts=self.restarts * factor)
@@ -144,7 +148,7 @@ def _extremize(value_grad, dim: int, budget: Budget, seed: int) -> tuple[float, 
     its own seed-sequence child, so results depend only on the seed and the
     restart index.
     """
-    n_restarts = max(1, int(budget.restarts))
+    n_restarts = budget.restarts
     children = np.random.SeedSequence(seed).spawn(n_restarts)
     rngs = [np.random.default_rng(c) for c in children]
 
@@ -159,7 +163,7 @@ def _extremize(value_grad, dim: int, budget: Budget, seed: int) -> tuple[float, 
     active = np.ones(n_restarts, dtype=bool)
     perturbs = np.zeros(n_restarts, dtype=int)
 
-    for _ in range(max(1, int(budget.iterations))):
+    for _ in range(budget.iterations):
         if not active.any():
             break
         gnorm = np.linalg.norm(grad, axis=1)
@@ -254,7 +258,7 @@ def a_radius(w: Weight, t, budget: Budget | None = None, seed: int = 0) -> Estim
     """Weighted numerical radius sup |<T x, x>_A| over A-unit x (two-sided)."""
     budget = budget or Budget()
     b = reduce_to_range(w, t)
-    value, vec = _phase_sweep(b, max(4, int(budget.grid_resolution)))
+    value, vec = _phase_sweep(b, int(budget.grid_resolution))
     x = w.lift(vec)
     return Estimate(
         value=value, direction=TWO_SIDED, witness_x=x, witness_y=x, budget=budget, seed=seed

@@ -3,7 +3,8 @@
 :func:`trace` follows the q-radius, the q-Crawford number or either gap along
 an operator sequence (:func:`trace_gaps` both gaps in one pass, :func:`trace_q`
 the radius or Crawford number along a q-sequence) and checks each value against
-the limiting value pointwise, using the Lipschitz-type envelopes:
+the limiting value pointwise.  All three run the same loop over the indices,
+driven by one table of quantities, and use the Lipschitz-type envelopes:
 
     |omega_{A,q}(T_n) - omega_{A,q}(T)| <= ||T_n - T||_A
     |c_{A,q}(T_n)     - c_{A,q}(T)|     <= ||T_n - T||_A
@@ -30,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .radius import Budget, a_radius, aq_crawford, aq_radius
+from .radius import Budget, a_crawford, a_radius, aq_crawford, aq_radius
 from .semispace import Weight, a_opnorm, as_operator, validate_q
 
 __all__ = [
@@ -163,48 +164,58 @@ def _finish(
     )
 
 
-# quantity -> (estimated by the radius rather than the Crawford number, taken
-# as the gap against the seminorm, whose envelope has Lipschitz factor 2)
-_QUANTITIES = {
-    "radius": (True, False),
-    "crawford": (False, False),
-    "gap_omega": (True, True),
-    "gap_c": (False, True),
-}
+class _Quantity(NamedTuple):
+    estimator: Callable  # aq_radius or aq_crawford
+    is_gap: bool  # the gap against the seminorm, whose envelope has Lipschitz factor 2
+    limit: Callable | None  # q-sequence limit: a_radius or a_crawford; None: operator rules only
+
+
+def _quantities() -> dict[str, _Quantity]:
+    # the table of traced quantities, built at each call from this module's
+    # bindings, so that a wrapper installed on one (a profiler, a mock) sees every call
+    return {
+        "radius": _Quantity(aq_radius, False, a_radius),
+        "crawford": _Quantity(aq_crawford, False, a_crawford),
+        "gap_omega": _Quantity(aq_radius, True, None),
+        "gap_c": _Quantity(aq_crawford, True, None),
+    }
+
+
+def _value(spec: _Quantity, w, t, q, opnorm, budget, seed) -> float:
+    value = spec.estimator(w, t, q, budget=budget, seed=seed).value
+    return opnorm - value if spec.is_gap else value
+
+
+def _traces(w, specs, targets, steps, scale, labels, budget, seed, slack):
+    """Each quantity at every step vs. its target, from one pass over the steps.
+
+    A step is (n, T_n, q_n, deviation, bound): the value at (T_n, q_n) must lie
+    within the quantity's Lipschitz factor times ``bound``, plus ``slack``, of
+    its target, and ``deviation``, the distance to the declared limit, must
+    decay.  The seminorm of T_n is evaluated once per step, and only for a gap.
+    """
+    rows = []  # (n, deviation, bound, the value of each quantity)
+    for n, t_n, q_n, deviation, bound in steps:
+        opnorm = a_opnorm(w, t_n) if any(spec.is_gap for spec in specs) else None
+        estimates = (_value(spec, w, t_n, q_n, opnorm, budget, seed) for spec in specs)
+        rows.append((n, deviation, bound, *estimates))
+    indices, deviations, bounds, *columns = ([r[i] for r in rows] for i in range(3 + len(specs)))
+    traces = []
+    for spec, values, target, label in zip(specs, columns, targets, labels):
+        envelopes = [(2.0 if spec.is_gap else 1.0) * b + slack for b in bounds]
+        traces.append(_finish(indices, values, target, envelopes, deviations, scale, label))
+    return traces
 
 
 def _operator_traces(seq: OperatorSequence, quantities, q, indices, budget, seed, slack):
-    """Each quantity along the sequence vs. at the limit, from one pass over the indices.
-
-    At each index the deviation from the limit and (for a gap) the seminorm
-    are evaluated once and shared by every quantity.
-    """
+    """Each quantity along the sequence vs. at the limit; the bound is ||T_n - T||_A."""
     q = validate_q(q)
-    w = seq.weight
-    specs = [_QUANTITIES[k] for k in quantities]
-
-    def values(t, opnorm) -> list[float]:
-        out = []
-        for from_radius, is_gap in specs:
-            estimator = aq_radius if from_radius else aq_crawford
-            value = estimator(w, t, q, budget=budget, seed=seed).value
-            out.append(opnorm - value if is_gap else value)
-        return out
-
-    scale = a_opnorm(w, seq.limit)
-    any_gap = any(is_gap for _, is_gap in specs)
-    rows, deviations = [values(seq.limit, scale)], []
-    for n in indices:
-        t_n = seq.term(n)
-        rows.append(values(t_n, a_opnorm(w, t_n) if any_gap else None))
-        deviations.append(seq.deviation(n))
-    traces = []
-    for k, (from_radius, is_gap) in enumerate(specs):
-        target, *vals = [row[k] for row in rows]
-        envelopes = [(2.0 if is_gap else 1.0) * d + slack for d in deviations]
-        label = ("radius" if from_radius else "crawford") + ("-gap" if is_gap else "") + " trace"
-        traces.append(_finish(indices, vals, target, envelopes, deviations, scale, label))
-    return traces
+    w, scale = seq.weight, a_opnorm(seq.weight, seq.limit)
+    specs = [_quantities()[k] for k in quantities]
+    targets = [_value(spec, w, seq.limit, q, scale, budget, seed) for spec in specs]
+    steps = ((n, seq.term(n), q, d := seq.deviation(n), d) for n in indices)
+    labels = [f"{k} trace" for k in quantities]
+    return _traces(w, specs, targets, steps, scale, labels, budget, seed, slack)
 
 
 def trace(
@@ -217,8 +228,8 @@ def trace(
     slack: float = DEFAULT_SLACK,
 ) -> ConvergenceTrace:
     """``quantity`` (radius, crawford, gap_omega or gap_c) along the sequence vs. at the limit."""
-    if quantity not in _QUANTITIES:
-        raise ValueError(f"quantity must be one of {', '.join(_QUANTITIES)}, got {quantity!r}")
+    if quantity not in _quantities():
+        raise ValueError(f"quantity must be one of {', '.join(_quantities())}, got {quantity!r}")
     return _operator_traces(seq, (quantity,), q, indices, budget, seed, slack)[0]
 
 
@@ -232,25 +243,18 @@ def trace_q(
     kind: str = "radius",
 ) -> ConvergenceTrace:
     """Radius (or Crawford) at a q-sequence with Re q_n -> 1 vs. the plain quantity."""
+    spec = _quantities().get(kind)
+    if spec is None or spec.limit is None:
+        raise ValueError("kind must be 'radius' or 'crawford'")
     t = as_operator(t)
     opn = a_opnorm(w, t)
-    if kind == "radius":
-        target = a_radius(w, t, budget=budget, seed=seed).value
-        value_fn = lambda q: aq_radius(w, t, q, budget=budget, seed=seed).value
-    elif kind == "crawford":
-        target = aq_crawford(w, t, 1.0, budget=budget, seed=seed).value
-        value_fn = lambda q: aq_crawford(w, t, q, budget=budget, seed=seed).value
-    else:
-        raise ValueError("kind must be 'radius' or 'crawford'")
-    values, envelopes = [], []
-    qs = [validate_q(q) for q in q_list]
-    for q in qs:
-        values.append(value_fn(q))
-        envelopes.append(math.sqrt(max(0.0, 2.0 * (1.0 - q.real))) * opn + slack)
+    target = spec.limit(w, t, budget=budget, seed=seed).value
     # q_n -> 1 is the declared limit; q lives in the closed unit disc, so its scale is 1
-    deviations = [abs(1.0 - q) for q in qs]
-    indices = list(range(1, len(qs) + 1))
-    return _finish(indices, values, target, envelopes, deviations, 1.0, "q trace")
+    steps = [
+        (n, t, q, abs(1.0 - q), math.sqrt(max(0.0, 2.0 * (1.0 - q.real))) * opn)
+        for n, q in enumerate(map(validate_q, q_list), start=1)
+    ]
+    return _traces(w, [spec], [target], steps, 1.0, ["q trace"], budget, seed, slack)[0]
 
 
 def trace_gaps(
@@ -262,8 +266,7 @@ def trace_gaps(
     slack: float = DEFAULT_SLACK,
 ) -> tuple[ConvergenceTrace, ConvergenceTrace]:
     """Radius gap and Crawford gap along the sequence (2-Lipschitz envelopes)."""
-    omega, crawford = _operator_traces(seq, ("gap_omega", "gap_c"), q, indices, budget, seed, slack)
-    return omega, crawford
+    return tuple(_operator_traces(seq, ("gap_omega", "gap_c"), q, indices, budget, seed, slack))
 
 
 def trace_to_csv(trace: ConvergenceTrace, path) -> None:

@@ -103,6 +103,8 @@ def test_converge_qseq_rejects_gap_quantities(converge_qseq, quantity, capsys):
         ("verify", "--instances", "-1"),
         ("verify", "--instances", "0"),
         ("converge", "--budget", "-3"),
+        ("converge", "--grid-points", "0"),
+        ("figure", "--grid", "0"),
     ],
 )
 def test_rejects_nonpositive_counts(command, flag, value, tmp_path, capsys):
@@ -113,6 +115,7 @@ def test_rejects_nonpositive_counts(command, flag, value, tmp_path, capsys):
         "compute": ["compute", "--matrix", str(path), "--q", "0.5"],
         "verify": ["verify", "--instances", "1", "--dims", "2", "--out", out],
         "converge": ["converge", "--rule", "perturb", "--matrix", str(path), "--out", out],
+        "figure": ["figure", "--example", "1", "--out", out],
     }[command]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + [flag, value])
@@ -146,10 +149,13 @@ def test_compute_exact_uses_the_closed_forms(tmp_path, capsys):
     assert out["witnesses"] is None
 
 
-def test_compute_exact_rejects_complex_q(tmp_path, capsys):
-    argv = ["compute", "--matrix", _matrix_file(tmp_path, EX2), "--q", "0.5,0.1", "--exact", "--budget", "4"]
-    assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+def test_compute_exact_takes_complex_q_by_its_modulus(tmp_path, capsys):
+    matrix = _matrix_file(tmp_path, [[1.0, 2.0], [0.5j, -1.0]])
+    outputs = []
+    for q in ("0.5,0.1", repr(abs(0.5 + 0.1j))):  # |0.5 + 0.1i| = sqrt(0.26)
+        assert cli.main(["compute", "--matrix", matrix, "--q", q, "--exact", "--budget", "4"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("example", ["1", "4"])

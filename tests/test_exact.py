@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqradius import (
     Budget,
-    ComplexQUnsupported,
     QOutOfRange,
     Weight,
     a_radius,
@@ -78,10 +79,6 @@ class TestQRange2x2:
         t = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
         disk = q_range_2x2(canonical_2x2(t), 0.6)
         assert disk.semi_minor == pytest.approx(0.8 * disk.semi_major)
-
-    def test_rejects_complex_q(self):
-        with pytest.raises(ComplexQUnsupported):
-            q_range_2x2(canonical_2x2(EX1), 0.5 + 0.5j)
 
     def test_membership_matches_parameterization(self, rng):
         form = canonical_2x2(crandn(rng, 2, 2))
@@ -184,8 +181,42 @@ class TestJordanFormula:
             jordan3_q_radius(0.4)
         with pytest.raises(QOutOfRange):
             jordan3_q_radius(1.2)
-        with pytest.raises(ComplexQUnsupported):
-            jordan3_q_radius(0.8 + 0.2j)
+
+
+PHASES = st.floats(0.0, 2 * np.pi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), modulus=st.floats(0.0, 1.0), theta=PHASES)
+def test_closed_forms_take_q_by_its_modulus(seed, modulus, theta):
+    # W_q(T) = (q/|q|) W_{|q|}(T), so no modulus over it moves with arg q; the
+    # reference is taken at abs(q), since the values are not Lipschitz in |q| at 1
+    t = crandn(np.random.default_rng(seed), 2, 2)
+    form = canonical_2x2(t)
+    q = modulus * np.exp(1j * theta)
+    tol = 1e-12 * np.linalg.norm(t, 2)
+    assert q_radius_2x2(form, q) == pytest.approx(q_radius_2x2(form, abs(q)), abs=tol)
+    assert q_crawford_2x2(form, q) == pytest.approx(q_crawford_2x2(form, abs(q)), abs=tol)
+    q = (0.5 + 0.5 * modulus) * np.exp(1j * theta)  # the Jordan formula covers |q| in [1/2, 1]
+    assert jordan3_q_radius(q) == pytest.approx(jordan3_q_radius(abs(q)), abs=1e-12)  # norm 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), modulus=st.floats(0.0, 1.0), theta=PHASES)
+def test_rotated_range_contains_sampled_values(seed, modulus, theta):
+    # unit x, y with <x, y> = y^H x = q: y = conj(q) x + p e^{i psi} w, w a unit orthogonal to x
+    rng = np.random.default_rng(seed)
+    t = crandn(rng, 2, 2)
+    q = modulus * np.exp(1j * theta)
+    p = np.sqrt(max(0.0, 1.0 - abs(q) ** 2))
+    disk = q_range_2x2(canonical_2x2(t), q)
+    for _ in range(50):
+        x = crandn(rng, 2)
+        x /= np.linalg.norm(x)
+        w = np.array([-np.conj(x[1]), np.conj(x[0])])
+        y = np.conj(q) * x + p * np.exp(2j * np.pi * rng.random()) * w
+        assert np.vdot(y, x) == pytest.approx(q, abs=1e-12)
+        assert disk.contains(np.vdot(y, t @ x), tol=1e-9)
 
 
 def test_closed_forms_match_estimators_on_random_matrices(rng):

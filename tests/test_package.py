@@ -41,3 +41,20 @@ def test_namespace_reexports_exactly_the_submodule_exports():
     )
     public = {name for name in vars(aqradius) if not name.startswith("_")} - set(MODULES)
     assert public == exports
+
+
+def test_every_exported_exception_is_raised():
+    # a public exception class that no code raises is dead API
+    exceptions = {
+        name
+        for name, obj in vars(aqradius).items()
+        if not name.startswith("_") and isinstance(obj, type) and issubclass(obj, Exception)
+    }
+    raised = set()
+    for path in Path(aqradius.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    assert exceptions
+    assert not exceptions - raised

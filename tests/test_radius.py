@@ -111,9 +111,10 @@ class TestAqRadius:
     def test_depends_only_on_q_modulus(self, rng):
         w = random_pd_weight(rng, 3)
         t = crandn(rng, 3, 3)
-        v1 = aq_radius(w, t, 0.6).value
-        v2 = aq_radius(w, t, 0.6j).value
-        assert v1 == pytest.approx(v2, abs=2e-3)
+        q = random_q(rng)
+        for estimator in (aq_radius, aq_crawford):
+            assert estimator(w, t, 0.6j).value == estimator(w, t, 0.6).value
+            assert estimator(w, t, q).value == estimator(w, t, abs(q)).value
 
 
 class TestAqCrawford:
@@ -206,6 +207,15 @@ class TestOracleGrid:
 
 
 class TestEstimatorContracts:
+    @pytest.mark.parametrize(
+        "fields",
+        [{"restarts": 0}, {"iterations": -5}, {"grid_resolution": -1}, {"grid_resolution": 3}],
+        ids=["restarts-0", "iterations-negative", "grid-negative", "grid-3"],
+    )
+    def test_budget_rejects_fields_it_cannot_run(self, fields):
+        with pytest.raises(ValueError, match="restarts >= 1, iterations >= 1, grid_resolution >= 4"):
+            Budget(**fields)
+
     def test_monotone_budget_in_restarts(self, rng):
         w = random_pd_weight(rng, 3)
         t = crandn(rng, 3, 3)
@@ -410,3 +420,22 @@ def test_estimates_invariant_under_weight_scaling(seed, n, scale):
         assert np.array_equal(again.witness_x, est.witness_x)
         assert np.array_equal(again.witness_y, est.witness_y)
         assert est.value == pytest.approx(estimator(w, t, q, budget, seed=3).value, abs=tol)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
+def test_estimates_invariant_under_unitary_congruence(seed, n):
+    # (A, T) -> (U^H A U, U^H T U) conjugates the reduced operator by a unitary
+    rng = np.random.default_rng(seed)
+    w = random_pd_weight(rng, n)
+    t = crandn(rng, n, n) + rng.choice([0.0, 2.0 * n]) * np.eye(n)
+    q = random_q(rng)
+    u = np.linalg.qr(crandn(rng, n, n))[0]
+    w_u, t_u = Weight(u.conj().T @ w.a @ u), u.conj().T @ t @ u
+    budget = Budget(16, 300)
+    tol = 1e-9 * a_opnorm(w, t)
+    assert a_opnorm(w_u, t_u) == pytest.approx(a_opnorm(w, t), abs=tol)
+    assert a_radius(w_u, t_u, budget).value == pytest.approx(a_radius(w, t, budget).value, abs=tol)
+    for estimator in (aq_radius, aq_crawford):
+        value = estimator(w, t, q, budget, seed=3).value
+        assert estimator(w_u, t_u, q, budget, seed=3).value == pytest.approx(value, abs=tol)

@@ -131,6 +131,11 @@ class TestTraceQ:
         with pytest.raises(ValueError, match="kind"):
             trace_q(I2, crandn(rng, 2, 2), [0.9], kind="nope")
 
+    def test_rejects_gap_kind(self, rng):
+        # a gap has no q = 1 estimator for the limit of a q-sequence
+        with pytest.raises(ValueError, match="kind must be 'radius' or 'crawford'"):
+            trace_q(I2, crandn(rng, 2, 2), [0.9], kind="gap_omega")
+
 
 class TestTraceGaps:
     def test_multiplication_discretization_gap(self):
