@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -122,11 +123,7 @@ def _cmd_compute(args) -> int:
         "gap_omega": opnorm - omega_aq,
         "gap_c": opnorm - c_aq,
         "witnesses": witnesses,
-        "budget": {
-            "restarts": budget.restarts,
-            "iterations": budget.iterations,
-            "grid_resolution": budget.grid_resolution,
-        },
+        "budget": asdict(budget),
     }
     json.dump(out, sys.stdout, indent=2)
     sys.stdout.write("\n")

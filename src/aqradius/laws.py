@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -104,11 +104,7 @@ class LawReport:
             "pass": self.passed,
             "tol_law": self.tol_law,
             "instance_digest": self.instance_digest,
-            "budget": {
-                "restarts": self.estimator_budget.restarts,
-                "iterations": self.estimator_budget.iterations,
-                "grid_resolution": self.estimator_budget.grid_resolution,
-            },
+            "budget": asdict(self.estimator_budget),
             "kind": self.kind,
         }
         if self.skipped:
@@ -171,6 +167,8 @@ class _Ev:
 
     The values depend on q only through |q|, so each is computed once per
     (estimator, |q|, budget): q, alpha q and conj(q) share one sphere search.
+    The search runs at the rounded |q| of the key, so a value does not depend
+    on which of them asked first.
     """
 
     def __init__(self, w: Weight, t, seed: int):
@@ -181,9 +179,10 @@ class _Ev:
 
     def _cached(self, estimator: Callable, q, budget: Budget) -> float:
         """``estimator`` at (A, T, q), once per (estimator, |q|, budget); q is None for a_radius."""
-        key = (estimator, None if q is None else round(abs(q), 13), budget)
+        modulus = None if q is None else round(abs(q), 13)
+        key = (estimator, modulus, budget)
         if key not in self._cache:
-            args = (self.w, self.t) if q is None else (self.w, self.t, q)
+            args = (self.w, self.t) if q is None else (self.w, self.t, modulus)
             self._cache[key] = estimator(*args, budget=budget, seed=self.seed).value
         return self._cache[key]
 
@@ -218,26 +217,21 @@ class _Instance:
     """One (A, T, q) instance and the partner operators the laws compare T with.
 
     The optional ingredients feed only the laws that read them: ``alpha``
-    t1_23, ``params`` (with the ``adjoint``/``composite`` switches of
-    :func:`law_t1_45`) t1_45, ``s`` t5_3, and ``partner = (A2, T2, q2)`` the
+    t1_23, ``params`` t1_45, ``s`` t5_3, and ``partner = (A2, T2, q2)`` the
     tensor laws t3/cor1 and the direct-sum law app1.  Reports carry
     ``digest``, the digest of (A, T, q) unless a caller replaces it.
     """
 
     def __init__(self, w: Weight, t, q, seed: int, *, alpha=1.0, params: LinComboParams | None = None,
-                 s=None, partner=None, adjoint: str = "weighted", composite: str = "statement"):
+                 s=None, partner=None):
         if abs(abs(alpha) - 1.0) > 1e-12:
             raise ValueError("alpha must be unimodular")
-        if adjoint not in ("weighted", "ordinary") or composite not in ("statement", "proof"):
-            raise ValueError(f"unknown adjoint {adjoint!r} or composite {composite!r}")
         self.ev = _Ev(w, t, seed)
         self.q = validate_q(q)
         self.seed = seed
         self.alpha = complex(alpha)
         self.params = params
         self.s = s
-        self.adjoint = adjoint
-        self.composite = composite
         if partner is not None:
             w2, t2, q2 = partner
             self.partner = _Ev(w2, t2, seed)
@@ -251,9 +245,8 @@ class _Instance:
 
     @cached_property
     def adj(self) -> _Ev:
-        """A^+ T^H A, or T^H with ``adjoint="ordinary"`` (wrong on skewed weights; diagnosis only)."""
-        w, t = self.ev.w, self.ev.t
-        return _Ev(w, a_adjoint(w, t) if self.adjoint == "weighted" else t.conj().T, self.seed)
+        """A^+ T^H A, the weighted adjoint (T^H fails the laws on skewed weights)."""
+        return _Ev(self.ev.w, a_adjoint(self.ev.w, self.ev.t), self.seed)
 
     @cached_property
     def near(self) -> _Ev:
@@ -297,10 +290,8 @@ def _t1_45(inst: _Instance, b: Budget):
     p, q = inst.params, inst.q
     if p is None:
         return []
-    if inst.composite == "proof":
-        qc = (p.lam + np.conj(p.mu) * q) / p.gamma
-    else:
-        qc = (p.lam + p.mu * np.conj(q)) / p.gamma
+    # the statement's parameter; the paper's proof uses (lambda + conj(mu) q)/gamma
+    qc = (p.lam + p.mu * np.conj(q)) / p.gamma
     m = abs(qc)
     if m < 1e-12 or m > 1.0 + 1e-12:
         reason = f"composite parameter |{qc:.4f}| outside (0, 1]"
@@ -464,26 +455,13 @@ def law_t1_23(w: Weight, t, q, alpha, budget: Budget | None = None, seed: int = 
     return _check("t1_23", _Instance(w, t, q, seed, alpha=alpha), budget)
 
 
-def law_t1_45(
-    w: Weight,
-    t,
-    q,
-    params: LinComboParams,
-    budget: Budget | None = None,
-    seed: int = 0,
-    adjoint: str = "weighted",
-    composite: str = "statement",
-):
+def law_t1_45(w: Weight, t, q, params: LinComboParams, budget: Budget | None = None, seed: int = 0):
     """Linear-combination bounds at the composite parameter (lambda + mu conj(q))/gamma.
 
-    `adjoint` selects the partner operator: "weighted" uses A^+ T^H A, which is
-    what the underlying pairing identity requires and holds on all weights;
-    "ordinary" uses T^H, which provably fails for skewed weights and is kept
-    for diagnosis only.  `composite` can switch to the "proof" variant
-    (lambda + conj(mu) q)/gamma of the parameter.
+    The partner operator is the weighted adjoint A^+ T^H A, which the
+    underlying pairing identity requires; T^H fails the bounds on skewed weights.
     """
-    inst = _Instance(w, t, q, seed, params=params, adjoint=adjoint, composite=composite)
-    return _check("t1_45", inst, budget)
+    return _check("t1_45", _Instance(w, t, q, seed, params=params), budget)
 
 
 def law_t1_78(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):

@@ -135,63 +135,53 @@ def _neg_inf(b: np.ndarray, absq: float, p: float, circle: bool):
     return rule
 
 
-_MAX_PERTURBS = 3
+# After overshooting a kink of the Crawford rules a restart may halve its step
+# 16 times before a step is accepted again; a shorter window stops it there.
+_STALL_STEPS = 20
 
 
-def _extremize(value_grad, dim: int, budget: Budget, seed: int) -> tuple[float, np.ndarray]:
+def _extremize(
+    value_grad, dim: int, budget: Budget, seed: int, scale: float
+) -> tuple[float, np.ndarray]:
     """Multi-start projected ascent of a rule (`_sup`, `_neg_inf`) over the unit sphere in C^dim.
 
-    Each step evaluates the candidates once and keeps the gradient of the
-    accepted rows for the next step; stagnant rows are perturbed and
-    re-evaluated as one batch.  Returns the best value found and its unit
-    argument.  Restart i draws its start and its stagnation perturbations from
-    its own seed-sequence child, so results depend only on the seed and the
+    Each step evaluates the live restarts once and keeps the gradient of the
+    accepted rows for the next step, so every restart's value only rises.  A
+    restart stops once its gradient norm is <= 1e-12 * scale (an exact plateau)
+    or its last `_STALL_STEPS` steps raised its value by <= 1e-12 * scale,
+    where `scale` is ||B||_F, so both thresholds scale with B.  Returns the
+    best value found and its unit argument.  Restart i draws its start from its
+    own seed-sequence child, so results depend only on the seed and the
     restart index.
     """
-    n_restarts = budget.restarts
-    children = np.random.SeedSequence(seed).spawn(n_restarts)
-    rngs = [np.random.default_rng(c) for c in children]
+    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(budget.restarts))
+    starts = [g.standard_normal(dim) + 1j * g.standard_normal(dim) for g in rngs]
+    u = _normalize_rows(np.array(starts))
+    f, grad = value_grad(u)
+    alpha = np.full(budget.restarts, 0.1)
+    live = np.ones(budget.restarts, dtype=bool)
+    tol = 1e-12 * scale
+    history = [f.copy()]
 
-    def gaussian(i: int) -> np.ndarray:
-        return rngs[i].standard_normal(dim) + 1j * rngs[i].standard_normal(dim)
-
-    u = _normalize_rows(np.array([gaussian(i) for i in range(n_restarts)]))
-    f_cur, grad = value_grad(u)
-    best_val = f_cur.copy()
-    best_u = u.copy()
-    alpha = np.full(n_restarts, 0.1)
-    active = np.ones(n_restarts, dtype=bool)
-    perturbs = np.zeros(n_restarts, dtype=int)
-
-    for _ in range(budget.iterations):
-        if not active.any():
-            break
+    for step in range(budget.iterations):
         gnorm = np.linalg.norm(grad, axis=1)
-        cand = _normalize_rows(u + alpha[:, None] * grad)
+        live &= gnorm > tol
+        if step >= _STALL_STEPS:
+            live &= f - history[step - _STALL_STEPS] > tol
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        cand = _normalize_rows(u[rows] + alpha[rows, None] * grad[rows])
         f_cand, g_cand = value_grad(cand)
-        improved = active & (f_cand >= f_cur + 1e-4 * alpha * gnorm**2)
-        u[improved] = cand[improved]
-        f_cur[improved] = f_cand[improved]
-        grad[improved] = g_cand[improved]
-        alpha[improved] = np.minimum(alpha[improved] * 1.3, 1.0)
-        alpha[active & ~improved] *= 0.5
+        ok = f_cand >= f[rows] + 1e-4 * alpha[rows] * gnorm[rows] ** 2
+        up = rows[ok]
+        u[up], f[up], grad[up] = cand[ok], f_cand[ok], g_cand[ok]
+        alpha[up] = np.minimum(alpha[up] * 1.3, 1.0)
+        alpha[rows[~ok]] *= 0.5
+        history.append(f.copy())
 
-        better = f_cur > best_val
-        best_val[better] = f_cur[better]
-        best_u[better] = u[better]
-
-        stagnant = active & ((alpha < 1e-12) | (gnorm < 1e-11))
-        active[stagnant & (perturbs >= _MAX_PERTURBS)] = False
-        kick = np.flatnonzero(stagnant & active)
-        if kick.size:
-            noise = np.array([gaussian(i) for i in kick])
-            u[kick] = _normalize_rows(u[kick] + 1e-3 * noise)
-            f_cur[kick], grad[kick] = value_grad(u[kick])
-            alpha[kick] = 0.01
-            perturbs[kick] += 1
-
-    idx = int(np.argmax(best_val))
-    return float(best_val[idx]), best_u[idx]
+    idx = int(np.argmax(f))
+    return float(f[idx]), u[idx]
 
 
 def _orth_unit(vectors: list[np.ndarray]) -> np.ndarray:
@@ -274,7 +264,7 @@ def _sphere_estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: boo
         raise RankTooLow(f"weight rank {w.rank} < 2: the constraint set is empty for |q| < 1")
     absq, p = abs(q), math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
     rule = _sup(b, absq, p) if sup else _neg_inf(b, absq, p, circle=b.shape[0] == 2)
-    value, u = _extremize(rule, b.shape[0], budget, seed)
+    value, u = _extremize(rule, b.shape[0], budget, seed, float(np.linalg.norm(b)))
     return Estimate(
         value=value if sup else -value,
         direction=LOWER_BOUND_OF_SUP if sup else UPPER_BOUND_OF_INF,

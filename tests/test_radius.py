@@ -20,7 +20,7 @@ from aqradius import (
     gaps,
     reduce_to_range,
 )
-from aqradius.radius import _neg_inf, _normalize_rows, _sup, _witness
+from aqradius.radius import _extremize, _neg_inf, _normalize_rows, _sup, _witness
 from conftest import crandn, random_pd_weight, random_q
 from oracle import oracle_grid
 
@@ -270,13 +270,60 @@ class TestEstimatorContracts:
             rhs_c = aq_crawford(w, t, alpha * q).value
             assert lhs_c == pytest.approx(rhs_c, abs=2e-3)
 
-    def test_radius_bounded_by_opnorm(self, rng):
-        for _ in range(6):
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), scalar=st.booleans())
+    def test_radius_bounded_by_opnorm(self, seed, n, scalar):
+        # c_q <= omega_q <= ||T||_A.  The estimates bound c_q from above and
+        # omega_q from below, so the order is not implied by the bound
+        # directions; distinct seeds keep the two searches from sharing starts,
+        # where the inf rule never exceeds the sup rule
+        rng = np.random.default_rng(seed)
+        w = random_pd_weight(rng, n)
+        t = complex(*rng.standard_normal(2)) * np.eye(n) if scalar else crandn(rng, n, n)
+        q = random_q(rng)
+        budget = Budget(16, 300)
+        opnorm = a_opnorm(w, t)
+        tol = 1e-9 * opnorm
+        cra = aq_crawford(w, t, q, budget, seed=1).value
+        rad = aq_radius(w, t, q, budget, seed=2).value
+        assert cra <= rad + tol
+        assert rad <= opnorm + tol
+        if scalar:  # every pair gives |q| |z|, so c_q = omega_q
+            assert cra == pytest.approx(rad, abs=tol)
+
+
+def counting(rule):
+    """`rule` wrapped to record the rows of each evaluation."""
+    rows = []
+
+    def wrapped(u):
+        rows.append(u.shape[0])
+        return rule(u)
+
+    return wrapped, rows
+
+
+class TestStopRule:
+    def test_plateau_stops_at_once(self):
+        rule, rows = counting(lambda u: (np.zeros(u.shape[0]), np.zeros_like(u)))
+        value, u = _extremize(rule, 3, Budget(), seed=0, scale=1.0)
+        assert value == 0.0
+        assert np.linalg.norm(u) == pytest.approx(1.0)
+        assert len(rows) <= 2
+
+    def test_restarts_stop_once_converged(self, rng):
+        budget = Budget()
+        evaluations = []
+        for _ in range(20):
             n = int(rng.integers(2, 5))
-            w = random_pd_weight(rng, n)
-            t = crandn(rng, n, n)
-            q = random_q(rng)
-            assert aq_radius(w, t, q).value <= a_opnorm(w, t) + 1e-9
+            b = crandn(rng, n, n) + rng.choice([0.0, 2.0 * n]) * np.eye(n)
+            absq = 1.0 - rng.random()
+            p = np.sqrt(1 - absq**2)
+            for rule in (_sup(b, absq, p), _neg_inf(b, absq, p, circle=n == 2)):
+                rule, rows = counting(rule)
+                _extremize(rule, n, budget, seed=0, scale=np.linalg.norm(b))
+                evaluations.append(len(rows))
+        assert np.median(evaluations) < budget.iterations / 4
 
 
 def central_difference(fn, u, h=1e-6):
