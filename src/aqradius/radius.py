@@ -6,8 +6,14 @@ over all admissible partner vectors form a circle (reduced dimension 2) or a
 full disk (dimension >= 3) of radius ``p * ||(I - u u^H) B u||`` centered at
 ``q <B u, u>`` with ``p = sqrt(1 - |q|^2)``, so the partner search collapses
 analytically and only the unit sphere in u remains.  The sphere search is
-multi-start projected ascent on one rule per estimator, which returns the
-value and the closed-form gradient together, so each step costs one evaluation.
+multi-start projected ascent on one rule per estimator (`_rule`), which
+returns the value and the closed-form gradient together from two matrix
+products, so each step costs one evaluation.  The search keeps only its live
+restarts in its working set, retiring each one to a result array once the
+stop rule ends it, and tests the stop rule against a ring buffer of the last
+values.  Its seeded starts come from a small cache shared by all calls with
+the same seed, restart count and dimension; the cached arrays are read-only,
+so no call can change another's starts.
 
 Suprema are therefore reported as lower bounds and infima as upper bounds.  Each
 estimate carries a witness pair (x, y) with ||x||_A = ||y||_A = 1 and
@@ -16,6 +22,7 @@ estimate carries a witness pair (x, y) with ||x||_A = ||y||_A = 1 and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -65,6 +72,9 @@ class Estimate:
     """A computed radius/Crawford value with its bound direction and witnesses.
 
     The witness pair re-produces `value` when plugged back into |<T x, y>_A|.
+    A sphere search also reports its rule `evaluations` (the start batch
+    included) and how many restarts its stop rule `converged` before the
+    iteration cap; the phase sweep of `a_radius` leaves both None.
     """
 
     value: float
@@ -73,6 +83,8 @@ class Estimate:
     witness_y: np.ndarray
     budget: Budget
     seed: int
+    evaluations: int | None = None
+    converged: int | None = None
 
 
 @dataclass
@@ -86,53 +98,70 @@ def _normalize_rows(u: np.ndarray) -> np.ndarray:
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
-def _sphere_terms(
-    b: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """|c|, rho and their gradients at unit rows u, c = <B u, u>, rho = ||B u - c u||.
+def _row_norms(u: np.ndarray) -> np.ndarray:
+    """Row 2-norms from one `einsum`, cheaper than `np.linalg.norm` on small batches."""
+    return np.sqrt(np.einsum("ij,ij->i", u.conj(), u).real)
 
-    Gradients are complex rows g = df/dRe(u) + i df/dIm(u) of the row-scale
-    invariant extensions, so g is orthogonal to u; with r = B u - c u,
 
-        grad |c| = (conj(c) r + c (B^H u - conj(c) u)) / |c|,
-        grad rho = ((B - c I)^H r - rho^2 u) / rho,
+def _rule(b: np.ndarray, absq: float, p: float, kind: str):
+    """Rule of one estimator: unit rows u -> (value, gradient), `kind` "sup", "circle" or "disk".
 
-    each taken as 0 where |c| = 0 or rho = 0 (a kink of that term).
+    With c = <B u, u>, r = B u - c u and rho = ||r||, the sup rule is
+    |q| |c| + p rho; the minus-inf rules take t = |q| |c| - p rho to -|t|
+    (circle) or -max(t, 0) (disk).  Gradients are complex rows
+    g = df/dRe(u) + i df/dIm(u) of the row-scale invariant extensions, so g is
+    orthogonal to u.  Each rule is a1 |c| + a2 rho up to its sign, and
+    a1 grad |c| + a2 grad rho, from
+
+        grad |c| = (conj(c) r + c B^H u - |c|^2 u) / |c|,
+        grad rho = (B^H r - conj(c) r - rho^2 u) / rho,
+
+    is four per-row coefficients times r, B^H u, B^H r and u.  The kink of each
+    term (|c| = 0, rho = 0) zeroes its coefficients.  One product with
+    [B^T | conj(B)] gives B u and B^H u; B^H r is its own product, since
+    B^H B u - conj(c) B^H u cancels near rho = 0.
     """
-    bu = u @ b.T
-    c = np.einsum("ij,ij->i", u.conj(), bu)
-    r = bu - c[:, None] * u
-    abs_c = np.abs(c)
-    rho = np.linalg.norm(r, axis=1)
-    cc = c.conj()[:, None]
-    g_c = cc * r + c[:, None] * (u @ b.conj() - cc * u)
-    g_rho = r @ b.conj() - cc * r - (rho**2)[:, None] * u
-    g_c = np.divide(g_c, abs_c[:, None], out=np.zeros_like(u), where=abs_c[:, None] > 0.0)
-    g_rho = np.divide(g_rho, rho[:, None], out=np.zeros_like(u), where=rho[:, None] > 0.0)
-    return abs_c, rho, g_c, g_rho
+    n = b.shape[0]
+    b_conj = b.conj()
+    both = np.concatenate([b.T, b_conj], axis=1)
+
+    def rule(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        prods = u @ both
+        bu, bhu = prods[:, :n], prods[:, n:]
+        c = np.einsum("ij,ij->i", u.conj(), bu)
+        r = bu - c[:, None] * u
+        abs_c = np.abs(c)
+        rho = _row_norms(r)
+        inv_c = np.divide(1.0, abs_c, out=np.zeros(abs_c.shape), where=abs_c > 0.0)
+        inv_rho = np.divide(1.0, rho, out=np.zeros(rho.shape), where=rho > 0.0)
+        if kind == "sup":
+            value, a1, a2 = absq * abs_c + p * rho, absq, p
+        else:
+            t = absq * abs_c - p * rho
+            slope = np.sign(t) if kind == "circle" else (t > 0.0).astype(float)
+            value = -np.abs(t) if kind == "circle" else -np.maximum(t, 0.0)
+            a1, a2 = -slope * absq, slope * p
+        a1_c = a1 * inv_c
+        a2_rho = a2 * inv_rho
+        grad = (
+            (c.conj() * (a1_c - a2_rho))[:, None] * r
+            + (a1_c * c)[:, None] * bhu
+            + a2_rho[:, None] * (r @ b_conj)
+            - (a1 * abs_c + a2 * rho)[:, None] * u
+        )
+        return value, grad
+
+    return rule
 
 
 def _sup(b: np.ndarray, absq: float, p: float):
     """Rule of the sup: unit rows -> (|q| |c| + p rho, its gradient)."""
-
-    def rule(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        abs_c, rho, g_c, g_rho = _sphere_terms(b, u)
-        return absq * abs_c + p * rho, absq * g_c + p * g_rho
-
-    return rule
+    return _rule(b, absq, p, "sup")
 
 
 def _neg_inf(b: np.ndarray, absq: float, p: float, circle: bool):
     """Rule of minus the inf, t = |q| |c| - p rho: -|t| on the circle, -max(t, 0) on the disk."""
-
-    def rule(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        abs_c, rho, g_c, g_rho = _sphere_terms(b, u)
-        t = absq * abs_c - p * rho
-        slope = np.sign(t) if circle else (t > 0.0).astype(float)
-        value = -np.abs(t) if circle else -np.maximum(t, 0.0)
-        return value, -slope[:, None] * (absq * g_c - p * g_rho)
-
-    return rule
+    return _rule(b, absq, p, "circle" if circle else "disk")
 
 
 # After overshooting a kink of the Crawford rules a restart may halve its step
@@ -140,48 +169,77 @@ def _neg_inf(b: np.ndarray, absq: float, p: float, circle: bool):
 _STALL_STEPS = 20
 
 
+@functools.lru_cache(maxsize=32)
+def _starts(seed: int, restarts: int, dim: int) -> np.ndarray:
+    """Unit start rows of `_extremize`: row i is drawn from child i of SeedSequence(seed).
+
+    Calls with the same arguments share one cached array, so it is read-only.
+    Rows depend only on the seed and their index, so the first m rows of a
+    larger batch are the m-restart starts.
+    """
+    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(restarts))
+    u = _normalize_rows(
+        np.array([g.standard_normal(dim) + 1j * g.standard_normal(dim) for g in rngs])
+    )
+    u.setflags(write=False)
+    return u
+
+
 def _extremize(
     value_grad, dim: int, budget: Budget, seed: int, scale: float
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, int, int]:
     """Multi-start projected ascent of a rule (`_sup`, `_neg_inf`) over the unit sphere in C^dim.
 
-    Each step evaluates the live restarts once and keeps the gradient of the
-    accepted rows for the next step, so every restart's value only rises.  A
-    restart stops once its gradient norm is <= 1e-12 * scale (an exact plateau)
-    or its last `_STALL_STEPS` steps raised its value by <= 1e-12 * scale,
-    where `scale` is ||B||_F, so both thresholds scale with B.  Returns the
-    best value found and its unit argument.  Restart i draws its start from its
-    own seed-sequence child, so results depend only on the seed and the
-    restart index.
+    The restarts start from the cached, read-only `_starts` rows.  The working
+    set holds only the live restarts: each step evaluates all of them once,
+    takes the accepted candidates with `np.where` and keeps their gradients
+    for the next step, so every restart's value only rises.  A restart stops
+    once its gradient norm is <= 1e-12 * scale (an exact plateau) or its last
+    `_STALL_STEPS` steps raised its value by <= 1e-12 * scale, where `scale`
+    is ||B||_F, so both thresholds scale with B; a ring buffer of the last
+    `_STALL_STEPS` values serves that test.  A stopped restart is retired to
+    the result arrays and dropped from the working set.  Returns the best value
+    found, its unit argument, the number of rule evaluations (the start batch
+    included) and the number of restarts the stop rule retired before the
+    iteration cap.
     """
-    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(budget.restarts))
-    starts = [g.standard_normal(dim) + 1j * g.standard_normal(dim) for g in rngs]
-    u = _normalize_rows(np.array(starts))
+    u = _starts(seed, budget.restarts, dim)
     f, grad = value_grad(u)
+    evaluations, converged = 1, 0
+    best_f = np.empty(budget.restarts)
+    best_u = np.empty((budget.restarts, dim), dtype=complex)
+    index = np.arange(budget.restarts)
     alpha = np.full(budget.restarts, 0.1)
-    live = np.ones(budget.restarts, dtype=bool)
+    ring = np.empty((_STALL_STEPS, budget.restarts))
     tol = 1e-12 * scale
-    history = [f.copy()]
 
     for step in range(budget.iterations):
-        gnorm = np.linalg.norm(grad, axis=1)
-        live &= gnorm > tol
+        gnorm = _row_norms(grad)
+        keep = gnorm > tol
+        slot = step % _STALL_STEPS
         if step >= _STALL_STEPS:
-            live &= f - history[step - _STALL_STEPS] > tol
-        rows = np.flatnonzero(live)
-        if rows.size == 0:
-            break
-        cand = _normalize_rows(u[rows] + alpha[rows, None] * grad[rows])
+            keep &= f - ring[slot] > tol
+        ring[slot] = f
+        if not keep.all():
+            stop = ~keep
+            best_f[index[stop]], best_u[index[stop]] = f[stop], u[stop]
+            converged += int(np.count_nonzero(stop))
+            u, f, grad, gnorm = u[keep], f[keep], grad[keep], gnorm[keep]
+            alpha, index, ring = alpha[keep], index[keep], ring[:, keep]
+            if index.size == 0:
+                break
+        cand = _normalize_rows(u + alpha[:, None] * grad)
         f_cand, g_cand = value_grad(cand)
-        ok = f_cand >= f[rows] + 1e-4 * alpha[rows] * gnorm[rows] ** 2
-        up = rows[ok]
-        u[up], f[up], grad[up] = cand[ok], f_cand[ok], g_cand[ok]
-        alpha[up] = np.minimum(alpha[up] * 1.3, 1.0)
-        alpha[rows[~ok]] *= 0.5
-        history.append(f.copy())
+        evaluations += 1
+        ok = f_cand >= f + 1e-4 * alpha * gnorm**2
+        u = np.where(ok[:, None], cand, u)
+        f = np.where(ok, f_cand, f)
+        grad = np.where(ok[:, None], g_cand, grad)
+        alpha = np.where(ok, np.minimum(alpha * 1.3, 1.0), alpha * 0.5)
 
-    idx = int(np.argmax(f))
-    return float(f[idx]), u[idx]
+    best_f[index], best_u[index] = f, u
+    idx = int(np.argmax(best_f))
+    return float(best_f[idx]), best_u[idx], evaluations, converged
 
 
 def _orth_unit(vectors: list[np.ndarray]) -> np.ndarray:
@@ -264,7 +322,9 @@ def _sphere_estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: boo
         raise RankTooLow(f"weight rank {w.rank} < 2: the constraint set is empty for |q| < 1")
     absq, p = abs(q), math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
     rule = _sup(b, absq, p) if sup else _neg_inf(b, absq, p, circle=b.shape[0] == 2)
-    value, u = _extremize(rule, b.shape[0], budget, seed, float(np.linalg.norm(b)))
+    value, u, evaluations, converged = _extremize(
+        rule, b.shape[0], budget, seed, float(np.linalg.norm(b))
+    )
     return Estimate(
         value=value if sup else -value,
         direction=LOWER_BOUND_OF_SUP if sup else UPPER_BOUND_OF_INF,
@@ -272,6 +332,8 @@ def _sphere_estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: boo
         witness_y=w.lift(_witness(b, u, q, p, sup)),
         budget=budget,
         seed=seed,
+        evaluations=evaluations,
+        converged=converged,
     )
 
 

@@ -17,10 +17,13 @@ from aqradius import (
     a_radius,
     aq_crawford,
     aq_radius,
+    canonical_2x2,
     gaps,
+    q_crawford_2x2,
+    q_radius_2x2,
     reduce_to_range,
 )
-from aqradius.radius import _extremize, _neg_inf, _normalize_rows, _sup, _witness
+from aqradius.radius import _extremize, _neg_inf, _normalize_rows, _starts, _sup, _witness
 from conftest import crandn, random_pd_weight, random_q
 from oracle import oracle_grid
 
@@ -303,13 +306,65 @@ def counting(rule):
     return wrapped, rows
 
 
+class TestSearchCounts:
+    def test_iteration_cap(self, rng):
+        budget = Budget(8, 3)
+        est = aq_radius(I3, crandn(rng, 3, 3), 0.4, budget)
+        assert (est.evaluations, est.converged) == (budget.iterations + 1, 0)
+
+    @pytest.mark.parametrize("estimator", [aq_radius, aq_crawford])
+    def test_scalar_operator_stops_at_the_starts(self, rng, estimator):
+        # every unit vector is a stationary point of both rules
+        est = estimator(random_pd_weight(rng, 3), (0.3 - 2j) * np.eye(3), 0.4)
+        assert (est.evaluations, est.converged) == (1, est.budget.restarts)
+
+    def test_phase_sweep_reports_no_search(self, rng):
+        est = a_radius(I3, crandn(rng, 3, 3))
+        assert est.evaluations is None and est.converged is None
+
+
+class TestStarts:
+    def test_read_only(self):
+        starts = _starts(0, 4, 3)
+        assert not starts.flags.writeable
+        with pytest.raises(ValueError):
+            starts[0, 0] = 1.0
+
+    @pytest.mark.parametrize("factor", [2, 4, 16])
+    def test_budget_ladder_extends_the_starts(self, factor):
+        # Budget.scaled keeps the smaller budget's starts, so best-so-far holds
+        for m in (1, 6, 8):
+            small = _starts(7, m, 4)
+            assert _starts(7, factor * m, 4)[:m].tobytes() == small.tobytes()
+
+    def test_estimates_leave_the_cached_starts_unchanged(self, rng):
+        budget = Budget(8, 40)
+        before = _starts(3, budget.restarts, 3).copy()
+        w, t = random_pd_weight(rng, 3), crandn(rng, 3, 3)
+        aq_radius(w, t, 0.6, budget, seed=3)
+        aq_crawford(w, t, 0.6, budget, seed=3)
+        assert _starts(3, budget.restarts, 3).tobytes() == before.tobytes()
+
+    def test_same_estimates_after_cache_clear(self, rng):
+        w, t = random_pd_weight(rng, 3), crandn(rng, 3, 3)
+        q = random_q(rng)
+        for estimator in (aq_radius, aq_crawford):
+            cached = estimator(w, t, q, Budget(8, 80), seed=4)
+            _starts.cache_clear()
+            fresh = estimator(w, t, q, Budget(8, 80), seed=4)
+            assert fresh.value == cached.value
+            assert fresh.witness_x.tobytes() == cached.witness_x.tobytes()
+            assert fresh.witness_y.tobytes() == cached.witness_y.tobytes()
+
+
 class TestStopRule:
     def test_plateau_stops_at_once(self):
         rule, rows = counting(lambda u: (np.zeros(u.shape[0]), np.zeros_like(u)))
-        value, u = _extremize(rule, 3, Budget(), seed=0, scale=1.0)
+        value, u, evaluations, converged = _extremize(rule, 3, Budget(), seed=0, scale=1.0)
         assert value == 0.0
         assert np.linalg.norm(u) == pytest.approx(1.0)
         assert len(rows) <= 2
+        assert (evaluations, converged) == (len(rows), Budget().restarts)
 
     def test_restarts_stop_once_converged(self, rng):
         budget = Budget()
@@ -486,3 +541,48 @@ def test_estimates_invariant_under_unitary_congruence(seed, n):
     for estimator in (aq_radius, aq_crawford):
         value = estimator(w, t, q, budget, seed=3).value
         assert estimator(w_u, t_u, q, budget, seed=3).value == pytest.approx(value, abs=tol)
+
+
+def embed_2x2(rng, b0, n):
+    """Weight of rank 2 on C^n and T whose weighted reduction is unitarily similar to b0."""
+    u = np.linalg.qr(crandn(rng, n, n))[0]
+    ur, un = u[:, :2], u[:, 2:]
+    s = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2))
+    a = (ur * s**2) @ ur.conj().T
+    t = (ur / s) @ b0 @ (s[:, None] * ur.conj().T) + un @ crandn(rng, n - 2, n - 2) @ un.conj().T
+    return Weight(0.5 * (a + a.conj().T)), t
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3]),
+    modulus=st.floats(0.0, 1.0),
+    theta=st.floats(0.0, 2 * np.pi),
+)
+def test_radius_matches_the_2x2_closed_form(seed, n, modulus, theta):
+    # a PD weight on C^2 or a rank-2 weight on C^3: reduced dimension 2 either way
+    rng = np.random.default_rng(seed)
+    b0 = crandn(rng, 2, 2)
+    w, t = embed_2x2(rng, b0, n)
+    q = modulus * np.exp(1j * theta)
+    norm = np.linalg.norm(b0, 2)
+    assert a_opnorm(w, t) == pytest.approx(norm, rel=1e-9)
+    exact = q_radius_2x2(canonical_2x2(b0), q)
+    assert aq_radius(w, t, q).value == pytest.approx(exact, abs=1e-9 * norm)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the q = 1 sphere search misses the 2x2 Crawford number by 1.3e-5*||B||; "
+    "a phase sweep of the Hermitian parts would meet it",
+)
+def test_q_one_crawford_matches_the_2x2_closed_form():
+    b = np.array(
+        [
+            [0.302037 - 0.981239j, 1.296558 - 0.159437j],
+            [-0.429271 - 0.673309j, 0.216538 - 0.757542j],
+        ]
+    )
+    exact = q_crawford_2x2(canonical_2x2(b), 1.0)
+    assert a_crawford(I2, b).value == pytest.approx(exact, abs=1e-9 * np.linalg.norm(b, 2))
