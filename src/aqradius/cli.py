@@ -27,6 +27,7 @@ from .semispace import (
     matrix_from_json,
     reduce_to_range,
     validate_q,
+    weight_from_json,
 )
 
 __all__ = ["main"]
@@ -41,8 +42,7 @@ def _load_weight(path: str | None, dim: int) -> Weight:
     if path is None:
         return Weight.identity(dim)
     with open(path) as fh:
-        obj = json.load(fh)
-    return Weight(matrix_from_json(obj), psd_tol=obj.get("psd_tol"))
+        return weight_from_json(json.load(fh))
 
 
 def _parse_q(text: str) -> complex:

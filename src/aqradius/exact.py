@@ -6,7 +6,9 @@ ellipse.  Since W_q(T) = (q/|q|) W_{|q|}(T), a complex q rotates the ellipse of
 |q| by arg q and leaves every modulus unchanged, so the radius and Crawford
 values are evaluated at |q|.  This module computes that canonical form, the
 ellipse, and the resulting extremal moduli, plus the known formula for the 3x3
-nilpotent Jordan block.
+nilpotent Jordan block.  The largest modulus is a maximum over the boundary
+phase, found by the phase-sweep routine `radius._phase_max` that also serves
+`a_radius`; the smallest is a distance to the ellipse.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
+from .radius import _phase_max
 from .semispace import as_operator
 
 __all__ = [
@@ -159,43 +162,23 @@ def q_range_2x2(form: CanonicalForm2x2, q) -> EllipseDisk:
     )
 
 
-def _extreme_on_boundary(disk: EllipseDisk, sign: float) -> float:
-    """Extremal |z| over the boundary ellipse (sign=+1 max, sign=-1 min)."""
-    zeta = disk.center * cmath.exp(-1j * disk.rotation)
-    big, small = disk.semi_major, disk.semi_minor
-
-    def modulus(s: float) -> float:
-        return abs(zeta + big * math.cos(s) + 1j * small * math.sin(s))
-
-    grid = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-    vals = np.abs(zeta + big * np.cos(grid) + 1j * small * np.sin(grid))
-    idx = int(np.argmax(sign * vals))
-    step = grid[1] - grid[0]
-    res = minimize_scalar(
-        lambda s: -sign * modulus(s),
-        bounds=(grid[idx] - step, grid[idx] + step),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    best = max(-res.fun, sign * float(vals[idx]))
-    return best if sign > 0 else -best
-
-
 def q_radius_2x2(form: CanonicalForm2x2, q) -> float:
     """Largest modulus over the ellipse-disk range (attained on the boundary), at |q|."""
-    return _extreme_on_boundary(q_range_2x2(form, _modulus(q)), 1.0)
+    disk = q_range_2x2(form, _modulus(q))
+    zeta = disk.center * cmath.exp(-1j * disk.rotation)
+    big, small = disk.semi_major, disk.semi_minor
+    return _phase_max(lambda s: np.abs(zeta + big * np.cos(s) + 1j * small * np.sin(s)), 720)[1]
 
 
 def _distance_to_ellipse(px: float, py: float, big: float, small: float) -> float:
-    """Distance from a point outside the axis-aligned ellipse to its boundary."""
+    """Distance from a point outside the axis-aligned ellipse to its boundary.
+
+    The semi-axes satisfy big >= small >= 0, as for every `q_range_2x2`.
+    """
     px, py = abs(px), abs(py)
-    if big <= 0.0 and small <= 0.0:
-        return math.hypot(px, py)
     if small <= 0.0:
-        # degenerate segment [-big, big] on the x axis
+        # degenerate segment [-big, big] on the x axis (a point when big = 0)
         return math.hypot(max(px - big, 0.0), py)
-    if big <= 0.0:
-        return math.hypot(px, max(py - small, 0.0))
     # on-axis outside points project onto the nearest vertex
     if py == 0.0:
         return max(px - big, 0.0)

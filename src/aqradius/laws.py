@@ -382,7 +382,7 @@ def _cor1(inst: _Instance, b: Budget):
     ]
     return [
         (law_id, "near-zero denominator")
-        if denom <= NEAR_ZERO_DENOMINATOR or lhs is None or rhs is None
+        if denom <= NEAR_ZERO_DENOMINATOR
         else (law_id, (lhs, rhs))
         for law_id, denom, lhs, rhs in pairs
     ]

@@ -13,7 +13,10 @@ restarts in its working set, retiring each one to a result array once the
 stop rule ends it, and tests the stop rule against a ring buffer of the last
 values.  Its seeded starts come from a small cache shared by all calls with
 the same seed, restart count and dimension; the cached arrays are read-only,
-so no call can change another's starts.
+so no call can change another's starts.  The A-numerical radius is instead
+max over phi of lambda_max of the Hermitian part of e^{i phi} B, found by the
+phase-sweep routine `_phase_max` (a grid plus a bounded Brent refine) that
+`exact.q_radius_2x2` shares.
 
 Suprema are therefore reported as lower bounds and infima as upper bounds.  Each
 estimate carries a witness pair (x, y) with ||x||_A = ||y||_A = 1 and
@@ -154,16 +157,6 @@ def _rule(b: np.ndarray, absq: float, p: float, kind: str):
     return rule
 
 
-def _sup(b: np.ndarray, absq: float, p: float):
-    """Rule of the sup: unit rows -> (|q| |c| + p rho, its gradient)."""
-    return _rule(b, absq, p, "sup")
-
-
-def _neg_inf(b: np.ndarray, absq: float, p: float, circle: bool):
-    """Rule of minus the inf, t = |q| |c| - p rho: -|t| on the circle, -max(t, 0) on the disk."""
-    return _rule(b, absq, p, "circle" if circle else "disk")
-
-
 # After overshooting a kink of the Crawford rules a restart may halve its step
 # 16 times before a step is accepted again; a shorter window stops it there.
 _STALL_STEPS = 20
@@ -188,7 +181,7 @@ def _starts(seed: int, restarts: int, dim: int) -> np.ndarray:
 def _extremize(
     value_grad, dim: int, budget: Budget, seed: int, scale: float
 ) -> tuple[float, np.ndarray, int, int]:
-    """Multi-start projected ascent of a rule (`_sup`, `_neg_inf`) over the unit sphere in C^dim.
+    """Multi-start projected ascent of a rule (`_rule`) over the unit sphere in C^dim.
 
     The restarts start from the cached, read-only `_starts` rows.  The working
     set holds only the live restarts: each step evaluates all of them once,
@@ -277,37 +270,43 @@ def _witness(b: np.ndarray, u: np.ndarray, q: complex, p: float, sup: bool) -> n
     return np.conj(q) * u - p * np.conj(d) * w
 
 
-def _phase_sweep(b: np.ndarray, grid: int) -> tuple[float, np.ndarray]:
-    """Numerical radius of B by sweeping max eigenvalues of rotated Hermitian parts."""
+def _phase_max(f, grid: int) -> tuple[float, float]:
+    """Maximum (phase, value) of a 2 pi-periodic function f of one phase.
+
+    f maps an array of phases to their values.  It is sampled at `grid`
+    equispaced phases; bounded Brent refines the best sample over its two
+    neighbouring cells, and the sample stands if the refined value is lower.
+    """
     phis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    rot = np.exp(1j * phis)[:, None, None]
-    herm = 0.5 * (rot * b + np.conj(rot) * b.conj().T)
-    lams = np.linalg.eigvalsh(herm)[:, -1]
-    i0 = int(np.argmax(lams))
+    vals = f(phis)
+    i0 = int(np.argmax(vals))
     step = 2.0 * math.pi / grid
-
-    def neg_lam(phi: float) -> float:
-        h = 0.5 * (np.exp(1j * phi) * b + np.exp(-1j * phi) * b.conj().T)
-        return -float(np.linalg.eigvalsh(h)[-1])
-
     res = minimize_scalar(
-        neg_lam,
+        lambda phi: -float(f(np.array([phi]))[0]),
         bounds=(phis[i0] - step, phis[i0] + step),
         method="bounded",
-        options={"xatol": 1e-10},
+        options={"xatol": 1e-13},
     )
-    phi_best = float(res.x) if -res.fun >= lams[i0] else float(phis[i0])
-    h = 0.5 * (np.exp(1j * phi_best) * b + np.exp(-1j * phi_best) * b.conj().T)
-    vals, vecs = np.linalg.eigh(h)
-    return float(vals[-1]), vecs[:, -1]
+    if -res.fun >= vals[i0]:
+        return float(res.x), float(-res.fun)
+    return float(phis[i0]), float(vals[i0])
 
 
 def a_radius(w: Weight, t, budget: Budget | None = None, seed: int = 0) -> Estimate:
     """Weighted numerical radius sup |<T x, x>_A| over A-unit x (two-sided)."""
     budget = budget or Budget()
     b = reduce_to_range(w, t)
-    value, vec = _phase_sweep(b, int(budget.grid_resolution))
-    x = w.lift(vec)
+
+    def hermitian_parts(phis: np.ndarray) -> np.ndarray:
+        rot = np.exp(1j * phis)[:, None, None]
+        return 0.5 * (rot * b + rot.conj() * b.conj().T)
+
+    def lam_max(phis: np.ndarray) -> np.ndarray:
+        return np.linalg.eigvalsh(hermitian_parts(phis))[:, -1]
+
+    phase, _ = _phase_max(lam_max, int(budget.grid_resolution))
+    vals, vecs = np.linalg.eigh(hermitian_parts(np.array([phase]))[0])
+    value, x = float(vals[-1]), w.lift(vecs[:, -1])
     return Estimate(
         value=value, direction=TWO_SIDED, witness_x=x, witness_y=x, budget=budget, seed=seed
     )
@@ -321,9 +320,9 @@ def _sphere_estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: boo
     if w.rank < 2 and abs(abs(q) - 1.0) > 1e-12:
         raise RankTooLow(f"weight rank {w.rank} < 2: the constraint set is empty for |q| < 1")
     absq, p = abs(q), math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
-    rule = _sup(b, absq, p) if sup else _neg_inf(b, absq, p, circle=b.shape[0] == 2)
+    kind = "sup" if sup else "circle" if b.shape[0] == 2 else "disk"
     value, u, evaluations, converged = _extremize(
-        rule, b.shape[0], budget, seed, float(np.linalg.norm(b))
+        _rule(b, absq, p, kind), b.shape[0], budget, seed, float(np.linalg.norm(b))
     )
     return Estimate(
         value=value if sup else -value,

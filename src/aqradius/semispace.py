@@ -128,7 +128,6 @@ class Weight:
         self.rank = rank
         vr = vecs[:, :rank]
         sr = np.sqrt(vals[:rank])
-        self.range_projector = vr @ vr.conj().T
         self._range_basis = vr
         self._range_scale = sr
 
@@ -175,11 +174,13 @@ def a_norm_vec(w: Weight, x) -> float:
 
 def _check_compatible(w: Weight, t: np.ndarray) -> None:
     # T is compatible with the weight iff A T vanishes on null(A); otherwise
-    # the weighted operator seminorm is infinite.
+    # the weighted operator seminorm is infinite.  The trailing eigenvectors
+    # are an orthonormal basis N of null(A), so ||A T N||_F is the leak
+    # ||A T (I - P)||_F, P the projector onto range(A).
+    if w.rank == w.dim:
+        return
     at = w.a @ t
-    n = w.dim
-    leak = at @ (np.eye(n) - w.range_projector)
-    leak_norm = np.linalg.norm(leak)
+    leak_norm = np.linalg.norm(at @ w.eigvecs[:, w.rank :])
     if leak_norm > 1e-8 * max(np.linalg.norm(at), 1e-300):
         raise NotABounded(
             f"operator maps null(weight) out of null(weight) (leak {leak_norm:.3e})"

@@ -58,3 +58,37 @@ def test_every_exported_exception_is_raised():
                 raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
     assert exceptions
     assert not exceptions - raised
+
+
+def _module_level_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return set()
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_every_private_module_level_name_is_used():
+    # a private helper, class or constant that no other statement of the package
+    # reads is dead code; a reference inside its own definition does not count
+    defined, used = {}, set()
+    for path in Path(aqradius.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            own = _module_level_names(top)
+            private = {name for name in own if name.startswith("_") and not name.startswith("__")}
+            defined.update((name, path.stem) for name in private)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    refs = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    refs = {node.attr}
+                elif isinstance(node, ast.ImportFrom):
+                    refs = {alias.name for alias in node.names}
+                else:
+                    continue
+                used |= refs - own
+    assert not {name: module for name, module in defined.items() if name not in used}

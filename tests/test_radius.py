@@ -23,7 +23,7 @@ from aqradius import (
     q_radius_2x2,
     reduce_to_range,
 )
-from aqradius.radius import _extremize, _neg_inf, _normalize_rows, _starts, _sup, _witness
+from aqradius.radius import _extremize, _normalize_rows, _phase_max, _rule, _starts, _witness
 from conftest import crandn, random_pd_weight, random_q
 from oracle import oracle_grid
 
@@ -55,6 +55,30 @@ class TestARadius:
         t = crandn(rng, 3, 3)
         est = a_radius(w, t)
         assert witness_value(w, t, est) == pytest.approx(est.value, abs=1e-7)
+
+
+class TestPhaseMax:
+    @pytest.mark.parametrize("offset", [-0.3, 0.37, 5.5, 15.8])
+    def test_finds_a_maximum_between_grid_points(self, offset):
+        grid = 16
+        peak = 2 * np.pi * offset / grid
+        phase, value = _phase_max(lambda phis: 2.0 + np.cos(phis - peak), grid)
+        assert value == pytest.approx(3.0, abs=1e-12)
+        assert np.angle(np.exp(1j * (phase - peak))) == pytest.approx(0.0, abs=1e-7)
+
+    def test_keeps_the_grid_sample_when_the_refine_does_worse(self):
+        # a spike too narrow for the refine at a grid phase, beside a broad lower
+        # bump: the refine climbs the bump to 0.5, below the sample's 1
+        grid = 16
+        step = 2 * np.pi / grid
+        peak = 5 * step
+
+        def f(phis):
+            d = np.angle(np.exp(1j * (phis - peak)))
+            bump = (d - 0.6 * step) / (0.2 * step)
+            return np.exp(-((d / 1e-9) ** 2)) + 0.5 * np.exp(-(bump**2))
+
+        assert _phase_max(f, grid) == (peak, f(np.array([peak]))[0])
 
 
 class TestAqRadius:
@@ -374,8 +398,8 @@ class TestStopRule:
             b = crandn(rng, n, n) + rng.choice([0.0, 2.0 * n]) * np.eye(n)
             absq = 1.0 - rng.random()
             p = np.sqrt(1 - absq**2)
-            for rule in (_sup(b, absq, p), _neg_inf(b, absq, p, circle=n == 2)):
-                rule, rows = counting(rule)
+            for kind in ("sup", "circle" if n == 2 else "disk"):
+                rule, rows = counting(_rule(b, absq, p, kind))
                 _extremize(rule, n, budget, seed=0, scale=np.linalg.norm(b))
                 evaluations.append(len(rows))
         assert np.median(evaluations) < budget.iterations / 4
@@ -400,11 +424,7 @@ def sphere_objectives(b, absq):
     row-scale invariant extension whose gradient the rules return.
     """
     p = np.sqrt(1 - absq**2)
-    rules = [
-        ("sup", _sup(b, absq, p)),
-        ("circle", _neg_inf(b, absq, p, circle=True)),
-        ("disk", _neg_inf(b, absq, p, circle=False)),
-    ]
+    rules = [(kind, _rule(b, absq, p, kind)) for kind in ("sup", "circle", "disk")]
     return [
         (name, lambda u, rule=rule: rule(_normalize_rows(u))[0], lambda u, rule=rule: rule(u)[1])
         for name, rule in rules
@@ -490,10 +510,8 @@ WITNESS_BRANCHES = [
 def test_witness_attains_the_rule_value(b, u, q, sup):
     absq = abs(q)
     p = np.sqrt(max(0.0, 1 - absq**2))
-    if sup:
-        value = _sup(b, absq, p)(u[None, :])[0][0]
-    else:
-        value = -_neg_inf(b, absq, p, circle=u.size == 2)(u[None, :])[0][0]
+    kind = "sup" if sup else "circle" if u.size == 2 else "disk"
+    value = (1.0 if sup else -1.0) * _rule(b, absq, p, kind)(u[None, :])[0][0]
     with np.errstate(all="raise"):
         v = _witness(b, u, q, p, sup)
     assert np.vdot(v, u) == pytest.approx(q, abs=1e-12)  # <u, v> = v^H u
@@ -570,6 +588,24 @@ def test_radius_matches_the_2x2_closed_form(seed, n, modulus, theta):
     assert a_opnorm(w, t) == pytest.approx(norm, rel=1e-9)
     exact = q_radius_2x2(canonical_2x2(b0), q)
     assert aq_radius(w, t, q).value == pytest.approx(exact, abs=1e-9 * norm)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3]),
+    shift=st.sampled_from([0.0, 1.0, 3.0]),
+    modulus=st.floats(0.0, 0.99),
+    theta=st.floats(0.0, 2 * np.pi),
+)
+def test_crawford_matches_the_2x2_closed_form(seed, n, shift, modulus, theta):
+    # the shifts move the ellipse off the origin, so c_q > 0 is drawn as well as c_q = 0
+    rng = np.random.default_rng(seed)
+    b0 = crandn(rng, 2, 2) + shift * np.exp(1j * rng.uniform(0.0, 2 * np.pi)) * np.eye(2)
+    w, t = embed_2x2(rng, b0, n)
+    q = modulus * np.exp(1j * theta)
+    exact = q_crawford_2x2(canonical_2x2(b0), q)
+    assert aq_crawford(w, t, q).value == pytest.approx(exact, abs=1e-9 * np.linalg.norm(b0, 2))
 
 
 @pytest.mark.xfail(
