@@ -8,7 +8,8 @@ values are evaluated at |q|.  This module computes that canonical form, the
 ellipse, and the resulting extremal moduli, plus the known formula for the 3x3
 nilpotent Jordan block.  The largest modulus is a maximum over the boundary
 phase, found by the phase-sweep routine `radius._phase_max` that also serves
-`a_radius`; the smallest is a distance to the ellipse.
+`a_radius`; the smallest is a distance to the ellipse, whose projection equation
+`_brentq` (Brent's zeroin) solves.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .radius import _phase_max
 from .semispace import as_operator
@@ -170,6 +170,51 @@ def q_radius_2x2(form: CanonicalForm2x2, q) -> float:
     return _phase_max(lambda s: np.abs(zeta + big * np.cos(s) + 1j * small * np.sin(s)), 720)[1]
 
 
+# Brent's zeroin, ported line for line from scipy.optimize.brentq
+# (scipy/optimize/Zeros/brentq.c, scipy, BSD-3-Clause) so that the package needs
+# numpy alone: it evaluates f at the same points, returns the same root and raises
+# where scipy does, on a bracket without a sign change or on non-convergence.
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """A root of f in [xa, xb], where f changes sign: bisection, secant and inverse quadratic steps."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _distance_to_ellipse(px: float, py: float, big: float, small: float) -> float:
     """Distance from a point outside the axis-aligned ellipse to its boundary.
 
@@ -193,7 +238,7 @@ def _distance_to_ellipse(px: float, py: float, big: float, small: float) -> floa
     hi = math.hypot(big * px, small * py)
     while g(hi) >= 0.0:
         hi *= 2.0
-    t_star = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    t_star = _brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     ex = big * big * px / (t_star + big * big)
     ey = small * small * py / (t_star + small * small)
     return math.hypot(px - ex, py - ey)

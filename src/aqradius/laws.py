@@ -33,7 +33,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .radius import Budget, a_radius, aq_crawford, aq_radius
 from .semispace import (
@@ -213,6 +212,11 @@ def _sqrt_2_1mre(q: complex) -> float:
     return math.sqrt(max(0.0, 2.0 * (1.0 - q.real)))
 
 
+def _block_diag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix diag(x, y): the matrix realization of a direct sum."""
+    return np.block([[x, np.zeros((x.shape[0], y.shape[1]))], [np.zeros((y.shape[0], x.shape[1])), y]])
+
+
 class _Instance:
     """One (A, T, q) instance and the partner operators the laws compare T with.
 
@@ -268,7 +272,7 @@ class _Instance:
     def direct_sum(self) -> _Ev:
         """T (+) T2 under the weight A (+) A2."""
         ev, ev2 = self.ev, self.partner
-        return _Ev(Weight(block_diag(ev.w.a, ev2.w.a)), block_diag(ev.t, ev2.t), self.seed)
+        return _Ev(Weight(_block_diag(ev.w.a, ev2.w.a)), _block_diag(ev.t, ev2.t), self.seed)
 
 
 # --- the laws: one check function each --------------------------------------

@@ -15,8 +15,8 @@ values.  Its seeded starts come from a small cache shared by all calls with
 the same seed, restart count and dimension; the cached arrays are read-only,
 so no call can change another's starts.  The A-numerical radius is instead
 max over phi of lambda_max of the Hermitian part of e^{i phi} B, found by the
-phase-sweep routine `_phase_max` (a grid plus a bounded Brent refine) that
-`exact.q_radius_2x2` shares.
+phase-sweep routine `_phase_max` (a grid plus a bounded Brent refine,
+`_bounded_min`) that `exact.q_radius_2x2` shares.
 
 Suprema are therefore reported as lower bounds and infima as upper bounds.  Each
 estimate carries a witness pair (x, y) with ||x||_A = ||y||_A = 1 and
@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .semispace import RankTooLow, Weight, a_opnorm, reduce_to_range, validate_q
 
@@ -270,25 +269,91 @@ def _witness(b: np.ndarray, u: np.ndarray, q: complex, p: float, sup: bool) -> n
     return np.conj(q) * u - p * np.conj(d) * w
 
 
+# Brent's bounded minimizer (Brent 1973, ch. 5), ported line for line from
+# scipy.optimize._minimize_scalar_bounded (scipy, BSD-3-Clause) so that the package
+# needs numpy alone: it evaluates f at the same points and returns the same minimum
+# as minimize_scalar(method="bounded") with the same xatol and its default cap of
+# 500 evaluations.
+def _bounded_min(f, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """Minimum (x, f(x)) of a scalar f on [a, b] by golden sections and parabolic steps."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        si = 1.0 if rat >= 0.0 else -1.0
+        x = xf + si * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf, fx
+
+
 def _phase_max(f, grid: int) -> tuple[float, float]:
     """Maximum (phase, value) of a 2 pi-periodic function f of one phase.
 
     f maps an array of phases to their values.  It is sampled at `grid`
-    equispaced phases; bounded Brent refines the best sample over its two
+    equispaced phases; `_bounded_min` refines the best sample over its two
     neighbouring cells, and the sample stands if the refined value is lower.
     """
     phis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     vals = f(phis)
     i0 = int(np.argmax(vals))
     step = 2.0 * math.pi / grid
-    res = minimize_scalar(
-        lambda phi: -float(f(np.array([phi]))[0]),
-        bounds=(phis[i0] - step, phis[i0] + step),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    if -res.fun >= vals[i0]:
-        return float(res.x), float(-res.fun)
+    lo, hi = float(phis[i0] - step), float(phis[i0] + step)
+    phase, neg = _bounded_min(lambda phi: -float(f(np.array([phi]))[0]), lo, hi, 1e-13)
+    if -neg >= vals[i0]:
+        return phase, -neg
     return float(phis[i0]), float(vals[i0])
 
 

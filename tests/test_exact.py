@@ -23,6 +23,16 @@ EX2 = np.array([[0.0, 1.0 / 24.0], [0.0, 0.0]], dtype=complex)
 Q_GRID = np.round(np.arange(0.1, 1.01, 0.1), 10)
 
 
+def _point_outside(a, b, q, s, gap):
+    """[[g, a], [b, g]] whose q-range ellipse has the origin `gap` outside it, on the normal at s."""
+    p = np.sqrt(1 - q * q)
+    big, small = (a + b) / 2 + p * (a - b) / 2, (a - b) / 2 + p * (a + b) / 2
+    x, y = big * np.cos(s), small * np.sin(s)
+    normal = complex(x / big**2, y / small**2)
+    g = -(complex(x, y) + gap * normal / abs(normal)) / q
+    return np.array([[g, a], [b, g]])
+
+
 def reconstruction_residual(t, form):
     lhs = form.u_similar.conj().T @ t @ form.u_similar
     return np.max(np.abs(lhs - form.matrix()))
@@ -132,19 +142,37 @@ class TestClosedFormValues:
         form = canonical_2x2(2.0 * np.eye(2))
         assert q_crawford_2x2(form, 0.5) == pytest.approx(1.0, abs=1e-12)
 
-    def test_crawford_outside_ellipse(self):
-        # center 3q, ellipse radius (1 + p)/2 around it: origin is outside
-        t = np.array([[3.0, 1.0], [0.0, 3.0]], dtype=complex)
-        q = 0.8
+    @pytest.mark.parametrize(
+        "t, q",
+        [
+            # center 3q, circle of radius (1 + p)/2 around it: the origin is outside, on the axis
+            (np.array([[3.0, 1.0], [0.0, 3.0]], dtype=complex), 0.8),
+            # b << a: semi-axes 0.8002 and 0.7998
+            (np.array([[3 * np.exp(0.7j), 1.0], [1e-3, 3 * np.exp(0.7j)]]), 0.8),
+            # b ~ a, q ~ 1: semi-axes 1.0 and 1.5e-5
+            (np.array([[2 * np.exp(0.3j), 1.0], [1 - 1e-6, 2 * np.exp(0.3j)]]), 1 - 1e-10),
+            # the query point 1e-7 outside the boundary, where the projection equation is steep
+            (_point_outside(1.0, 0.4, 0.6, 0.9, 1e-7), 0.6),
+            # 1e-8 outside a flat ellipse near its sharp end
+            (_point_outside(1.0, 0.99, 0.999, 0.02, 1e-8), 0.999),
+        ],
+        ids=["on-axis", "near-circular", "flat", "near-boundary", "near-vertex"],
+    )
+    def test_crawford_outside_ellipse(self, t, q):
         form = canonical_2x2(t)
         val = q_crawford_2x2(form, q)
-        # cross-check against dense boundary search
+        # cross-check against a dense boundary search, refined around its best sample
         disk = q_range_2x2(form, q)
+
+        def modulus(s):
+            boundary = disk.center + np.exp(1j * disk.rotation) * (
+                disk.semi_major * np.cos(s) + 1j * disk.semi_minor * np.sin(s)
+            )
+            return np.abs(boundary)
+
         s = np.linspace(0, 2 * np.pi, 200001)
-        boundary = disk.center + np.exp(1j * disk.rotation) * (
-            disk.semi_major * np.cos(s) + 1j * disk.semi_minor * np.sin(s)
-        )
-        assert val == pytest.approx(np.min(np.abs(boundary)), abs=1e-9)
+        i, h = int(np.argmin(modulus(s))), s[1] - s[0]
+        assert val == pytest.approx(np.min(modulus(np.linspace(s[i] - h, s[i] + h, 200001))), abs=1e-12)
 
     def test_radius_max_on_boundary_vs_full_grid(self, rng):
         # the maximizer sits on the outer ellipse: compare against an (r, s) grid
@@ -219,15 +247,23 @@ def test_rotated_range_contains_sampled_values(seed, modulus, theta):
         assert disk.contains(np.vdot(y, t @ x), tol=1e-9)
 
 
+# the q = 1 Crawford draws that the sphere search misses, by 6e-9, 3e-5 and 8.3e-7 of
+# ||T||_2: the defect pinned by the strict xfail
+# tests/test_radius.py::test_q_one_crawford_matches_the_2x2_closed_form
+Q_ONE_CRAWFORD_MISSES = {69, 89, 119}
+
+
 def test_closed_forms_match_estimators_on_random_matrices(rng):
-    # 200 random 2x2 matrices, q on the deciles: closed form vs sampling
+    # 200 random 2x2 matrices, q on the deciles: closed form vs sampling, to 1e-9 ||T||_2
     budget = Budget(restarts=32, iterations=300)
     w = Weight.identity(2)
     for k in range(200):
         t = crandn(rng, 2, 2)
         form = canonical_2x2(t)
         q = float(Q_GRID[k % len(Q_GRID)])
+        tol = 1e-9 * np.linalg.norm(t, 2)
         rad_exact = q_radius_2x2(form, q)
         cra_exact = q_crawford_2x2(form, q)
-        assert aq_radius(w, t, q, budget).value == pytest.approx(rad_exact, abs=5e-4)
-        assert aq_crawford(w, t, q, budget).value == pytest.approx(cra_exact, abs=5e-4)
+        assert aq_radius(w, t, q, budget).value == pytest.approx(rad_exact, abs=tol)
+        cra_tol = 5e-4 if k in Q_ONE_CRAWFORD_MISSES else tol
+        assert aq_crawford(w, t, q, budget).value == pytest.approx(cra_exact, abs=cra_tol)

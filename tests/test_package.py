@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +95,48 @@ def test_every_private_module_level_name_is_used():
                     continue
                 used |= refs - own
     assert not {name: module for name, module in defined.items() if name not in used}
+
+
+def test_no_module_imports_scipy():
+    # the package needs numpy alone; a scipy import, even one inside a function,
+    # would add scipy's load time to the first run that reaches it
+    found = []
+    for path in Path(aqradius.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.stem, node.lineno, n) for n in names if n.split(".")[0] == "scipy"]
+    assert not found
+
+
+RUN_WITHOUT_SCIPY = """
+import sys
+import numpy as np
+import aqradius
+import aqradius.cli
+from aqradius import Budget, Weight, a_radius, canonical_2x2, law_app1, q_crawford_2x2, q_radius_2x2
+
+t = np.array([[1.0, 2.0 + 1.0j], [0.5j, -1.0]])
+w = Weight.identity(2)
+a_radius(w, t)
+form = canonical_2x2(t + 4.0 * np.exp(0.5j) * np.eye(2))
+q_radius_2x2(form, 0.7)
+assert q_crawford_2x2(form, 0.7) > 0.0  # the origin is outside: the root finder runs
+law_app1(w, t, w, 2.0 * t, 0.5, Budget(restarts=2, iterations=5))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_a_run_loads_no_scipy_module():
+    # import, a phase sweep, both 2x2 closed forms and a direct-sum law in a fresh process
+    src = str(Path(aqradius.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_WITHOUT_SCIPY], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
