@@ -93,17 +93,17 @@ def _cmd_compute(args) -> int:
     budget = _budget_from_flag(args.budget)
 
     opnorm = a_opnorm(w, mat)
-    omega_a = a_radius(w, mat, budget=budget, seed=args.seed).value
-    c_a = a_crawford(w, mat, budget=budget, seed=args.seed).value
-
     if args.exact:
         b = reduce_to_range(w, mat)
         if b.shape[0] != 2:
             raise ValueError("--exact needs a 2x2 operator after reduction")
         form = exact.canonical_2x2(b)
         omega_aq, c_aq = exact.q_radius_2x2(form, q), exact.q_crawford_2x2(form, q)
+        omega_a, c_a = exact.q_radius_2x2(form, 1.0), exact.q_crawford_2x2(form, 1.0)
         witnesses = None
     else:
+        omega_a = a_radius(w, mat, budget=budget, seed=args.seed).value
+        c_a = a_crawford(w, mat, budget=budget, seed=args.seed).value
         rad = aq_radius(w, mat, q, budget=budget, seed=args.seed)
         cra = aq_crawford(w, mat, q, budget=budget, seed=args.seed)
         omega_aq, c_aq = rad.value, cra.value
@@ -263,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, help="constraint parameter RE[,IM]")
     p.add_argument("--budget", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact", action="store_true", help="use the 2x2 closed form")
+    p.add_argument("--exact", action="store_true", help="use the 2x2 closed forms for every value")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("figure", help="write figure-reproduction data as CSV")

@@ -6,10 +6,9 @@ ellipse.  Since W_q(T) = (q/|q|) W_{|q|}(T), a complex q rotates the ellipse of
 |q| by arg q and leaves every modulus unchanged, so the radius and Crawford
 values are evaluated at |q|.  This module computes that canonical form, the
 ellipse, and the resulting extremal moduli, plus the known formula for the 3x3
-nilpotent Jordan block.  The largest modulus is a maximum over the boundary
-phase, found by the phase-sweep routine `radius._phase_max` that also serves
-`a_radius`; the smallest is a distance to the ellipse, whose projection equation
-`_brentq` (Brent's zeroin) solves.
+nilpotent Jordan block.  Both extremal moduli are attained on the ellipse's
+boundary, at phases where d|z|/ds = 0; these are the roots of one quartic in
+e^{is} (`_boundary_moduli`), so neither value needs a grid or an iteration.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radius import _phase_max
 from .semispace import as_operator
 
 __all__ = [
@@ -77,13 +75,15 @@ class EllipseDisk:
         return self.center + cmath.exp(1j * self.rotation) * body
 
     def contains(self, z: complex, tol: float = 1e-12) -> bool:
+        """Membership up to the relative tolerance tol, so scaling z and the ellipse keeps the answer."""
         zeta = (complex(z) - self.center) * cmath.exp(-1j * self.rotation)
         xi, eta = zeta.real, zeta.imag
         big, small = self.semi_major, self.semi_minor
-        if big <= tol:
-            return abs(zeta) <= tol
-        if small <= tol:
-            return abs(eta) <= tol and abs(xi) <= big + tol
+        slack = tol * max(big, abs(zeta))
+        if big <= slack:
+            return abs(zeta) <= slack
+        if small <= slack:
+            return abs(eta) <= slack and abs(xi) <= big + slack
         return (xi / big) ** 2 + (eta / small) ** 2 <= 1.0 + tol
 
 
@@ -162,95 +162,38 @@ def q_range_2x2(form: CanonicalForm2x2, q) -> EllipseDisk:
     )
 
 
-def q_radius_2x2(form: CanonicalForm2x2, q) -> float:
-    """Largest modulus over the ellipse-disk range (attained on the boundary), at |q|."""
-    disk = q_range_2x2(form, _modulus(q))
+def _boundary_moduli(disk: EllipseDisk) -> tuple[float, float]:
+    """Smallest and largest |z| over the boundary of the ellipse-disk.
+
+    In the ellipse's own frame the boundary is zeta + M cos s + i m sin s with
+    zeta = x + i y, and d|z|^2/ds = 0 is, in w = e^{is}, the quartic
+    (m^2 - M^2) w^4 + 2(i m y - M x) w^3 + 2(i m y + M x) w - (m^2 - M^2) = 0.
+    The phases of its roots, with the four vertices for the centred circle where
+    it vanishes, are the candidates.  The quartic is taken for the ellipse
+    scaled to size M + |zeta| = 1, so its coefficients neither overflow nor
+    underflow, and coefficients below round-off are dropped.
+    """
     zeta = disk.center * cmath.exp(-1j * disk.rotation)
     big, small = disk.semi_major, disk.semi_minor
-    return _phase_max(lambda s: np.abs(zeta + big * np.cos(s) + 1j * small * np.sin(s)), 720)[1]
+    size = big + abs(zeta) or 1.0
+    x, y, mj, mn = zeta.real / size, zeta.imag / size, big / size, small / size
+    lead = mn * mn - mj * mj
+    coeffs = np.array([lead, 2 * (1j * mn * y - mj * x), 0.0, 2 * (1j * mn * y + mj * x), -lead])
+    coeffs[np.abs(coeffs) <= 1e-15] = 0.0
+    phases = np.concatenate([np.angle(np.roots(coeffs)), 0.5 * np.pi * np.arange(4)])
+    moduli = np.abs(zeta + big * np.cos(phases) + 1j * small * np.sin(phases))
+    return float(moduli.min()), float(moduli.max())
 
 
-# Brent's zeroin, ported line for line from scipy.optimize.brentq
-# (scipy/optimize/Zeros/brentq.c, scipy, BSD-3-Clause) so that the package needs
-# numpy alone: it evaluates f at the same points, returns the same root and raises
-# where scipy does, on a bracket without a sign change or on non-convergence.
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """A root of f in [xa, xb], where f changes sign: bisection, secant and inverse quadratic steps."""
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
-def _distance_to_ellipse(px: float, py: float, big: float, small: float) -> float:
-    """Distance from a point outside the axis-aligned ellipse to its boundary.
-
-    The semi-axes satisfy big >= small >= 0, as for every `q_range_2x2`.
-    """
-    px, py = abs(px), abs(py)
-    if small <= 0.0:
-        # degenerate segment [-big, big] on the x axis (a point when big = 0)
-        return math.hypot(max(px - big, 0.0), py)
-    # on-axis outside points project onto the nearest vertex
-    if py == 0.0:
-        return max(px - big, 0.0)
-    if px == 0.0:
-        return max(py - small, 0.0)
-
-    # projection equation, strictly decreasing in t on (-small^2, inf)
-    def g(t: float) -> float:
-        return (big * px / (t + big * big)) ** 2 + (small * py / (t + small * small)) ** 2 - 1.0
-
-    lo = -(small * small) + max(1e-300, small * small) * 1e-14
-    hi = math.hypot(big * px, small * py)
-    while g(hi) >= 0.0:
-        hi *= 2.0
-    t_star = _brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    ex = big * big * px / (t_star + big * big)
-    ey = small * small * py / (t_star + small * small)
-    return math.hypot(px - ex, py - ey)
+def q_radius_2x2(form: CanonicalForm2x2, q) -> float:
+    """Largest modulus over the ellipse-disk range (attained on the boundary), at |q|."""
+    return _boundary_moduli(q_range_2x2(form, _modulus(q)))[1]
 
 
 def q_crawford_2x2(form: CanonicalForm2x2, q) -> float:
     """Smallest modulus over the ellipse-disk range (0 if the origin is inside), at |q|."""
     disk = q_range_2x2(form, _modulus(q))
-    if disk.contains(0.0):
-        return 0.0
-    zeta = -disk.center * cmath.exp(-1j * disk.rotation)
-    return _distance_to_ellipse(zeta.real, zeta.imag, disk.semi_major, disk.semi_minor)
+    return 0.0 if disk.contains(0.0) else _boundary_moduli(disk)[0]
 
 
 def jordan3_q_radius(q) -> float:

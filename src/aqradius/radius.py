@@ -16,7 +16,7 @@ the same seed, restart count and dimension; the cached arrays are read-only,
 so no call can change another's starts.  The A-numerical radius is instead
 max over phi of lambda_max of the Hermitian part of e^{i phi} B, found by the
 phase-sweep routine `_phase_max` (a grid plus a bounded Brent refine,
-`_bounded_min`) that `exact.q_radius_2x2` shares.
+`_bounded_min`).
 
 Suprema are therefore reported as lower bounds and infima as upper bounds.  Each
 estimate carries a witness pair (x, y) with ||x||_A = ||y||_A = 1 and

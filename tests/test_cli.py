@@ -139,14 +139,27 @@ def test_compute_exits_3_on_an_operator_the_weight_does_not_bound(tmp_path, caps
 
 
 def test_compute_exact_uses_the_closed_forms(tmp_path, capsys):
-    mat = np.array([[1.0, 2.0], [0.5j, -1.0]])
-    argv = ["compute", "--matrix", _matrix_file(tmp_path, mat), "--q", "0.5", "--exact", "--budget", "4"]
-    assert cli.main(argv) == 0
-    out = json.loads(capsys.readouterr().out)
-    form = exact.canonical_2x2(mat)
-    assert out["omega_aq"] == pytest.approx(exact.q_radius_2x2(form, 0.5), abs=1e-14)
-    assert out["c_aq"] == pytest.approx(exact.q_crawford_2x2(form, 0.5), abs=1e-14)
-    assert out["witnesses"] is None
+    # the second matrix is the one whose q = 1 Crawford number the sphere search
+    # misses by 1.3e-5 ||B|| (the strict xfail in tests/test_radius.py)
+    mats = [
+        np.array([[1.0, 2.0], [0.5j, -1.0]]),
+        np.array(
+            [
+                [0.302037 - 0.981239j, 1.296558 - 0.159437j],
+                [-0.429271 - 0.673309j, 0.216538 - 0.757542j],
+            ]
+        ),
+    ]
+    for mat in mats:
+        argv = ["compute", "--matrix", _matrix_file(tmp_path, mat), "--q", "0.5", "--exact", "--budget", "4"]
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        form = exact.canonical_2x2(mat)
+        assert out["omega_aq"] == pytest.approx(exact.q_radius_2x2(form, 0.5), abs=1e-14)
+        assert out["c_aq"] == pytest.approx(exact.q_crawford_2x2(form, 0.5), abs=1e-14)
+        assert out["omega_a"] == pytest.approx(exact.q_radius_2x2(form, 1.0), abs=1e-14)
+        assert out["c_a"] == pytest.approx(exact.q_crawford_2x2(form, 1.0), abs=1e-14)
+        assert out["witnesses"] is None
 
 
 def test_compute_exact_takes_complex_q_by_its_modulus(tmp_path, capsys):

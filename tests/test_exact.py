@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqradius import (
@@ -125,6 +125,13 @@ class TestClosedFormValues:
         assert q_radius_2x2(form, q) == pytest.approx(q / 20, abs=1e-12)
         assert q_crawford_2x2(form, q) == pytest.approx(q / 20, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [EX1, EX2, np.eye(2) / 20], ids=["example1", "example2", "example3"])
+    def test_q_zero_gives_the_disk_of_radius_a(self, t):
+        # W_0(T) is the disk of radius a about 0, where every quartic coefficient vanishes
+        form = canonical_2x2(t)
+        assert q_radius_2x2(form, 0.0) == form.a
+        assert q_crawford_2x2(form, 0.0) == 0.0
+
     def test_nilpotent_crawford_vanishes(self):
         form = canonical_2x2(EX1)
         for q in Q_GRID:
@@ -215,6 +222,7 @@ PHASES = st.floats(0.0, 2 * np.pi)
 
 
 @settings(max_examples=30, deadline=None)
+@example(seed=1, modulus=5e-324, theta=0.0)  # every nonzero quartic coefficient is denormal
 @given(seed=st.integers(0, 2**32 - 1), modulus=st.floats(0.0, 1.0), theta=PHASES)
 def test_closed_forms_take_q_by_its_modulus(seed, modulus, theta):
     # W_q(T) = (q/|q|) W_{|q|}(T), so no modulus over it moves with arg q; the
@@ -227,6 +235,31 @@ def test_closed_forms_take_q_by_its_modulus(seed, modulus, theta):
     assert q_crawford_2x2(form, q) == pytest.approx(q_crawford_2x2(form, abs(q)), abs=tol)
     q = (0.5 + 0.5 * modulus) * np.exp(1j * theta)  # the Jordan formula covers |q| in [1/2, 1]
     assert jordan3_q_radius(q) == pytest.approx(jordan3_q_radius(abs(q)), abs=1e-12)  # norm 1
+
+
+# the origin 1e-6 and 0.3 outside the q = 0.8 range ellipse
+NEAR_BOUNDARY = [(_point_outside(1.0, 0.4, 0.8, 0.7, gap), 0.8) for gap in (1e-6, 0.3)]
+
+
+def _random_case(seed):
+    rng = np.random.default_rng(seed)
+    t = crandn(rng, 2, 2) + 3 * rng.random() * crandn(rng) * np.eye(2)  # a shift moves the origin out
+    return t, rng.random() * np.exp(2j * np.pi * rng.random())
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=NEAR_BOUNDARY[0], c=1e-8)
+@example(case=NEAR_BOUNDARY[1], c=1e-12)
+@given(
+    case=st.one_of(st.sampled_from(NEAR_BOUNDARY), st.integers(0, 2**32 - 1).map(_random_case)),
+    c=st.sampled_from([1e-200, 1e-12, 1e-8, 1e-4, 1e4, 1e8, 1e200]),
+)
+def test_closed_forms_are_homogeneous(case, c):
+    # W_q(cT) = c W_q(T), so both moduli scale with c at every magnitude
+    t, q = case
+    tol = 1e-12 * np.linalg.norm(t, 2)
+    for value in (q_radius_2x2, q_crawford_2x2):
+        assert value(canonical_2x2(c * t), q) / c == pytest.approx(value(canonical_2x2(t), q), abs=tol)
 
 
 @settings(max_examples=30, deadline=None)
