@@ -147,11 +147,11 @@ def _cmd_figure(args) -> int:
     mat = _example_matrix(example)
     n_grid = args.grid
     w = Weight.identity(mat.shape[0])
+    omega = a_radius(w, mat).value
     rows: list[list[float]] = []
 
     if example in (1, 2, 3):
         form = exact.canonical_2x2(mat)
-        omega = a_radius(w, mat).value
         opnorm = a_opnorm(w, mat)
         qs = np.linspace(0.0, 1.0, n_grid)
         if example == 1:
@@ -182,7 +182,6 @@ def _cmd_figure(args) -> int:
                 )
     else:
         header = "q,omega_q,abs_diff,upper_bound"
-        omega = a_radius(Weight.identity(3), mat).value
         for q in np.linspace(0.5, 1.0, n_grid):
             omega_q = exact.jordan3_q_radius(q)
             rows.append([q, omega_q, abs(omega_q - omega), math.sqrt(2.0 * (1.0 - q))])
@@ -232,7 +231,7 @@ def _operator_sequence(args) -> sequences.OperatorSequence:
 def _cmd_converge(args) -> int:
     budget = _budget_from_flag(args.budget)
     if args.rule == "qseq":
-        if sequences._quantities()[args.quantity].limit is None:
+        if sequences._quantities()[args.quantity].is_gap:
             raise ValueError(f"--quantity {args.quantity} needs an operator rule; qseq traces radius or crawford")
         if args.matrix is None:
             raise ValueError("--matrix is required for the qseq rule")

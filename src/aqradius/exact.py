@@ -151,13 +151,12 @@ def _modulus(q) -> float:
 def q_range_2x2(form: CanonicalForm2x2, q) -> EllipseDisk:
     """Ellipse-disk q-numerical range of a canonical 2x2 form: the |q| ellipse rotated by arg q."""
     m, theta = _modulus(q), cmath.phase(complex(q))
-    c = 0.5 * (form.a + form.b)
-    d = 0.5 * (form.a - form.b)
     p = math.sqrt(max(0.0, 1.0 - m * m))
+    # ((1 + p) a +- (1 - p) b)/2, so q = 0 gives the disk of radius a exactly
     return EllipseDisk(
         center=cmath.exp(1j * form.t) * form.gamma * m * cmath.exp(1j * theta),
-        semi_major=c + p * d,
-        semi_minor=d + p * c,
+        semi_major=0.5 * ((1.0 + p) * form.a + (1.0 - p) * form.b),
+        semi_minor=0.5 * ((1.0 + p) * form.a - (1.0 - p) * form.b),
         rotation=form.t + theta,
     )
 

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .radius import Budget, a_radius, aq_crawford, aq_radius
+from .radius import Budget, aq_crawford, aq_radius
 from .semispace import (
     Weight,
     a_adjoint,
@@ -165,9 +165,8 @@ class _Ev:
     """Cached estimator front-end for one (weight, matrix) instance.
 
     The values depend on q only through |q|, so each is computed once per
-    (estimator, |q|, budget): q, alpha q and conj(q) share one sphere search.
-    The search runs at the rounded |q| of the key, so a value does not depend
-    on which of them asked first.
+    (estimator, |q|, budget), at the rounded |q| of the key: q, alpha q and
+    conj(q) share one estimate, whichever asks first.  omega_A is the radius at |q| = 1.
     """
 
     def __init__(self, w: Weight, t, seed: int):
@@ -177,20 +176,15 @@ class _Ev:
         self._cache: dict = {}
 
     def _cached(self, estimator: Callable, q, budget: Budget) -> float:
-        """``estimator`` at (A, T, q), once per (estimator, |q|, budget); q is None for a_radius."""
-        modulus = None if q is None else round(abs(q), 13)
-        key = (estimator, modulus, budget)
+        """``estimator`` at (A, T, q), once per (estimator, |q|, budget)."""
+        key = (estimator, round(abs(q), 13), budget)
         if key not in self._cache:
-            args = (self.w, self.t) if q is None else (self.w, self.t, modulus)
-            self._cache[key] = estimator(*args, budget=budget, seed=self.seed).value
+            self._cache[key] = estimator(self.w, self.t, key[1], budget=budget, seed=self.seed).value
         return self._cache[key]
 
     @cached_property
     def opnorm(self) -> float:
         return a_opnorm(self.w, self.t)
-
-    def radius_a(self, budget: Budget) -> float:
-        return self._cached(a_radius, None, budget)
 
     def radius_q(self, q, budget: Budget) -> float:
         return self._cached(aq_radius, q, budget)
@@ -301,7 +295,7 @@ def _t1_45(inst: _Instance, b: Budget):
         reason = f"composite parameter |{qc:.4f}| outside (0, 1]"
         return [("t1_4", reason), ("t1_5", reason)]
     ev, am = inst.ev, abs(p.mu)
-    base = abs(p.lam) * ev.radius_a(b)
+    base = abs(p.lam) * ev.radius_q(1.0, b)
     return [
         ("t1_4", (p.gamma * ev.radius_q(qc, b), base + am * inst.adj.radius_q(q, b))),
         ("t1_5", (p.gamma * ev.crawford_q(qc, b), base + am * inst.adj.crawford_q(q, b))),
@@ -316,31 +310,29 @@ def _t1_78(inst: _Instance, b: Budget):
     s = _sqrt_2_1mre(q)
     corr = s * ev.radius_q((1.0 - q) / s, b)
     return [
-        ("t1_7", (ev.radius_a(b), ev.radius_q(q, b) + corr)),
+        ("t1_7", (ev.radius_q(1.0, b), ev.radius_q(q, b) + corr)),
         ("t1_8", (ev.crawford_q(1.0, b), ev.crawford_q(q, b) + corr)),
     ]
 
 
 def _note(inst: _Instance, b: Budget):
     ev, q = inst.ev, inst.q
-    return [("note", ((1.0 - _sqrt_2_1mre(q)) * ev.radius_a(b), ev.radius_q(q, b)))]
+    return [("note", ((1.0 - _sqrt_2_1mre(q)) * ev.radius_q(1.0, b), ev.radius_q(q, b)))]
 
 
 def _t2(inst: _Instance, b: Budget):
     ev, q = inst.ev, inst.q
     pair_sum = ev.radius_q(q, b) + ev.radius_q(np.conj(q), b)
-    upper = 2.0 * ev.radius_a(b) + 2.0 * math.sqrt(2.0) * math.sqrt(
-        max(0.0, 1.0 - q.real)
-    ) * ev.opnorm
+    upper = 2.0 * ev.radius_q(1.0, b) + 2.0 * _sqrt_2_1mre(q) * ev.opnorm
     return [
-        ("t2_lower", (2.0 * abs(q.real) * ev.radius_a(b), pair_sum)),
+        ("t2_lower", (2.0 * abs(q.real) * ev.radius_q(1.0, b), pair_sum)),
         ("t2_upper", (pair_sum, upper)),
     ]
 
 
 def _t4_1(inst: _Instance, b: Budget):
     ev, q = inst.ev, inst.q
-    return [("t4_1", (abs(ev.radius_q(q, b) - ev.radius_a(b)), _sqrt_2_1mre(q) * ev.opnorm))]
+    return [("t4_1", (abs(ev.radius_q(q, b) - ev.radius_q(1.0, b)), _sqrt_2_1mre(q) * ev.opnorm))]
 
 
 def _t5_1(inst: _Instance, b: Budget):

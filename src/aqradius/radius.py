@@ -13,14 +13,15 @@ restarts in its working set, retiring each one to a result array once the
 stop rule ends it, and tests the stop rule against a ring buffer of the last
 values.  Its seeded starts come from a small cache shared by all calls with
 the same seed, restart count and dimension; the cached arrays are read-only,
-so no call can change another's starts.  The A-numerical radius is instead
-max over phi of lambda_max of the Hermitian part of e^{i phi} B, found by the
-phase-sweep routine `_phase_max` (a grid plus a bounded Brent refine,
-`_bounded_min`).
-
-Suprema are therefore reported as lower bounds and infima as upper bounds.  Each
-estimate carries a witness pair (x, y) with ||x||_A = ||y||_A = 1 and
-<x, y>_A = q that attains the reported value.
+so no call can change another's starts.  Its suprema are lower bounds and its
+infima upper bounds.  Where p = 0 (|q| = 1 as given; one ulp below 1, p = 1.5e-8)
+`_sweep` takes omega_A and c_A, two-sided: as W(B) is convex, they are the max over
+phi of lambda_max and lambda_min of the Hermitian part H(e^{i phi} B).  `_phase_max`
+(a grid plus a bounded Brent refine, `_bounded_min`) samples `Budget.grid_resolution`
+phases for omega_A and a fixed 16 for c_A: while 0 is outside W(B), lambda_min is
+positive on one arc with a single local maximum.  If c_A = 0, or two eigenvalues
+cross there, the sphere search takes c_A.  Each estimate carries a witness pair
+(x, y) with ||x||_A = ||y||_A = 1 and <x, y>_A = q that attains the reported value.
 """
 
 from __future__ import annotations
@@ -50,11 +51,12 @@ __all__ = [
 LOWER_BOUND_OF_SUP = "lower_bound_of_sup"
 UPPER_BOUND_OF_INF = "upper_bound_of_inf"
 TWO_SIDED = "two_sided"
+_CRAWFORD_GRID = 16  # phases sampled by the Crawford sweep (see the module docstring)
 
 
 @dataclass(frozen=True)
 class Budget:
-    """Optimizer budget: restarts x iterations, plus the phase-grid density."""
+    """Optimizer budget: restarts x iterations, plus the phase-grid density of the radius sweep."""
 
     restarts: int = 64
     iterations: int = 500
@@ -76,7 +78,7 @@ class Estimate:
     The witness pair re-produces `value` when plugged back into |<T x, y>_A|.
     A sphere search also reports its rule `evaluations` (the start batch
     included) and how many restarts its stop rule `converged` before the
-    iteration cap; the phase sweep of `a_radius` leaves both None.
+    iteration cap; a value from the phase sweep at |q| = 1 leaves both None.
     """
 
     value: float
@@ -357,69 +359,77 @@ def _phase_max(f, grid: int) -> tuple[float, float]:
     return float(phis[i0]), float(vals[i0])
 
 
-def a_radius(w: Weight, t, budget: Budget | None = None, seed: int = 0) -> Estimate:
-    """Weighted numerical radius sup |<T x, x>_A| over A-unit x (two-sided)."""
-    budget = budget or Budget()
-    b = reduce_to_range(w, t)
+def _sweep(b: np.ndarray, grid: int, smallest: bool) -> tuple[float, np.ndarray]:
+    """Max over phi of lambda_max (or lambda_min) of H(e^{i phi} B), and its unit eigenvector.
 
-    def hermitian_parts(phis: np.ndarray) -> np.ndarray:
-        rot = np.exp(1j * phis)[:, None, None]
+    A Newton step on the phase of `_phase_max`, kept unless it lowers the value, sharpens the
+    eigenvector as a witness: for d = V^H H(i e^{i phi} B) v_k, lambda_k' = d_k and
+    lambda_k'' = -lambda_k + 2 sum_j |d_j|^2 / (lambda_k - lambda_j).
+    """
+    k = 0 if smallest else -1
+
+    def hermitian_parts(phis) -> np.ndarray:
+        rot = np.exp(1j * np.asarray(phis))[..., None, None]
         return 0.5 * (rot * b + rot.conj() * b.conj().T)
 
-    def lam_max(phis: np.ndarray) -> np.ndarray:
-        return np.linalg.eigvalsh(hermitian_parts(phis))[:, -1]
+    phase, _ = _phase_max(lambda phis: np.linalg.eigvalsh(hermitian_parts(phis))[:, k], grid)
+    vals, vecs = np.linalg.eigh(hermitian_parts(phase))
+    d = vecs.conj().T @ hermitian_parts(phase + 0.5 * math.pi) @ vecs[:, k]
+    gaps = np.where(vals == vals[k], np.inf, vals[k] - vals)
+    curvature = 2.0 * float(np.sum(np.abs(d) ** 2 / gaps)) - vals[k]
+    if curvature < 0.0:
+        step = np.linalg.eigh(hermitian_parts(phase - d[k].real / curvature))
+        vals, vecs = step if step[0][k] >= vals[k] else (vals, vecs)
+    return float(vals[k]), vecs[:, k]
 
-    phase, _ = _phase_max(lam_max, int(budget.grid_resolution))
-    vals, vecs = np.linalg.eigh(hermitian_parts(np.array([phase]))[0])
-    value, x = float(vals[-1]), w.lift(vecs[:, -1])
-    return Estimate(
-        value=value, direction=TWO_SIDED, witness_x=x, witness_y=x, budget=budget, seed=seed
-    )
 
-
-def _sphere_estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> Estimate:
-    """Sphere search for the sup (or the inf) of |<T x, y>_A| and its witness pair."""
+def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> Estimate:
+    """The sup (or the inf) of |<T x, y>_A| and its witness pair; the sweep runs where p = 0."""
     q = validate_q(q, allow_zero=True)
     budget = budget or Budget()
     b = reduce_to_range(w, t)
     if w.rank < 2 and abs(abs(q) - 1.0) > 1e-12:
         raise RankTooLow(f"weight rank {w.rank} < 2: the constraint set is empty for |q| < 1")
-    absq, p = abs(q), math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
-    kind = "sup" if sup else "circle" if b.shape[0] == 2 else "disk"
-    value, u, evaluations, converged = _extremize(
-        _rule(b, absq, p, kind), b.shape[0], budget, seed, float(np.linalg.norm(b))
-    )
-    return Estimate(
-        value=value if sup else -value,
-        direction=LOWER_BOUND_OF_SUP if sup else UPPER_BOUND_OF_INF,
-        witness_x=w.lift(u),
-        witness_y=w.lift(_witness(b, u, q, p, sup)),
-        budget=budget,
-        seed=seed,
-        evaluations=evaluations,
-        converged=converged,
-    )
+    p = math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
+    direction = None
+    if p == 0.0:  # the inf's sweep stands when positive and its eigenvector reproduces it
+        value, u = _sweep(b, int(budget.grid_resolution) if sup else _CRAWFORD_GRID, not sup)
+        if sup or (value > 0.0 and abs(abs(np.vdot(u, b @ u)) - value) <= 1e-12 * np.linalg.norm(b, 2)):
+            direction, evaluations, converged = TWO_SIDED, None, None
+    if direction is None:
+        kind = "sup" if sup else "circle" if b.shape[0] == 2 else "disk"
+        value, u, evaluations, converged = _extremize(
+            _rule(b, abs(q), p, kind), b.shape[0], budget, seed, float(np.linalg.norm(b))
+        )
+        value, direction = (value, LOWER_BOUND_OF_SUP) if sup else (-value, UPPER_BOUND_OF_INF)
+    x, y = w.lift(u), w.lift(_witness(b, u, q, p, sup))
+    return Estimate(value, direction, x, y, budget, seed, evaluations, converged)
 
 
 def aq_radius(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> Estimate:
-    """Lower-bound estimate of the weighted q-numerical radius.
+    """Lower-bound estimate of the weighted q-numerical radius; two-sided at |q| = 1.
 
     Maximizes ``|q <B u, u>| + sqrt(1 - |q|^2) ||(I - u u^H) B u||`` over unit
     u in the reduced space by multi-start projected ascent from Gaussian
-    starts.  The returned witnesses are an exact constraint pair attaining the
-    reported value.
+    starts, or at |q| = 1 by the phase sweep.  The returned witnesses are an
+    exact constraint pair attaining the reported value.
     """
-    return _sphere_estimate(w, t, q, budget, seed, sup=True)
+    return _estimate(w, t, q, budget, seed, sup=True)
 
 
 def aq_crawford(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> Estimate:
-    """Upper-bound estimate of the weighted q-Crawford number.
+    """Upper-bound estimate of the weighted q-Crawford number; two-sided where a sweep certifies it.
 
     In reduced dimension 2 the partner values sweep a circle, so the inner
     minimum keeps the absolute value; in dimension >= 3 they fill a disk and
     the minimum clamps at zero.
     """
-    return _sphere_estimate(w, t, q, budget, seed, sup=False)
+    return _estimate(w, t, q, budget, seed, sup=False)
+
+
+def a_radius(w: Weight, t, budget: Budget | None = None, seed: int = 0) -> Estimate:
+    """Weighted numerical radius: the q-radius estimator at q = 1, two-sided."""
+    return aq_radius(w, t, 1.0, budget=budget, seed=seed)
 
 
 def a_crawford(w: Weight, t, budget: Budget | None = None, seed: int = 0) -> Estimate:

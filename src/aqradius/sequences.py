@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .radius import Budget, a_crawford, a_radius, aq_crawford, aq_radius
+from .radius import Budget, aq_crawford, aq_radius
 from .semispace import Weight, a_opnorm, as_operator, validate_q
 
 __all__ = [
@@ -167,17 +167,16 @@ def _finish(
 class _Quantity(NamedTuple):
     estimator: Callable  # aq_radius or aq_crawford
     is_gap: bool  # the gap against the seminorm, whose envelope has Lipschitz factor 2
-    limit: Callable | None  # q-sequence limit: a_radius or a_crawford; None: operator rules only
 
 
 def _quantities() -> dict[str, _Quantity]:
     # the table of traced quantities, built at each call from this module's
     # bindings, so that a wrapper installed on one (a profiler, a mock) sees every call
     return {
-        "radius": _Quantity(aq_radius, False, a_radius),
-        "crawford": _Quantity(aq_crawford, False, a_crawford),
-        "gap_omega": _Quantity(aq_radius, True, None),
-        "gap_c": _Quantity(aq_crawford, True, None),
+        "radius": _Quantity(aq_radius, False),
+        "crawford": _Quantity(aq_crawford, False),
+        "gap_omega": _Quantity(aq_radius, True),
+        "gap_c": _Quantity(aq_crawford, True),
     }
 
 
@@ -242,13 +241,13 @@ def trace_q(
     slack: float = DEFAULT_SLACK,
     kind: str = "radius",
 ) -> ConvergenceTrace:
-    """Radius (or Crawford) at a q-sequence with Re q_n -> 1 vs. the plain quantity."""
+    """Radius (or Crawford) at a q-sequence with Re q_n -> 1 vs. its estimate at q = 1."""
     spec = _quantities().get(kind)
-    if spec is None or spec.limit is None:
+    if spec is None or spec.is_gap:
         raise ValueError("kind must be 'radius' or 'crawford'")
     t = as_operator(t)
     opn = a_opnorm(w, t)
-    target = spec.limit(w, t, budget=budget, seed=seed).value
+    target = _value(spec, w, t, 1.0, None, budget, seed)
     # q_n -> 1 is the declared limit; q lives in the closed unit disc, so its scale is 1
     steps = [
         (n, t, q, abs(1.0 - q), math.sqrt(max(0.0, 2.0 * (1.0 - q.real))) * opn)

@@ -140,7 +140,7 @@ def test_compute_exits_3_on_an_operator_the_weight_does_not_bound(tmp_path, caps
 
 def test_compute_exact_uses_the_closed_forms(tmp_path, capsys):
     # the second matrix is the one whose q = 1 Crawford number the sphere search
-    # misses by 1.3e-5 ||B|| (the strict xfail in tests/test_radius.py)
+    # misses by 1.3e-5 ||B|| (tests/test_radius.py::test_q_one_crawford_matches_the_2x2_closed_form)
     mats = [
         np.array([[1.0, 2.0], [0.5j, -1.0]]),
         np.array(

@@ -23,6 +23,18 @@ EX2 = np.array([[0.0, 1.0 / 24.0], [0.0, 0.0]], dtype=complex)
 Q_GRID = np.round(np.arange(0.1, 1.01, 0.1), 10)
 
 
+def _shifted_scaled(count, seed=0):
+    """Random 2x2 matrices, shifted off the origin and scaled by 1e-8 to 1e8."""
+    rng = np.random.default_rng(seed)
+    return [
+        (crandn(rng, 2, 2) + 3 * rng.random() * crandn(rng) * np.eye(2)) * 10 ** rng.uniform(-8, 8)
+        for _ in range(count)
+    ]
+
+
+SHIFTED_SCALED = _shifted_scaled(1000)
+
+
 def _point_outside(a, b, q, s, gap):
     """[[g, a], [b, g]] whose q-range ellipse has the origin `gap` outside it, on the normal at s."""
     p = np.sqrt(1 - q * q)
@@ -125,12 +137,17 @@ class TestClosedFormValues:
         assert q_radius_2x2(form, q) == pytest.approx(q / 20, abs=1e-12)
         assert q_crawford_2x2(form, q) == pytest.approx(q / 20, abs=1e-12)
 
-    @pytest.mark.parametrize("t", [EX1, EX2, np.eye(2) / 20], ids=["example1", "example2", "example3"])
-    def test_q_zero_gives_the_disk_of_radius_a(self, t):
+    @pytest.mark.parametrize(
+        "ts",
+        [[EX1], [EX2], [np.eye(2) / 20], SHIFTED_SCALED],
+        ids=["example1", "example2", "example3", "random-shifted-scaled"],
+    )
+    def test_q_zero_gives_the_disk_of_radius_a(self, ts):
         # W_0(T) is the disk of radius a about 0, where every quartic coefficient vanishes
-        form = canonical_2x2(t)
-        assert q_radius_2x2(form, 0.0) == form.a
-        assert q_crawford_2x2(form, 0.0) == 0.0
+        for t in ts:
+            form = canonical_2x2(t)
+            assert q_radius_2x2(form, 0.0) == form.a
+            assert q_crawford_2x2(form, 0.0) == 0.0
 
     def test_nilpotent_crawford_vanishes(self):
         form = canonical_2x2(EX1)
@@ -280,10 +297,9 @@ def test_rotated_range_contains_sampled_values(seed, modulus, theta):
         assert disk.contains(np.vdot(y, t @ x), tol=1e-9)
 
 
-# the q = 1 Crawford draws that the sphere search misses, by 6e-9, 3e-5 and 8.3e-7 of
-# ||T||_2: the defect pinned by the strict xfail
-# tests/test_radius.py::test_q_one_crawford_matches_the_2x2_closed_form
-Q_ONE_CRAWFORD_MISSES = {69, 89, 119}
+# the q = 1 Crawford draws that the sphere search misses, by 3e-5 and 8.3e-7 of ||T||_2:
+# both have c_A = 0, where the phase sweep leaves the value to the sphere search
+Q_ONE_CRAWFORD_MISSES = {89, 119}
 
 
 def test_closed_forms_match_estimators_on_random_matrices(rng):

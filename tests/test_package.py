@@ -97,6 +97,24 @@ def test_every_private_module_level_name_is_used():
     assert not {name: module for name, module in defined.items() if name not in used}
 
 
+@pytest.mark.parametrize("name", ["laws", "sequences"])
+def test_callers_leave_the_q_one_route_to_the_estimators(name):
+    # the laws and the traces ask aq_radius/aq_crawford at q = 1, which pick the
+    # phase sweep themselves, so neither imports nor names a_radius or a_crawford
+    tree = ast.parse((Path(aqradius.__file__).parent / f"{name}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & {"a_radius", "a_crawford"}
+
+
 def test_no_module_imports_scipy():
     # the package needs numpy alone; a scipy import, even one inside a function,
     # would add scipy's load time to the first run that reaches it
@@ -125,7 +143,7 @@ w = Weight.identity(2)
 a_radius(w, t)
 form = canonical_2x2(t + 4.0 * np.exp(0.5j) * np.eye(2))
 q_radius_2x2(form, 0.7)
-assert q_crawford_2x2(form, 0.7) > 0.0  # the origin is outside: the root finder runs
+assert q_crawford_2x2(form, 0.7) > 0.0  # the origin is outside: the boundary quartic runs
 law_app1(w, t, w, 2.0 * t, 0.5, Budget(restarts=2, iterations=5))
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqradius import (
@@ -23,7 +23,7 @@ from aqradius import (
     q_radius_2x2,
     reduce_to_range,
 )
-from aqradius.radius import _extremize, _normalize_rows, _phase_max, _rule, _starts, _witness
+from aqradius.radius import _extremize, _normalize_rows, _phase_max, _rule, _starts, _sweep, _witness
 from conftest import crandn, random_pd_weight, random_q
 from oracle import oracle_grid
 
@@ -36,6 +36,13 @@ I3 = Weight.identity(3)
 
 def witness_value(w, t, est):
     return abs(a_inner(w, np.asarray(t) @ est.witness_x, est.witness_y))
+
+
+def phase_grid(b, smallest, points=4096):
+    """Largest lambda_min (or lambda_max) of H(e^{i phi} B) over equispaced phases: a lower bound."""
+    rot = np.exp(2j * np.pi * np.arange(points) / points)[:, None, None]
+    vals = np.linalg.eigvalsh(0.5 * (rot * b + rot.conj() * b.conj().T))
+    return float(vals[:, 0 if smallest else -1].max())
 
 
 class TestARadius:
@@ -100,13 +107,14 @@ class TestAqRadius:
         assert aq_radius(I3, JORDAN3, q).value == pytest.approx(target, abs=1e-5)
 
     def test_q_one_matches_phase_sweep(self, rng):
+        # a 4096-point lambda_max grid is a lower bound within 3e-7 ||B||_2 of omega_A
         for _ in range(8):
             n = int(rng.integers(2, 5))
             w = random_pd_weight(rng, n)
             t = crandn(rng, n, n)
-            assert aq_radius(w, t, 1.0).value == pytest.approx(
-                a_radius(w, t).value, abs=1e-6
-            )
+            b = reduce_to_range(w, t)
+            grid, norm = phase_grid(b, smallest=False), np.linalg.norm(b, 2)
+            assert grid - 1e-12 * norm <= aq_radius(w, t, 1.0).value <= grid + 1e-6 * norm
 
     def test_direction_label(self):
         assert aq_radius(I2, EX1, 0.5).direction == LOWER_BOUND_OF_SUP
@@ -151,9 +159,10 @@ class TestAqCrawford:
 
     @pytest.mark.parametrize("q", [0.3, 0.8, 1.0])
     def test_scalar_formula(self, q):
+        # at q = 1 the phase sweep certifies the value
         est = aq_crawford(I2, np.eye(2) / 20, q)
         assert est.value == pytest.approx(q / 20, abs=1e-10)
-        assert est.direction == UPPER_BOUND_OF_INF
+        assert est.direction == (TWO_SIDED if q == 1.0 else UPPER_BOUND_OF_INF)
 
     def test_positive_diagonal_crawford_at_q_one(self):
         assert aq_crawford(I2, np.diag([1.0, 3.0]), 1.0).value == pytest.approx(
@@ -572,6 +581,8 @@ def embed_2x2(rng, b0, n):
 
 
 @settings(max_examples=25, deadline=None)
+@example(seed=0, n=2, modulus=1.0, theta=0.0)  # the phase sweep
+@example(seed=0, n=2, modulus=1.0 - 2.0**-53, theta=0.0)  # p = 1.5e-8: the sphere search
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.sampled_from([2, 3]),
@@ -608,12 +619,8 @@ def test_crawford_matches_the_2x2_closed_form(seed, n, shift, modulus, theta):
     assert aq_crawford(w, t, q).value == pytest.approx(exact, abs=1e-9 * np.linalg.norm(b0, 2))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the q = 1 sphere search misses the 2x2 Crawford number by 1.3e-5*||B||; "
-    "a phase sweep of the Hermitian parts would meet it",
-)
 def test_q_one_crawford_matches_the_2x2_closed_form():
+    # the q = 1 sphere search misses this Crawford number by 1.3e-5 ||B||; the sweep meets it
     b = np.array(
         [
             [0.302037 - 0.981239j, 1.296558 - 0.159437j],
@@ -622,3 +629,71 @@ def test_q_one_crawford_matches_the_2x2_closed_form():
     )
     exact = q_crawford_2x2(canonical_2x2(b), 1.0)
     assert a_crawford(I2, b).value == pytest.approx(exact, abs=1e-9 * np.linalg.norm(b, 2))
+
+
+KINKS = [
+    # (id, B, c_A): W(B) is a segment or a hull of two ellipses, and the point of
+    # W(B) nearest 0 lies where two eigenvalues of the Hermitian part cross
+    ("segment", np.diag([1 + 1j, 1 - 1j]), 1.0),
+    ("segment-and-point", np.diag([2 + 1j, 2 - 1j, 5]), 2.0),
+    (
+        "two-disks",  # the hull of the disks |z - 1 -+ i| <= 1/4 is nearest 0 at 3/4
+        np.block(
+            [
+                [np.array([[1 + 1j, 0.5], [0, 1 + 1j]]), np.zeros((2, 2))],
+                [np.zeros((2, 2)), np.array([[1 - 1j, 0.5], [0, 1 - 1j]])],
+            ]
+        ),
+        0.75,
+    ),
+]
+
+
+@pytest.mark.parametrize("b, exact", [pytest.param(*case[1:], id=case[0]) for case in KINKS])
+def test_q_one_crawford_at_a_kink(b, exact):
+    # the sweep's eigenvector misses c_A there, so the witness comes from the sphere search
+    w, norm = Weight.identity(b.shape[0]), np.linalg.norm(b, 2)
+    value, u = _sweep(b, 16, smallest=True)
+    assert value == pytest.approx(exact, abs=1e-9 * norm)
+    assert abs(np.vdot(u, b @ u)) > exact + 0.1
+    est = a_crawford(w, b)
+    assert est.value == pytest.approx(exact, abs=1e-9 * norm)
+    assert witness_value(w, b, est) == pytest.approx(est.value, abs=1e-12 * norm)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, np.pi / 2, 2.5, np.pi, 4.0])
+def test_unimodular_q_takes_the_q_one_values(rng, theta):
+    # shifted, so that the Crawford sweep is certified as well; |q| is taken as given,
+    # and at these phases abs(q) is exactly 1 (one ulp below, p = 1.5e-8 and the
+    # sphere search runs, as in the @example of test_radius_matches_the_2x2_closed_form)
+    w = random_pd_weight(rng, 3)
+    t = crandn(rng, 3, 3) + 6.0 * np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(3)
+    q = np.exp(1j * theta)
+    assert abs(q) == 1.0
+    for estimator in (aq_radius, aq_crawford):
+        one, est = estimator(w, t, 1.0), estimator(w, t, q)
+        assert est.direction == one.direction == TWO_SIDED
+        assert est.value == one.value
+        assert a_inner(w, est.witness_x, est.witness_y) == pytest.approx(q, abs=1e-12)
+        assert witness_value(w, t, est) == pytest.approx(est.value, abs=1e-12 * a_opnorm(w, t))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 8]),
+    shift=st.sampled_from([0.0, 1.0, 3.0]),
+)
+def test_q_one_crawford_meets_the_phase_grid(seed, n, shift):
+    # every phase's lambda_min bounds c_A from below, so the value is at least the
+    # grid's; at n = 2 a positive c_A is the closed form's
+    rng = np.random.default_rng(seed)
+    w = random_pd_weight(rng, n)
+    t = crandn(rng, n, n) + shift * np.sqrt(n) * np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(n)
+    b = reduce_to_range(w, t)
+    tol = 1e-12 * np.linalg.norm(b, 2)
+    est = aq_crawford(w, t, 1.0)
+    assert est.value >= max(0.0, phase_grid(b, smallest=True)) - tol
+    if n == 2 and (exact := q_crawford_2x2(canonical_2x2(b), 1.0)) > 0.0:
+        assert est.value == pytest.approx(exact, abs=tol)
+        assert est.direction == TWO_SIDED
