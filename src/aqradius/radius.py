@@ -16,16 +16,19 @@ the same seed, restart count and dimension; the cached arrays are read-only,
 so no call can change another's starts.  Its suprema are lower bounds and its
 infima upper bounds.  Where p = 0 (|q| = 1 as given; one ulp below 1, p = 1.5e-8)
 `_sweep` takes omega_A and c_A, two-sided: as W(B) is convex, they are the max over
-phi of lambda_max and lambda_min of the Hermitian part H(e^{i phi} B).  `_phase_max`
-(a grid plus a bounded Brent refine, `_bounded_min`) samples `Budget.grid_resolution`
-phases for omega_A and a fixed 16 for c_A: while 0 is outside W(B), lambda_min is
-positive on one arc with a single local maximum.  If c_A = 0, or two eigenvalues
-cross there, the sphere search takes c_A.  Each estimate carries a witness pair
-(x, y) with ||x||_A = ||y||_A = 1 and <x, y>_A = q that attains the reported value.
+phi of lambda_max and lambda_min of the Hermitian part H(e^{i phi} B).  It samples
+`Budget.grid_resolution` phases for omega_A and a fixed 16 for c_A, and refines the
+best sample by safeguarded Newton steps on the phase.  lambda_max can peak more than
+once in the two grid cells around its best sample, so it is refined from their
+midpoints too; while 0 is outside W(B), lambda_min is positive on one arc with a
+single maximum, so one start serves it.  If c_A = 0, or two eigenvalues cross there,
+the sphere search takes c_A.  Each estimate carries a witness pair (x, y) with
+||x||_A = ||y||_A = 1 and <x, y>_A = q that attains the reported value.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -76,9 +79,11 @@ class Estimate:
     """A computed radius/Crawford value with its bound direction and witnesses.
 
     The witness pair re-produces `value` when plugged back into |<T x, y>_A|.
-    A sphere search also reports its rule `evaluations` (the start batch
-    included) and how many restarts its stop rule `converged` before the
-    iteration cap; a value from the phase sweep at |q| = 1 leaves both None.
+    A sphere search reports its rule `evaluations` (the start batch included)
+    and how many restarts its stop rule `converged` before the iteration cap;
+    the phase sweep at |q| = 1 reports the phases at which it solved an
+    eigenproblem (grid and refine steps) and how many refine starts stopped by
+    their rule before the step cap.
     """
 
     value: float
@@ -87,8 +92,8 @@ class Estimate:
     witness_y: np.ndarray
     budget: Budget
     seed: int
-    evaluations: int | None = None
-    converged: int | None = None
+    evaluations: int
+    converged: int
 
 
 @dataclass
@@ -271,116 +276,49 @@ def _witness(b: np.ndarray, u: np.ndarray, q: complex, p: float, sup: bool) -> n
     return np.conj(q) * u - p * np.conj(d) * w
 
 
-# Brent's bounded minimizer (Brent 1973, ch. 5), ported line for line from
-# scipy.optimize._minimize_scalar_bounded (scipy, BSD-3-Clause) so that the package
-# needs numpy alone: it evaluates f at the same points and returns the same minimum
-# as minimize_scalar(method="bounded") with the same xatol and its default cap of
-# 500 evaluations.
-def _bounded_min(f, a: float, b: float, xatol: float) -> tuple[float, float]:
-    """Minimum (x, f(x)) of a scalar f on [a, b] by golden sections and parabolic steps."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        si = 1.0 if rat >= 0.0 else -1.0
-        x = xf + si * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf, fx
+_REFINE_STEPS = 64  # cap per start of the phase refine; bisecting a cell to a kink takes ~50
 
 
-def _phase_max(f, grid: int) -> tuple[float, float]:
-    """Maximum (phase, value) of a 2 pi-periodic function f of one phase.
+def _sweep(b: np.ndarray, grid: int, smallest: bool) -> tuple[float, np.ndarray, int, int]:
+    """Max over phi of lambda_max (or lambda_min) of H(e^{i phi} B), its unit eigenvector and counts.
 
-    f maps an array of phases to their values.  It is sampled at `grid`
-    equispaced phases; `_bounded_min` refines the best sample over its two
-    neighbouring cells, and the sample stands if the refined value is lower.
-    """
-    phis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    vals = f(phis)
-    i0 = int(np.argmax(vals))
-    step = 2.0 * math.pi / grid
-    lo, hi = float(phis[i0] - step), float(phis[i0] + step)
-    phase, neg = _bounded_min(lambda phi: -float(f(np.array([phi]))[0]), lo, hi, 1e-13)
-    if -neg >= vals[i0]:
-        return phase, -neg
-    return float(phis[i0]), float(vals[i0])
-
-
-def _sweep(b: np.ndarray, grid: int, smallest: bool) -> tuple[float, np.ndarray]:
-    """Max over phi of lambda_max (or lambda_min) of H(e^{i phi} B), and its unit eigenvector.
-
-    A Newton step on the phase of `_phase_max`, kept unless it lowers the value, sharpens the
-    eigenvector as a witness: for d = V^H H(i e^{i phi} B) v_k, lambda_k' = d_k and
-    lambda_k'' = -lambda_k + 2 sum_j |d_j|^2 / (lambda_k - lambda_j).
+    One `eigvalsh` samples `grid` equispaced phases; safeguarded Newton steps on the phase
+    refine the best sample.  At phi one `eigh` gives lambda_k and V, and for
+    d = V^H H(i e^{i phi} B) v_k, lambda_k' = d_k and lambda_k'' = -lambda_k + 2 sum_j
+    |d_j|^2 / (lambda_k - lambda_j).  Each start keeps a bracket, first the two grid cells
+    around the best sample, that the sign of lambda_k' shrinks; a step that is no ascent
+    step (lambda_k'' >= 0) or leaves the bracket becomes its midpoint, which also closes in
+    on a kink.  A start stops once its step or bracket is <= 1e-15 max(1, |phi|), or at the
+    cap.  lambda_max may peak more than once in those cells, so their midpoints are starts
+    too; lambda_min, while positive, has a single maximum.  The bracket ends are samples no
+    higher than the best, so the best phase evaluated, which stands, is a peak or a kink.
+    Returns the value, its eigenvector, the phases at which an eigenproblem was solved (the
+    grid included) and the starts that stopped before the cap.
     """
     k = 0 if smallest else -1
-
-    def hermitian_parts(phis) -> np.ndarray:
-        rot = np.exp(1j * np.asarray(phis))[..., None, None]
-        return 0.5 * (rot * b + rot.conj() * b.conj().T)
-
-    phase, _ = _phase_max(lambda phis: np.linalg.eigvalsh(hermitian_parts(phis))[:, k], grid)
-    vals, vecs = np.linalg.eigh(hermitian_parts(phase))
-    d = vecs.conj().T @ hermitian_parts(phase + 0.5 * math.pi) @ vecs[:, k]
-    gaps = np.where(vals == vals[k], np.inf, vals[k] - vals)
-    curvature = 2.0 * float(np.sum(np.abs(d) ** 2 / gaps)) - vals[k]
-    if curvature < 0.0:
-        step = np.linalg.eigh(hermitian_parts(phase - d[k].real / curvature))
-        vals, vecs = step if step[0][k] >= vals[k] else (vals, vecs)
-    return float(vals[k]), vecs[:, k]
+    cell = 2.0 * math.pi / grid
+    rot = np.exp(1j * cell * np.arange(grid))[:, None, None]
+    i0 = int(np.argmax(np.linalg.eigvalsh(0.5 * (rot * b + rot.conj() * b.conj().T))[:, k]))
+    best, vector, evaluations, converged = -math.inf, None, grid, 0
+    for i in [i0] if smallest else [i0, i0 - 0.5, i0 + 0.5]:
+        phi, lo, hi = cell * i, cell * (i0 - 1), cell * (i0 + 1)
+        for _ in range(_REFINE_STEPS):
+            m = cmath.exp(1j * phi) * b  # H(e^{i phi} B) = (m + m^H) / 2, H(i e^{i phi} B) = i (m - m^H) / 2
+            m_h = m.conj().T
+            vals, vecs = np.linalg.eigh(0.5 * (m + m_h))
+            evaluations += 1
+            if vals[k] > best:
+                best, vector = float(vals[k]), vecs[:, k]
+            d = vecs.conj().T @ (0.5j * (m - m_h) @ vecs[:, k])
+            gaps = np.where(vals == vals[k], np.inf, vals[k] - vals)
+            curvature = 2.0 * float(np.sum(np.abs(d) ** 2 / gaps)) - vals[k]
+            lo, hi = (phi, hi) if d[k].real > 0.0 else (lo, phi)
+            step = -d[k].real / curvature if curvature < 0.0 else math.inf
+            if min(abs(step), hi - lo) <= 1e-15 * max(1.0, abs(phi)):
+                converged += 1
+                break
+            phi = phi + step if lo < phi + step < hi else 0.5 * (lo + hi)
+    return best, vector, evaluations, converged
 
 
 def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> Estimate:
@@ -393,9 +331,10 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
     p = math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
     direction = None
     if p == 0.0:  # the inf's sweep stands when positive and its eigenvector reproduces it
-        value, u = _sweep(b, int(budget.grid_resolution) if sup else _CRAWFORD_GRID, not sup)
+        grid = int(budget.grid_resolution) if sup else _CRAWFORD_GRID
+        value, u, evaluations, converged = _sweep(b, grid, not sup)
         if sup or (value > 0.0 and abs(abs(np.vdot(u, b @ u)) - value) <= 1e-12 * np.linalg.norm(b, 2)):
-            direction, evaluations, converged = TWO_SIDED, None, None
+            direction = TWO_SIDED
     if direction is None:
         kind = "sup" if sup else "circle" if b.shape[0] == 2 else "disk"
         value, u, evaluations, converged = _extremize(

@@ -23,7 +23,16 @@ from aqradius import (
     q_radius_2x2,
     reduce_to_range,
 )
-from aqradius.radius import _extremize, _normalize_rows, _phase_max, _rule, _starts, _sweep, _witness
+from aqradius.radius import (
+    _CRAWFORD_GRID,
+    _REFINE_STEPS,
+    _extremize,
+    _normalize_rows,
+    _rule,
+    _starts,
+    _sweep,
+    _witness,
+)
 from conftest import crandn, random_pd_weight, random_q
 from oracle import oracle_grid
 
@@ -45,6 +54,16 @@ def phase_grid(b, smallest, points=4096):
     return float(vals[:, 0 if smallest else -1].max())
 
 
+def nearly_normal(seed, n=None):
+    """Nearly normal B with eigenvalues of near-equal modulus, so its sweep has several peaks."""
+    rng = np.random.default_rng(seed)
+    n = n or int(rng.choice([3, 4, 5, 6]))
+    g = crandn(rng, n, n)
+    u = np.linalg.qr(crandn(rng, n, n))[0]
+    ev = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) * (1 + 0.01 * rng.standard_normal(n))
+    return (u * ev) @ u.conj().T + 1e-3 * g
+
+
 class TestARadius:
     def test_paper_halved_norm_nilpotent(self):
         est = a_radius(I2, EX2)
@@ -61,31 +80,43 @@ class TestARadius:
         w = random_pd_weight(rng, 3)
         t = crandn(rng, 3, 3)
         est = a_radius(w, t)
-        assert witness_value(w, t, est) == pytest.approx(est.value, abs=1e-7)
+        assert witness_value(w, t, est) == pytest.approx(est.value, abs=1e-12 * a_opnorm(w, t))
 
 
 class TestPhaseMax:
+    """`_sweep`, the max over the phase behind every |q| = 1 value."""
+
     @pytest.mark.parametrize("offset", [-0.3, 0.37, 5.5, 15.8])
-    def test_finds_a_maximum_between_grid_points(self, offset):
-        grid = 16
-        peak = 2 * np.pi * offset / grid
-        phase, value = _phase_max(lambda phis: 2.0 + np.cos(phis - peak), grid)
-        assert value == pytest.approx(3.0, abs=1e-12)
-        assert np.angle(np.exp(1j * (phase - peak))) == pytest.approx(0.0, abs=1e-7)
+    def test_finds_a_maximum_between_grid_points(self, rng, offset):
+        # B is normal, so lambda_max(H(e^{i phi} B)) is max_j Re(e^{i phi} mu_j); it
+        # peaks at |mu_1| = 3 where phi = 2 pi offset / 16, between the grid's phases
+        peak = 2 * np.pi * offset / 16
+        u = np.linalg.qr(crandn(rng, 3, 3))[0]
+        b = (u * [3 * np.exp(-1j * peak), 1.5j, -1.0]) @ u.conj().T
+        value, v, _, _ = _sweep(b, 16, smallest=False)
+        assert value == pytest.approx(3.0, abs=3e-12)
+        assert abs(np.vdot(v, b @ v)) == pytest.approx(value, abs=3e-12)
 
-    def test_keeps_the_grid_sample_when_the_refine_does_worse(self):
-        # a spike too narrow for the refine at a grid phase, beside a broad lower
-        # bump: the refine climbs the bump to 0.5, below the sample's 1
-        grid = 16
-        step = 2 * np.pi / grid
-        peak = 5 * step
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 3, 8]),
+        grid=st.sampled_from([4, 16]),
+        smallest=st.booleans(),
+    )
+    def test_never_below_the_best_grid_sample(self, seed, n, grid, smallest):
+        b = crandn(np.random.default_rng(seed), n, n)
+        value = _sweep(b, grid, smallest)[0]
+        assert value >= phase_grid(b, smallest, points=grid)
 
-        def f(phis):
-            d = np.angle(np.exp(1j * (phis - peak)))
-            bump = (d - 0.6 * step) / (0.2 * step)
-            return np.exp(-((d / 1e-9) ** 2)) + 0.5 * np.exp(-(bump**2))
-
-        assert _phase_max(f, grid) == (peak, f(np.array([peak]))[0])
+    def test_eigenvector_reproduces_the_value_among_several_peaks(self):
+        # the refine ends at a peak, not at a bracket end where lambda_max still rises;
+        # with a bracket around each start instead of the best sample's, the start at
+        # a cell midpoint ended at such an end for nearly_normal(278, 8) at 16 phases
+        cases = [(nearly_normal(278, 8), 16)] + [(nearly_normal(s), g) for s in range(40) for g in (16, 24)]
+        for b, grid in cases:
+            value, v, _, _ = _sweep(b, grid, smallest=False)
+            assert abs(np.vdot(v, b @ v)) == pytest.approx(value, abs=1e-12 * np.linalg.norm(b, 2))
 
 
 class TestAqRadius:
@@ -351,9 +382,14 @@ class TestSearchCounts:
         est = estimator(random_pd_weight(rng, 3), (0.3 - 2j) * np.eye(3), 0.4)
         assert (est.evaluations, est.converged) == (1, est.budget.restarts)
 
-    def test_phase_sweep_reports_no_search(self, rng):
-        est = a_radius(I3, crandn(rng, 3, 3))
-        assert est.evaluations is None and est.converged is None
+    @pytest.mark.parametrize("estimator, grid, starts", [(a_radius, 256, 3), (a_crawford, _CRAWFORD_GRID, 1)])
+    def test_phase_sweep_refines_every_start_to_its_stop_rule(self, rng, estimator, grid, starts):
+        # shifted, so that the Crawford sweep is certified; lambda_max is refined from three starts
+        for n in (2, 3, 8, 16):
+            est = estimator(Weight.identity(n), crandn(rng, n, n) + 3.0 * np.sqrt(n) * np.eye(n))
+            assert est.direction == TWO_SIDED
+            assert est.converged == starts
+            assert grid + starts <= est.evaluations <= grid + starts * _REFINE_STEPS
 
 
 class TestStarts:
@@ -653,7 +689,7 @@ KINKS = [
 def test_q_one_crawford_at_a_kink(b, exact):
     # the sweep's eigenvector misses c_A there, so the witness comes from the sphere search
     w, norm = Weight.identity(b.shape[0]), np.linalg.norm(b, 2)
-    value, u = _sweep(b, 16, smallest=True)
+    value, u, _, _ = _sweep(b, 16, smallest=True)
     assert value == pytest.approx(exact, abs=1e-9 * norm)
     assert abs(np.vdot(u, b @ u)) > exact + 0.1
     est = a_crawford(w, b)
@@ -696,4 +732,36 @@ def test_q_one_crawford_meets_the_phase_grid(seed, n, shift):
     assert est.value >= max(0.0, phase_grid(b, smallest=True)) - tol
     if n == 2 and (exact := q_crawford_2x2(canonical_2x2(b), 1.0)) > 0.0:
         assert est.value == pytest.approx(exact, abs=tol)
+        assert est.direction == TWO_SIDED
+
+
+
+@pytest.mark.parametrize("grid", [16, 24, 64])
+def test_q_one_radius_climbs_past_a_lower_peak(grid):
+    # a Brent refine of the best two grid cells stopped at a lower peak here, and
+    # reported 1.003018, 4.7e-3 ||B|| below the 4096-point grid's 1.0077106 at 16 phases
+    b = nearly_normal(81)
+    est = a_radius(Weight.identity(b.shape[0]), b, Budget(grid_resolution=grid))
+    assert est.value >= phase_grid(b, smallest=False) - 1e-12 * np.linalg.norm(b, 2)
+    assert est.direction == TWO_SIDED
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 8]),
+    shift=st.sampled_from([0.0, 1.0, 3.0]),
+)
+def test_q_one_radius_meets_the_phase_grid(seed, n, shift):
+    # every phase's lambda_max bounds omega_A from below, so the value is at least
+    # the grid's; at n = 2 it is the closed form's
+    rng = np.random.default_rng(seed)
+    w = random_pd_weight(rng, n)
+    t = crandn(rng, n, n) + shift * np.sqrt(n) * np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(n)
+    b = reduce_to_range(w, t)
+    tol = 1e-12 * np.linalg.norm(b, 2)
+    est = aq_radius(w, t, 1.0)
+    assert est.value >= phase_grid(b, smallest=False) - tol
+    if n == 2:
+        assert est.value == pytest.approx(q_radius_2x2(canonical_2x2(b), 1.0), abs=tol)
         assert est.direction == TWO_SIDED
