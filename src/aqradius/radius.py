@@ -23,7 +23,8 @@ once in the two grid cells around its best sample, so it is refined from their
 midpoints too; while 0 is outside W(B), lambda_min is positive on one arc with a
 single maximum, so one start serves it.  If c_A = 0, or two eigenvalues cross there,
 the sphere search takes c_A.  Each estimate carries a witness pair (x, y) with
-||x||_A = ||y||_A = 1 and <x, y>_A = q that attains the reported value.
+||x||_A = ||y||_A = 1 and <x, y>_A = q that attains the reported value.  Every
+value scales with T, so each route runs on B / ||B||_F and multiplies its value back.
 """
 
 from __future__ import annotations
@@ -63,11 +64,12 @@ class Budget:
 
     restarts: int = 64
     iterations: int = 500
-    grid_resolution: float = 256.0
+    grid_resolution: int = 256
 
     def __post_init__(self):
-        if not (self.restarts >= 1 and self.iterations >= 1 and self.grid_resolution >= 4):
-            raise ValueError(f"{self} needs restarts >= 1, iterations >= 1, grid_resolution >= 4")
+        ok = self.restarts >= 1 and self.iterations >= 1 and self.grid_resolution >= 4
+        if not (ok and isinstance(self.grid_resolution, (int, np.integer))):
+            raise ValueError(f"{self} needs restarts >= 1, iterations >= 1, grid_resolution >= 4 (an int)")
 
     def scaled(self, factor: int) -> "Budget":
         """Budget with `factor` times the restarts (best-so-far semantics)."""
@@ -83,7 +85,8 @@ class Estimate:
     and how many restarts its stop rule `converged` before the iteration cap;
     the phase sweep at |q| = 1 reports the phases at which it solved an
     eigenproblem (grid and refine steps) and how many refine starts stopped by
-    their rule before the step cap.
+    their rule before the step cap.  Where a sphere search follows a sweep that
+    is not certified, each count is the sum of the two.
     """
 
     value: float
@@ -184,19 +187,17 @@ def _starts(seed: int, restarts: int, dim: int) -> np.ndarray:
     return u
 
 
-def _extremize(
-    value_grad, dim: int, budget: Budget, seed: int, scale: float
-) -> tuple[float, np.ndarray, int, int]:
+def _extremize(value_grad, dim: int, budget: Budget, seed: int) -> tuple[float, np.ndarray, int, int]:
     """Multi-start projected ascent of a rule (`_rule`) over the unit sphere in C^dim.
 
     The restarts start from the cached, read-only `_starts` rows.  The working
     set holds only the live restarts: each step evaluates all of them once,
     takes the accepted candidates with `np.where` and keeps their gradients
-    for the next step, so every restart's value only rises.  A restart stops
-    once its gradient norm is <= 1e-12 * scale (an exact plateau) or its last
-    `_STALL_STEPS` steps raised its value by <= 1e-12 * scale, where `scale`
-    is ||B||_F, so both thresholds scale with B; a ring buffer of the last
-    `_STALL_STEPS` values serves that test.  A stopped restart is retired to
+    for the next step, so every restart's value only rises; a step starts at 1,
+    grows by 1.3 when accepted and halves when not.  It runs on B / ||B||_F, so
+    a restart stops once its gradient norm is <= 1e-12 (an exact plateau) or
+    its last `_STALL_STEPS` steps raised its value by <= 1e-12; a ring buffer
+    of the last `_STALL_STEPS` values serves that test.  A stopped restart is retired to
     the result arrays and dropped from the working set.  Returns the best value
     found, its unit argument, the number of rule evaluations (the start batch
     included) and the number of restarts the stop rule retired before the
@@ -208,16 +209,15 @@ def _extremize(
     best_f = np.empty(budget.restarts)
     best_u = np.empty((budget.restarts, dim), dtype=complex)
     index = np.arange(budget.restarts)
-    alpha = np.full(budget.restarts, 0.1)
+    alpha = np.ones(budget.restarts)
     ring = np.empty((_STALL_STEPS, budget.restarts))
-    tol = 1e-12 * scale
 
     for step in range(budget.iterations):
         gnorm = _row_norms(grad)
-        keep = gnorm > tol
+        keep = gnorm > 1e-12
         slot = step % _STALL_STEPS
         if step >= _STALL_STEPS:
-            keep &= f - ring[slot] > tol
+            keep &= f - ring[slot] > 1e-12
         ring[slot] = f
         if not keep.all():
             stop = ~keep
@@ -234,7 +234,7 @@ def _extremize(
         u = np.where(ok[:, None], cand, u)
         f = np.where(ok, f_cand, f)
         grad = np.where(ok[:, None], g_cand, grad)
-        alpha = np.where(ok, np.minimum(alpha * 1.3, 1.0), alpha * 0.5)
+        alpha = np.where(ok, alpha * 1.3, alpha * 0.5)
 
     best_f[index], best_u[index] = f, u
     idx = int(np.argmax(best_f))
@@ -328,21 +328,22 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
     b = reduce_to_range(w, t)
     if w.rank < 2 and abs(abs(q) - 1.0) > 1e-12:
         raise RankTooLow(f"weight rank {w.rank} < 2: the constraint set is empty for |q| < 1")
+    size = float(np.linalg.norm(b)) or 1.0  # both values scale with T: every route runs on B / ||B||_F
+    b = b / size
     p = math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
-    direction = None
+    direction, evaluations, converged = None, 0, 0
     if p == 0.0:  # the inf's sweep stands when positive and its eigenvector reproduces it
-        grid = int(budget.grid_resolution) if sup else _CRAWFORD_GRID
+        grid = budget.grid_resolution if sup else _CRAWFORD_GRID
         value, u, evaluations, converged = _sweep(b, grid, not sup)
         if sup or (value > 0.0 and abs(abs(np.vdot(u, b @ u)) - value) <= 1e-12 * np.linalg.norm(b, 2)):
             direction = TWO_SIDED
-    if direction is None:
+    if direction is None:  # an uncertified sweep's counts add to the sphere search's
         kind = "sup" if sup else "circle" if b.shape[0] == 2 else "disk"
-        value, u, evaluations, converged = _extremize(
-            _rule(b, abs(q), p, kind), b.shape[0], budget, seed, float(np.linalg.norm(b))
-        )
+        value, u, more, stopped = _extremize(_rule(b, abs(q), p, kind), b.shape[0], budget, seed)
+        evaluations, converged = evaluations + more, converged + stopped
         value, direction = (value, LOWER_BOUND_OF_SUP) if sup else (-value, UPPER_BOUND_OF_INF)
     x, y = w.lift(u), w.lift(_witness(b, u, q, p, sup))
-    return Estimate(value, direction, x, y, budget, seed, evaluations, converged)
+    return Estimate(size * value, direction, x, y, budget, seed, evaluations, converged)
 
 
 def aq_radius(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> Estimate:

@@ -276,8 +276,14 @@ class TestOracleGrid:
 class TestEstimatorContracts:
     @pytest.mark.parametrize(
         "fields",
-        [{"restarts": 0}, {"iterations": -5}, {"grid_resolution": -1}, {"grid_resolution": 3}],
-        ids=["restarts-0", "iterations-negative", "grid-negative", "grid-3"],
+        [
+            {"restarts": 0},
+            {"iterations": -5},
+            {"grid_resolution": -1},
+            {"grid_resolution": 3},
+            {"grid_resolution": 4.5},
+        ],
+        ids=["restarts-0", "iterations-negative", "grid-negative", "grid-3", "grid-4.5"],
     )
     def test_budget_rejects_fields_it_cannot_run(self, fields):
         with pytest.raises(ValueError, match="restarts >= 1, iterations >= 1, grid_resolution >= 4"):
@@ -429,7 +435,7 @@ class TestStarts:
 class TestStopRule:
     def test_plateau_stops_at_once(self):
         rule, rows = counting(lambda u: (np.zeros(u.shape[0]), np.zeros_like(u)))
-        value, u, evaluations, converged = _extremize(rule, 3, Budget(), seed=0, scale=1.0)
+        value, u, evaluations, converged = _extremize(rule, 3, Budget(), seed=0)
         assert value == 0.0
         assert np.linalg.norm(u) == pytest.approx(1.0)
         assert len(rows) <= 2
@@ -444,8 +450,8 @@ class TestStopRule:
             absq = 1.0 - rng.random()
             p = np.sqrt(1 - absq**2)
             for kind in ("sup", "circle" if n == 2 else "disk"):
-                rule, rows = counting(_rule(b, absq, p, kind))
-                _extremize(rule, n, budget, seed=0, scale=np.linalg.norm(b))
+                rule, rows = counting(_rule(b / np.linalg.norm(b), absq, p, kind))
+                _extremize(rule, n, budget, seed=0)
                 evaluations.append(len(rows))
         assert np.median(evaluations) < budget.iterations / 4
 
@@ -587,6 +593,28 @@ def test_estimates_invariant_under_weight_scaling(seed, n, scale):
         assert est.value == pytest.approx(estimator(w, t, q, budget, seed=3).value, abs=tol)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([2, 3, 5]),
+    c=st.sampled_from([1e-8, 1e-4, 1.0, 1e4]),
+    unimodular=st.booleans(),
+)
+@example(seed=12, n=4, c=1e-8, unimodular=False)  # a search on the unscaled B missed both values by 13-14%
+def test_estimates_homogeneous_in_t(seed, n, c, unimodular):
+    # omega_{A,q}(cT) = c omega_{A,q}(T) and c_{A,q}(cT) = c c_{A,q}(T): the search
+    # runs on the same unit-size operator at every c
+    rng = np.random.default_rng(seed)
+    w = random_pd_weight(rng, n)
+    t = crandn(rng, n, n) + rng.choice([0.0, 2.0 * n]) * np.eye(n)
+    q = np.exp(1j * rng.uniform(0, 2 * np.pi)) if unimodular else random_q(rng)
+    budget = Budget(16, 300)
+    tol = 1e-12 * c * a_opnorm(w, t)
+    for estimator in (aq_radius, aq_crawford):
+        value = estimator(w, t, q, budget, seed=3).value
+        assert estimator(w, c * t, q, budget, seed=3).value == pytest.approx(c * value, abs=tol)
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
 def test_estimates_invariant_under_unitary_congruence(seed, n):
@@ -695,6 +723,13 @@ def test_q_one_crawford_at_a_kink(b, exact):
     est = a_crawford(w, b)
     assert est.value == pytest.approx(exact, abs=1e-9 * norm)
     assert witness_value(w, b, est) == pytest.approx(est.value, abs=1e-12 * norm)
+    # the sweep that ran first is counted with the sphere search that replaced it
+    reduced = reduce_to_range(w, b)
+    unit = reduced / np.linalg.norm(reduced)
+    *_, swept, stopped = _sweep(unit, _CRAWFORD_GRID, smallest=True)
+    kind = "circle" if b.shape[0] == 2 else "disk"
+    *_, searched, retired = _extremize(_rule(unit, 1.0, 0.0, kind), b.shape[0], Budget(), seed=0)
+    assert (est.evaluations, est.converged) == (swept + searched, stopped + retired)
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0, np.pi / 2, 2.5, np.pi, 4.0])
