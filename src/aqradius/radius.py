@@ -291,15 +291,17 @@ def _sweep(b: np.ndarray, grid: int, smallest: bool) -> tuple[float, np.ndarray,
     on a kink.  A start stops once its step or bracket is <= 1e-15 max(1, |phi|), or at the
     cap.  lambda_max may peak more than once in those cells, so their midpoints are starts
     too; lambda_min, while positive, has a single maximum.  The bracket ends are samples no
-    higher than the best, so the best phase evaluated, which stands, is a peak or a kink.
+    higher than the best, so the best phase evaluated, which stands, is a peak or a kink;
+    the value is never below the best sample.
     Returns the value, its eigenvector, the phases at which an eigenproblem was solved (the
     grid included) and the starts that stopped before the cap.
     """
     k = 0 if smallest else -1
     cell = 2.0 * math.pi / grid
     rot = np.exp(1j * cell * np.arange(grid))[:, None, None]
-    i0 = int(np.argmax(np.linalg.eigvalsh(0.5 * (rot * b + rot.conj() * b.conj().T))[:, k]))
-    best, vector, evaluations, converged = -math.inf, None, grid, 0
+    samples = np.linalg.eigvalsh(0.5 * (rot * b + rot.conj() * b.conj().T))[:, k]
+    i0 = int(np.argmax(samples))
+    best, vector, evaluations, converged = float(samples[i0]), None, grid, 0
     for i in [i0] if smallest else [i0, i0 - 0.5, i0 + 0.5]:
         phi, lo, hi = cell * i, cell * (i0 - 1), cell * (i0 + 1)
         for _ in range(_REFINE_STEPS):
@@ -307,8 +309,8 @@ def _sweep(b: np.ndarray, grid: int, smallest: bool) -> tuple[float, np.ndarray,
             m_h = m.conj().T
             vals, vecs = np.linalg.eigh(0.5 * (m + m_h))
             evaluations += 1
-            if vals[k] > best:
-                best, vector = float(vals[k]), vecs[:, k]
+            if vector is None or vals[k] > best:  # eigh may put the best sample an ulp lower
+                best, vector = max(best, float(vals[k])), vecs[:, k]
             d = vecs.conj().T @ (0.5j * (m - m_h) @ vecs[:, k])
             gaps = np.where(vals == vals[k], np.inf, vals[k] - vals)
             curvature = 2.0 * float(np.sum(np.abs(d) ** 2 / gaps)) - vals[k]

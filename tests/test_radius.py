@@ -104,6 +104,7 @@ class TestPhaseMax:
         grid=st.sampled_from([4, 16]),
         smallest=st.booleans(),
     )
+    @example(seed=2027, n=8, grid=4, smallest=True)  # eigh put the best sample an ulp below eigvalsh
     def test_never_below_the_best_grid_sample(self, seed, n, grid, smallest):
         b = crandn(np.random.default_rng(seed), n, n)
         value = _sweep(b, grid, smallest)[0]
