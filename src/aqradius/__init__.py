@@ -46,12 +46,10 @@ from .radius import (
     UPPER_BOUND_OF_INF,
     Budget,
     Estimate,
-    GapValue,
     a_crawford,
     a_radius,
     aq_crawford,
     aq_radius,
-    gaps,
 )
 from .semispace import (
     NotABounded,

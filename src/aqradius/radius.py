@@ -1,4 +1,4 @@
-"""Estimators for weighted (q-)numerical radii, Crawford numbers and gaps.
+"""Estimators for weighted (q-)numerical radii and Crawford numbers.
 
 All quantities are computed on the reduced operator B (standard inner product,
 dimension = rank of the weight).  For a unit vector u, the values attainable
@@ -8,23 +8,29 @@ full disk (dimension >= 3) of radius ``p * ||(I - u u^H) B u||`` centered at
 analytically and only the unit sphere in u remains.  The sphere search is
 multi-start projected ascent on one rule per estimator (`_rule`), which
 returns the value and the closed-form gradient together from two matrix
-products, so each step costs one evaluation.  The search keeps only its live
-restarts in its working set, retiring each one to a result array once the
-stop rule ends it, and tests the stop rule against a ring buffer of the last
+products (B u, then one B^H product for both adjoint terms) and row inner
+products by `np.vecdot`, so each step costs one evaluation.  The search keeps
+only its live restarts in its working set, retiring each one to a result array
+once the stop rule ends it; it carries squared gradient norms, so its stop test
+is ||g||^2 <= 1e-24, and tests for a stall against a ring buffer of the last
 values.  Its seeded starts come from a small cache shared by all calls with
 the same seed, restart count and dimension; the cached arrays are read-only,
-so no call can change another's starts.  Its suprema are lower bounds and its
-infima upper bounds.  Where p = 0 (|q| = 1 as given; one ulp below 1, p = 1.5e-8)
-`_sweep` takes omega_A and c_A, two-sided: as W(B) is convex, they are the max over
-phi of lambda_max and lambda_min of the Hermitian part H(e^{i phi} B).  It samples
-`Budget.grid_resolution` phases for omega_A and a fixed 16 for c_A, and refines the
-best sample by safeguarded Newton steps on the phase.  lambda_max can peak more than
-once in the two grid cells around its best sample, so it is refined from their
-midpoints too; while 0 is outside W(B), lambda_min is positive on one arc with a
-single maximum, so one start serves it.  If c_A = 0, or two eigenvalues cross there,
-the sphere search takes c_A.  Each estimate carries a witness pair (x, y) with
-||x||_A = ||y||_A = 1 and <x, y>_A = q that attains the reported value.  Every
-value scales with T, so each route runs on B / ||B||_F and multiplies its value back.
+so each search copies them before it updates a row.  Its suprema are lower
+bounds and its infima upper bounds, except that an infimum of exactly 0 whose
+witness attains it is two-sided, as c_q >= 0.
+
+Where p = 0 (|q| = 1 as given; one ulp below 1, p = 1.5e-8) `_sweep` takes
+omega_A and c_A, two-sided: as W(B) is convex, they are the max over phi of
+lambda_max and lambda_min of the Hermitian part H(e^{i phi} B).  It samples
+`Budget.grid_resolution` phases for omega_A and a fixed 16 for c_A, and refines
+the best sample by safeguarded Newton steps on the phase.  lambda_max can peak
+more than once in the two grid cells around its best sample, so it is refined
+from their midpoints too; while 0 is outside W(B), lambda_min is positive on one
+arc with a single maximum, so one start serves it.  If c_A = 0, or two
+eigenvalues cross there, the sphere search takes c_A.  Each estimate carries a
+witness pair (x, y) with ||x||_A = ||y||_A = 1 and <x, y>_A = q that attains the
+reported value.  Every value scales with T, so each route runs on B / ||B||_F
+and multiplies its value back.
 """
 
 from __future__ import annotations
@@ -36,12 +42,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .semispace import RankTooLow, Weight, a_opnorm, reduce_to_range, validate_q
+from .semispace import RankTooLow, Weight, reduce_to_range, validate_q
 
 __all__ = [
     "Budget",
     "Estimate",
-    "GapValue",
     "LOWER_BOUND_OF_SUP",
     "TWO_SIDED",
     "UPPER_BOUND_OF_INF",
@@ -49,7 +54,6 @@ __all__ = [
     "a_radius",
     "aq_crawford",
     "aq_radius",
-    "gaps",
 ]
 
 LOWER_BOUND_OF_SUP = "lower_bound_of_sup"
@@ -67,9 +71,10 @@ class Budget:
     grid_resolution: int = 256
 
     def __post_init__(self):
-        ok = self.restarts >= 1 and self.iterations >= 1 and self.grid_resolution >= 4
-        if not (ok and isinstance(self.grid_resolution, (int, np.integer))):
-            raise ValueError(f"{self} needs restarts >= 1, iterations >= 1, grid_resolution >= 4 (an int)")
+        fields = (self.restarts, self.iterations, self.grid_resolution)
+        ints = all(isinstance(v, (int, np.integer)) for v in fields)
+        if not (ints and self.restarts >= 1 and self.iterations >= 1 and self.grid_resolution >= 4):
+            raise ValueError(f"{self} needs restarts >= 1, iterations >= 1, grid_resolution >= 4 (ints)")
 
     def scaled(self, factor: int) -> "Budget":
         """Budget with `factor` times the restarts (best-so-far semantics)."""
@@ -99,20 +104,8 @@ class Estimate:
     converged: int
 
 
-@dataclass
-class GapValue:
-    op_norm: float
-    radius_or_crawford: float
-    gap: float
-
-
 def _normalize_rows(u: np.ndarray) -> np.ndarray:
     return u / np.linalg.norm(u, axis=1, keepdims=True)
-
-
-def _row_norms(u: np.ndarray) -> np.ndarray:
-    """Row 2-norms from one `einsum`, cheaper than `np.linalg.norm` on small batches."""
-    return np.sqrt(np.einsum("ij,ij->i", u.conj(), u).real)
 
 
 def _rule(b: np.ndarray, absq: float, p: float, kind: str):
@@ -122,30 +115,27 @@ def _rule(b: np.ndarray, absq: float, p: float, kind: str):
     |q| |c| + p rho; the minus-inf rules take t = |q| |c| - p rho to -|t|
     (circle) or -max(t, 0) (disk).  Gradients are complex rows
     g = df/dRe(u) + i df/dIm(u) of the row-scale invariant extensions, so g is
-    orthogonal to u.  Each rule is a1 |c| + a2 rho up to its sign, and
+    orthogonal to u.  Each rule is f = a1 |c| + a2 rho up to its sign, and
     a1 grad |c| + a2 grad rho, from
 
         grad |c| = (conj(c) r + c B^H u - |c|^2 u) / |c|,
         grad rho = (B^H r - conj(c) r - rho^2 u) / rho,
 
-    is four per-row coefficients times r, B^H u, B^H r and u.  The kink of each
-    term (|c| = 0, rho = 0) zeroes its coefficients.  One product with
-    [B^T | conj(B)] gives B u and B^H u; B^H r is its own product, since
-    B^H B u - conj(c) B^H u cancels near rho = 0.
+    is conj(c) (a1 / |c| - a2 / rho) r + B^H (a1 / |c| c u + a2 / rho r) - f u,
+    since B^H is linear and a1 |c| + a2 rho is the value f itself.  The kink of
+    each term (|c| = 0, rho = 0) zeroes its coefficient.  A step takes two
+    products, B u (with B^T) and the B^H term (with conj(B)), and its row inner
+    products by `np.vecdot`.  B^H r stays inside the B^H term, as
+    B^H B u - conj(c) B^H u would cancel near rho = 0.
     """
-    n = b.shape[0]
-    b_conj = b.conj()
-    both = np.concatenate([b.T, b_conj], axis=1)
+    b_t, b_conj = b.T, b.conj()
 
     def rule(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        prods = u @ both
-        bu, bhu = prods[:, :n], prods[:, n:]
-        c = np.einsum("ij,ij->i", u.conj(), bu)
+        bu = u @ b_t
+        c = np.vecdot(u, bu)
         r = bu - c[:, None] * u
         abs_c = np.abs(c)
-        rho = _row_norms(r)
-        inv_c = np.divide(1.0, abs_c, out=np.zeros(abs_c.shape), where=abs_c > 0.0)
-        inv_rho = np.divide(1.0, rho, out=np.zeros(rho.shape), where=rho > 0.0)
+        rho = np.sqrt(np.vecdot(r, r).real)
         if kind == "sup":
             value, a1, a2 = absq * abs_c + p * rho, absq, p
         else:
@@ -153,14 +143,10 @@ def _rule(b: np.ndarray, absq: float, p: float, kind: str):
             slope = np.sign(t) if kind == "circle" else (t > 0.0).astype(float)
             value = -np.abs(t) if kind == "circle" else -np.maximum(t, 0.0)
             a1, a2 = -slope * absq, slope * p
-        a1_c = a1 * inv_c
-        a2_rho = a2 * inv_rho
-        grad = (
-            (c.conj() * (a1_c - a2_rho))[:, None] * r
-            + (a1_c * c)[:, None] * bhu
-            + a2_rho[:, None] * (r @ b_conj)
-            - (a1 * abs_c + a2 * rho)[:, None] * u
-        )
+        a1_c = np.divide(a1, abs_c, out=np.zeros(c.shape), where=abs_c > 0.0)
+        a2_rho = np.divide(a2, rho, out=np.zeros(c.shape), where=rho > 0.0)
+        grad = ((a1_c * c)[:, None] * u + a2_rho[:, None] * r) @ b_conj
+        grad += (c.conj() * (a1_c - a2_rho))[:, None] * r - value[:, None] * u
         return value, grad
 
     return rule
@@ -190,21 +176,25 @@ def _starts(seed: int, restarts: int, dim: int) -> np.ndarray:
 def _extremize(value_grad, dim: int, budget: Budget, seed: int) -> tuple[float, np.ndarray, int, int]:
     """Multi-start projected ascent of a rule (`_rule`) over the unit sphere in C^dim.
 
-    The restarts start from the cached, read-only `_starts` rows.  The working
-    set holds only the live restarts: each step evaluates all of them once,
-    takes the accepted candidates with `np.where` and keeps their gradients
-    for the next step, so every restart's value only rises; a step starts at 1,
-    grows by 1.3 when accepted and halves when not.  It runs on B / ||B||_F, so
-    a restart stops once its gradient norm is <= 1e-12 (an exact plateau) or
-    its last `_STALL_STEPS` steps raised its value by <= 1e-12; a ring buffer
-    of the last `_STALL_STEPS` values serves that test.  A stopped restart is retired to
-    the result arrays and dropped from the working set.  Returns the best value
-    found, its unit argument, the number of rule evaluations (the start batch
-    included) and the number of restarts the stop rule retired before the
-    iteration cap.
+    The restarts start from a copy of the cached, read-only `_starts` rows.  The
+    working set holds only the live restarts: each step evaluates all of them
+    once, keeps the accepted candidates and their gradients for the next step,
+    so every restart's value only rises; a step starts at 1, grows by 1.3 when
+    accepted and halves when not.  When every live restart accepts, the
+    candidate arrays replace the working set; otherwise the accepted rows are
+    copied in place.  Squared gradient norms (`np.vecdot`) are carried with the
+    rows, so neither the Armijo test nor the stop rule takes a square root.  It
+    runs on B / ||B||_F, so a restart stops once its squared gradient norm is
+    <= 1e-24 (an exact plateau) or its last `_STALL_STEPS` steps raised its
+    value by <= 1e-12; a ring buffer of the last `_STALL_STEPS` values serves
+    that test.  A stopped restart is retired to the result arrays and dropped
+    from the working set.  Returns the best value found, its unit argument, the
+    number of rule evaluations (the start batch included) and the number of
+    restarts the stop rule retired before the iteration cap.
     """
-    u = _starts(seed, budget.restarts, dim)
+    u = _starts(seed, budget.restarts, dim).copy()
     f, grad = value_grad(u)
+    gsq = np.vecdot(grad, grad).real
     evaluations, converged = 1, 0
     best_f = np.empty(budget.restarts)
     best_u = np.empty((budget.restarts, dim), dtype=complex)
@@ -213,28 +203,36 @@ def _extremize(value_grad, dim: int, budget: Budget, seed: int) -> tuple[float, 
     ring = np.empty((_STALL_STEPS, budget.restarts))
 
     for step in range(budget.iterations):
-        gnorm = _row_norms(grad)
-        keep = gnorm > 1e-12
+        keep = gsq > 1e-24
         slot = step % _STALL_STEPS
         if step >= _STALL_STEPS:
             keep &= f - ring[slot] > 1e-12
         ring[slot] = f
-        if not keep.all():
+        live = int(np.count_nonzero(keep))
+        if live < index.size:
             stop = ~keep
             best_f[index[stop]], best_u[index[stop]] = f[stop], u[stop]
-            converged += int(np.count_nonzero(stop))
-            u, f, grad, gnorm = u[keep], f[keep], grad[keep], gnorm[keep]
+            converged += index.size - live
+            u, f, grad, gsq = u[keep], f[keep], grad[keep], gsq[keep]
             alpha, index, ring = alpha[keep], index[keep], ring[:, keep]
-            if index.size == 0:
+            if live == 0:
                 break
-        cand = _normalize_rows(u + alpha[:, None] * grad)
+        cand = u + alpha[:, None] * grad
+        cand /= np.sqrt(np.vecdot(cand, cand).real)[:, None]
         f_cand, g_cand = value_grad(cand)
+        g_cand_sq = np.vecdot(g_cand, g_cand).real
         evaluations += 1
-        ok = f_cand >= f + 1e-4 * alpha * gnorm**2
-        u = np.where(ok[:, None], cand, u)
-        f = np.where(ok, f_cand, f)
-        grad = np.where(ok[:, None], g_cand, grad)
-        alpha = np.where(ok, alpha * 1.3, alpha * 0.5)
+        ok = f_cand >= f + 1e-4 * alpha * gsq
+        if np.count_nonzero(ok) == live:
+            u, f, grad, gsq = cand, f_cand, g_cand, g_cand_sq
+            alpha *= 1.3
+        else:
+            rows = ok[:, None]
+            np.copyto(u, cand, where=rows)
+            np.copyto(f, f_cand, where=ok)
+            np.copyto(grad, g_cand, where=rows)
+            np.copyto(gsq, g_cand_sq, where=ok)
+            alpha *= np.where(ok, 1.3, 0.5)
 
     best_f[index], best_u[index] = f, u
     idx = int(np.argmax(best_f))
@@ -344,7 +342,12 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
         value, u, more, stopped = _extremize(_rule(b, abs(q), p, kind), b.shape[0], budget, seed)
         evaluations, converged = evaluations + more, converged + stopped
         value, direction = (value, LOWER_BOUND_OF_SUP) if sup else (-value, UPPER_BOUND_OF_INF)
-    x, y = w.lift(u), w.lift(_witness(b, u, q, p, sup))
+    v = _witness(b, u, q, p, sup)
+    # c_q >= 0, so an attained 0 is the infimum; ||B||_2 >= ||B||_F / sqrt(n) = 1 / sqrt(n)
+    # bounds the test by 1e-12 ||B||_2 without a singular value decomposition
+    if not sup and value == 0.0 and abs(np.vdot(v, b @ u)) <= 1e-12 / math.sqrt(b.shape[0]):
+        direction = TWO_SIDED
+    x, y = w.lift(u), w.lift(v)
     return Estimate(size * value, direction, x, y, budget, seed, evaluations, converged)
 
 
@@ -364,7 +367,8 @@ def aq_crawford(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) ->
 
     In reduced dimension 2 the partner values sweep a circle, so the inner
     minimum keeps the absolute value; in dimension >= 3 they fill a disk and
-    the minimum clamps at zero.
+    the minimum clamps at zero.  A value of exactly 0 whose witness pair
+    attains it is two-sided too, since c_q >= 0.
     """
     return _estimate(w, t, q, budget, seed, sup=False)
 
@@ -378,15 +382,3 @@ def a_crawford(w: Weight, t, budget: Budget | None = None, seed: int = 0) -> Est
     """Weighted Crawford number: the q-Crawford estimator specialized to q = 1."""
     return aq_crawford(w, t, 1.0, budget=budget, seed=seed)
 
-
-def gaps(
-    w: Weight, t, q, budget: Budget | None = None, seed: int = 0
-) -> tuple[GapValue, GapValue]:
-    """Gap pair (seminorm minus q-radius, seminorm minus q-Crawford number)."""
-    op = a_opnorm(w, t)
-    rad = aq_radius(w, t, q, budget=budget, seed=seed)
-    cra = aq_crawford(w, t, q, budget=budget, seed=seed)
-    return (
-        GapValue(op_norm=op, radius_or_crawford=rad.value, gap=op - rad.value),
-        GapValue(op_norm=op, radius_or_crawford=cra.value, gap=op - cra.value),
-    )

@@ -18,7 +18,6 @@ from aqradius import (
     aq_crawford,
     aq_radius,
     canonical_2x2,
-    gaps,
     q_crawford_2x2,
     q_radius_2x2,
     reduce_to_range,
@@ -196,6 +195,24 @@ class TestAqCrawford:
         assert est.value == pytest.approx(q / 20, abs=1e-10)
         assert est.direction == (TWO_SIDED if q == 1.0 else UPPER_BOUND_OF_INF)
 
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_attained_zero_is_two_sided(self, n):
+        # unshifted Gaussian draws put 0 in the disk rule's reach; as c_q >= 0,
+        # a 0 that the witness attains is exact.  A shift by s = 4 ||T||_A / |q|
+        # gives |q| |c| >= 3 ||T||_A > p rho, so c_q > 0 stays one-sided
+        rng = np.random.default_rng(n)
+        budget = Budget(16, 200)
+        for _ in range(4):
+            w, t, q = random_pd_weight(rng, n), crandn(rng, n, n), random_q(rng)
+            est = aq_crawford(w, t, q, budget)
+            assert est.value == 0.0
+            assert est.direction == TWO_SIDED
+            assert witness_value(w, t, est) <= 1e-12 * a_opnorm(w, t)
+            shift = 4.0 * a_opnorm(w, t) / abs(q)
+            shifted = aq_crawford(w, t + shift * np.eye(n), q, budget)
+            assert shifted.value > 0.0
+            assert shifted.direction == UPPER_BOUND_OF_INF
+
     def test_positive_diagonal_crawford_at_q_one(self):
         assert aq_crawford(I2, np.diag([1.0, 3.0]), 1.0).value == pytest.approx(
             1.0, abs=1e-6
@@ -218,24 +235,29 @@ class TestAqCrawford:
 
 
 class TestGaps:
+    """Gaps against the seminorm, ||T||_A minus each estimate, as `sequences.trace_gaps` takes them."""
+
     @pytest.mark.parametrize("q", [0.3, 0.8 + 0.1j, 1.0])
     def test_identity_gaps(self, q):
-        gw, gc = gaps(I2, np.eye(2), q)
-        assert gw.gap == pytest.approx(1 - abs(q), abs=1e-8)
-        assert gc.gap == pytest.approx(1 - abs(q), abs=1e-8)
+        op = a_opnorm(I2, np.eye(2))
+        assert op - aq_radius(I2, np.eye(2), q).value == pytest.approx(1 - abs(q), abs=1e-8)
+        assert op - aq_crawford(I2, np.eye(2), q).value == pytest.approx(1 - abs(q), abs=1e-8)
 
     def test_example1_gap_at_q_one(self):
-        gw, _ = gaps(I2, EX1, 1.0)
-        assert gw.op_norm == pytest.approx(1 / 70, abs=1e-15)
-        assert gw.gap == pytest.approx(1 / 140, abs=1e-8)
+        op = a_opnorm(I2, EX1)
+        assert op == pytest.approx(1 / 70, abs=1e-15)
+        assert op - aq_radius(I2, EX1, 1.0).value == pytest.approx(1 / 140, abs=1e-8)
 
     def test_gap_identity_holds(self, rng):
+        # 0 <= ||T||_A - omega_q <= ||T||_A - c_q; with one seed both searches
+        # share their starts, where the inf rule never exceeds the sup rule
         w = random_pd_weight(rng, 3)
         t = crandn(rng, 3, 3)
-        gw, gc = gaps(w, t, 0.7)
-        assert gw.gap == gw.op_norm - gw.radius_or_crawford
-        assert gc.gap == gc.op_norm - gc.radius_or_crawford
-        assert gw.gap >= -1e-7
+        op = a_opnorm(w, t)
+        gap_omega = op - aq_radius(w, t, 0.7).value
+        gap_c = op - aq_crawford(w, t, 0.7).value
+        assert gap_omega >= -1e-7
+        assert gap_c >= gap_omega
 
 
 class TestOracleGrid:
@@ -283,8 +305,14 @@ class TestEstimatorContracts:
             {"grid_resolution": -1},
             {"grid_resolution": 3},
             {"grid_resolution": 4.5},
+            {"restarts": 2.5},
+            {"iterations": 4.5},
+            {"iterations": 64.0},
         ],
-        ids=["restarts-0", "iterations-negative", "grid-negative", "grid-3", "grid-4.5"],
+        ids=[
+            "restarts-0", "iterations-negative", "grid-negative", "grid-3", "grid-4.5",
+            "restarts-2.5", "iterations-4.5", "iterations-64.0",
+        ],  # fmt: skip
     )
     def test_budget_rejects_fields_it_cannot_run(self, fields):
         with pytest.raises(ValueError, match="restarts >= 1, iterations >= 1, grid_resolution >= 4"):
@@ -499,20 +527,94 @@ class TestSphereGradient:
                 )
 
     def test_finite_at_kinks(self, rng):
-        herm = crandn(rng, 4, 4)
-        herm = herm + herm.conj().T
-        off_diag = np.array([[0, 1, 0], [2, 0, 1j], [0, 1, 3]], dtype=complex)
-        kinks = [
-            (herm, np.linalg.eigh(herm)[1].T),  # rho = 0 up to round-off
-            (np.diag([2.0, -1.0, 0.5]).astype(complex), np.eye(3, dtype=complex)),  # rho = 0
-            (off_diag, np.eye(3, dtype=complex)[:1]),  # c = 0
-            (np.zeros((3, 3), dtype=complex), np.eye(3, dtype=complex)),  # c = rho = 0
-        ]
         with np.errstate(all="raise"):
-            for b, u in kinks:
+            for b, u in kink_rows(rng):
                 for absq in (0.0, 0.3, 0.9, 1.0):
                     for name, _, grad_fn in sphere_objectives(b, absq):
                         assert np.all(np.isfinite(grad_fn(u))), name
+
+
+def kink_rows(rng):
+    """(B, unit rows u) at the kinks of the rules: rho = 0, c = 0 or both."""
+    herm = crandn(rng, 4, 4)
+    herm = herm + herm.conj().T
+    off_diag = np.array([[0, 1, 0], [2, 0, 1j], [0, 1, 3]], dtype=complex)
+    return [
+        (herm, np.linalg.eigh(herm)[1].T),  # rho = 0 up to round-off
+        (np.diag([2.0, -1.0, 0.5]).astype(complex), np.eye(3, dtype=complex)),  # rho = 0
+        (off_diag, np.eye(3, dtype=complex)[:1]),  # c = 0
+        (np.zeros((3, 3), dtype=complex), np.eye(3, dtype=complex)),  # c = rho = 0
+    ]
+
+
+def reference_rule(b, absq, p, kind):
+    """`_rule` as first written: B u and B^H u from one product with [B^T | conj(B)],
+    B^H r from its own product, the coefficient of u summed from its two terms,
+    and row inner products by `einsum`."""
+    n = b.shape[0]
+    b_conj = b.conj()
+    both = np.concatenate([b.T, b_conj], axis=1)
+
+    def rule(u):
+        prods = u @ both
+        bu, bhu = prods[:, :n], prods[:, n:]
+        c = np.einsum("ij,ij->i", u.conj(), bu)
+        r = bu - c[:, None] * u
+        abs_c = np.abs(c)
+        rho = np.sqrt(np.einsum("ij,ij->i", r.conj(), r).real)
+        inv_c = np.divide(1.0, abs_c, out=np.zeros(abs_c.shape), where=abs_c > 0.0)
+        inv_rho = np.divide(1.0, rho, out=np.zeros(rho.shape), where=rho > 0.0)
+        if kind == "sup":
+            value, a1, a2 = absq * abs_c + p * rho, absq, p
+        else:
+            t = absq * abs_c - p * rho
+            slope = np.sign(t) if kind == "circle" else (t > 0.0).astype(float)
+            value = -np.abs(t) if kind == "circle" else -np.maximum(t, 0.0)
+            a1, a2 = -slope * absq, slope * p
+        a1_c = a1 * inv_c
+        a2_rho = a2 * inv_rho
+        grad = (
+            (c.conj() * (a1_c - a2_rho))[:, None] * r
+            + (a1_c * c)[:, None] * bhu
+            + a2_rho[:, None] * (r @ b_conj)
+            - (a1 * abs_c + a2 * rho)[:, None] * u
+        )
+        return value, grad
+
+    return rule
+
+
+class TestRuleReference:
+    """`_rule` against `reference_rule` on B / ||B||_F, as the search sees it: values to
+    1e-14, gradients to 1e-13 ||B||_2."""
+
+    @staticmethod
+    def assert_matches(b, u, rho_direction=True):
+        b = b / (np.linalg.norm(b) or 1.0)
+        scale = np.linalg.norm(b, 2)
+        for absq in (0.0, 0.3, 0.9, 1.0):
+            p = np.sqrt(1 - absq**2)
+            for kind in ("sup", "circle", "disk"):
+                value, grad = _rule(b, absq, p, kind)(u)
+                ref_value, ref_grad = reference_rule(b, absq, p, kind)(u)
+                np.testing.assert_allclose(value, ref_value, rtol=0, atol=1e-14, err_msg=kind)
+                if rho_direction or p == 0.0:
+                    np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-13 * scale, err_msg=kind)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    def test_matches_the_reference(self, rng, n):
+        # the shifted operator puts the inf rules on their smooth side t > 0
+        for b in (crandn(rng, n, n), crandn(rng, n, n) + 2 * n * np.eye(n)):
+            self.assert_matches(b, _normalize_rows(crandn(rng, 32, n)))
+
+    def test_matches_the_reference_at_kinks(self, rng):
+        # where rho is round-off, r / rho is a round-off direction in either
+        # kernel, so there the gradients are compared only at p = 0
+        (herm, eigenvectors), *exact_kinks = kink_rows(rng)
+        with np.errstate(all="raise"):
+            self.assert_matches(herm, eigenvectors, rho_direction=False)
+            for b, u in exact_kinks:
+                self.assert_matches(b, u)
 
 
 def test_witnesses_at_exact_eigenvector():
