@@ -16,6 +16,7 @@ from .exact import (
     canonical_2x2,
     jordan3_q_radius,
     q_crawford_2x2,
+    q_extremal_2x2,
     q_radius_2x2,
     q_range_2x2,
 )

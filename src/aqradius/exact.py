@@ -8,7 +8,12 @@ values are evaluated at |q|.  This module computes that canonical form, the
 ellipse, and the resulting extremal moduli, plus the known formula for the 3x3
 nilpotent Jordan block.  Both extremal moduli are attained on the ellipse's
 boundary, at phases where d|z|/ds = 0; these are the roots of one quartic in
-e^{is} (`_boundary_moduli`), so neither value needs a grid or an iteration.
+e^{is} (`_boundary_moduli`), so neither value needs a grid or an iteration,
+except a Crawford number of 0 when the origin is inside.  `q_extremal_2x2`
+returns each value with a unit vector u whose partner values reach it: at the
+extremal boundary phase, or, for a Crawford number of 0, at the root of a
+quartic in the parameter of u (`_origin_preimage`), polished by Newton steps.
+`radius` takes every reduced-dimension-2 estimate from it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "canonical_2x2",
     "jordan3_q_radius",
     "q_crawford_2x2",
+    "q_extremal_2x2",
     "q_radius_2x2",
     "q_range_2x2",
 ]
@@ -161,8 +167,8 @@ def q_range_2x2(form: CanonicalForm2x2, q) -> EllipseDisk:
     )
 
 
-def _boundary_moduli(disk: EllipseDisk) -> tuple[float, float]:
-    """Smallest and largest |z| over the boundary of the ellipse-disk.
+def _boundary_moduli(disk: EllipseDisk) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Smallest and largest |z| over the boundary of the ellipse-disk, each with its phase s.
 
     In the ellipse's own frame the boundary is zeta + M cos s + i m sin s with
     zeta = x + i y, and d|z|^2/ds = 0 is, in w = e^{is}, the quartic
@@ -170,7 +176,8 @@ def _boundary_moduli(disk: EllipseDisk) -> tuple[float, float]:
     The phases of its roots, with the four vertices for the centred circle where
     it vanishes, are the candidates.  The quartic is taken for the ellipse
     scaled to size M + |zeta| = 1, so its coefficients neither overflow nor
-    underflow, and coefficients below round-off are dropped.
+    underflow, and coefficients below round-off are dropped.  Returns
+    ((min |z|, its s), (max |z|, its s)), s being the phase of `EllipseDisk.point`.
     """
     zeta = disk.center * cmath.exp(-1j * disk.rotation)
     big, small = disk.semi_major, disk.semi_minor
@@ -181,18 +188,129 @@ def _boundary_moduli(disk: EllipseDisk) -> tuple[float, float]:
     coeffs[np.abs(coeffs) <= 1e-15] = 0.0
     phases = np.concatenate([np.angle(np.roots(coeffs)), 0.5 * np.pi * np.arange(4)])
     moduli = np.abs(zeta + big * np.cos(phases) + 1j * small * np.sin(phases))
-    return float(moduli.min()), float(moduli.max())
+    low, high = int(np.argmin(moduli)), int(np.argmax(moduli))
+    return (float(moduli[low]), float(phases[low])), (float(moduli[high]), float(phases[high]))
+
+
+_POLISH_STEPS = 8  # Newton steps per start on the preimage of the origin; a few reach round-off
+
+
+def _origin_preimage(a: float, b: float, p: float, w: complex) -> tuple[float, float]:
+    """(kappa, s) in [-1, 1] x R with a (kappa + p) e^{is} + b (kappa - p) e^{-is} = 2 w.
+
+    With alpha = a (kappa + p), beta = b (kappa - p) and zeta = e^{is}, the
+    equation alpha zeta + beta conj(zeta) = 2 w and its conjugate give
+    zeta = 2 (alpha w - beta conj(w)) / (alpha^2 - beta^2), which is unimodular
+    where 4 |alpha w - beta conj(w)|^2 = (alpha^2 - beta^2)^2, a quartic in
+    kappa.  Its roots (real parts, clipped to [-1, 1]) are starts, and so are
+    kappa = p (b - a) / (a + b), where alpha = -beta, with zeta = +-1: the
+    solutions at w = 0, which stay the better starts while w is round-off and
+    the phase of alpha w - beta conj(w) is noise.  Each start, least residual
+    first, is polished by `_polish` until one reaches round-off.  The data are
+    scaled by a, so the quartic's coefficients are of order one.
+    """
+    if a == 0.0:  # B is scalar, its range the point |q| gamma = -w = 0: any (kappa, s) will do
+        return 0.0, 0.0
+    b, w = b / a, w / a
+    kappa = p * (b - 1.0) / (1.0 + b)
+    starts = [(kappa, 0.0), (kappa, math.pi)]
+    if w != 0.0:
+        ww, rw = abs(w) ** 2, (w * w).real
+        d, s2 = 1.0 - b * b, 1.0 + b * b  # a^2 - b^2 and a^2 + b^2, with a = 1
+        a2, a1, a0 = d, 2.0 * p * s2, p * p * d  # alpha^2 - beta^2 = a2 k^2 + a1 k + a0
+        coeffs = [
+            a2 * a2,
+            2.0 * a2 * a1,
+            a1 * a1 + 2.0 * a2 * a0 - 4.0 * ww * s2 + 8.0 * rw * b,
+            2.0 * a1 * a0 - 8.0 * ww * p * d,
+            a0 * a0 - 4.0 * ww * p * p * s2 - 8.0 * rw * b * p * p,
+        ]
+        for root in np.roots(coeffs):
+            kappa = min(1.0, max(-1.0, root.real))
+            alpha, beta = kappa + p, b * (kappa - p)
+            den = alpha * alpha - beta * beta
+            zeta = math.copysign(1.0, den) * (alpha * w - beta * w.conjugate()) if den else w
+            starts.append((kappa, cmath.phase(zeta)))
+    best = (math.inf, 0.0, 0.0)
+    for kappa, s in sorted(starts, key=lambda start: abs(_residual(b, p, w, *start))):
+        best = min(best, _polish(b, p, w, kappa, s))
+        if best[0] <= 1e-15:
+            break
+    return best[1], best[2]
+
+
+def _residual(b: float, p: float, w: complex, kappa: float, s: float) -> complex:
+    """G = (kappa + p) e^{is} + b (kappa - p) e^{-is} - 2 w, the equation of `_origin_preimage` with a = 1."""
+    e = complex(math.cos(s), math.sin(s))
+    return (kappa + p) * e + b * (kappa - p) * e.conjugate() - 2.0 * w
+
+
+def _polish(b: float, p: float, w: complex, kappa: float, s: float) -> tuple[float, float, float]:
+    """Newton steps on the two real equations G = 0 (`_residual`); returns (|G|, kappa, s).
+
+    A step is halved until it lowers |G| (up to four times), and kappa is kept
+    in [-1, 1]; the steps end when none lowers |G|, or after `_POLISH_STEPS`.
+    """
+    g = _residual(b, p, w, kappa, s)
+    for _ in range(_POLISH_STEPS):
+        if g == 0.0:
+            break
+        e = complex(math.cos(s), math.sin(s))
+        gk, gs = e + b * e.conjugate(), 1j * ((kappa + p) * e - b * (kappa - p) * e.conjugate())
+        det = gk.real * gs.imag - gs.real * gk.imag  # dG/dkappa and dG/ds as real 2-vectors
+        if det == 0.0:
+            break
+        dk = (gs.real * g.imag - g.real * gs.imag) / det
+        ds = (g.real * gk.imag - gk.real * g.imag) / det
+        for scale in (1.0, 0.5, 0.25, 0.125, 0.0625):
+            k_new, s_new = min(1.0, max(-1.0, kappa + scale * dk)), s + scale * ds
+            g_new = _residual(b, p, w, k_new, s_new)
+            if abs(g_new) < abs(g):
+                break
+        else:
+            break
+        kappa, s, g = k_new, s_new, g_new
+    return abs(g), kappa, s
+
+
+def q_extremal_2x2(form: CanonicalForm2x2, q, sup: bool) -> tuple[float, np.ndarray]:
+    """The largest (sup) or smallest modulus over the q-range of a 2x2 form, and a unit u attaining it.
+
+    For u = U (cos theta, e^{is} sin theta), U = `form.u_similar`, and
+    kappa = |q| sin 2 theta - p cos 2 theta, the values <T u, v> over partners v
+    with <u, v> = q form a circle through e^{i (t + arg q)} (|q| gamma + z_N),
+    z_N = [a (kappa + p) e^{is} + b (kappa - p) e^{-is}] / 2.  At kappa = 1
+    (2 theta = atan2(|q|, -p)), z_N is the boundary point M cos s + i m sin s, so
+    the extremal boundary phase of `_boundary_moduli` gives u for the radius
+    and for a positive Crawford number.  If the range holds the origin, the
+    Crawford number is 0 and u comes from the (kappa, s) at which |q| gamma + z_N
+    vanishes (`_origin_preimage`).  The circle of u then reaches the value: its
+    largest (smallest) modulus is the partner of `radius._witness`.
+    """
+    m = _modulus(q)
+    p = math.sqrt(max(0.0, 1.0 - m * m))
+    disk = q_range_2x2(form, m)
+    if not sup and disk.contains(0.0):
+        value = 0.0
+        kappa, s = _origin_preimage(form.a, form.b, p, -m * form.gamma)
+        two_theta = math.atan2(p, m) + math.asin(kappa)  # kappa = sin(2 theta - atan2(p, |q|))
+    else:
+        low, high = _boundary_moduli(disk)
+        value, s = high if sup else low
+        two_theta = math.atan2(m, -p)
+    half = 0.5 * two_theta
+    u = form.u_similar @ np.array([math.cos(half), cmath.exp(1j * s) * math.sin(half)])
+    return value, u
 
 
 def q_radius_2x2(form: CanonicalForm2x2, q) -> float:
     """Largest modulus over the ellipse-disk range (attained on the boundary), at |q|."""
-    return _boundary_moduli(q_range_2x2(form, _modulus(q)))[1]
+    return q_extremal_2x2(form, q, sup=True)[0]
 
 
 def q_crawford_2x2(form: CanonicalForm2x2, q) -> float:
     """Smallest modulus over the ellipse-disk range (0 if the origin is inside), at |q|."""
-    disk = q_range_2x2(form, _modulus(q))
-    return 0.0 if disk.contains(0.0) else _boundary_moduli(disk)[0]
+    return q_extremal_2x2(form, q, sup=False)[0]
 
 
 def jordan3_q_radius(q) -> float:

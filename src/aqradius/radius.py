@@ -1,13 +1,32 @@
 """Estimators for weighted (q-)numerical radii and Crawford numbers.
 
 All quantities are computed on the reduced operator B (standard inner product,
-dimension = rank of the weight).  For a unit vector u, the values attainable
-over all admissible partner vectors form a circle (reduced dimension 2) or a
-full disk (dimension >= 3) of radius ``p * ||(I - u u^H) B u||`` centered at
-``q <B u, u>`` with ``p = sqrt(1 - |q|^2)``, so the partner search collapses
-analytically and only the unit sphere in u remains.  The sphere search is
-multi-start projected ascent on one rule per estimator (`_rule`), which
-returns the value and the closed-form gradient together from two matrix
+dimension n = rank of the weight).  Every value scales with T, so each route
+runs on B / ||B||_F and multiplies its value back.  With p = sqrt(1 - |q|^2),
+`_estimate` takes one of three routes:
+
+- n = 2, any q: the closed form.  The q-range is an ellipse-disk, and
+  `exact.q_extremal_2x2` gives omega_q or c_q with a unit u that attains it;
+  two-sided.
+- p = 0 (|q| = 1 as given; one ulp below 1, p = 1.5e-8, is not): the phase
+  sweep `_sweep`, two-sided.  As W(B) is convex, omega_A and c_A are the max
+  over phi of lambda_max and lambda_min of the Hermitian part H(e^{i phi} B).
+  It samples `Budget.grid_resolution` phases for omega_A and a fixed 16 for
+  c_A, and refines the best sample by safeguarded Newton steps on the phase.
+  lambda_max can peak more than once in the two grid cells around its best
+  sample, so it is refined from their midpoints too; while 0 is outside W(B),
+  lambda_min is positive on one arc with a single maximum, so one start serves
+  it.  If c_A = 0, or two eigenvalues cross there, the sphere search takes c_A.
+- otherwise: the sphere search `_extremize`.  Its suprema are lower bounds and
+  its infima upper bounds, except that an infimum of exactly 0 whose witness
+  attains it is two-sided, as c_q >= 0.
+
+For a unit vector u, the values attainable over all admissible partner vectors
+form a circle (n = 2) or a full disk (n >= 3) of radius
+``p * ||(I - u u^H) B u||`` centered at ``q <B u, u>``, so the partner search
+collapses analytically and only the unit sphere in u remains.  The sphere
+search is multi-start projected ascent on one rule per estimator (`_rule`),
+which returns the value and the closed-form gradient together from two matrix
 products (B u, then one B^H product for both adjoint terms) and row inner
 products by `np.vecdot`, so each step costs one evaluation.  The search keeps
 only its live restarts in its working set, retiring each one to a result array
@@ -15,22 +34,9 @@ once the stop rule ends it; it carries squared gradient norms, so its stop test
 is ||g||^2 <= 1e-24, and tests for a stall against a ring buffer of the last
 values.  Its seeded starts come from a small cache shared by all calls with
 the same seed, restart count and dimension; the cached arrays are read-only,
-so each search copies them before it updates a row.  Its suprema are lower
-bounds and its infima upper bounds, except that an infimum of exactly 0 whose
-witness attains it is two-sided, as c_q >= 0.
-
-Where p = 0 (|q| = 1 as given; one ulp below 1, p = 1.5e-8) `_sweep` takes
-omega_A and c_A, two-sided: as W(B) is convex, they are the max over phi of
-lambda_max and lambda_min of the Hermitian part H(e^{i phi} B).  It samples
-`Budget.grid_resolution` phases for omega_A and a fixed 16 for c_A, and refines
-the best sample by safeguarded Newton steps on the phase.  lambda_max can peak
-more than once in the two grid cells around its best sample, so it is refined
-from their midpoints too; while 0 is outside W(B), lambda_min is positive on one
-arc with a single maximum, so one start serves it.  If c_A = 0, or two
-eigenvalues cross there, the sphere search takes c_A.  Each estimate carries a
+so each search copies them before it updates a row.  Each estimate carries a
 witness pair (x, y) with ||x||_A = ||y||_A = 1 and <x, y>_A = q that attains the
-reported value.  Every value scales with T, so each route runs on B / ||B||_F
-and multiplies its value back.
+reported value; `_witness` builds the partner of the route's u.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .exact import canonical_2x2, q_extremal_2x2
 from .semispace import RankTooLow, Weight, reduce_to_range, validate_q
 
 __all__ = [
@@ -91,7 +98,8 @@ class Estimate:
     the phase sweep at |q| = 1 reports the phases at which it solved an
     eigenproblem (grid and refine steps) and how many refine starts stopped by
     their rule before the step cap.  Where a sphere search follows a sweep that
-    is not certified, each count is the sum of the two.
+    is not certified, each count is the sum of the two.  The closed form at
+    reduced dimension 2 reports `evaluations = 1` and `converged = 1`.
     """
 
     value: float
@@ -109,13 +117,13 @@ def _normalize_rows(u: np.ndarray) -> np.ndarray:
 
 
 def _rule(b: np.ndarray, absq: float, p: float, kind: str):
-    """Rule of one estimator: unit rows u -> (value, gradient), `kind` "sup", "circle" or "disk".
+    """Rule of one estimator: unit rows u -> (value, gradient), `kind` "sup" or "disk".
 
     With c = <B u, u>, r = B u - c u and rho = ||r||, the sup rule is
-    |q| |c| + p rho; the minus-inf rules take t = |q| |c| - p rho to -|t|
-    (circle) or -max(t, 0) (disk).  Gradients are complex rows
-    g = df/dRe(u) + i df/dIm(u) of the row-scale invariant extensions, so g is
-    orthogonal to u.  Each rule is f = a1 |c| + a2 rho up to its sign, and
+    |q| |c| + p rho; the minus-inf (disk) rule takes t = |q| |c| - p rho to
+    -max(t, 0), the inf over the disk of partner values at n >= 3.  Gradients
+    are complex rows g = df/dRe(u) + i df/dIm(u) of the row-scale invariant
+    extensions, so g is orthogonal to u.  Each rule is f = a1 |c| + a2 rho up to its sign, and
     a1 grad |c| + a2 grad rho, from
 
         grad |c| = (conj(c) r + c B^H u - |c|^2 u) / |c|,
@@ -140,8 +148,8 @@ def _rule(b: np.ndarray, absq: float, p: float, kind: str):
             value, a1, a2 = absq * abs_c + p * rho, absq, p
         else:
             t = absq * abs_c - p * rho
-            slope = np.sign(t) if kind == "circle" else (t > 0.0).astype(float)
-            value = -np.abs(t) if kind == "circle" else -np.maximum(t, 0.0)
+            slope = (t > 0.0).astype(float)
+            value = -np.maximum(t, 0.0)
             a1, a2 = -slope * absq, slope * p
         a1_c = np.divide(a1, abs_c, out=np.zeros(c.shape), where=abs_c > 0.0)
         a2_rho = np.divide(a2, rho, out=np.zeros(c.shape), where=rho > 0.0)
@@ -239,38 +247,46 @@ def _extremize(value_grad, dim: int, budget: Budget, seed: int) -> tuple[float, 
     return float(best_f[idx]), best_u[idx], evaluations, converged
 
 
-def _orth_unit(vectors: list[np.ndarray]) -> np.ndarray:
-    """A unit vector orthogonal to orthonormal `vectors`: the normalized residual
+def _orth_unit(u: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """A unit vector orthogonal to the orthonormal u (and w): the normalized residual
     of the standard basis vector they overlap least, which has the largest residual."""
-    v = np.array(vectors)
-    k = int(np.argmin(np.sum(np.abs(v) ** 2, axis=0)))
-    cand = -(v[:, k].conj() @ v)
+    k = int(np.argmin(np.abs(u) if w is None else np.hypot(np.abs(u), np.abs(w))))
+    cand = u * -u[k].conjugate()
+    if w is not None:
+        cand -= w * w[k].conjugate()
     cand[k] += 1.0
-    return cand / np.linalg.norm(cand)
+    return cand / math.sqrt(np.vdot(cand, cand).real)
 
 
 def _witness(b: np.ndarray, u: np.ndarray, q: complex, p: float, sup: bool) -> np.ndarray:
-    """Reduced partner v with <u, v> = q and |v^H B u| the rule's value at unit u.
+    """Reduced partner v with <u, v> = q and |v^H B u| the sup (or inf) over u's partner values.
 
     v = conj(q) u +- p conj(d) w, d the phase of q c, w a unit vector orthogonal
     to u: w^H B u = rho along the residual, beta rho when the disk tilts w out of it.
+    At n = 2 the partner values form a circle, whose inf is | |q| |c| - p rho |, and
+    w is the complement of u, taken exactly rather than from the residual.
     """
     if u.size == 1 or p == 0.0:
         return np.conj(q) * u
     bu = b @ u
     c = complex(u.conj() @ bu)
-    resid = bu - c * u
-    rho = float(np.linalg.norm(resid))
     qc = q * c
     d = qc / abs(qc) if abs(qc) > 0.0 else 1.0
+    if u.size == 2:  # w spans the complement of u exactly, however small rho is
+        w = np.array([-u[1].conjugate(), u[0].conjugate()])
+        along = complex(w.conj() @ bu)
+        if along != 0.0:
+            w *= along / abs(along)
+        return np.conj(q) * u + (1.0 if sup else -1.0) * p * np.conj(d) * w
+    resid = bu - c * u
+    rho = float(np.linalg.norm(resid))
     if rho <= 1e-14 * np.linalg.norm(b):  # relative, so that T -> cT keeps the branch
-        return np.conj(q) * u + p * np.conj(d) * _orth_unit([u])
+        return np.conj(q) * u + p * np.conj(d) * _orth_unit(u)
     w = resid / rho
     if sup:
         return np.conj(q) * u + p * np.conj(d) * w
-    if u.size > 2:
-        beta = min(1.0, abs(qc) / (p * rho))
-        w = beta * w + math.sqrt(max(0.0, 1.0 - beta * beta)) * _orth_unit([u, w])
+    beta = min(1.0, abs(qc) / (p * rho))
+    w = beta * w + math.sqrt(max(0.0, 1.0 - beta * beta)) * _orth_unit(u, w)
     return np.conj(q) * u - p * np.conj(d) * w
 
 
@@ -322,7 +338,7 @@ def _sweep(b: np.ndarray, grid: int, smallest: bool) -> tuple[float, np.ndarray,
 
 
 def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> Estimate:
-    """The sup (or the inf) of |<T x, y>_A| and its witness pair; the sweep runs where p = 0."""
+    """The sup (or the inf) of |<T x, y>_A| and its witness pair, by the route of the module docstring."""
     q = validate_q(q, allow_zero=True)
     budget = budget or Budget()
     b = reduce_to_range(w, t)
@@ -332,13 +348,16 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
     b = b / size
     p = math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
     direction, evaluations, converged = None, 0, 0
-    if p == 0.0:  # the inf's sweep stands when positive and its eigenvector reproduces it
+    if b.shape[0] == 2:  # the q-range is an ellipse-disk: the closed form and a u attaining it
+        value, u = q_extremal_2x2(canonical_2x2(b), q, sup)
+        direction, evaluations, converged = TWO_SIDED, 1, 1
+    elif p == 0.0:  # the inf's sweep stands when positive and its eigenvector reproduces it
         grid = budget.grid_resolution if sup else _CRAWFORD_GRID
         value, u, evaluations, converged = _sweep(b, grid, not sup)
         if sup or (value > 0.0 and abs(abs(np.vdot(u, b @ u)) - value) <= 1e-12 * np.linalg.norm(b, 2)):
             direction = TWO_SIDED
     if direction is None:  # an uncertified sweep's counts add to the sphere search's
-        kind = "sup" if sup else "circle" if b.shape[0] == 2 else "disk"
+        kind = "sup" if sup else "disk"
         value, u, more, stopped = _extremize(_rule(b, abs(q), p, kind), b.shape[0], budget, seed)
         evaluations, converged = evaluations + more, converged + stopped
         value, direction = (value, LOWER_BOUND_OF_SUP) if sup else (-value, UPPER_BOUND_OF_INF)
@@ -352,22 +371,25 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
 
 
 def aq_radius(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> Estimate:
-    """Lower-bound estimate of the weighted q-numerical radius; two-sided at |q| = 1.
+    """Estimate of the weighted q-numerical radius: two-sided at reduced dimension 2 or |q| = 1.
 
-    Maximizes ``|q <B u, u>| + sqrt(1 - |q|^2) ||(I - u u^H) B u||`` over unit
-    u in the reduced space by multi-start projected ascent from Gaussian
-    starts, or at |q| = 1 by the phase sweep.  The returned witnesses are an
+    The closed form at reduced dimension 2, the phase sweep at |q| = 1, and
+    otherwise a lower bound: the max of ``|q <B u, u>| + sqrt(1 - |q|^2)
+    ||(I - u u^H) B u||`` over unit u in the reduced space by multi-start
+    projected ascent from Gaussian starts.  The returned witnesses are an
     exact constraint pair attaining the reported value.
     """
     return _estimate(w, t, q, budget, seed, sup=True)
 
 
 def aq_crawford(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> Estimate:
-    """Upper-bound estimate of the weighted q-Crawford number; two-sided where a sweep certifies it.
+    """Estimate of the weighted q-Crawford number: two-sided at reduced dimension 2, else an upper bound.
 
-    In reduced dimension 2 the partner values sweep a circle, so the inner
-    minimum keeps the absolute value; in dimension >= 3 they fill a disk and
-    the minimum clamps at zero.  A value of exactly 0 whose witness pair
+    Reduced dimension 2 takes the closed form, 0 where the ellipse-disk range
+    holds the origin, with a witness pair attaining it.  At |q| = 1 the phase
+    sweep is two-sided where it certifies its value.  Otherwise the sphere
+    search minimizes over unit u, where the partner values fill a disk and the
+    inner minimum clamps at zero; a value of exactly 0 whose witness pair
     attains it is two-sided too, since c_q >= 0.
     """
     return _estimate(w, t, q, budget, seed, sup=False)

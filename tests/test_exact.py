@@ -297,22 +297,17 @@ def test_rotated_range_contains_sampled_values(seed, modulus, theta):
         assert disk.contains(np.vdot(y, t @ x), tol=1e-9)
 
 
-# the q = 1 Crawford draws that the sphere search misses, by 3e-5 and 8.3e-7 of ||T||_2:
-# both have c_A = 0, where the phase sweep leaves the value to the sphere search
-Q_ONE_CRAWFORD_MISSES = {89, 119}
-
-
 def test_closed_forms_match_estimators_on_random_matrices(rng):
-    # 200 random 2x2 matrices, q on the deciles: closed form vs sampling, to 1e-9 ||T||_2
+    # 200 random 2x2 matrices, q on the deciles: the estimators' values against the closed
+    # forms to 1e-9 ||T||_2, and each witness pair attains its value to 1e-12 ||T||_2
     budget = Budget(restarts=32, iterations=300)
     w = Weight.identity(2)
     for k in range(200):
         t = crandn(rng, 2, 2)
         form = canonical_2x2(t)
         q = float(Q_GRID[k % len(Q_GRID)])
-        tol = 1e-9 * np.linalg.norm(t, 2)
-        rad_exact = q_radius_2x2(form, q)
-        cra_exact = q_crawford_2x2(form, q)
-        assert aq_radius(w, t, q, budget).value == pytest.approx(rad_exact, abs=tol)
-        cra_tol = 5e-4 if k in Q_ONE_CRAWFORD_MISSES else tol
-        assert aq_crawford(w, t, q, budget).value == pytest.approx(cra_exact, abs=cra_tol)
+        norm = np.linalg.norm(t, 2)
+        for estimator, exact in ((aq_radius, q_radius_2x2), (aq_crawford, q_crawford_2x2)):
+            est = estimator(w, t, q, budget)
+            assert est.value == pytest.approx(exact(form, q), abs=1e-9 * norm)
+            assert abs(np.vdot(est.witness_y, t @ est.witness_x)) == pytest.approx(est.value, abs=1e-12 * norm)

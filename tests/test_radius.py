@@ -148,7 +148,9 @@ class TestAqRadius:
             assert grid - 1e-12 * norm <= aq_radius(w, t, 1.0).value <= grid + 1e-6 * norm
 
     def test_direction_label(self):
-        assert aq_radius(I2, EX1, 0.5).direction == LOWER_BOUND_OF_SUP
+        # reduced dimension 2 takes the closed form, dimension 3 the sphere search
+        assert aq_radius(I2, EX1, 0.5).direction == TWO_SIDED
+        assert aq_radius(I3, JORDAN3, 0.5).direction == LOWER_BOUND_OF_SUP
 
     def test_rank_too_low(self):
         w = Weight.diagonal([1.0, 0.0])
@@ -190,10 +192,10 @@ class TestAqCrawford:
 
     @pytest.mark.parametrize("q", [0.3, 0.8, 1.0])
     def test_scalar_formula(self, q):
-        # at q = 1 the phase sweep certifies the value
+        # reduced dimension 2 takes the closed form, two-sided at every q
         est = aq_crawford(I2, np.eye(2) / 20, q)
         assert est.value == pytest.approx(q / 20, abs=1e-10)
-        assert est.direction == (TWO_SIDED if q == 1.0 else UPPER_BOUND_OF_INF)
+        assert est.direction == TWO_SIDED
 
     @pytest.mark.parametrize("n", [3, 4, 8])
     def test_attained_zero_is_two_sided(self, n):
@@ -419,8 +421,9 @@ class TestSearchCounts:
 
     @pytest.mark.parametrize("estimator, grid, starts", [(a_radius, 256, 3), (a_crawford, _CRAWFORD_GRID, 1)])
     def test_phase_sweep_refines_every_start_to_its_stop_rule(self, rng, estimator, grid, starts):
-        # shifted, so that the Crawford sweep is certified; lambda_max is refined from three starts
-        for n in (2, 3, 8, 16):
+        # shifted, so that the Crawford sweep is certified; lambda_max is refined from three
+        # starts.  Reduced dimension 2 takes the closed form, not the sweep
+        for n in (3, 8, 16):
             est = estimator(Weight.identity(n), crandn(rng, n, n) + 3.0 * np.sqrt(n) * np.eye(n))
             assert est.direction == TWO_SIDED
             assert est.converged == starts
@@ -474,11 +477,11 @@ class TestStopRule:
         budget = Budget()
         evaluations = []
         for _ in range(20):
-            n = int(rng.integers(2, 5))
+            n = int(rng.integers(3, 6))  # reduced dimension 2 takes the closed form
             b = crandn(rng, n, n) + rng.choice([0.0, 2.0 * n]) * np.eye(n)
             absq = 1.0 - rng.random()
             p = np.sqrt(1 - absq**2)
-            for kind in ("sup", "circle" if n == 2 else "disk"):
+            for kind in ("sup", "disk"):
                 rule, rows = counting(_rule(b / np.linalg.norm(b), absq, p, kind))
                 _extremize(rule, n, budget, seed=0)
                 evaluations.append(len(rows))
@@ -498,13 +501,13 @@ def central_difference(fn, u, h=1e-6):
 
 
 def sphere_objectives(b, absq):
-    """(name, value, analytic gradient) of the sup rule and the two minus-inf rules.
+    """(name, value, analytic gradient) of the sup rule and the minus-inf disk rule.
 
     The value is taken at the normalized rows, so central differences see the
     row-scale invariant extension whose gradient the rules return.
     """
     p = np.sqrt(1 - absq**2)
-    rules = [(kind, _rule(b, absq, p, kind)) for kind in ("sup", "circle", "disk")]
+    rules = [(kind, _rule(b, absq, p, kind)) for kind in ("sup", "disk")]
     return [
         (name, lambda u, rule=rule: rule(_normalize_rows(u))[0], lambda u, rule=rule: rule(u)[1])
         for name, rule in rules
@@ -568,8 +571,8 @@ def reference_rule(b, absq, p, kind):
             value, a1, a2 = absq * abs_c + p * rho, absq, p
         else:
             t = absq * abs_c - p * rho
-            slope = np.sign(t) if kind == "circle" else (t > 0.0).astype(float)
-            value = -np.abs(t) if kind == "circle" else -np.maximum(t, 0.0)
+            slope = (t > 0.0).astype(float)
+            value = -np.maximum(t, 0.0)
             a1, a2 = -slope * absq, slope * p
         a1_c = a1 * inv_c
         a2_rho = a2 * inv_rho
@@ -594,7 +597,7 @@ class TestRuleReference:
         scale = np.linalg.norm(b, 2)
         for absq in (0.0, 0.3, 0.9, 1.0):
             p = np.sqrt(1 - absq**2)
-            for kind in ("sup", "circle", "disk"):
+            for kind in ("sup", "disk"):
                 value, grad = _rule(b, absq, p, kind)(u)
                 ref_value, ref_grad = reference_rule(b, absq, p, kind)(u)
                 np.testing.assert_allclose(value, ref_value, rtol=0, atol=1e-14, err_msg=kind)
@@ -638,7 +641,8 @@ def _unit(*entries):
 SUP_B = np.array([[1, 2, 0], [0, 1j, 1], [1, 0, -1]], dtype=complex)
 SUP_U = _unit(1, 1j, -1)
 WITNESS_BRANCHES = [
-    # (id, B, unit u, q, sup); the inf rule is the circle in dimension 2, the disk above
+    # (id, B, unit u, q, sup); in dimension 2 the partner values of u form a circle,
+    # in dimension >= 3 a disk
     *(
         (f"{case}-{'sup' if sup else 'inf'}", b, u, q, sup)
         for case, b, u, q in [
@@ -664,8 +668,12 @@ WITNESS_BRANCHES = [
 def test_witness_attains_the_rule_value(b, u, q, sup):
     absq = abs(q)
     p = np.sqrt(max(0.0, 1 - absq**2))
-    kind = "sup" if sup else "circle" if u.size == 2 else "disk"
-    value = (1.0 if sup else -1.0) * _rule(b, absq, p, kind)(u[None, :])[0][0]
+    if sup or u.size != 2:
+        value = (1.0 if sup else -1.0) * _rule(b, absq, p, "sup" if sup else "disk")(u[None, :])[0][0]
+    else:  # the circle's least modulus, | |q| |c| - p rho |, which the disk rule clamps at 0
+        bu = b @ u
+        c = np.vdot(u, bu)
+        value = abs(absq * abs(c) - p * np.linalg.norm(bu - c * u))
     with np.errstate(all="raise"):
         v = _witness(b, u, q, p, sup)
     assert np.vdot(v, u) == pytest.approx(q, abs=1e-12)  # <u, v> = v^H u
@@ -748,8 +756,8 @@ def embed_2x2(rng, b0, n):
 
 
 @settings(max_examples=25, deadline=None)
-@example(seed=0, n=2, modulus=1.0, theta=0.0)  # the phase sweep
-@example(seed=0, n=2, modulus=1.0 - 2.0**-53, theta=0.0)  # p = 1.5e-8: the sphere search
+@example(seed=0, n=2, modulus=1.0, theta=0.0)  # p = 0
+@example(seed=0, n=2, modulus=1.0 - 2.0**-53, theta=0.0)  # p = 1.5e-8
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.sampled_from([2, 3]),
@@ -786,8 +794,49 @@ def test_crawford_matches_the_2x2_closed_form(seed, n, shift, modulus, theta):
     assert aq_crawford(w, t, q).value == pytest.approx(exact, abs=1e-9 * np.linalg.norm(b0, 2))
 
 
+def draw_2x2(rng, kind):
+    """A 2x2 operator of one of the families the closed-form route must cover."""
+    b = crandn(rng, 2, 2)
+    if kind == "shifted":  # the origin leaves the range for most q, so c_q > 0
+        return b + 3.0 * rng.random() * crandn(rng) * np.eye(2)
+    if kind == "traceless":  # the range is centred at the origin, so c_q = 0
+        return b - 0.5 * np.trace(b) * np.eye(2)
+    if kind == "diagonal":  # normal: at |q| = 1 the range is a segment
+        return np.diag(np.diag(b))
+    return b
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["gaussian", "shifted", "traceless", "diagonal"]),
+    modulus=st.sampled_from([0.0, 1.0, None]),  # None: uniform in [0, 1)
+    theta=st.floats(0.0, 2 * np.pi),
+)
+def test_2x2_closed_form_route(seed, kind, modulus, theta):
+    # each witness pair attains its value and meets the constraint; the values agree
+    # with the brute-force pair grid, which bounds omega_q from below and c_q from
+    # above (to 1e-2 ||B||_F: at |q| = 1 the grid's c_q is off by up to 2e-3 ||B||_F
+    # near a zero of <B u, u>), and the radius is never below a sphere search of the sup rule
+    rng = np.random.default_rng(seed)
+    b = draw_2x2(rng, kind)
+    q = (rng.random() if modulus is None else modulus) * np.exp(1j * theta)
+    p = np.sqrt(max(0.0, 1.0 - abs(q) ** 2))
+    size = np.linalg.norm(b)
+    lo_sup, up_inf = oracle_grid(I2, b, q, resolution=64)
+    rad, cra = aq_radius(I2, b, q), aq_crawford(I2, b, q)
+    for est in (rad, cra):
+        assert (est.direction, est.evaluations, est.converged) == (TWO_SIDED, 1, 1)
+        assert witness_value(I2, b, est) == pytest.approx(est.value, abs=1e-13 * size)
+        assert a_inner(I2, est.witness_x, est.witness_y) == pytest.approx(q, abs=1e-13)
+    assert lo_sup - 1e-13 * size <= rad.value <= lo_sup + 1e-2 * size
+    assert up_inf - 1e-2 * size <= cra.value <= up_inf + 1e-13 * size
+    searched = _extremize(_rule(b / size, abs(q), p, "sup"), 2, Budget(8, 200), seed=0)[0]
+    assert rad.value >= size * searched - 1e-13 * size
+
+
 def test_q_one_crawford_matches_the_2x2_closed_form():
-    # the q = 1 sphere search misses this Crawford number by 1.3e-5 ||B||; the sweep meets it
+    # a q = 1 sphere search missed this Crawford number by 1.3e-5 ||B||; the closed form meets it
     b = np.array(
         [
             [0.302037 - 0.981239j, 1.296558 - 0.159437j],
@@ -818,7 +867,8 @@ KINKS = [
 
 @pytest.mark.parametrize("b, exact", [pytest.param(*case[1:], id=case[0]) for case in KINKS])
 def test_q_one_crawford_at_a_kink(b, exact):
-    # the sweep's eigenvector misses c_A there, so the witness comes from the sphere search
+    # the sweep's eigenvector misses c_A there, so the witness comes from the sphere
+    # search, or from the closed form at reduced dimension 2
     w, norm = Weight.identity(b.shape[0]), np.linalg.norm(b, 2)
     value, u, _, _ = _sweep(b, 16, smallest=True)
     assert value == pytest.approx(exact, abs=1e-9 * norm)
@@ -826,12 +876,14 @@ def test_q_one_crawford_at_a_kink(b, exact):
     est = a_crawford(w, b)
     assert est.value == pytest.approx(exact, abs=1e-9 * norm)
     assert witness_value(w, b, est) == pytest.approx(est.value, abs=1e-12 * norm)
+    if b.shape[0] == 2:  # the closed form runs instead of the sweep, and counts one evaluation
+        assert (est.direction, est.evaluations, est.converged) == (TWO_SIDED, 1, 1)
+        return
     # the sweep that ran first is counted with the sphere search that replaced it
     reduced = reduce_to_range(w, b)
     unit = reduced / np.linalg.norm(reduced)
     *_, swept, stopped = _sweep(unit, _CRAWFORD_GRID, smallest=True)
-    kind = "circle" if b.shape[0] == 2 else "disk"
-    *_, searched, retired = _extremize(_rule(unit, 1.0, 0.0, kind), b.shape[0], Budget(), seed=0)
+    *_, searched, retired = _extremize(_rule(unit, 1.0, 0.0, "disk"), b.shape[0], Budget(), seed=0)
     assert (est.evaluations, est.converged) == (swept + searched, stopped + retired)
 
 
@@ -839,7 +891,7 @@ def test_q_one_crawford_at_a_kink(b, exact):
 def test_unimodular_q_takes_the_q_one_values(rng, theta):
     # shifted, so that the Crawford sweep is certified as well; |q| is taken as given,
     # and at these phases abs(q) is exactly 1 (one ulp below, p = 1.5e-8 and the
-    # sphere search runs, as in the @example of test_radius_matches_the_2x2_closed_form)
+    # sphere search runs)
     w = random_pd_weight(rng, 3)
     t = crandn(rng, 3, 3) + 6.0 * np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(3)
     q = np.exp(1j * theta)
