@@ -28,10 +28,12 @@ collapses analytically and only the unit sphere in u remains.  The sphere
 search is multi-start projected ascent on one rule per estimator (`_rule`),
 which returns the value and the closed-form gradient together from two matrix
 products (B u, then one B^H product for both adjoint terms) and row inner
-products by `np.vecdot`, so each step costs one evaluation.  The search keeps
-only its live restarts in its working set, retiring each one to a result array
-once the stop rule ends it; it carries squared gradient norms, so its stop test
-is ||g||^2 <= 1e-24, and tests for a stall against a ring buffer of the last
+products by `np.vecdot`, so each step costs one evaluation.  At reduced
+dimension 3 and 4 its steps are quasi-Newton (BFGS) steps, except after an
+uncertified sweep; otherwise they are gradient steps (`_extremize`).  The
+search keeps only its live restarts in its working set, retiring each one to a
+result array once the stop rule ends it; it carries squared gradient norms for
+its stop test, and tests for a stall against a ring buffer of the last
 values.  Its seeded starts come from a small cache shared by all calls with
 the same seed, restart count and dimension; the cached arrays are read-only,
 so each search copies them before it updates a row.  Each estimate carries a
@@ -163,6 +165,11 @@ def _rule(b: np.ndarray, absq: float, p: float, kind: str):
 # After overshooting a kink of the Crawford rules a restart may halve its step
 # 16 times before a step is accepted again; a shorter window stops it there.
 _STALL_STEPS = 20
+# Reduced dimensions up to this take BFGS steps (see `_extremize`).  There a
+# rule evaluation costs about as much as the metric update, and the 2n x 2n
+# metric learns the curvature within a few steps.  Above it the metric costs
+# more than it saves within the iteration budgets.
+_BFGS_DIM = 4
 
 
 @functools.lru_cache(maxsize=32)
@@ -181,24 +188,61 @@ def _starts(seed: int, restarts: int, dim: int) -> np.ndarray:
     return u
 
 
-def _extremize(value_grad, dim: int, budget: Budget, seed: int) -> tuple[float, np.ndarray, int, int]:
+def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, ok: np.ndarray) -> None:
+    """Update, in place, the inverse-Hessian estimates h (one 2n x 2n real matrix per row).
+
+    s is each row's step and y the fall of its gradient (the rise of the gradient
+    of -f), complex rows read as real 2n-vectors.  Only accepted rows (`ok`)
+    whose curvature s.y exceeds 1e-10 |s|^2 update, which keeps every h
+    positive definite:
+
+        h <- h + s ((rho^2 y.h y + rho) s - rho h y)^T - (rho h y) s^T,  rho = 1 / s.y.
+    """
+    s, y = s.view(np.float64), y.view(np.float64)
+    sy = np.vecdot(s, y)
+    rho = np.divide(1.0, sy, out=np.zeros(sy.shape), where=ok & (sy > 1e-10 * np.vecdot(s, s)))
+    rho_hy = rho[:, None] * (h @ y[:, :, None])[:, :, 0]
+    c = rho * (1.0 + np.vecdot(y, rho_hy))
+    h += s[:, :, None] * (c[:, None] * s - rho_hy)[:, None, :]
+    h -= rho_hy[:, :, None] * s[:, None, :]
+
+
+def _extremize(
+    value_grad, dim: int, budget: Budget, seed: int, bfgs: bool = False
+) -> tuple[float, np.ndarray, int, int]:
     """Multi-start projected ascent of a rule (`_rule`) over the unit sphere in C^dim.
 
     The restarts start from a copy of the cached, read-only `_starts` rows.  The
     working set holds only the live restarts: each step evaluates all of them
     once, keeps the accepted candidates and their gradients for the next step,
-    so every restart's value only rises; a step starts at 1, grows by 1.3 when
-    accepted and halves when not.  When every live restart accepts, the
-    candidate arrays replace the working set; otherwise the accepted rows are
-    copied in place.  Squared gradient norms (`np.vecdot`) are carried with the
-    rows, so neither the Armijo test nor the stop rule takes a square root.  It
-    runs on B / ||B||_F, so a restart stops once its squared gradient norm is
-    <= 1e-24 (an exact plateau) or its last `_STALL_STEPS` steps raised its
-    value by <= 1e-12; a ring buffer of the last `_STALL_STEPS` values serves
-    that test.  A stopped restart is retired to the result arrays and dropped
-    from the working set.  Returns the best value found, its unit argument, the
-    number of rule evaluations (the start batch included) and the number of
-    restarts the stop rule retired before the iteration cap.
+    so every restart's value only rises.  A step moves u by its length times a
+    direction d and renormalizes; it is accepted when it raises the value by at
+    least 1e-4 times its length times the slope g.d (Armijo), and the length
+    halves when it is not.
+
+    - Gradient steps: d = g; the length starts at 1 and grows by 1.3 when
+      accepted.  A restart stops once ||g||^2 <= 1e-24 (an exact plateau).
+      Their rate is linear and set by the conditioning of the peak, so a
+      restart may take anywhere from 40 steps to the whole budget.
+    - BFGS steps (`bfgs`): d = H g, with H per restart an estimate of the
+      inverse Hessian of -f in the 2 dim real coordinates (`_bfgs_update`), the
+      identity until its first update.  An accepted step sets the next length
+      to 1; a rejected one also resets H, so the retry is a gradient step.  The
+      rate is superlinear, so a restart stops once ||g||^2 <= 1e-16, which on
+      B / ||B||_F leaves its value about 1e-16 / curvature below the peak,
+      after about 20 steps whatever the conditioning.  Where the peak is a
+      kink, as that of -|<B u, u>| at c_A = 0, BFGS stalls, so those searches
+      take gradient steps.
+
+    Either way a restart also stops once its last `_STALL_STEPS` steps raised
+    its value by <= 1e-12; a ring buffer of the last `_STALL_STEPS` values
+    serves that test.  When every live restart accepts, the candidate arrays
+    replace the working set; otherwise the accepted rows are copied in place.
+    Squared gradient norms (`np.vecdot`) are carried with the rows.  A stopped
+    restart is retired to the result arrays and dropped from the working set.
+    Returns the best value found, its unit argument, the number of rule
+    evaluations (the start batch included) and the number of restarts the stop
+    rule retired before the iteration cap.
     """
     u = _starts(seed, budget.restarts, dim).copy()
     f, grad = value_grad(u)
@@ -209,9 +253,12 @@ def _extremize(value_grad, dim: int, budget: Budget, seed: int) -> tuple[float, 
     index = np.arange(budget.restarts)
     alpha = np.ones(budget.restarts)
     ring = np.empty((_STALL_STEPS, budget.restarts))
+    tol = 1e-16 if bfgs else 1e-24
+    eye = np.eye(2 * dim) if bfgs else None
+    h = None  # the BFGS estimates, built at the first update
 
     for step in range(budget.iterations):
-        keep = gsq > 1e-24
+        keep = gsq > tol
         slot = step % _STALL_STEPS
         if step >= _STALL_STEPS:
             keep &= f - ring[slot] > 1e-12
@@ -223,24 +270,37 @@ def _extremize(value_grad, dim: int, budget: Budget, seed: int) -> tuple[float, 
             converged += index.size - live
             u, f, grad, gsq = u[keep], f[keep], grad[keep], gsq[keep]
             alpha, index, ring = alpha[keep], index[keep], ring[:, keep]
+            if h is not None:
+                h = h[keep]
             if live == 0:
                 break
-        cand = u + alpha[:, None] * grad
+        if h is None:
+            d, slope = grad, gsq
+        else:
+            d = (h @ grad.view(np.float64)[:, :, None])[:, :, 0].view(np.complex128)
+            slope = np.maximum(np.vecdot(grad, d).real, 0.0)
+        cand = u + alpha[:, None] * d
         cand /= np.sqrt(np.vecdot(cand, cand).real)[:, None]
         f_cand, g_cand = value_grad(cand)
         g_cand_sq = np.vecdot(g_cand, g_cand).real
         evaluations += 1
-        ok = f_cand >= f + 1e-4 * alpha * gsq
+        ok = f_cand >= f + 1e-4 * alpha * slope
+        if bfgs:
+            if h is None:
+                h = np.tile(eye, (live, 1, 1))
+            _bfgs_update(h, cand - u, grad - g_cand, ok)
         if np.count_nonzero(ok) == live:
             u, f, grad, gsq = cand, f_cand, g_cand, g_cand_sq
-            alpha *= 1.3
+            alpha = np.ones(live) if bfgs else alpha * 1.3
         else:
             rows = ok[:, None]
             np.copyto(u, cand, where=rows)
             np.copyto(f, f_cand, where=ok)
             np.copyto(grad, g_cand, where=rows)
             np.copyto(gsq, g_cand_sq, where=ok)
-            alpha *= np.where(ok, 1.3, 0.5)
+            if bfgs:
+                np.copyto(h, eye, where=~rows[:, :, None])
+            alpha = np.where(ok, 1.0 if bfgs else 1.3 * alpha, 0.5 * alpha)
 
     best_f[index], best_u[index] = f, u
     idx = int(np.argmax(best_f))
@@ -358,7 +418,8 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
             direction = TWO_SIDED
     if direction is None:  # an uncertified sweep's counts add to the sphere search's
         kind = "sup" if sup else "disk"
-        value, u, more, stopped = _extremize(_rule(b, abs(q), p, kind), b.shape[0], budget, seed)
+        bfgs = b.shape[0] <= _BFGS_DIM and p > 0.0  # at p = 0 the search follows a sweep: c_A may be 0
+        value, u, more, stopped = _extremize(_rule(b, abs(q), p, kind), b.shape[0], budget, seed, bfgs)
         evaluations, converged = evaluations + more, converged + stopped
         value, direction = (value, LOWER_BOUND_OF_SUP) if sup else (-value, UPPER_BOUND_OF_INF)
     v = _witness(b, u, q, p, sup)

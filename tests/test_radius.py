@@ -18,6 +18,7 @@ from aqradius import (
     aq_crawford,
     aq_radius,
     canonical_2x2,
+    jordan3_q_radius,
     q_crawford_2x2,
     q_radius_2x2,
     reduce_to_range,
@@ -25,6 +26,7 @@ from aqradius import (
 from aqradius.radius import (
     _CRAWFORD_GRID,
     _REFINE_STEPS,
+    _bfgs_update,
     _extremize,
     _normalize_rows,
     _rule,
@@ -486,6 +488,50 @@ class TestStopRule:
                 _extremize(rule, n, budget, seed=0)
                 evaluations.append(len(rows))
         assert np.median(evaluations) < budget.iterations / 4
+
+
+class TestBfgsSteps:
+    def test_update_meets_the_secant_condition(self, rng):
+        # rows 0-2 accept with positive curvature; row 3 is rejected, row 4 has s.y < 0
+        h = np.tile(np.eye(6), (5, 1, 1))
+        s = crandn(rng, 5, 3)
+        y = np.empty_like(s)
+        for i in range(5):
+            a = rng.standard_normal((6, 6))
+            y[i].view(np.float64)[:] = (a @ a.T + np.eye(6)) @ s[i].view(np.float64)
+        y[4] = -y[4]
+        before = h.copy()
+        _bfgs_update(h, s, y, np.array([True, True, True, False, True]))
+        for i in range(3):
+            np.testing.assert_allclose(h[i] @ y[i].view(np.float64), s[i].view(np.float64), atol=1e-12)
+            np.testing.assert_allclose(h[i], h[i].T, atol=1e-14)
+            assert np.linalg.eigvalsh(h[i]).min() > 0.0
+        np.testing.assert_array_equal(h[3:], before[3:])
+
+    @pytest.mark.parametrize("estimator", [aq_radius, aq_crawford])
+    def test_shifted_jordan_block_in_few_steps(self, rng, estimator):
+        # the q-range of J3 + s I is the disc of radius omega_q(J3) about q s; gradient steps
+        # crawl to its peak, up to the 200-step cap, and BFGS steps take a fraction of that
+        budget = Budget(16, 200)
+        sphere, gradient = [], []
+        for _ in range(6):
+            shift = 2.0 * np.exp(2j * np.pi * rng.random())
+            q = (0.5 + 0.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
+            t = JORDAN3 + shift * np.eye(3)
+            est = estimator(I3, t, q, budget)
+            sign = 1.0 if estimator is aq_radius else -1.0
+            assert est.value == pytest.approx(2.0 * abs(q) + sign * jordan3_q_radius(abs(q)), abs=1e-12)
+            kind = "sup" if estimator is aq_radius else "disk"
+            b = t / np.linalg.norm(t)
+            sphere.append(est.evaluations)
+            gradient.append(_extremize(_rule(b, abs(q), np.sqrt(1 - abs(q) ** 2), kind), 3, budget, 0)[2])
+        assert max(sphere) <= 60
+        assert sum(sphere) < sum(gradient) / 2
+
+    def test_zero_crawford_at_q_one_takes_gradient_steps(self):
+        # c_A(J3) = 0 sits at the kink c = 0 of -|<B u, u>|, where BFGS stalls near 1e-8
+        est = a_crawford(I3, JORDAN3)
+        assert est.value <= 1e-12
 
 
 def central_difference(fn, u, h=1e-6):
