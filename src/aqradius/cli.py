@@ -25,7 +25,6 @@ from .semispace import (
     Weight,
     a_opnorm,
     matrix_from_json,
-    reduce_to_range,
     validate_q,
     weight_from_json,
 )
@@ -93,36 +92,22 @@ def _cmd_compute(args) -> int:
     budget = _budget_from_flag(args.budget)
 
     opnorm = a_opnorm(w, mat)
-    if args.exact:
-        b = reduce_to_range(w, mat)
-        if b.shape[0] != 2:
-            raise ValueError("--exact needs a 2x2 operator after reduction")
-        form = exact.canonical_2x2(b)
-        omega_aq, c_aq = exact.q_radius_2x2(form, q), exact.q_crawford_2x2(form, q)
-        omega_a, c_a = exact.q_radius_2x2(form, 1.0), exact.q_crawford_2x2(form, 1.0)
-        witnesses = None
-    else:
-        omega_a = a_radius(w, mat, budget=budget, seed=args.seed).value
-        c_a = a_crawford(w, mat, budget=budget, seed=args.seed).value
-        rad = aq_radius(w, mat, q, budget=budget, seed=args.seed)
-        cra = aq_crawford(w, mat, q, budget=budget, seed=args.seed)
-        omega_aq, c_aq = rad.value, cra.value
-        witnesses = {
+    rad = aq_radius(w, mat, q, budget=budget, seed=args.seed)
+    cra = aq_crawford(w, mat, q, budget=budget, seed=args.seed)
+    out = {
+        "omega_aq": rad.value,
+        "c_aq": cra.value,
+        "omega_a": a_radius(w, mat, budget=budget, seed=args.seed).value,
+        "c_a": a_crawford(w, mat, budget=budget, seed=args.seed).value,
+        "opnorm": opnorm,
+        "gap_omega": opnorm - rad.value,
+        "gap_c": opnorm - cra.value,
+        "witnesses": {
             "radius_x": _vector_json(rad.witness_x),
             "radius_y": _vector_json(rad.witness_y),
             "crawford_x": _vector_json(cra.witness_x),
             "crawford_y": _vector_json(cra.witness_y),
-        }
-
-    out = {
-        "omega_aq": omega_aq,
-        "c_aq": c_aq,
-        "omega_a": omega_a,
-        "c_a": c_a,
-        "opnorm": opnorm,
-        "gap_omega": opnorm - omega_aq,
-        "gap_c": opnorm - c_aq,
-        "witnesses": witnesses,
+        },
         "budget": asdict(budget),
     }
     json.dump(out, sys.stdout, indent=2)
@@ -262,7 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, help="constraint parameter RE[,IM]")
     p.add_argument("--budget", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact", action="store_true", help="use the 2x2 closed forms for every value")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("figure", help="write figure-reproduction data as CSV")

@@ -12,7 +12,9 @@ e^{is} (`_boundary_moduli`), so neither value needs a grid or an iteration,
 except a Crawford number of 0 when the origin is inside.  `q_extremal_2x2`
 returns each value with a unit vector u whose partner values reach it: at the
 extremal boundary phase, or, for a Crawford number of 0, at the root of a
-quartic in the parameter of u (`_origin_preimage`), polished by Newton steps.
+quartic in the parameter of u (`_origin_preimage`), polished by Newton steps;
+at |q| = 1, where the range is W(T) and that quartic vanishes on a segment,
+at a root of a quadratic in a Schur basis (`_numerical_preimage`).
 `radius` takes every reduced-dimension-2 estimate from it.
 """
 
@@ -192,11 +194,45 @@ def _boundary_moduli(disk: EllipseDisk) -> tuple[tuple[float, float], tuple[floa
     return (float(moduli[low]), float(phases[low])), (float(moduli[high]), float(phases[high]))
 
 
+def _numerical_preimage(a: float, b: float, w: complex) -> np.ndarray:
+    """Unit y with y^H N y = w for N = [[0, a], [b, 0]], 0 <= b <= a, and w in W(N).
+
+    W(N) is the ellipse of semi-axes M = (a + b) / 2 along the real axis and
+    m = (a - b) / 2 along the imaginary one.  In the Schur basis
+    v1 = (sqrt a, sqrt b) / sqrt(a + b), v2 = (-sqrt b, sqrt a) / sqrt(a + b),
+    N is [[h, 2 m], [0, -h]] with h = sqrt(a b), and (sqrt t, e^{i psi} sqrt s),
+    t + s = 1, attains h (t - s) + 2 m sqrt(t s) e^{i psi}.  That is w = x + i y
+    where |w - h (t - s)| = 2 m sqrt(t s), with e^{i psi} the phase of
+    w - h (t - s): the quadratics M^2 s^2 - P s + |w - h|^2 / 4 = 0 and
+    M^2 t^2 - P' t + |w + h|^2 / 4 = 0, with P = M (M - h) + h (M - x) and
+    P' = M (M - h) + h (M + x) (x clipped to [-M, M]), M - h = m^2 / (M + h).
+    Their common discriminant is m^2 (M - x)(M + x) - M^2 y^2 in centred form,
+    so the smaller root s, from the product of the roots, and the larger root
+    t, which belong to one solution, are both free of cancellation.  A segment
+    (m = 0) gives t - s = x / h, a thin ellipse no worse.  For a w outside W(N)
+    by round-off the discriminant clamps at 0, and s at most the larger root.
+    """
+    if a == 0.0:  # N = 0 and W(N) = {0}: any unit vector
+        return np.array([1.0, 0.0], dtype=np.complex128)
+    big, small, h = 0.5 * (a + b), 0.5 * (a - b), math.sqrt(a * b)
+    x, y = min(big, max(-big, w.real)), w.imag
+    gap = big * small * small / (big + h)  # M (M - h)
+    root = math.sqrt(max(0.0, small * small * (big - x) * (big + x) - big * big * y * y))
+    s_sum = gap + h * (big - x) + root  # P + root, 2 M^2 times the larger root in s
+    s = min(0.5 * abs(w - h) ** 2, 0.5 * (s_sum / big) ** 2) / s_sum if s_sum > 0.0 else 0.0
+    t = (gap + h * (big + x) + root) / (2.0 * big * big)
+    lever = w - h * (t - s)
+    tilt = lever / abs(lever) if lever != 0.0 else 1.0
+    ra, rb = math.sqrt(a / (a + b)), math.sqrt(b / (a + b))
+    u = np.array([[ra, -rb], [rb, ra]]) @ np.array([math.sqrt(t), tilt * math.sqrt(s)])
+    return u / np.linalg.norm(u)
+
+
 _POLISH_STEPS = 8  # Newton steps per start on the preimage of the origin; a few reach round-off
 
 
 def _origin_preimage(a: float, b: float, p: float, w: complex) -> tuple[float, float]:
-    """(kappa, s) in [-1, 1] x R with a (kappa + p) e^{is} + b (kappa - p) e^{-is} = 2 w.
+    """(kappa, s) in [-1, 1] x R with a (kappa + p) e^{is} + b (kappa - p) e^{-is} = 2 w, for p > 0.
 
     With alpha = a (kappa + p), beta = b (kappa - p) and zeta = e^{is}, the
     equation alpha zeta + beta conj(zeta) = 2 w and its conjugate give
@@ -284,13 +320,15 @@ def q_extremal_2x2(form: CanonicalForm2x2, q, sup: bool) -> tuple[float, np.ndar
     the extremal boundary phase of `_boundary_moduli` gives u for the radius
     and for a positive Crawford number.  If the range holds the origin, the
     Crawford number is 0 and u comes from the (kappa, s) at which |q| gamma + z_N
-    vanishes (`_origin_preimage`).  The circle of u then reaches the value: its
+    vanishes (`_origin_preimage`), or at |q| = 1 from `_numerical_preimage`.  The circle of u then reaches the value: its
     largest (smallest) modulus is the partner of `radius._witness`.
     """
     m = _modulus(q)
     p = math.sqrt(max(0.0, 1.0 - m * m))
     disk = q_range_2x2(form, m)
     if not sup and disk.contains(0.0):
+        if p == 0.0:  # the numerical range of the form: a quadratic, not the quartic
+            return 0.0, form.u_similar @ _numerical_preimage(form.a, form.b, -form.gamma)
         value = 0.0
         kappa, s = _origin_preimage(form.a, form.b, p, -m * form.gamma)
         two_theta = math.atan2(p, m) + math.asin(kappa)  # kappa = sin(2 theta - atan2(p, |q|))

@@ -9,17 +9,26 @@ runs on B / ||B||_F and multiplies its value back.  With p = sqrt(1 - |q|^2),
   `exact.q_extremal_2x2` gives omega_q or c_q with a unit u that attains it;
   two-sided.
 - p = 0 (|q| = 1 as given; one ulp below 1, p = 1.5e-8, is not): the phase
-  sweep `_sweep`, two-sided.  As W(B) is convex, omega_A and c_A are the max
-  over phi of lambda_max and lambda_min of the Hermitian part H(e^{i phi} B).
-  It samples `Budget.grid_resolution` phases for omega_A and a fixed 16 for
-  c_A, and refines the best sample by safeguarded Newton steps on the phase.
-  lambda_max can peak more than once in the two grid cells around its best
-  sample, so it is refined from their midpoints too; while 0 is outside W(B),
-  lambda_min is positive on one arc with a single maximum, so one start serves
-  it.  If c_A = 0, or two eigenvalues cross there, the sphere search takes c_A.
+  sweep `_sweep`, and nothing else.  As W(B) is convex, omega_A and c_A are
+  the max over phi of lambda_max and of max(0, lambda_min) of the Hermitian
+  part H(e^{i phi} B).  It samples `Budget.grid_resolution` phases for omega_A
+  and a fixed 16 for c_A, and refines the best sample by safeguarded Newton
+  steps on the phase.  lambda_max can peak more than once in the two grid
+  cells around its best sample, so it is refined from their midpoints too;
+  while 0 is outside W(B), lambda_min is positive on one arc with a single
+  maximum, so one start serves it.  omega_A is two-sided.  c_A takes the
+  lower bound max(0, best lambda_min) with a certificate: the eigenvector at
+  the best phase where it attains that bound, else a vector built from 2x2
+  compressions of B on the sweep's eigenvectors (`_crawford_witness`), where
+  c_A = 0 or two eigenvalues cross at the best phase.
 - otherwise: the sphere search `_extremize`.  Its suprema are lower bounds and
-  its infima upper bounds, except that an infimum of exactly 0 whose witness
-  attains it is two-sided, as c_q >= 0.
+  its infima upper bounds.
+
+An inf is two-sided once its witness attains a known lower bound within
+1e-12 ||B||_2: max(0, best lambda_min) for the sweep, and 0 (c_q >= 0) for a
+sphere value of exactly 0, there within 1e-12 / sqrt(n), which needs no SVD.
+A sweep whose certificate falls short reports the point nearest 0 it found,
+an upper bound.
 
 For a unit vector u, the values attainable over all admissible partner vectors
 form a circle (n = 2) or a full disk (n >= 3) of radius
@@ -29,14 +38,14 @@ search is multi-start projected ascent on one rule per estimator (`_rule`),
 which returns the value and the closed-form gradient together from two matrix
 products (B u, then one B^H product for both adjoint terms) and row inner
 products by `np.vecdot`, so each step costs one evaluation.  At reduced
-dimension 3 and 4 its steps are quasi-Newton (BFGS) steps, except after an
-uncertified sweep; otherwise they are gradient steps (`_extremize`).  The
-search keeps only its live restarts in its working set, retiring each one to a
-result array once the stop rule ends it; it carries squared gradient norms for
-its stop test, and tests for a stall against a ring buffer of the last
-values.  Its seeded starts come from a small cache shared by all calls with
-the same seed, restart count and dimension; the cached arrays are read-only,
-so each search copies them before it updates a row.  Each estimate carries a
+dimension 3 and 4 its steps are quasi-Newton (BFGS) steps, otherwise gradient
+steps (`_extremize`).  The search keeps only its live restarts in its working
+set, retiring each one to a result array once the stop rule ends it; it
+carries squared gradient norms for its stop test, and tests for a stall
+against a ring buffer of the last values.  Its seeded starts come from a small
+cache shared by all calls with the same seed, restart count and dimension; the
+cached arrays are read-only, so each search copies them before it updates a
+row.  Each estimate carries a
 witness pair (x, y) with ||x||_A = ||y||_A = 1 and <x, y>_A = q that attains the
 reported value; `_witness` builds the partner of the route's u.
 """
@@ -99,9 +108,10 @@ class Estimate:
     and how many restarts its stop rule `converged` before the iteration cap;
     the phase sweep at |q| = 1 reports the phases at which it solved an
     eigenproblem (grid and refine steps) and how many refine starts stopped by
-    their rule before the step cap.  Where a sphere search follows a sweep that
-    is not certified, each count is the sum of the two.  The closed form at
-    reduced dimension 2 reports `evaluations = 1` and `converged = 1`.
+    their rule before the step cap.  A Crawford certificate adds no count: its
+    2x2 closed forms solve no eigenproblem, and its eigenvectors are taken at
+    phases the grid already sampled.  The closed form at reduced dimension 2
+    reports `evaluations = 1` and `converged = 1`.
     """
 
     value: float
@@ -162,8 +172,11 @@ def _rule(b: np.ndarray, absq: float, p: float, kind: str):
     return rule
 
 
-# After overshooting a kink of the Crawford rules a restart may halve its step
-# 16 times before a step is accepted again; a shorter window stops it there.
+# A restart ends once its last this many steps raised its value by <= 1e-12:
+# at a kink of the disk rule (t = 0 or rho = 0) the gradient does not vanish,
+# and near a flat peak it falls too slowly for the gradient test.  At the
+# default budget, on 80 searches at |q| < 1 (n = 3-8, "sup" and "disk"), the
+# window cut the rule evaluations from 14383 to 3137, values within 1.9e-13.
 _STALL_STEPS = 20
 # Reduced dimensions up to this take BFGS steps (see `_extremize`).  There a
 # rule evaluation costs about as much as the metric update, and the 2n x 2n
@@ -230,9 +243,7 @@ def _extremize(
       to 1; a rejected one also resets H, so the retry is a gradient step.  The
       rate is superlinear, so a restart stops once ||g||^2 <= 1e-16, which on
       B / ||B||_F leaves its value about 1e-16 / curvature below the peak,
-      after about 20 steps whatever the conditioning.  Where the peak is a
-      kink, as that of -|<B u, u>| at c_A = 0, BFGS stalls, so those searches
-      take gradient steps.
+      after about 20 steps whatever the conditioning.
 
     Either way a restart also stops once its last `_STALL_STEPS` steps raised
     its value by <= 1e-12; a ring buffer of the last `_STALL_STEPS` values
@@ -353,8 +364,14 @@ def _witness(b: np.ndarray, u: np.ndarray, q: complex, p: float, sup: bool) -> n
 _REFINE_STEPS = 64  # cap per start of the phase refine; bisecting a cell to a kink takes ~50
 
 
+def _hermitian_grid(b: np.ndarray, grid: int) -> np.ndarray:
+    """H(e^{i phi} B) at the `grid` equispaced phases phi = 2 pi k / grid, stacked."""
+    rot = np.exp(1j * (2.0 * math.pi / grid) * np.arange(grid))[:, None, None]
+    return 0.5 * (rot * b + rot.conj() * b.conj().T)
+
+
 def _sweep(b: np.ndarray, grid: int, smallest: bool) -> tuple[float, np.ndarray, int, int]:
-    """Max over phi of lambda_max (or lambda_min) of H(e^{i phi} B), its unit eigenvector and counts.
+    """Max over phi of lambda_max (or lambda_min) of H(e^{i phi} B), the eigenvectors there and counts.
 
     One `eigvalsh` samples `grid` equispaced phases; safeguarded Newton steps on the phase
     refine the best sample.  At phi one `eigh` gives lambda_k and V, and for
@@ -367,15 +384,15 @@ def _sweep(b: np.ndarray, grid: int, smallest: bool) -> tuple[float, np.ndarray,
     too; lambda_min, while positive, has a single maximum.  The bracket ends are samples no
     higher than the best, so the best phase evaluated, which stands, is a peak or a kink;
     the value is never below the best sample.
-    Returns the value, its eigenvector, the phases at which an eigenproblem was solved (the
-    grid included) and the starts that stopped before the cap.
+    Returns the value, the unit eigenvectors V (ascending eigenvalues) at the best phase
+    evaluated, the phases at which an eigenproblem was solved (the grid included) and the
+    starts that stopped before the cap.
     """
     k = 0 if smallest else -1
     cell = 2.0 * math.pi / grid
-    rot = np.exp(1j * cell * np.arange(grid))[:, None, None]
-    samples = np.linalg.eigvalsh(0.5 * (rot * b + rot.conj() * b.conj().T))[:, k]
+    samples = np.linalg.eigvalsh(_hermitian_grid(b, grid))[:, k]
     i0 = int(np.argmax(samples))
-    best, vector, evaluations, converged = float(samples[i0]), None, grid, 0
+    best, vectors, evaluations, converged = float(samples[i0]), None, grid, 0
     for i in [i0] if smallest else [i0, i0 - 0.5, i0 + 0.5]:
         phi, lo, hi = cell * i, cell * (i0 - 1), cell * (i0 + 1)
         for _ in range(_REFINE_STEPS):
@@ -383,8 +400,8 @@ def _sweep(b: np.ndarray, grid: int, smallest: bool) -> tuple[float, np.ndarray,
             m_h = m.conj().T
             vals, vecs = np.linalg.eigh(0.5 * (m + m_h))
             evaluations += 1
-            if vector is None or vals[k] > best:  # eigh may put the best sample an ulp lower
-                best, vector = max(best, float(vals[k])), vecs[:, k]
+            if vectors is None or vals[k] > best:  # eigh may put the best sample an ulp lower
+                best, vectors = max(best, float(vals[k])), vecs
             d = vecs.conj().T @ (0.5j * (m - m_h) @ vecs[:, k])
             gaps = np.where(vals == vals[k], np.inf, vals[k] - vals)
             curvature = 2.0 * float(np.sum(np.abs(d) ** 2 / gaps)) - vals[k]
@@ -394,7 +411,61 @@ def _sweep(b: np.ndarray, grid: int, smallest: bool) -> tuple[float, np.ndarray,
                 converged += 1
                 break
             phi = phi + step if lo < phi + step < hi else 0.5 * (lo + hi)
-    return best, vector, evaluations, converged
+    return best, vectors, evaluations, converged
+
+
+def _nearest_in_span(b: np.ndarray, basis: np.ndarray, w: complex = 0.0) -> np.ndarray:
+    """Unit u in the span of two orthonormal columns with u^H B u the point of that compression's range nearest w.
+
+    The range of the 2x2 compression C = basis^H B basis is an ellipse inside
+    W(B), and the Crawford closed form of C - w I (`exact.q_extremal_2x2` at
+    q = 1) gives the point nearest w with a unit vector that attains it.
+    """
+    c = basis.conj().T @ b @ basis - w * np.eye(2)
+    return basis @ q_extremal_2x2(canonical_2x2(c), 1.0, False)[1]
+
+
+def _crawford_witness(b: np.ndarray, best: float, vectors: np.ndarray, tol: float) -> np.ndarray:
+    """Unit u with |u^H B u| within tol of max(best, 0), or the nearest to 0 found (the module docstring).
+
+    `best` and `vectors` are the Crawford sweep's value and eigenvectors.  The
+    lambda_min eigenvector at the best phase attains c_A, unless c_A = 0 or two
+    eigenvalues cross there; then first the compression onto the two lowest
+    eigenvectors: at a crossing, or where W(B) touches 0, its range holds the
+    point of W(B) nearest 0.  Else the points z = v^H B v of the lambda_min
+    eigenvectors at the sweep's grid phases and of those two lie in W(B).  For
+    each z_a and each pair z_i, z_j on either side of the ray from 0 away from
+    z_a (within tol of it counts as on it, as for the collinear points of a
+    rotated Hermitian B), the chord [z_i, z_j] crosses the ray at w, if at
+    all; the triple whose shorter leg min(|z_a|, |w|) is longest is taken.  A
+    vector of span(v_i, v_j) attains w, and one of the span of v_a and that
+    vector attains the point nearest 0 of a range that holds the segment
+    [z_a, w], and with it 0.  QR gives each span an orthonormal basis, also
+    when its two vectors are parallel (several grid phases can share a
+    lambda_min eigenvector).
+    """
+    lower, u = max(best, 0.0), vectors[:, 0]
+    if abs(np.vdot(u, b @ u)) - lower <= tol:
+        return u
+    u = _nearest_in_span(b, vectors[:, :2])
+    if abs(np.vdot(u, b @ u)) - lower <= tol:
+        return u
+    rows = np.vstack([np.linalg.eigh(_hermitian_grid(b, _CRAWFORD_GRID))[1][:, :, 0], vectors[:, :2].T, u])
+    z = np.vecdot(rows, rows @ b.T)
+    size = np.abs(z)
+    ray = np.divide(-z.conj(), size, out=np.zeros_like(z), where=size > 0.0)  # turns -z_a to the positive reals
+    zeta = ray[:, None] * z
+    side = np.where(np.abs(zeta.imag) <= tol, 0.0, zeta.imag)  # collinear points sit on the ray
+    up, down = side[:, :, None], side[:, None, :]  # (a, i, j)
+    frac = np.divide(up, up - down, out=np.zeros((z.size,) * 3), where=up > down)  # weight of z_j
+    cross = (1.0 - frac) * zeta.real[:, :, None] + frac * zeta.real[:, None, :]
+    leg = np.where((up >= 0.0) & (down <= 0.0), np.minimum(cross, size[:, None, None]), -np.inf)
+    a, i, j = np.unravel_index(int(np.argmax(leg)), leg.shape)
+    if leg[a, i, j] > 0.0:
+        x = _nearest_in_span(b, np.linalg.qr(rows[[i, j]].T)[0], cross[a, i, j] * ray[a].conjugate())
+        rows = np.concatenate([rows, [_nearest_in_span(b, np.linalg.qr(np.stack([rows[a], x], axis=1))[0])]])
+        z = np.vecdot(rows, rows @ b.T)
+    return rows[int(np.argmin(np.abs(z)))]
 
 
 def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> Estimate:
@@ -407,26 +478,29 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
     size = float(np.linalg.norm(b)) or 1.0  # both values scale with T: every route runs on B / ||B||_F
     b = b / size
     p = math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
-    direction, evaluations, converged = None, 0, 0
+    lower = None  # a lower bound of the inf, two-sided once a witness attains it
     if b.shape[0] == 2:  # the q-range is an ellipse-disk: the closed form and a u attaining it
         value, u = q_extremal_2x2(canonical_2x2(b), q, sup)
         direction, evaluations, converged = TWO_SIDED, 1, 1
-    elif p == 0.0:  # the inf's sweep stands when positive and its eigenvector reproduces it
-        grid = budget.grid_resolution if sup else _CRAWFORD_GRID
-        value, u, evaluations, converged = _sweep(b, grid, not sup)
-        if sup or (value > 0.0 and abs(abs(np.vdot(u, b @ u)) - value) <= 1e-12 * np.linalg.norm(b, 2)):
-            direction = TWO_SIDED
-    if direction is None:  # an uncertified sweep's counts add to the sphere search's
+    elif p == 0.0:
+        value, vectors, evaluations, converged = _sweep(b, budget.grid_resolution if sup else _CRAWFORD_GRID, not sup)
+        if sup:
+            u, direction = vectors[:, -1], TWO_SIDED
+        else:
+            lower, tol = max(value, 0.0), 1e-12 * np.linalg.norm(b, 2)
+            u = _crawford_witness(b, value, vectors, tol)
+            value, direction = float(abs(np.vdot(u, b @ u))), UPPER_BOUND_OF_INF
+    else:
         kind = "sup" if sup else "disk"
-        bfgs = b.shape[0] <= _BFGS_DIM and p > 0.0  # at p = 0 the search follows a sweep: c_A may be 0
-        value, u, more, stopped = _extremize(_rule(b, abs(q), p, kind), b.shape[0], budget, seed, bfgs)
-        evaluations, converged = evaluations + more, converged + stopped
+        value, u, evaluations, converged = _extremize(
+            _rule(b, abs(q), p, kind), b.shape[0], budget, seed, b.shape[0] <= _BFGS_DIM
+        )
         value, direction = (value, LOWER_BOUND_OF_SUP) if sup else (-value, UPPER_BOUND_OF_INF)
+        if value == 0.0 and not sup:  # c_q >= 0; 1 / sqrt(n) <= ||B||_2 needs no SVD
+            lower, tol = 0.0, 1e-12 / math.sqrt(b.shape[0])
     v = _witness(b, u, q, p, sup)
-    # c_q >= 0, so an attained 0 is the infimum; ||B||_2 >= ||B||_F / sqrt(n) = 1 / sqrt(n)
-    # bounds the test by 1e-12 ||B||_2 without a singular value decomposition
-    if not sup and value == 0.0 and abs(np.vdot(v, b @ u)) <= 1e-12 / math.sqrt(b.shape[0]):
-        direction = TWO_SIDED
+    if lower is not None and abs(np.vdot(v, b @ u)) - lower <= tol:
+        value, direction = lower, TWO_SIDED
     x, y = w.lift(u), w.lift(v)
     return Estimate(size * value, direction, x, y, budget, seed, evaluations, converged)
 
@@ -444,14 +518,16 @@ def aq_radius(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> E
 
 
 def aq_crawford(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> Estimate:
-    """Estimate of the weighted q-Crawford number: two-sided at reduced dimension 2, else an upper bound.
+    """Estimate of the weighted q-Crawford number: two-sided at reduced dimension 2 or |q| = 1, else an upper bound.
 
     Reduced dimension 2 takes the closed form, 0 where the ellipse-disk range
     holds the origin, with a witness pair attaining it.  At |q| = 1 the phase
-    sweep is two-sided where it certifies its value.  Otherwise the sphere
-    search minimizes over unit u, where the partner values fill a disk and the
-    inner minimum clamps at zero; a value of exactly 0 whose witness pair
-    attains it is two-sided too, since c_q >= 0.
+    sweep gives the lower bound max(0, max_phi lambda_min), two-sided where a
+    witness attains it; one built from 2x2 closed forms serves c_A = 0 and
+    eigenvalue crossings.  Otherwise the sphere search minimizes over unit u,
+    where the partner values fill a disk and the inner minimum clamps at zero;
+    a value of exactly 0 whose witness pair attains it is two-sided too, since
+    c_q >= 0.
     """
     return _estimate(w, t, q, budget, seed, sup=False)
 

@@ -139,8 +139,9 @@ def test_compute_exits_3_on_an_operator_the_weight_does_not_bound(tmp_path, caps
 
 
 def test_compute_exact_uses_the_closed_forms(tmp_path, capsys):
-    # the second matrix is the one whose q = 1 Crawford number the sphere search
-    # misses by 1.3e-5 ||B|| (tests/test_radius.py::test_q_one_crawford_matches_the_2x2_closed_form)
+    # reduced dimension 2 takes every value from the closed forms, with witnesses; the
+    # second matrix is the one whose q = 1 Crawford number a sphere search missed by
+    # 1.3e-5 ||B|| (tests/test_radius.py::test_q_one_crawford_matches_the_2x2_closed_form)
     mats = [
         np.array([[1.0, 2.0], [0.5j, -1.0]]),
         np.array(
@@ -151,7 +152,7 @@ def test_compute_exact_uses_the_closed_forms(tmp_path, capsys):
         ),
     ]
     for mat in mats:
-        argv = ["compute", "--matrix", _matrix_file(tmp_path, mat), "--q", "0.5", "--exact", "--budget", "4"]
+        argv = ["compute", "--matrix", _matrix_file(tmp_path, mat), "--q", "0.5", "--budget", "4"]
         assert cli.main(argv) == 0
         out = json.loads(capsys.readouterr().out)
         form = exact.canonical_2x2(mat)
@@ -159,15 +160,18 @@ def test_compute_exact_uses_the_closed_forms(tmp_path, capsys):
         assert out["c_aq"] == pytest.approx(exact.q_crawford_2x2(form, 0.5), abs=1e-14)
         assert out["omega_a"] == pytest.approx(exact.q_radius_2x2(form, 1.0), abs=1e-14)
         assert out["c_a"] == pytest.approx(exact.q_crawford_2x2(form, 1.0), abs=1e-14)
-        assert out["witnesses"] is None
+        assert set(out["witnesses"]) == {"radius_x", "radius_y", "crawford_x", "crawford_y"}
 
 
 def test_compute_exact_takes_complex_q_by_its_modulus(tmp_path, capsys):
+    # the values and the witnesses x depend on |q| alone; the partners y carry its phase
     matrix = _matrix_file(tmp_path, [[1.0, 2.0], [0.5j, -1.0]])
     outputs = []
     for q in ("0.5,0.1", repr(abs(0.5 + 0.1j))):  # |0.5 + 0.1i| = sqrt(0.26)
-        assert cli.main(["compute", "--matrix", matrix, "--q", q, "--exact", "--budget", "4"]) == 0
-        outputs.append(capsys.readouterr().out)
+        assert cli.main(["compute", "--matrix", matrix, "--q", q, "--budget", "4"]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    for out in outputs:
+        out["witnesses"].pop("radius_y"), out["witnesses"].pop("crawford_y")
     assert outputs[0] == outputs[1]
 
 

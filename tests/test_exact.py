@@ -4,15 +4,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqradius import (
+    TWO_SIDED,
     Budget,
     QOutOfRange,
     Weight,
+    a_crawford,
     a_radius,
     aq_crawford,
     aq_radius,
     canonical_2x2,
     jordan3_q_radius,
     q_crawford_2x2,
+    q_extremal_2x2,
     q_radius_2x2,
     q_range_2x2,
 )
@@ -311,3 +314,31 @@ def test_closed_forms_match_estimators_on_random_matrices(rng):
             est = estimator(w, t, q, budget)
             assert est.value == pytest.approx(exact(form, q), abs=1e-9 * norm)
             assert abs(np.vdot(est.witness_y, t @ est.witness_x)) == pytest.approx(est.value, abs=1e-12 * norm)
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=0, eps=0.0)
+@given(seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([0.0, 1e-14, 1e-10, 1e-8]))
+def test_q_one_zero_witness_on_segments_and_thin_ellipses(seed, eps):
+    # T = U ([[l1, eps g], [0, l2]] + s I) U^H: W(T) is the segment [l1, l2] through 0 when
+    # eps = 0, else an ellipse of semi-minor axis eps |g| / 2 about it, and s moves the
+    # segment off 0 by at most a quarter of that; c_A = 0 and the witness attains it
+    rng = np.random.default_rng(seed)
+    phase = np.exp(2j * np.pi * rng.random())
+    l1, l2 = rng.uniform(0.2, 1.0) * phase, -rng.uniform(0.2, 1.0) * phase
+    g = eps * crandn(rng)
+    s = 0.125 * abs(g) * rng.uniform(-1.0, 1.0) * 1j * phase
+    u = np.linalg.qr(crandn(rng, 2, 2))[0]
+    t = 10 ** rng.uniform(-8, 8) * u @ (np.array([[l1, g], [0, l2]]) + s * np.eye(2)) @ u.conj().T
+    value, x = q_extremal_2x2(canonical_2x2(t), 1.0, False)
+    assert value == 0.0
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-15)
+    assert abs(np.vdot(x, t @ x)) <= 1e-12 * np.linalg.norm(t, 2)
+
+
+def test_q_one_zero_witness_of_a_hermitian_segment():
+    # W(diag(0, 3)) is [0, 3], so c_A = 0; a witness of the quartic route attained 1.5
+    t = np.diag([0.0, 3.0])
+    est = a_crawford(Weight.identity(2), t)
+    assert (est.value, est.direction) == (0.0, TWO_SIDED)
+    assert abs(np.vdot(est.witness_y, t @ est.witness_x)) <= 1e-15

@@ -23,6 +23,7 @@ from aqradius import (
     q_radius_2x2,
     reduce_to_range,
 )
+from aqradius import radius
 from aqradius.radius import (
     _CRAWFORD_GRID,
     _REFINE_STEPS,
@@ -94,7 +95,8 @@ class TestPhaseMax:
         peak = 2 * np.pi * offset / 16
         u = np.linalg.qr(crandn(rng, 3, 3))[0]
         b = (u * [3 * np.exp(-1j * peak), 1.5j, -1.0]) @ u.conj().T
-        value, v, _, _ = _sweep(b, 16, smallest=False)
+        value, vectors, _, _ = _sweep(b, 16, smallest=False)
+        v = vectors[:, -1]
         assert value == pytest.approx(3.0, abs=3e-12)
         assert abs(np.vdot(v, b @ v)) == pytest.approx(value, abs=3e-12)
 
@@ -117,7 +119,8 @@ class TestPhaseMax:
         # a cell midpoint ended at such an end for nearly_normal(278, 8) at 16 phases
         cases = [(nearly_normal(278, 8), 16)] + [(nearly_normal(s), g) for s in range(40) for g in (16, 24)]
         for b, grid in cases:
-            value, v, _, _ = _sweep(b, grid, smallest=False)
+            value, vectors, _, _ = _sweep(b, grid, smallest=False)
+            v = vectors[:, -1]
             assert abs(np.vdot(v, b @ v)) == pytest.approx(value, abs=1e-12 * np.linalg.norm(b, 2))
 
 
@@ -528,11 +531,6 @@ class TestBfgsSteps:
         assert max(sphere) <= 60
         assert sum(sphere) < sum(gradient) / 2
 
-    def test_zero_crawford_at_q_one_takes_gradient_steps(self):
-        # c_A(J3) = 0 sits at the kink c = 0 of -|<B u, u>|, where BFGS stalls near 1e-8
-        est = a_crawford(I3, JORDAN3)
-        assert est.value <= 1e-12
-
 
 def central_difference(fn, u, h=1e-6):
     """Central differences in the 2r real coordinates, as complex rows d/dRe + i d/dIm."""
@@ -913,24 +911,139 @@ KINKS = [
 
 @pytest.mark.parametrize("b, exact", [pytest.param(*case[1:], id=case[0]) for case in KINKS])
 def test_q_one_crawford_at_a_kink(b, exact):
-    # the sweep's eigenvector misses c_A there, so the witness comes from the sphere
-    # search, or from the closed form at reduced dimension 2
+    # the sweep's eigenvector misses c_A there; the witness comes from the compression
+    # onto the two lowest eigenvectors at the best phase, or from the closed form at
+    # reduced dimension 2
     w, norm = Weight.identity(b.shape[0]), np.linalg.norm(b, 2)
-    value, u, _, _ = _sweep(b, 16, smallest=True)
+    value, vectors, _, _ = _sweep(b, 16, smallest=True)
+    u = vectors[:, 0]
     assert value == pytest.approx(exact, abs=1e-9 * norm)
     assert abs(np.vdot(u, b @ u)) > exact + 0.1
     est = a_crawford(w, b)
+    assert est.direction == TWO_SIDED
     assert est.value == pytest.approx(exact, abs=1e-9 * norm)
     assert witness_value(w, b, est) == pytest.approx(est.value, abs=1e-12 * norm)
     if b.shape[0] == 2:  # the closed form runs instead of the sweep, and counts one evaluation
-        assert (est.direction, est.evaluations, est.converged) == (TWO_SIDED, 1, 1)
+        assert (est.evaluations, est.converged) == (1, 1)
         return
-    # the sweep that ran first is counted with the sphere search that replaced it
+    # the counts are the sweep's own: its certificate solves 2x2 closed forms
     reduced = reduce_to_range(w, b)
-    unit = reduced / np.linalg.norm(reduced)
-    *_, swept, stopped = _sweep(unit, _CRAWFORD_GRID, smallest=True)
-    *_, searched, retired = _extremize(_rule(unit, 1.0, 0.0, "disk"), b.shape[0], Budget(), seed=0)
-    assert (est.evaluations, est.converged) == (swept + searched, stopped + retired)
+    *_, swept, stopped = _sweep(reduced / np.linalg.norm(reduced), _CRAWFORD_GRID, smallest=True)
+    assert (est.evaluations, est.converged) == (swept, stopped)
+
+
+def test_zero_crawford_at_q_one_is_certified():
+    # c_A(J3) = 0: the lambda_min sweep peaks at 0, and the witness attains it
+    est = a_crawford(I3, JORDAN3)
+    assert (est.value, est.direction) == (0.0, TWO_SIDED)
+    assert witness_value(I3, JORDAN3, est) <= 1e-15
+    *_, swept, stopped = _sweep(JORDAN3 / np.linalg.norm(JORDAN3), _CRAWFORD_GRID, smallest=True)
+    assert (est.evaluations, est.converged) == (swept, stopped)
+
+
+def rotated(rng, b):
+    """B under a random unitary similarity, which keeps W(B)."""
+    u = np.linalg.qr(crandn(rng, b.shape[0], b.shape[0]))[0]
+    return u @ b @ u.conj().T
+
+
+def jordan_disk(n):
+    """The n x n nilpotent Jordan block: W(J_n) is the disk of radius cos(pi / (n + 1)) about 0."""
+    return np.diag(np.ones(n - 1), k=1).astype(complex)
+
+
+BOUNDARIES = [
+    # (id, B, c_A): 0 on the boundary of W(B), within 1e-9 of it, or at a crossing
+    ("segment-and-point", np.diag([2 + 1j, 2 - 1j, 5]), 2.0),
+    ("two-disks", KINKS[2][1], 0.75),
+    ("roots-of-unity-5", np.diag(np.exp(2j * np.pi * np.arange(5) / 5)), 0.0),
+    ("zero-vertex", np.diag([0.0, 1 + 1j, 1 - 1j, 2]), 0.0),
+    ("zero-on-an-edge", np.diag([1j, -1j, 3]), 0.0),
+    ("hermitian-indefinite", np.exp(0.7j) * np.diag([-1.0, 0.5, 2.0]), 0.0),
+    ("rank-one", np.outer([1.0, 2j, 0.5], [0.3, 1.0, -1j]), 0.0),
+    ("jordan3-tangent", JORDAN3 + np.cos(np.pi / 4) * np.eye(3), 0.0),
+    ("jordan3-outside-1e-9", JORDAN3 + (np.cos(np.pi / 4) + 1e-9) * np.eye(3), 1e-9),
+    ("jordan3-inside-1e-9", JORDAN3 + (np.cos(np.pi / 4) - 1e-9) * np.eye(3), 0.0),
+    ("jordan4-tangent", jordan_disk(4) + 1j * np.cos(np.pi / 5) * np.eye(4), 0.0),
+]
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("b, exact", [pytest.param(*case[1:], id=case[0]) for case in BOUNDARIES])
+def test_q_one_crawford_is_certified_at_kinks_and_boundaries(rng, b, exact, scale):
+    t = scale * rotated(rng, b)
+    w, norm = Weight.identity(b.shape[0]), np.linalg.norm(t, 2)
+    est = a_crawford(w, t)
+    assert est.direction == TWO_SIDED
+    assert est.value == pytest.approx(scale * exact, abs=1e-12 * norm)
+    assert witness_value(w, t, est) == pytest.approx(est.value, abs=1e-12 * norm)
+
+
+def test_q_one_never_runs_the_sphere_search(rng, monkeypatch):
+    # at |q| = 1 the phase sweep and its certificate are the only route, also where c_A = 0
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sphere search ran at |q| = 1")
+
+    monkeypatch.setattr(radius, "_extremize", refuse)
+    cases = [crandn(rng, n, n) for n in (3, 4, 8)] + [JORDAN3] + [case[1] for case in BOUNDARIES]
+    for t in cases:
+        w = Weight.identity(t.shape[0])
+        for estimator in (aq_radius, aq_crawford):
+            for q in (1.0, np.exp(2.5j)):
+                estimator(w, t, q)
+
+
+def crawford_family(rng, kind, n):
+    """B of one family of the Crawford property: c_A is 0 for all but the shifted ones."""
+    if kind == "gaussian":
+        return crandn(rng, n, n)
+    if kind == "shifted":
+        return crandn(rng, n, n) + 2.0 * np.sqrt(n) * np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(n)
+    if kind == "nearly-normal":
+        return nearly_normal(int(rng.integers(2**31)), n)
+    if kind == "normal-zero-vertex":  # the other eigenvalues in an open half-plane
+        ev = rng.uniform(0.1, 2.0, n - 1) * np.exp(1j * rng.uniform(-1.4, 1.4, n - 1))
+        return rotated(rng, np.diag(np.concatenate([[0.0], ev * np.exp(1j * rng.uniform(0, 2 * np.pi))])))
+    if kind == "normal-zero-inside":
+        return rotated(rng, np.diag(rng.uniform(0.1, 2.0, n) * np.exp(2j * np.pi * (np.arange(n) + rng.random(n)) / n)))
+    if kind == "rotated-hermitian":
+        h = crandn(rng, n, n)
+        return np.exp(1j * rng.uniform(0, 2 * np.pi)) * (h + h.conj().T)
+    # J_n + s I with 0 on the boundary circle of W(J_n)
+    return rotated(rng, jordan_disk(n) + np.cos(np.pi / (n + 1)) * np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([3, 4, 8]),
+    kind=st.sampled_from(
+        [
+            "gaussian",
+            "shifted",
+            "nearly-normal",
+            "normal-zero-vertex",
+            "normal-zero-inside",
+            "rotated-hermitian",
+            "jordan-tangent",
+        ]
+    ),
+)
+def test_q_one_crawford_is_certified(seed, n, kind):
+    # two-sided, its witness attains it, and it lies between the 4096-phase grid's
+    # lower bound max(0, max lambda_min) and the least |v^H B v| over that grid's
+    # lambda_min eigenvectors, whose points lie in W(B)
+    rng = np.random.default_rng(seed)
+    b = crawford_family(rng, kind, n)
+    w, tol = Weight.identity(n), 1e-12 * np.linalg.norm(b, 2)
+    est = a_crawford(w, b)
+    assert est.direction == TWO_SIDED
+    assert witness_value(w, b, est) == pytest.approx(est.value, abs=tol)
+    rot = np.exp(2j * np.pi * np.arange(4096) / 4096)[:, None, None]
+    vals, vecs = np.linalg.eigh(0.5 * (rot * b + rot.conj() * b.conj().T))
+    v = vecs[:, :, 0]
+    points = np.abs(np.einsum("ki,ij,kj->k", v.conj(), b, v))
+    assert max(0.0, vals[:, 0].max()) - tol <= est.value <= points.min() + tol
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0, np.pi / 2, 2.5, np.pi, 4.0])
