@@ -94,11 +94,19 @@ def _cmd_compute(args) -> int:
     opnorm = a_opnorm(w, mat)
     rad = aq_radius(w, mat, q, budget=budget, seed=args.seed)
     cra = aq_crawford(w, mat, q, budget=budget, seed=args.seed)
+    rad_a = a_radius(w, mat, budget=budget, seed=args.seed)
+    cra_a = a_crawford(w, mat, budget=budget, seed=args.seed)
     out = {
         "omega_aq": rad.value,
         "c_aq": cra.value,
-        "omega_a": a_radius(w, mat, budget=budget, seed=args.seed).value,
-        "c_a": a_crawford(w, mat, budget=budget, seed=args.seed).value,
+        "omega_a": rad_a.value,
+        "c_a": cra_a.value,
+        "directions": {
+            "omega_aq": rad.direction,
+            "c_aq": cra.direction,
+            "omega_a": rad_a.direction,
+            "c_a": cra_a.direction,
+        },
         "opnorm": opnorm,
         "gap_omega": opnorm - rad.value,
         "gap_c": opnorm - cra.value,

@@ -3,27 +3,34 @@
 All quantities are computed on the reduced operator B (standard inner product,
 dimension n = rank of the weight).  Every value scales with T, so each route
 runs on B / ||B||_F and multiplies its value back.  With p = sqrt(1 - |q|^2),
-`_estimate` takes one of three routes:
+`_estimate` takes the first of three routes that applies:
 
-- n = 2, any q: the closed form.  The q-range is an ellipse-disk, and
-  `exact.q_extremal_2x2` gives omega_q or c_q with a unit u that attains it;
-  two-sided.
+- n = 2, or W(B) a segment [a, b] (B = e^{i phi} H + s I, H Hermitian, as for
+  multiplication operators), any q: the closed form of a 2x2 matrix, whose
+  q-range is an ellipse-disk; `exact.q_extremal_2x2` gives omega_q or c_q with
+  a unit u that attains it.  On a segment both rules depend on u through the
+  mean and the spread of H's spectrum under |u_i|^2, and the two-point law on
+  its ends spreads most for its mean (Bhatia-Davis), so the q-range is that of
+  diag(a, b), the compression to the end eigenvectors (`_segment`).
 - p = 0 (|q| = 1 as given; one ulp below 1, p = 1.5e-8, is not): the phase
-  sweep `_sweep`, and nothing else.  As W(B) is convex, omega_A and c_A are
-  the max over phi of lambda_max and of max(0, lambda_min) of the Hermitian
-  part H(e^{i phi} B).  It samples `Budget.grid_resolution` phases for omega_A
-  and a fixed 16 for c_A, and refines the best sample by safeguarded Newton
-  steps on the phase.  lambda_max can peak more than once in the two grid
-  cells around its best sample, so it is refined from their midpoints too;
-  while 0 is outside W(B), lambda_min is positive on one arc with a single
-  maximum, so one start serves it.  omega_A is two-sided.  c_A takes the
-  lower bound max(0, best lambda_min) with a certificate: the eigenvector at
-  the best phase where it attains that bound, else a vector built from 2x2
+  sweep `_sweep`.  As W(B) is convex, omega_A and c_A are the max over phi of
+  lambda_max and of max(0, lambda_min) of the Hermitian part H(e^{i phi} B).
+  It samples `Budget.grid_resolution` phases for omega_A and a fixed 16 for
+  c_A, and refines the best sample by safeguarded Newton steps on the phase.
+  lambda_max can peak more than once in the two grid cells around its best
+  sample, so it is refined from their midpoints too; while 0 is outside W(B),
+  lambda_min is positive on one arc with a single maximum, so one start
+  serves it.  omega_A is two-sided.  c_A takes the lower bound
+  max(0, best lambda_min) with a certificate: the eigenvector at the best
+  phase where it attains that bound, else a vector built from 2x2
   compressions of B on the sweep's eigenvectors (`_crawford_witness`), where
   c_A = 0 or two eigenvalues cross at the best phase.
 - otherwise: the sphere search `_extremize`.  Its suprema are lower bounds and
   its infima upper bounds.
 
+A closed-form value is two-sided.  A segment is accepted within 1e-12 ||B||_F
+of e^{i phi} H + s I; as both values are sqrt(2)-Lipschitz in B and in its
+compression, the one reported is within 3e-12 ||B||_F.
 An inf is two-sided once its witness attains a known lower bound within
 1e-12 ||B||_2: max(0, best lambda_min) for the sweep, and 0 (c_q >= 0) for a
 sphere value of exactly 0, there within 1e-12 / sqrt(n), which needs no SVD.
@@ -110,8 +117,8 @@ class Estimate:
     eigenproblem (grid and refine steps) and how many refine starts stopped by
     their rule before the step cap.  A Crawford certificate adds no count: its
     2x2 closed forms solve no eigenproblem, and its eigenvectors are taken at
-    phases the grid already sampled.  The closed form at reduced dimension 2
-    reports `evaluations = 1` and `converged = 1`.
+    phases the grid already sampled.  The closed form (reduced dimension 2, or
+    W(B) a segment) reports `evaluations = 1` and `converged = 1`.
     """
 
     value: float
@@ -435,12 +442,12 @@ def _crawford_witness(b: np.ndarray, best: float, vectors: np.ndarray, tol: floa
     point of W(B) nearest 0.  Else the points z = v^H B v of the lambda_min
     eigenvectors at the sweep's grid phases and of those two lie in W(B).  For
     each z_a and each pair z_i, z_j on either side of the ray from 0 away from
-    z_a (within tol of it counts as on it, as for the collinear points of a
-    rotated Hermitian B), the chord [z_i, z_j] crosses the ray at w, if at
-    all; the triple whose shorter leg min(|z_a|, |w|) is longest is taken.  A
-    vector of span(v_i, v_j) attains w, and one of the span of v_a and that
-    vector attains the point nearest 0 of a range that holds the segment
-    [z_a, w], and with it 0.  QR gives each span an orthonormal basis, also
+    z_a (within tol of it counts as on it, as for the nearly collinear points
+    of a B just outside `_segment`'s test), the chord [z_i, z_j] crosses the
+    ray at w, if at all; the triple whose shorter leg min(|z_a|, |w|) is
+    longest is taken.  A vector of span(v_i, v_j) attains w, and one of the
+    span of v_a and that vector attains the point nearest 0 of a range that
+    holds the segment [z_a, w], and with it 0.  QR gives each span an orthonormal basis, also
     when its two vectors are parallel (several grid phases can share a
     lambda_min eigenvector).
     """
@@ -468,6 +475,28 @@ def _crawford_witness(b: np.ndarray, best: float, vectors: np.ndarray, tol: floa
     return rows[int(np.argmin(np.abs(z)))]
 
 
+def _segment(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The closed form's 2x2 matrix V^H B V and basis V where W(B) is a segment or n = 2 (V = I), else None.
+
+    At n >= 3, with s = tr B / n, C = B - s I and e^{2 i phi} the phase of tr(C^2)
+    (1 if it is 0), g = e^{-i phi} C must have ||(g - g^H) / 2||_F <= 1e-12; V holds
+    the extreme eigenvectors of (g + g^H) / 2.  ||b_ij| - |b_ji|| is at most sqrt(2)
+    times that, so a larger gap, at (0, 1) first, rejects B at less cost.
+    """
+    n = b.shape[0]
+    if n == 2:
+        return b, np.eye(2)
+    if n < 3 or abs(abs(b[0, 1]) - abs(b[1, 0])) > 2e-12 or np.abs(abs(b) - abs(b.T)).max() > 2e-12:
+        return None
+    c = b - (np.trace(b) / n) * np.eye(n)
+    square = complex(np.sum(c * c.T))  # tr(C^2) = e^{2 i phi} ||g||_F^2
+    g = c * (cmath.sqrt(square / abs(square)).conjugate() if square else 1.0)
+    if np.linalg.norm(g - g.conj().T) > 2e-12:
+        return None
+    v = np.linalg.eigh(0.5 * (g + g.conj().T))[1][:, [-1, 0]]
+    return v.conj().T @ b @ v, v
+
+
 def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> Estimate:
     """The sup (or the inf) of |<T x, y>_A| and its witness pair, by the route of the module docstring."""
     q = validate_q(q, allow_zero=True)
@@ -479,9 +508,9 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
     b = b / size
     p = math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
     lower = None  # a lower bound of the inf, two-sided once a witness attains it
-    if b.shape[0] == 2:  # the q-range is an ellipse-disk: the closed form and a u attaining it
-        value, u = q_extremal_2x2(canonical_2x2(b), q, sup)
-        direction, evaluations, converged = TWO_SIDED, 1, 1
+    if (segment := _segment(b)) is not None:  # the q-range is that of a 2x2 matrix: its closed form
+        value, u = q_extremal_2x2(canonical_2x2(segment[0]), q, sup)
+        u, direction, evaluations, converged = segment[1] @ u, TWO_SIDED, 1, 1
     elif p == 0.0:
         value, vectors, evaluations, converged = _sweep(b, budget.grid_resolution if sup else _CRAWFORD_GRID, not sup)
         if sup:
@@ -506,10 +535,11 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
 
 
 def aq_radius(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> Estimate:
-    """Estimate of the weighted q-numerical radius: two-sided at reduced dimension 2 or |q| = 1.
+    """Estimate of the weighted q-numerical radius: two-sided at reduced dimension 2, on a segment or at |q| = 1.
 
-    The closed form at reduced dimension 2, the phase sweep at |q| = 1, and
-    otherwise a lower bound: the max of ``|q <B u, u>| + sqrt(1 - |q|^2)
+    The closed form at reduced dimension 2 or where W(B) is a segment (a
+    rotated, shifted Hermitian B), the phase sweep at |q| = 1, and otherwise a
+    lower bound: the max of ``|q <B u, u>| + sqrt(1 - |q|^2)
     ||(I - u u^H) B u||`` over unit u in the reduced space by multi-start
     projected ascent from Gaussian starts.  The returned witnesses are an
     exact constraint pair attaining the reported value.
@@ -518,16 +548,16 @@ def aq_radius(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> E
 
 
 def aq_crawford(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> Estimate:
-    """Estimate of the weighted q-Crawford number: two-sided at reduced dimension 2 or |q| = 1, else an upper bound.
+    """Estimate of the weighted q-Crawford number: two-sided at reduced dimension 2, on a segment or at |q| = 1.
 
-    Reduced dimension 2 takes the closed form, 0 where the ellipse-disk range
-    holds the origin, with a witness pair attaining it.  At |q| = 1 the phase
-    sweep gives the lower bound max(0, max_phi lambda_min), two-sided where a
-    witness attains it; one built from 2x2 closed forms serves c_A = 0 and
-    eigenvalue crossings.  Otherwise the sphere search minimizes over unit u,
-    where the partner values fill a disk and the inner minimum clamps at zero;
-    a value of exactly 0 whose witness pair attains it is two-sided too, since
-    c_q >= 0.
+    Reduced dimension 2 and a segment W(B) take the closed form, 0 where the
+    ellipse-disk range holds the origin, with a witness pair attaining it.  At
+    |q| = 1 the phase sweep gives the lower bound max(0, max_phi lambda_min),
+    two-sided where a witness attains it; one built from 2x2 closed forms
+    serves c_A = 0 and eigenvalue crossings.  Otherwise the sphere search
+    minimizes over unit u, where the partner values fill a disk and the inner
+    minimum clamps at zero; a value of exactly 0 whose witness pair attains it
+    is two-sided too, since c_q >= 0.
     """
     return _estimate(w, t, q, budget, seed, sup=False)
 

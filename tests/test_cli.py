@@ -175,6 +175,20 @@ def test_compute_exact_takes_complex_q_by_its_modulus(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_compute_reports_two_sided_values_of_a_hermitian_matrix(tmp_path, capsys):
+    # W(T) is the segment between the extreme eigenvalues, so every value is the
+    # two-point closed form
+    mat = np.array([[1.0, 1.0 - 1j, 0.5], [1.0 + 1j, 0.0, 1j], [0.5, -1j, 2.0]])
+    m, big = np.linalg.eigvalsh(mat)[[0, -1]]
+    argv = ["compute", "--matrix", _matrix_file(tmp_path, mat), "--q", "0.5", "--budget", "4"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["directions"] == dict.fromkeys(("omega_aq", "c_aq", "omega_a", "c_a"), "two_sided")
+    centre, half = 0.5 * (m + big) / 2, (big - m) / 2
+    assert out["omega_aq"] == pytest.approx(centre + half, abs=1e-12 * big)
+    assert out["c_aq"] == pytest.approx(max(0.0, centre - half), abs=1e-12 * big)
+
+
 @pytest.mark.parametrize("example", ["1", "4"])
 def test_figure_output_is_byte_identical_across_runs(example, tmp_path):
     outputs = []

@@ -31,6 +31,7 @@ from aqradius.radius import (
     _extremize,
     _normalize_rows,
     _rule,
+    _segment,
     _starts,
     _sweep,
     _witness,
@@ -420,9 +421,14 @@ class TestSearchCounts:
 
     @pytest.mark.parametrize("estimator", [aq_radius, aq_crawford])
     def test_scalar_operator_stops_at_the_starts(self, rng, estimator):
-        # every unit vector is a stationary point of both rules
+        # every unit vector is a stationary point of both rules.  A scalar W(B) is a
+        # (degenerate) segment, so the estimators take the closed form instead
+        b = (0.3 - 2j) * np.eye(3) / np.sqrt(3 * abs(0.3 - 2j) ** 2)
+        kind, budget = "sup" if estimator is aq_radius else "disk", Budget()
+        _, _, evaluations, converged = _extremize(_rule(b, 0.4, np.sqrt(1 - 0.4**2), kind), 3, budget, 0)
+        assert (evaluations, converged) == (1, budget.restarts)
         est = estimator(random_pd_weight(rng, 3), (0.3 - 2j) * np.eye(3), 0.4)
-        assert (est.evaluations, est.converged) == (1, est.budget.restarts)
+        assert (est.direction, est.evaluations, est.converged) == (TWO_SIDED, 1, 1)
 
     @pytest.mark.parametrize("estimator, grid, starts", [(a_radius, 256, 3), (a_crawford, _CRAWFORD_GRID, 1)])
     def test_phase_sweep_refines_every_start_to_its_stop_rule(self, rng, estimator, grid, starts):
@@ -1114,3 +1120,109 @@ def test_q_one_radius_meets_the_phase_grid(seed, n, shift):
     if n == 2:
         assert est.value == pytest.approx(q_radius_2x2(canonical_2x2(b), 1.0), abs=tol)
         assert est.direction == TWO_SIDED
+
+
+def segment_operator(rng, n, positive):
+    """U (e^{i phi} Lambda + s I) U^H, Lambda real, so W(B) is a segment; `positive` takes s = 0 and Lambda > 0."""
+    lam = rng.uniform(0.1, 2.0, n) if positive else rng.standard_normal(n)
+    shift = 0.0 if positive else complex(*rng.standard_normal(2))
+    return rotated(rng, np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi)) * lam + shift)), lam
+
+
+def weighted(rng, b, c):
+    """A weight c A, A random PD, and T whose reduction under it is B."""
+    w = Weight(c * random_pd_weight(rng, b.shape[0]).a)
+    s = np.sqrt(w.eigvals)
+    return w, w.eigvecs @ (b * s[None, :] / s[:, None]) @ w.eigvecs.conj().T
+
+
+@settings(max_examples=30, deadline=None)
+@example(seed=0, n=3, c=1.0, modulus=1.0, positive=True)
+@example(seed=1, n=8, c=1e8, modulus=0.5, positive=False)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([3, 4, 8]),
+    c=st.sampled_from([1e-8, 1.0, 1e8]),
+    modulus=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+    positive=st.booleans(),
+)
+def test_segment_route(seed, n, c, modulus, positive):
+    # W(B) = [a, b] makes the q-range that of diag(a, b): both values are its closed
+    # form, two-sided with a witness, and no search runs.  At |q| = 1 the 4096-phase
+    # grids only bound them from below (lambda_min falls short at the segment's kink)
+    rng = np.random.default_rng(seed)
+    b, lam = segment_operator(rng, n, positive)
+    w, t = weighted(rng, b, c)
+    q = modulus * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    size, tol = np.linalg.norm(b), 1e-12 * np.linalg.norm(b, 2)
+    rad, cra = aq_radius(w, t, q), aq_crawford(w, t, q)
+    for est in (rad, cra):
+        assert (est.direction, est.evaluations, est.converged) == (TWO_SIDED, 1, 1)
+        assert witness_value(w, t, est) == pytest.approx(est.value, abs=tol)
+        assert a_inner(w, est.witness_x, est.witness_y) == pytest.approx(q, abs=1e-12)
+    if modulus == 1.0:
+        assert rad.value >= phase_grid(b, smallest=False) - tol
+        assert cra.value >= max(0.0, phase_grid(b, smallest=True)) - tol
+    else:
+        p, budget = np.sqrt(1.0 - modulus**2), Budget(64, 2000)
+        sup = _extremize(_rule(b / size, modulus, p, "sup"), n, budget, 0, n <= 4)[0]
+        inf = -_extremize(_rule(b / size, modulus, p, "disk"), n, budget, 0, n <= 4)[0]
+        assert rad.value >= size * sup - tol
+        assert cra.value <= size * inf + tol
+    if positive:  # the ellipse's vertices on [m, M]
+        centre, half = modulus * (lam.min() + lam.max()) / 2, (lam.max() - lam.min()) / 2
+        assert rad.value == pytest.approx(centre + half, abs=tol)
+        assert cra.value == pytest.approx(max(0.0, centre - half), abs=tol)
+
+
+def test_segment_route_runs_from_dimension_two():
+    # n = 2 is the closed form on B itself; n = 1 has no 2x2 compression (a rank-one
+    # weight at |q| = 1 keeps the sweep, which returns 3, not 6)
+    b = np.diag([1.0 + 1j, 2.0])
+    c2, basis = _segment(b)
+    assert c2 is b and np.array_equal(basis, np.eye(2))
+    assert _segment(np.array([[1.0 + 0j]])) is None
+    est = aq_radius(Weight.diagonal([1.0, 0.0]), np.diag([3.0, 0.0]), np.exp(0.5j))
+    assert est.value == pytest.approx(3.0, abs=1e-10)
+
+
+SEGMENT_MISSES = [
+    # (id, B): W(B) is not a segment, so the sweep or the sphere search runs
+    ("normal-not-collinear", np.diag([2 + 1j, 2 - 1j, 5])),
+    ("jordan3-shifted", JORDAN3 + 0.5 * np.eye(3)),
+    # a 1e-9 ||B|| non-normal corner entry leaves |b01| = |b10|: the full test rejects it
+    ("segment-plus-1e-9", np.exp(0.4j) * np.diag([1.0, 2.0, -0.5]) + 0.3 + 2e-9 * np.eye(3, k=2)),
+]
+
+
+@pytest.mark.parametrize("q", [1.0, 0.6])
+@pytest.mark.parametrize("b", [pytest.param(case[1], id=case[0]) for case in SEGMENT_MISSES])
+def test_segment_route_misses_keep_their_counts(b, q):
+    w, budget = Weight.identity(3), Budget(16, 200)
+    reduced = reduce_to_range(w, b)
+    reduced = reduced / np.linalg.norm(reduced)
+    assert _segment(reduced) is None
+    p = np.sqrt(1.0 - q * q)
+    for estimator, sup in ((aq_radius, True), (aq_crawford, False)):
+        est = estimator(w, b, q, budget)
+        if p == 0.0:
+            counts = _sweep(reduced, budget.grid_resolution if sup else _CRAWFORD_GRID, not sup)[2:]
+        else:
+            counts = _extremize(_rule(reduced, q, p, "sup" if sup else "disk"), 3, budget, 0, True)[2:]
+        assert (est.evaluations, est.converged) == counts
+        assert est.evaluations > 1
+
+
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_q_one_crawford_just_outside_the_segment_route(seed):
+    # an indefinite rotated Hermitian B plus a 5e-12 ||B||_F non-normal part fails the
+    # segment test, so the sweep runs; its certificate must treat the nearly collinear
+    # points z = v^H B v within tol of a ray as on it to reach the witness of c_A = 0
+    rng = np.random.default_rng(seed)
+    h, g = crandn(rng, 4, 4), crandn(rng, 4, 4)
+    b = np.exp(1j * rng.uniform(0, 6.3)) * (h + h.conj().T)
+    b = b + 5e-12 * np.linalg.norm(b) * g / np.linalg.norm(g)
+    assert _segment(b / np.linalg.norm(b)) is None
+    est, tol = a_crawford(Weight.identity(4), b), 1e-12 * np.linalg.norm(b, 2)
+    assert (est.value, est.direction) == (0.0, TWO_SIDED)
+    assert witness_value(Weight.identity(4), b, est) <= tol

@@ -20,6 +20,26 @@ FAST = Budget(restarts=16, iterations=150)
 SHORT = (1, 2, 4, 8, 16, 32)
 
 
+def two_point(m, big, q, crawford):
+    """omega_q or c_q of a Hermitian operator with spectrum spanning [m, big]: the ellipse's vertices."""
+    centre, half = abs(q) * (m + big) / 2, (big - m) / 2
+    return max(0.0, centre - half) if crawford else centre + half
+
+
+def assert_multiplication_trace(trace, q, crawford, low=0.0, gap=False):
+    """Values and target of a trace of diag(1 + x_i / n), x_i >= `low` on the weight's range, within 1e-12.
+
+    Every term is Hermitian, so each value is the two-point formula on its
+    spectrum [1 + low / n, 1 + 1 / n]; the limit I gives |q|.  A gap subtracts
+    the value from the seminorm 1 + 1 / n.
+    """
+    assert trace.target == pytest.approx(1.0 - abs(q) if gap else abs(q), abs=1e-12)
+    for n, value in zip(trace.indices, trace.values):
+        big = 1.0 + 1.0 / n
+        exact = two_point(1.0 + low / n, big, q, crawford)
+        assert value == pytest.approx(big - exact if gap else exact, abs=1e-12)
+
+
 def scaled_sequence(base, weight):
     """T_n = (1 + 1/n) * base, which converges uniformly to base."""
     return OperatorSequence(weight, lambda n: (1.0 + 1.0 / n) * base, base)
@@ -47,8 +67,7 @@ class TestTraceRadius:
             psi=lambda x: 1.0 + x, phi=lambda n, x: 1.0 + x / n, grid_points=64
         )
         trace = sequences.trace(seq, "radius", 0.5, indices=SHORT, budget=FAST)
-        assert trace.target == pytest.approx(0.5, abs=1e-9)
-        assert trace.rates[-1] <= trace.envelopes[-1]
+        assert_multiplication_trace(trace, 0.5, crawford=False)
 
     def test_envelope_violation_detected_for_wrong_limit(self, rng):
         t = crandn(rng, 2, 2)
@@ -86,7 +105,7 @@ class TestTraceCrawford:
             psi=lambda x: 1.0 + x, phi=lambda n, x: 1.0 + x / n, grid_points=32
         )
         trace = sequences.trace(seq, "crawford", 0.3, indices=SHORT, budget=FAST)
-        assert trace.target == pytest.approx(0.3, abs=1e-9)
+        assert_multiplication_trace(trace, 0.3, crawford=True)
 
     def test_envelope_violation_detected_for_wrong_limit(self, rng):
         t = crandn(rng, 2, 2)
@@ -143,8 +162,8 @@ class TestTraceGaps:
             psi=lambda x: 1.0 + x, phi=lambda n, x: 1.0 + x / n, grid_points=64
         )
         gw, gc = trace_gaps(seq, 0.5, indices=SHORT, budget=FAST)
-        assert gw.target == pytest.approx(0.5, abs=1e-6)
-        assert gc.target == pytest.approx(0.5, abs=1e-6)
+        assert_multiplication_trace(gw, 0.5, crawford=False, gap=True)
+        assert_multiplication_trace(gc, 0.5, crawford=True, gap=True)
 
     def test_constant_sequence(self, rng):
         t = crandn(rng, 2, 2)
@@ -179,8 +198,9 @@ class TestTraceGaps:
                 psi=lambda x: 1.0 + x, phi=lambda n, x: 1.0 + x / n, grid_points=grid_points
             )
             gw, _ = trace_gaps(seq, 0.5, indices=(1, 2), budget=FAST)
+            assert_multiplication_trace(gw, 0.5, crawford=False, gap=True)
             targets.append(gw.target)
-        assert abs(targets[0] - targets[1]) < 1e-6
+        assert abs(targets[0] - targets[1]) < 1e-12
 
     def test_envelope_violation_detected_for_wrong_limit(self, rng):
         t = crandn(rng, 2, 2)
@@ -209,7 +229,7 @@ class TestSequenceTypes:
         )
         assert seq.weight.rank == 15
         trace = sequences.trace(seq, "radius", 0.9, indices=(1, 2, 4), budget=FAST)
-        assert trace.target == pytest.approx(0.9, abs=1e-9)
+        assert_multiplication_trace(trace, 0.9, crawford=False, low=1.0 / 15.0)
 
 
 def test_trace_to_csv(tmp_path, rng):
