@@ -70,11 +70,7 @@ def _positive_int(text: str) -> int:
 def _budget_from_flag(n: int) -> Budget:
     # scale the default 64-restart budget proportionally so --budget 64
     # reproduces the library default and --budget 1 is genuinely starved
-    return Budget(
-        restarts=n,
-        iterations=round(500 * n / 64),
-        grid_resolution=max(4, round(256 * n / 64)),
-    )
+    return Budget(restarts=n, iterations=round(500 * n / 64))
 
 
 def _fmt(x: float) -> str:

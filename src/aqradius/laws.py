@@ -520,7 +520,7 @@ class SuiteConfig:
     n_instances: int = 200
     dims: tuple[int, ...] = (2, 3, 4)
     seed: int = 0
-    budget: Budget = Budget(restarts=32, iterations=200, grid_resolution=128)
+    budget: Budget = Budget(restarts=32, iterations=200)
 
 
 def _crandn(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -13,48 +13,32 @@ runs on B / ||B||_F and multiplies its value back.  With p = sqrt(1 - |q|^2),
   its ends spreads most for its mean (Bhatia-Davis), so the q-range is that of
   diag(a, b), the compression to the end eigenvectors (`_segment`).
 - p = 0 (|q| = 1 as given; one ulp below 1, p = 1.5e-8, is not): the phase
-  sweep `_sweep`.  As W(B) is convex, omega_A and c_A are the max over phi of
-  lambda_max and of max(0, lambda_min) of the Hermitian part H(e^{i phi} B).
-  It samples `Budget.grid_resolution` phases for omega_A and a fixed 16 for
-  c_A, and refines the best sample by safeguarded Newton steps on the phase.
-  lambda_max can peak more than once in the two grid cells around its best
-  sample, so it is refined from their midpoints too; while 0 is outside W(B),
-  lambda_min is positive on one arc with a single maximum, so one start
-  serves it.  omega_A is two-sided.  c_A takes the lower bound
-  max(0, best lambda_min) with a certificate: the eigenvector at the best
-  phase where it attains that bound, else a vector built from 2x2
-  compressions of B on the sweep's eigenvectors (`_crawford_witness`), where
-  c_A = 0 or two eigenvalues cross at the best phase.
+  bracket `_bracket`.  As W(B) is convex, omega_A and c_A are the max over phi
+  of lambda_max and of max(0, lambda_min) of the Hermitian part H(e^{i phi} B).
+  omega_A is its best sample; c_A takes the lower bound max(0, best lambda_min)
+  with a witness from the bracket's eigenvectors (`_crawford_witness`).
 - otherwise: the sphere search `_extremize`.  Its suprema are lower bounds and
   its infima upper bounds.
 
 A closed-form value is two-sided.  A segment is accepted within 1e-12 ||B||_F
 of e^{i phi} H + s I; as both values are sqrt(2)-Lipschitz in B and in its
 compression, the one reported is within 3e-12 ||B||_F.
+omega_A is two-sided once its bracket closes, else a lower bound.
 An inf is two-sided once its witness attains a known lower bound within
-1e-12 ||B||_2: max(0, best lambda_min) for the sweep, and 0 (c_q >= 0) for a
+1e-12 ||B||_2: max(0, best lambda_min) for the bracket, and 0 (c_q >= 0) for a
 sphere value of exactly 0, there within 1e-12 / sqrt(n), which needs no SVD.
-A sweep whose certificate falls short reports the point nearest 0 it found,
-an upper bound.
+A certificate that falls short reports the point nearest 0 it found, an upper
+bound.
 
 For a unit vector u, the values attainable over all admissible partner vectors
 form a circle (n = 2) or a full disk (n >= 3) of radius
 ``p * ||(I - u u^H) B u||`` centered at ``q <B u, u>``, so the partner search
-collapses analytically and only the unit sphere in u remains.  The sphere
-search is multi-start projected ascent on one rule per estimator (`_rule`),
-which returns the value and the closed-form gradient together from two matrix
-products (B u, then one B^H product for both adjoint terms) and row inner
-products by `np.vecdot`, so each step costs one evaluation.  At reduced
-dimension 3 and 4 its steps are quasi-Newton (BFGS) steps, otherwise gradient
-steps (`_extremize`).  The search keeps only its live restarts in its working
-set, retiring each one to a result array once the stop rule ends it; it
-carries squared gradient norms for its stop test, and tests for a stall
-against a ring buffer of the last values.  Its seeded starts come from a small
-cache shared by all calls with the same seed, restart count and dimension; the
-cached arrays are read-only, so each search copies them before it updates a
-row.  Each estimate carries a
-witness pair (x, y) with ||x||_A = ||y||_A = 1 and <x, y>_A = q that attains the
-reported value; `_witness` builds the partner of the route's u.
+collapses analytically and only the unit sphere in u remains: the sphere
+search `_extremize` is multi-start projected ascent, by BFGS steps at reduced
+dimension 3 and 4, on one rule per estimator (`_rule`), whose value and
+gradient cost one evaluation.  Each estimate carries a witness pair (x, y)
+with ||x||_A = ||y||_A = 1 and <x, y>_A = q that attains the reported value;
+`_witness` builds the partner of the route's u.
 """
 
 from __future__ import annotations
@@ -84,12 +68,15 @@ __all__ = [
 LOWER_BOUND_OF_SUP = "lower_bound_of_sup"
 UPPER_BOUND_OF_INF = "upper_bound_of_inf"
 TWO_SIDED = "two_sided"
-_CRAWFORD_GRID = 16  # phases sampled by the Crawford sweep (see the module docstring)
 
 
 @dataclass(frozen=True)
 class Budget:
-    """Optimizer budget: restarts x iterations, plus the phase-grid density of the radius sweep."""
+    """Sphere-search budget: restarts x iterations.
+
+    No estimator reads `grid_resolution` (the |q| = 1 phase bracket refines
+    until it closes); it stays, validated, for callers that still pass it.
+    """
 
     restarts: int = 64
     iterations: int = 500
@@ -113,12 +100,12 @@ class Estimate:
     The witness pair re-produces `value` when plugged back into |<T x, y>_A|.
     A sphere search reports its rule `evaluations` (the start batch included)
     and how many restarts its stop rule `converged` before the iteration cap;
-    the phase sweep at |q| = 1 reports the phases at which it solved an
-    eigenproblem (grid and refine steps) and how many refine starts stopped by
-    their rule before the step cap.  A Crawford certificate adds no count: its
-    2x2 closed forms solve no eigenproblem, and its eigenvectors are taken at
-    phases the grid already sampled.  The closed form (reduced dimension 2, or
-    W(B) a segment) reports `evaluations = 1` and `converged = 1`.
+    the phase bracket at |q| = 1 reports the eigenproblems it solved (its
+    phases, and for omega_A one more at the best) and `converged = 1` when it
+    closed, else 0.  A Crawford certificate adds no count: its 2x2 closed forms
+    solve no eigenproblem, and its eigenvectors are the bracket's.  The closed
+    form (reduced dimension 2, or W(B) a segment) reports `evaluations = 1`
+    and `converged = 1`.
     """
 
     value: float
@@ -368,57 +355,114 @@ def _witness(b: np.ndarray, u: np.ndarray, q: complex, p: float, sup: bool) -> n
     return np.conj(q) * u - p * np.conj(d) * w
 
 
-_REFINE_STEPS = 64  # cap per start of the phase refine; bisecting a cell to a kink takes ~50
+_BRACKET_PHASES = 16  # phases of the bracket's first level: cells of pi / 8
+_BRACKET_CAP = 128  # the most phases a bracket solves
+_SPLIT = 0.99  # a cell splits within this share of its half-width from its centre
 
 
-def _hermitian_grid(b: np.ndarray, grid: int) -> np.ndarray:
-    """H(e^{i phi} B) at the `grid` equispaced phases phi = 2 pi k / grid, stacked."""
-    rot = np.exp(1j * (2.0 * math.pi / grid) * np.arange(grid))[:, None, None]
+def _hermitian(b: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """H(e^{i phi} B) at each of the phases, stacked."""
+    rot = np.exp(1j * phases)[:, None, None]
     return 0.5 * (rot * b + rot.conj() * b.conj().T)
 
 
-def _sweep(b: np.ndarray, grid: int, smallest: bool) -> tuple[float, np.ndarray, int, int]:
-    """Max over phi of lambda_max (or lambda_min) of H(e^{i phi} B), the eigenvectors there and counts.
+def _cell_bounds(eta: np.ndarray, za: np.ndarray, zb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max over |t| <= eta of min(Re(e^{it} za), Re(e^{it} zb)) per cell, and offsets t to split the cell at.
 
-    One `eigvalsh` samples `grid` equispaced phases; safeguarded Newton steps on the phase
-    refine the best sample.  At phi one `eigh` gives lambda_k and V, and for
-    d = V^H H(i e^{i phi} B) v_k, lambda_k' = d_k and lambda_k'' = -lambda_k + 2 sum_j
-    |d_j|^2 / (lambda_k - lambda_j).  Each start keeps a bracket, first the two grid cells
-    around the best sample, that the sign of lambda_k' shrinks; a step that is no ascent
-    step (lambda_k'' >= 0) or leaves the bracket becomes its midpoint, which also closes in
-    on a kink.  A start stops once its step or bracket is <= 1e-15 max(1, |phi|), or at the
-    cap.  lambda_max may peak more than once in those cells, so their midpoints are starts
-    too; lambda_min, while positive, has a single maximum.  The bracket ends are samples no
-    higher than the best, so the best phase evaluated, which stands, is a peak or a kink;
-    the value is never below the best sample.
-    Returns the value, the unit eigenvectors V (ascending eigenvalues) at the best phase
-    evaluated, the phases at which an eigenproblem was solved (the grid included) and the
-    starts that stopped before the cap.
+    A min of two sinusoids peaks at an end, where they cross or where one of
+    them peaks; clipped into the cell, the best of these candidates is its max
+    and the first split.  The second is the zero of the secant of the slopes
+    -Im(e^{it} z) at the ends (the centre unless they rise and then fall).  At
+    a parabola's peak the secant is exact, at a kink the crossing.
     """
-    k = 0 if smallest else -1
-    cell = 2.0 * math.pi / grid
-    samples = np.linalg.eigvalsh(_hermitian_grid(b, grid))[:, k]
-    i0 = int(np.argmax(samples))
-    best, vectors, evaluations, converged = float(samples[i0]), None, grid, 0
-    for i in [i0] if smallest else [i0, i0 - 0.5, i0 + 0.5]:
-        phi, lo, hi = cell * i, cell * (i0 - 1), cell * (i0 + 1)
-        for _ in range(_REFINE_STEPS):
-            m = cmath.exp(1j * phi) * b  # H(e^{i phi} B) = (m + m^H) / 2, H(i e^{i phi} B) = i (m - m^H) / 2
-            m_h = m.conj().T
-            vals, vecs = np.linalg.eigh(0.5 * (m + m_h))
-            evaluations += 1
-            if vectors is None or vals[k] > best:  # eigh may put the best sample an ulp lower
-                best, vectors = max(best, float(vals[k])), vecs
-            d = vecs.conj().T @ (0.5j * (m - m_h) @ vecs[:, k])
-            gaps = np.where(vals == vals[k], np.inf, vals[k] - vals)
-            curvature = 2.0 * float(np.sum(np.abs(d) ** 2 / gaps)) - vals[k]
-            lo, hi = (phi, hi) if d[k].real > 0.0 else (lo, phi)
-            step = -d[k].real / curvature if curvature < 0.0 else math.inf
-            if min(abs(step), hi - lo) <= 1e-15 * max(1.0, abs(phi)):
-                converged += 1
-                break
-            phi = phi + step if lo < phi + step < hi else 0.5 * (lo + hi)
-    return best, vectors, evaluations, converged
+    d = za - zb
+    cross = np.arctan2(d.real, d.imag)  # Re(e^{it} d) = 0
+    cross -= np.pi * np.round(cross / np.pi)
+    t = np.clip(np.stack([-eta, eta, cross, -np.angle(za), -np.angle(zb)]), -eta, eta)
+    turn = np.exp(1j * t)
+    vals = np.minimum((turn * za).real, (turn * zb).real)
+    slope_lo, slope_hi = -(turn[0] * za).imag, -(turn[1] * zb).imag
+    peaked = (slope_lo > 0.0) & (slope_hi < 0.0)
+    secant = np.divide(eta * (slope_lo + slope_hi), slope_lo - slope_hi, out=np.zeros(eta.size), where=peaked)
+    best, cols = np.argmax(vals, axis=0), np.arange(eta.size)
+    return vals[best, cols], np.stack([t[best, cols], secant])
+
+
+def _bracket(b: np.ndarray, smallest: bool) -> tuple[float, float, np.ndarray, np.ndarray, int, int]:
+    """Bracket [lower, upper] of the max over phi of lambda_max (or of max(0, lambda_min)) of H(e^{i phi} B).
+
+    Each level bounds lambda on every open cell between sampled phases from
+    its ends, with eta its half-width and t the offset from its centre:
+
+    - lambda_max is the support function of W(B), so W(B) lies in the wedge of
+      the supporting lines at the ends, and lambda_max <= alpha cos t + beta sin t,
+      alpha = (h_lo + h_hi) / (2 cos eta), beta = (h_hi - h_lo) / (2 sin eta)
+      (Johnson's outer polygon); the cell splits at its argmax.
+    - lambda_min is the least of Re(e^{i phi} z) over W(B), so it is at most
+      min(Re(e^{i phi} z_lo), Re(e^{i phi} z_hi)) at the ends' points
+      z = v^H B v (the inner polygon, `_cell_bounds`).
+
+    Both exceed lambda by O(eta^2) near a smooth peak.  A cell closes once its
+    bound is within tol of the best sample (for lambda_min, of max(0, best));
+    the others split, within `_SPLIT` of eta from the centre, and one stacked
+    `eigvalsh` (lambda_max) or `eigh` (lambda_min) solves the new phases.
+    tol is 1e-12 times the largest |lambda| of the first level: at most
+    ||B||_2, at least cos(pi / 16) omega_A >= ||B||_2 / 2.1.  The bracket ends
+    closed (no open cell: upper - lower <= tol) or, open, before a level that
+    would pass `_BRACKET_CAP` phases; the max lies in it up to the eigensolver's backward error, about
+    n eps ||B||_2.  Also returns the unit eigenvectors (ascending eigenvalues)
+    at the best phase (for lambda_max from one more `eigh`), the extreme
+    eigenvectors at every phase `eigh` solved, the eigenproblems solved, and
+    1 if closed, else 0.
+    """
+    best, best_phase, vectors, rows = -math.inf, 0.0, None, []
+
+    def solve(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal best, best_phase, vectors
+        if smallest:
+            vals, vecs = np.linalg.eigh(_hermitian(b, phases))
+            rows.append(vecs[:, :, 0])
+            h, z = vals[:, 0], np.vecdot(rows[-1], rows[-1] @ b.T)
+        else:
+            h, vecs, z = np.linalg.eigvalsh(_hermitian(b, phases))[:, -1], None, np.zeros(phases.size)
+        i = int(np.argmax(h))
+        if h[i] > best:
+            best, best_phase, vectors = float(h[i]), float(phases[i]), None if vecs is None else vecs[i]
+        return h, z
+
+    phase = (2.0 * math.pi / _BRACKET_PHASES) * np.arange(_BRACKET_PHASES + 1)
+    h, z = solve(phase[:-1])
+    tol, evaluations = 1e-12 * float(np.abs(h).max()), _BRACKET_PHASES
+    # the open cells: their end phases, the samples there and, for lambda_min, the ends' points
+    ends, hs, zs = np.stack([phase[:-1], phase[1:]]), np.stack([h, np.roll(h, -1)]), np.stack([z, np.roll(z, -1)])
+    top = -math.inf  # the largest bound of a closed cell
+    while True:
+        floor = max(best, 0.0) if smallest else best
+        centre, eta = 0.5 * (ends[1] + ends[0]), 0.5 * (ends[1] - ends[0])
+        if smallest:
+            turn = np.exp(1j * centre)
+            bound, split = _cell_bounds(eta, turn * zs[0], turn * zs[1])
+        else:
+            alpha, beta = (hs[0] + hs[1]) / (2.0 * np.cos(eta)), (hs[1] - hs[0]) / (2.0 * np.sin(eta))
+            split = np.arctan2(beta, alpha)[None]
+            bound = np.where(np.abs(split[0]) <= eta, np.hypot(alpha, beta), np.maximum(hs[0], hs[1]))
+        shut = bound <= floor + tol
+        top = max(top, float(bound[shut].max(initial=-math.inf)))
+        keep = ~shut
+        if not keep.any() or evaluations + split.shape[0] * np.count_nonzero(keep) > _BRACKET_CAP:
+            break
+        ends, hs, zs, eta = ends[:, keep], hs[:, keep], zs[:, keep], _SPLIT * eta[keep]
+        new = centre[keep] + np.sort(np.clip(split[:, keep], -eta, eta), axis=0)
+        h_new, z_new = solve(new.ravel())
+        evaluations += new.size
+        # each cell's phases in order, then the consecutive pairs: its pieces
+        ends, hs, zs = (np.concatenate([x[:1], y.reshape(new.shape), x[1:]]) for x, y in ((ends, new), (hs, h_new), (zs, z_new)))
+        ends, hs, zs = (np.stack([x[:-1].ravel(), x[1:].ravel()]) for x in (ends, hs, zs))
+    upper = max(floor, top, float(bound[~shut].max(initial=-math.inf)))
+    if not smallest:
+        vectors = np.linalg.eigh(_hermitian(b, np.array([best_phase])))[1][0]
+        rows.append(vectors[:, -1][None])
+    return floor, upper, vectors, np.concatenate(rows), evaluations + (not smallest), int(shut.all())
 
 
 def _nearest_in_span(b: np.ndarray, basis: np.ndarray, w: complex = 0.0) -> np.ndarray:
@@ -432,32 +476,30 @@ def _nearest_in_span(b: np.ndarray, basis: np.ndarray, w: complex = 0.0) -> np.n
     return basis @ q_extremal_2x2(canonical_2x2(c), 1.0, False)[1]
 
 
-def _crawford_witness(b: np.ndarray, best: float, vectors: np.ndarray, tol: float) -> np.ndarray:
-    """Unit u with |u^H B u| within tol of max(best, 0), or the nearest to 0 found (the module docstring).
+def _crawford_witness(b: np.ndarray, lower: float, vectors: np.ndarray, rows: np.ndarray, tol: float) -> np.ndarray:
+    """Unit u with |u^H B u| within tol of `lower`, or the nearest to 0 found (the module docstring).
 
-    `best` and `vectors` are the Crawford sweep's value and eigenvectors.  The
-    lambda_min eigenvector at the best phase attains c_A, unless c_A = 0 or two
-    eigenvalues cross there; then first the compression onto the two lowest
-    eigenvectors: at a crossing, or where W(B) touches 0, its range holds the
-    point of W(B) nearest 0.  Else the points z = v^H B v of the lambda_min
-    eigenvectors at the sweep's grid phases and of those two lie in W(B).  For
+    `lower`, `vectors` and `rows` are the bracket's lower bound, eigenvectors
+    at the best phase and lambda_min eigenvectors.  The lambda_min eigenvector
+    at the best phase attains c_A, unless c_A = 0 or two eigenvalues cross
+    there.  Else the points z = v^H B v of the rows and of the second lowest
+    eigenvector at the best phase lie in W(B).  Where 0 lies in their hull: for
     each z_a and each pair z_i, z_j on either side of the ray from 0 away from
     z_a (within tol of it counts as on it, as for the nearly collinear points
     of a B just outside `_segment`'s test), the chord [z_i, z_j] crosses the
     ray at w, if at all; the triple whose shorter leg min(|z_a|, |w|) is
     longest is taken.  A vector of span(v_i, v_j) attains w, and one of the
     span of v_a and that vector attains the point nearest 0 of a range that
-    holds the segment [z_a, w], and with it 0.  QR gives each span an orthonormal basis, also
-    when its two vectors are parallel (several grid phases can share a
-    lambda_min eigenvector).
+    holds [z_a, w], and with it 0.  Else the hull's point nearest 0, within the
+    bracket's upper bound of 0, is on the chord nearest 0 (at a crossing, that
+    of the two lowest eigenvectors), and the span of its two vectors has a
+    point as near.  QR gives each span an orthonormal basis, also for parallel
+    vectors.
     """
-    lower, u = max(best, 0.0), vectors[:, 0]
+    u = vectors[:, 0]
     if abs(np.vdot(u, b @ u)) - lower <= tol:
         return u
-    u = _nearest_in_span(b, vectors[:, :2])
-    if abs(np.vdot(u, b @ u)) - lower <= tol:
-        return u
-    rows = np.vstack([np.linalg.eigh(_hermitian_grid(b, _CRAWFORD_GRID))[1][:, :, 0], vectors[:, :2].T, u])
+    rows = np.vstack([rows, vectors[:, 1:2].T])  # none at n = 1
     z = np.vecdot(rows, rows @ b.T)
     size = np.abs(z)
     ray = np.divide(-z.conj(), size, out=np.zeros_like(z), where=size > 0.0)  # turns -z_a to the positive reals
@@ -468,11 +510,17 @@ def _crawford_witness(b: np.ndarray, best: float, vectors: np.ndarray, tol: floa
     cross = (1.0 - frac) * zeta.real[:, :, None] + frac * zeta.real[:, None, :]
     leg = np.where((up >= 0.0) & (down <= 0.0), np.minimum(cross, size[:, None, None]), -np.inf)
     a, i, j = np.unravel_index(int(np.argmax(leg)), leg.shape)
+    found = []
     if leg[a, i, j] > 0.0:
         x = _nearest_in_span(b, np.linalg.qr(rows[[i, j]].T)[0], cross[a, i, j] * ray[a].conjugate())
-        rows = np.concatenate([rows, [_nearest_in_span(b, np.linalg.qr(np.stack([rows[a], x], axis=1))[0])]])
-        z = np.vecdot(rows, rows @ b.T)
-    return rows[int(np.argmin(np.abs(z)))]
+        found.append(_nearest_in_span(b, np.linalg.qr(np.stack([rows[a], x], axis=1))[0]))
+    step = z[None, :] - z[:, None]  # z_j - z_i
+    dd = np.abs(step) ** 2
+    along = np.clip(np.divide(-(step.conj() * z[:, None]).real, dd, out=np.zeros(dd.shape), where=dd > 0.0), 0.0, 1.0)
+    i, j = np.unravel_index(int(np.argmin(np.abs(z[:, None] + along * step))), dd.shape)
+    found.append(_nearest_in_span(b, np.linalg.qr(rows[[i, j]].T)[0]))
+    rows = np.concatenate([rows, found])
+    return rows[int(np.argmin(np.abs(np.vecdot(rows, rows @ b.T))))]
 
 
 def _segment(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -512,12 +560,12 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
         value, u = q_extremal_2x2(canonical_2x2(segment[0]), q, sup)
         u, direction, evaluations, converged = segment[1] @ u, TWO_SIDED, 1, 1
     elif p == 0.0:
-        value, vectors, evaluations, converged = _sweep(b, budget.grid_resolution if sup else _CRAWFORD_GRID, not sup)
+        value, _, vectors, rows, evaluations, converged = _bracket(b, not sup)
         if sup:
-            u, direction = vectors[:, -1], TWO_SIDED
+            u, direction = vectors[:, -1], TWO_SIDED if converged else LOWER_BOUND_OF_SUP
         else:
-            lower, tol = max(value, 0.0), 1e-12 * np.linalg.norm(b, 2)
-            u = _crawford_witness(b, value, vectors, tol)
+            lower, tol = value, 1e-12 * np.linalg.norm(b, 2)
+            u = _crawford_witness(b, lower, vectors, rows, tol)
             value, direction = float(abs(np.vdot(u, b @ u))), UPPER_BOUND_OF_INF
     else:
         kind = "sup" if sup else "disk"
@@ -538,8 +586,8 @@ def aq_radius(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> E
     """Estimate of the weighted q-numerical radius: two-sided at reduced dimension 2, on a segment or at |q| = 1.
 
     The closed form at reduced dimension 2 or where W(B) is a segment (a
-    rotated, shifted Hermitian B), the phase sweep at |q| = 1, and otherwise a
-    lower bound: the max of ``|q <B u, u>| + sqrt(1 - |q|^2)
+    rotated, shifted Hermitian B), the phase bracket at |q| = 1 (a lower bound
+    in the rare case its phase cap ends it open), and otherwise a lower bound: the max of ``|q <B u, u>| + sqrt(1 - |q|^2)
     ||(I - u u^H) B u||`` over unit u in the reduced space by multi-start
     projected ascent from Gaussian starts.  The returned witnesses are an
     exact constraint pair attaining the reported value.
@@ -552,9 +600,9 @@ def aq_crawford(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) ->
 
     Reduced dimension 2 and a segment W(B) take the closed form, 0 where the
     ellipse-disk range holds the origin, with a witness pair attaining it.  At
-    |q| = 1 the phase sweep gives the lower bound max(0, max_phi lambda_min),
-    two-sided where a witness attains it; one built from 2x2 closed forms
-    serves c_A = 0 and eigenvalue crossings.  Otherwise the sphere search
+    |q| = 1 the phase bracket gives the lower bound max(0, max_phi lambda_min),
+    two-sided where a witness attains it; one built from 2x2 closed forms on
+    the bracket's eigenvectors serves c_A = 0 and eigenvalue crossings.  Otherwise the sphere search
     minimizes over unit u, where the partner values fill a disk and the inner
     minimum clamps at zero; a value of exactly 0 whose witness pair attains it
     is two-sided too, since c_q >= 0.
@@ -563,7 +611,7 @@ def aq_crawford(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) ->
 
 
 def a_radius(w: Weight, t, budget: Budget | None = None, seed: int = 0) -> Estimate:
-    """Weighted numerical radius: the q-radius estimator at q = 1, two-sided."""
+    """Weighted numerical radius: the q-radius estimator at q = 1, two-sided once its phase bracket closes."""
     return aq_radius(w, t, 1.0, budget=budget, seed=seed)
 
 

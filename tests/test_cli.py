@@ -7,6 +7,7 @@ import pytest
 
 from aqradius import Weight, cli, exact, sequences
 from aqradius.semispace import matrix_to_json, weight_to_json
+from conftest import nearly_normal, phase_grid
 
 EX2 = np.array([[0.0, 1.0 / 24.0], [0.0, 0.0]], dtype=complex)
 
@@ -187,6 +188,17 @@ def test_compute_reports_two_sided_values_of_a_hermitian_matrix(tmp_path, capsys
     centre, half = 0.5 * (m + big) / 2, (big - m) / 2
     assert out["omega_aq"] == pytest.approx(centre + half, abs=1e-12 * big)
     assert out["c_aq"] == pytest.approx(max(0.0, centre - half), abs=1e-12 * big)
+
+
+def test_compute_labels_omega_a_two_sided_only_at_its_max(tmp_path, capsys):
+    # at --budget 1 a 4-phase sweep reported omega_A of this nearly normal matrix as
+    # two-sided, 1.6e-2 ||T||_2 below the 4096-phase grid; the bracket reaches the max
+    mat = nearly_normal(2, 3)
+    argv = ["compute", "--matrix", _matrix_file(tmp_path, mat), "--q", "0.5", "--budget", "1"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["directions"]["omega_a"] == "two_sided"
+    assert out["omega_a"] >= phase_grid(mat, smallest=False) - 1e-12 * np.linalg.norm(mat, 2)
 
 
 @pytest.mark.parametrize("example", ["1", "4"])
