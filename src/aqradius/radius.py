@@ -409,11 +409,11 @@ def _bracket(b: np.ndarray, smallest: bool) -> tuple[float, float, np.ndarray, n
     tol is 1e-12 times the largest |lambda| of the first level: at most
     ||B||_2, at least cos(pi / 16) omega_A >= ||B||_2 / 2.1.  The bracket ends
     closed (no open cell: upper - lower <= tol) or, open, before a level that
-    would pass `_BRACKET_CAP` phases; the max lies in it up to the eigensolver's backward error, about
-    n eps ||B||_2.  Also returns the unit eigenvectors (ascending eigenvalues)
-    at the best phase (for lambda_max from one more `eigh`), the extreme
-    eigenvectors at every phase `eigh` solved, the eigenproblems solved, and
-    1 if closed, else 0.
+    would pass `_BRACKET_CAP` phases; the max lies in it up to the
+    eigensolver's backward error, about n eps ||B||_2.  Also returns the unit
+    eigenvectors (ascending eigenvalues) at the best phase (for lambda_max
+    from one more `eigh`), the extreme eigenvectors at every phase `eigh`
+    solved, the eigenproblems solved, and 1 if closed, else 0.
     """
     best, best_phase, vectors, rows = -math.inf, 0.0, None, []
 
@@ -456,8 +456,9 @@ def _bracket(b: np.ndarray, smallest: bool) -> tuple[float, float, np.ndarray, n
         h_new, z_new = solve(new.ravel())
         evaluations += new.size
         # each cell's phases in order, then the consecutive pairs: its pieces
-        ends, hs, zs = (np.concatenate([x[:1], y.reshape(new.shape), x[1:]]) for x, y in ((ends, new), (hs, h_new), (zs, z_new)))
-        ends, hs, zs = (np.stack([x[:-1].ravel(), x[1:].ravel()]) for x in (ends, hs, zs))
+        added = ((ends, new), (hs, h_new), (zs, z_new))
+        pieces = (np.concatenate([x[:1], y.reshape(new.shape), x[1:]]) for x, y in added)
+        ends, hs, zs = (np.stack([x[:-1].ravel(), x[1:].ravel()]) for x in pieces)
     upper = max(floor, top, float(bound[~shut].max(initial=-math.inf)))
     if not smallest:
         vectors = np.linalg.eigh(_hermitian(b, np.array([best_phase])))[1][0]
@@ -587,9 +588,9 @@ def aq_radius(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> E
 
     The closed form at reduced dimension 2 or where W(B) is a segment (a
     rotated, shifted Hermitian B), the phase bracket at |q| = 1 (a lower bound
-    in the rare case its phase cap ends it open), and otherwise a lower bound: the max of ``|q <B u, u>| + sqrt(1 - |q|^2)
-    ||(I - u u^H) B u||`` over unit u in the reduced space by multi-start
-    projected ascent from Gaussian starts.  The returned witnesses are an
+    where its phase cap ends it open), and otherwise a lower bound: the max of
+    ``|q <B u, u>| + sqrt(1 - |q|^2) ||(I - u u^H) B u||`` over unit u in the
+    reduced space by multi-start projected ascent from Gaussian starts.  The returned witnesses are an
     exact constraint pair attaining the reported value.
     """
     return _estimate(w, t, q, budget, seed, sup=True)

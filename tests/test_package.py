@@ -100,7 +100,7 @@ def test_every_private_module_level_name_is_used():
 @pytest.mark.parametrize("name", ["laws", "sequences"])
 def test_callers_leave_the_q_one_route_to_the_estimators(name):
     # the laws and the traces ask aq_radius/aq_crawford at q = 1, which pick the
-    # phase sweep themselves, so neither imports nor names a_radius or a_crawford
+    # phase bracket themselves, so neither imports nor names a_radius or a_crawford
     tree = ast.parse((Path(aqradius.__file__).parent / f"{name}.py").read_text())
     names = set()
     for node in ast.walk(tree):
@@ -150,7 +150,7 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 
 def test_a_run_loads_no_scipy_module():
-    # import, a phase sweep, both 2x2 closed forms and a direct-sum law in a fresh process
+    # import, a phase bracket, both 2x2 closed forms and a direct-sum law in a fresh process
     src = str(Path(aqradius.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(

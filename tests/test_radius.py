@@ -988,7 +988,7 @@ def test_q_one_crawford_is_certified_at_kinks_and_boundaries(rng, b, exact, scal
 
 
 def test_q_one_never_runs_the_sphere_search(rng, monkeypatch):
-    # at |q| = 1 the phase sweep and its certificate are the only route, also where c_A = 0
+    # at |q| = 1 the phase bracket and its certificate are the only route, also where c_A = 0
     def refuse(*args, **kwargs):
         raise AssertionError("the sphere search ran at |q| = 1")
 
