@@ -100,9 +100,9 @@ class Estimate:
     The witness pair re-produces `value` when plugged back into |<T x, y>_A|.
     A sphere search reports its rule `evaluations` (the start batch included)
     and how many restarts its stop rule `converged` before the iteration cap;
-    the phase bracket at |q| = 1 reports the eigenproblems it solved (its
-    phases, and for omega_A one more at the best) and `converged = 1` when it
-    closed, else 0.  A Crawford certificate adds no count: its 2x2 closed forms
+    the phase bracket at |q| = 1 reports the eigenproblems it solved (8 for
+    its first 16 phases, one per later phase, and for omega_A one more at the
+    best) and `converged = 1` when it closed, else 0.  A Crawford certificate adds no count: its 2x2 closed forms
     solve no eigenproblem, and its eigenvectors are the bracket's.  The closed
     form (reduced dimension 2, or W(B) a segment) reports `evaluations = 1`
     and `converged = 1`.
@@ -405,7 +405,8 @@ def _bracket(b: np.ndarray, smallest: bool) -> tuple[float, float, np.ndarray, n
     Both exceed lambda by O(eta^2) near a smooth peak.  A cell closes once its
     bound is within tol of the best sample (for lambda_min, of max(0, best));
     the others split, within `_SPLIT` of eta from the centre, and one stacked
-    `eigvalsh` (lambda_max) or `eigh` (lambda_min) solves the new phases.
+    `eigvalsh` (lambda_max) or `eigh` (lambda_min) solves the new phases.  The
+    first level's 16 phases take 8 eigenproblems, as H at phi + pi is -H at phi.
     tol is 1e-12 times the largest |lambda| of the first level: at most
     ||B||_2, at least cos(pi / 16) omega_A >= ||B||_2 / 2.1.  The bracket ends
     closed (no open cell: upper - lower <= tol) or, open, before a level that
@@ -417,22 +418,29 @@ def _bracket(b: np.ndarray, smallest: bool) -> tuple[float, float, np.ndarray, n
     """
     best, best_phase, vectors, rows = -math.inf, 0.0, None, []
 
-    def solve(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Eigenvalues (ascending) of H(e^{i phi} B) at the phases, and for lambda_min the eigenvectors."""
+        h = _hermitian(b, phases)
+        return np.linalg.eigh(h) if smallest else (np.linalg.eigvalsh(h), None)
+
+    def record(phases: np.ndarray, vals: np.ndarray, vecs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """The samples and, for lambda_min, the points z at the phases; keeps the best and the rows."""
         nonlocal best, best_phase, vectors
-        if smallest:
-            vals, vecs = np.linalg.eigh(_hermitian(b, phases))
-            rows.append(vecs[:, :, 0])
-            h, z = vals[:, 0], np.vecdot(rows[-1], rows[-1] @ b.T)
-        else:
-            h, vecs, z = np.linalg.eigvalsh(_hermitian(b, phases))[:, -1], None, np.zeros(phases.size)
-        i = int(np.argmax(h))
-        if h[i] > best:
-            best, best_phase, vectors = float(h[i]), float(phases[i]), None if vecs is None else vecs[i]
-        return h, z
+        k = 0 if smallest else -1
+        i = int(np.argmax(vals[:, k]))
+        if vals[i, k] > best:
+            best, best_phase, vectors = float(vals[i, k]), float(phases[i]), None if vecs is None else vecs[i]
+        if vecs is None:
+            return vals[:, k], np.zeros(phases.size)
+        rows.append(vecs[:, :, 0])
+        return vals[:, 0], np.vecdot(rows[-1], rows[-1] @ b.T)
 
     phase = (2.0 * math.pi / _BRACKET_PHASES) * np.arange(_BRACKET_PHASES + 1)
-    h, z = solve(phase[:-1])
-    tol, evaluations = 1e-12 * float(np.abs(h).max()), _BRACKET_PHASES
+    vals, vecs = solve(phase[: _BRACKET_PHASES // 2])  # H at phi + pi is -H at phi, in reverse order
+    vals = np.concatenate([vals, -vals[:, ::-1]])
+    vecs = vecs if vecs is None else np.concatenate([vecs, vecs[:, :, ::-1]])
+    h, z = record(phase[:-1], vals, vecs)
+    tol, evaluations = 1e-12 * float(np.abs(h).max()), _BRACKET_PHASES // 2
     # the open cells: their end phases, the samples there and, for lambda_min, the ends' points
     ends, hs, zs = np.stack([phase[:-1], phase[1:]]), np.stack([h, np.roll(h, -1)]), np.stack([z, np.roll(z, -1)])
     top = -math.inf  # the largest bound of a closed cell
@@ -453,7 +461,7 @@ def _bracket(b: np.ndarray, smallest: bool) -> tuple[float, float, np.ndarray, n
             break
         ends, hs, zs, eta = ends[:, keep], hs[:, keep], zs[:, keep], _SPLIT * eta[keep]
         new = centre[keep] + np.sort(np.clip(split[:, keep], -eta, eta), axis=0)
-        h_new, z_new = solve(new.ravel())
+        h_new, z_new = record(new.ravel(), *solve(new.ravel()))
         evaluations += new.size
         # each cell's phases in order, then the consecutive pairs: its pieces
         added = ((ends, new), (hs, h_new), (zs, z_new))

@@ -87,11 +87,13 @@ class TestPhaseMax:
     @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 8]), smallest=st.booleans())
     @example(seed=2027, n=8, smallest=True)  # a refine's eigh put the best sample an ulp below it
     def test_never_below_the_best_grid_sample(self, seed, n, smallest):
-        # the first level samples the 16 equispaced phases with the level's own solver
+        # the first level samples 16 equispaced phases with the bracket's own solver,
+        # half of them as the negated spectra of the others: H at phi + pi is -H at phi
         b = crandn(np.random.default_rng(seed), n, n)
-        h = radius._hermitian(b, 2 * np.pi / _BRACKET_PHASES * np.arange(_BRACKET_PHASES))
-        grid = np.linalg.eigh(h)[0][:, 0].max() if smallest else np.linalg.eigvalsh(h)[:, -1].max()
-        assert _bracket(b, smallest)[0] >= (max(grid, 0.0) if smallest else grid)
+        h = radius._hermitian(b, 2 * np.pi / _BRACKET_PHASES * np.arange(_BRACKET_PHASES // 2))
+        vals = np.linalg.eigh(h)[0] if smallest else np.linalg.eigvalsh(h)
+        low, high = np.concatenate([vals[:, 0], -vals[:, -1]]), np.concatenate([vals[:, -1], -vals[:, 0]])
+        assert _bracket(b, smallest)[0] >= (max(low.max(), 0.0) if smallest else high.max())
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -433,8 +435,8 @@ class TestSearchCounts:
     @pytest.mark.parametrize("estimator", [a_radius, a_crawford])
     def test_phase_bracket_closes_and_counts_eigenproblems(self, rng, estimator):
         # shifted, so that the Crawford number is positive.  The counts are the
-        # bracket's: the phases it solved (for omega_A, one more eigh at the best)
-        # and 1 for a closed bracket.  Reduced dimension 2 takes the closed form
+        # bracket's: the eigenproblems it solved (for omega_A, one more eigh at the
+        # best) and 1 for a closed bracket.  Reduced dimension 2 takes the closed form
         smallest = estimator is a_crawford
         for n in (3, 8, 16):
             t = crandn(rng, n, n) + 3.0 * np.sqrt(n) * np.eye(n)
@@ -442,7 +444,7 @@ class TestSearchCounts:
             assert est.direction == TWO_SIDED
             assert est.converged == 1
             assert est.evaluations == _bracket(t / np.linalg.norm(t), smallest)[4]
-            assert _BRACKET_PHASES + (not smallest) < est.evaluations <= radius._BRACKET_CAP + 1
+            assert _BRACKET_PHASES // 2 + (not smallest) < est.evaluations <= radius._BRACKET_CAP + 1
 
 
 class TestStarts:
