@@ -356,7 +356,7 @@ def _witness(b: np.ndarray, u: np.ndarray, q: complex, p: float, sup: bool) -> n
 
 
 _BRACKET_PHASES = 16  # phases of the bracket's first level: cells of pi / 8
-_BRACKET_CAP = 128  # the most phases a bracket solves
+_BRACKET_CAP = 128  # the most eigenproblems a bracket solves
 _SPLIT = 0.99  # a cell splits within this share of its half-width from its centre
 
 
@@ -410,7 +410,7 @@ def _bracket(b: np.ndarray, smallest: bool) -> tuple[float, float, np.ndarray, n
     tol is 1e-12 times the largest |lambda| of the first level: at most
     ||B||_2, at least cos(pi / 16) omega_A >= ||B||_2 / 2.1.  The bracket ends
     closed (no open cell: upper - lower <= tol) or, open, before a level that
-    would pass `_BRACKET_CAP` phases; the max lies in it up to the
+    would pass `_BRACKET_CAP` eigenproblems; the max lies in it up to the
     eigensolver's backward error, about n eps ||B||_2.  Also returns the unit
     eigenvectors (ascending eigenvalues) at the best phase (for lambda_max
     from one more `eigh`), the extreme eigenvectors at every phase `eigh`

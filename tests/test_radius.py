@@ -117,9 +117,9 @@ class TestPhaseMax:
         assert closed == 1
 
     def test_eigenvector_reproduces_the_value_among_several_peaks(self):
-        # the refine ends at a peak, not at a bracket end where lambda_max still rises;
-        # with a bracket around each start instead of the best sample's, the start at
-        # a cell midpoint ended at such an end for nearly_normal(278, 8) at 16 phases
+        # nearly normal B peak several times; the eigenvector at the best phase attains
+        # the value, also for nearly_normal(278, 8), where a Newton refine once stopped
+        # at the end of a cell while lambda_max still rose
         cases = [nearly_normal(278, 8)] + [nearly_normal(s) for s in range(40)]
         for b in cases:
             value, _, vectors, *_ = _bracket(b, smallest=False)
@@ -923,7 +923,7 @@ KINKS = [
 
 @pytest.mark.parametrize("b, exact", [pytest.param(*case[1:], id=case[0]) for case in KINKS])
 def test_q_one_crawford_at_a_kink(b, exact):
-    # the sweep's eigenvector misses c_A there; the witness comes from the compression
+    # the bracket's eigenvector misses c_A there; the witness comes from the compression
     # onto the two lowest eigenvectors at the best phase, or from the closed form at
     # reduced dimension 2
     w, norm = Weight.identity(b.shape[0]), np.linalg.norm(b, 2)
@@ -935,7 +935,7 @@ def test_q_one_crawford_at_a_kink(b, exact):
     assert est.direction == TWO_SIDED
     assert est.value == pytest.approx(exact, abs=1e-9 * norm)
     assert witness_value(w, b, est) == pytest.approx(est.value, abs=1e-12 * norm)
-    if b.shape[0] == 2:  # the closed form runs instead of the sweep, and counts one evaluation
+    if b.shape[0] == 2:  # the closed form runs instead of the bracket, and counts one evaluation
         assert (est.evaluations, est.converged) == (1, 1)
         return
     # the counts are the bracket's own: its certificate solves 2x2 closed forms
@@ -944,7 +944,7 @@ def test_q_one_crawford_at_a_kink(b, exact):
 
 
 def test_zero_crawford_at_q_one_is_certified():
-    # c_A(J3) = 0: the lambda_min sweep peaks at 0, and the witness attains it
+    # c_A(J3) = 0: the lambda_min bracket peaks at 0, and the witness attains it
     est = a_crawford(I3, JORDAN3)
     assert (est.value, est.direction) == (0.0, TWO_SIDED)
     assert witness_value(I3, JORDAN3, est) <= 1e-15
@@ -1058,7 +1058,7 @@ def test_q_one_crawford_is_certified(seed, n, kind):
 
 @pytest.mark.parametrize("theta", [0.0, 1.0, np.pi / 2, 2.5, np.pi, 4.0])
 def test_unimodular_q_takes_the_q_one_values(rng, theta):
-    # shifted, so that the Crawford sweep is certified as well; |q| is taken as given,
+    # shifted, so that the Crawford bracket is certified as well; |q| is taken as given,
     # and at these phases abs(q) is exactly 1 (one ulp below, p = 1.5e-8 and the
     # sphere search runs)
     w = random_pd_weight(rng, 3)
@@ -1220,7 +1220,7 @@ def test_segment_route(seed, n, c, modulus, positive):
 
 def test_segment_route_runs_from_dimension_two():
     # n = 2 is the closed form on B itself; n = 1 has no 2x2 compression (a rank-one
-    # weight at |q| = 1 keeps the sweep, which returns 3, not 6)
+    # weight at |q| = 1 keeps the bracket, which returns 3, not 6)
     b = np.diag([1.0 + 1j, 2.0])
     c2, basis = _segment(b)
     assert c2 is b and np.array_equal(basis, np.eye(2))
@@ -1230,7 +1230,7 @@ def test_segment_route_runs_from_dimension_two():
 
 
 SEGMENT_MISSES = [
-    # (id, B): W(B) is not a segment, so the sweep or the sphere search runs
+    # (id, B): W(B) is not a segment, so the bracket or the sphere search runs
     ("normal-not-collinear", np.diag([2 + 1j, 2 - 1j, 5])),
     ("jordan3-shifted", JORDAN3 + 0.5 * np.eye(3)),
     # a 1e-9 ||B|| non-normal corner entry leaves |b01| = |b10|: the full test rejects it
@@ -1259,7 +1259,7 @@ def test_segment_route_misses_keep_their_counts(b, q):
 @pytest.mark.parametrize("seed", [1, 3, 4])
 def test_q_one_crawford_just_outside_the_segment_route(seed):
     # an indefinite rotated Hermitian B plus a 5e-12 ||B||_F non-normal part fails the
-    # segment test, so the sweep runs; its certificate must treat the nearly collinear
+    # segment test, so the bracket runs; its certificate must treat the nearly collinear
     # points z = v^H B v within tol of a ray as on it to reach the witness of c_A = 0
     rng = np.random.default_rng(seed)
     h, g = crandn(rng, 4, 4), crandn(rng, 4, 4)
