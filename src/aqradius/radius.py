@@ -442,36 +442,36 @@ def _bracket(b: np.ndarray, smallest: bool) -> tuple[float, float, np.ndarray, n
     h, z = record(phase[:-1], vals, vecs)
     tol, evaluations = 1e-12 * float(np.abs(h).max()), _BRACKET_PHASES // 2
     # the open cells: their end phases, the samples there and, for lambda_min, the ends' points
-    ends, hs, zs = np.stack([phase[:-1], phase[1:]]), np.stack([h, np.roll(h, -1)]), np.stack([z, np.roll(z, -1)])
+    lo, hi, h_lo, h_hi, z_lo, z_hi = phase[:-1], phase[1:], h, np.roll(h, -1), z, np.roll(z, -1)
     top = -math.inf  # the largest bound of a closed cell
     while True:
         floor = max(best, 0.0) if smallest else best
-        centre, eta = 0.5 * (ends[1] + ends[0]), 0.5 * (ends[1] - ends[0])
+        centre, eta = 0.5 * (hi + lo), 0.5 * (hi - lo)
         if smallest:
             turn = np.exp(1j * centre)
-            bound, split = _cell_bounds(eta, turn * zs[0], turn * zs[1])
+            bound, split = _cell_bounds(eta, turn * z_lo, turn * z_hi)
         else:
-            alpha, beta = (hs[0] + hs[1]) / (2.0 * np.cos(eta)), (hs[1] - hs[0]) / (2.0 * np.sin(eta))
+            alpha, beta = (h_lo + h_hi) / (2.0 * np.cos(eta)), (h_hi - h_lo) / (2.0 * np.sin(eta))
             split = np.arctan2(beta, alpha)[None]
-            bound = np.where(np.abs(split[0]) <= eta, np.hypot(alpha, beta), np.maximum(hs[0], hs[1]))
-        shut = bound <= floor + tol
-        top = max(top, float(bound[shut].max(initial=-math.inf)))
-        keep = ~shut
+            bound = np.where(np.abs(split[0]) <= eta, np.hypot(alpha, beta), np.maximum(h_lo, h_hi))
+        keep = bound > floor + tol
+        top = max(top, float(bound[~keep].max(initial=-math.inf)))
         if not keep.any() or evaluations + split.shape[0] * np.count_nonzero(keep) > _BRACKET_CAP:
             break
-        ends, hs, zs, eta = ends[:, keep], hs[:, keep], zs[:, keep], _SPLIT * eta[keep]
-        new = centre[keep] + np.sort(np.clip(split[:, keep], -eta, eta), axis=0)
-        h_new, z_new = record(new.ravel(), *solve(new.ravel()))
+        lo, hi, h_lo, h_hi, z_lo, z_hi = lo[keep], hi[keep], h_lo[keep], h_hi[keep], z_lo[keep], z_hi[keep]
+        eta = _SPLIT * eta[keep]
+        new = (centre[keep] + np.sort(np.clip(split[:, keep], -eta, eta), axis=0)).ravel()
+        h_new, z_new = record(new, *solve(new))
         evaluations += new.size
-        # each cell's phases in order, then the consecutive pairs: its pieces
-        added = ((ends, new), (hs, h_new), (zs, z_new))
-        pieces = (np.concatenate([x[:1], y.reshape(new.shape), x[1:]]) for x, y in added)
-        ends, hs, zs = (np.stack([x[:-1].ravel(), x[1:].ravel()]) for x in pieces)
-    upper = max(floor, top, float(bound[~shut].max(initial=-math.inf)))
+        # new holds each cell's first splits, then its second ones: the pieces pair them up in order
+        lo, hi = np.concatenate([lo, new]), np.concatenate([new, hi])
+        h_lo, h_hi = np.concatenate([h_lo, h_new]), np.concatenate([h_new, h_hi])
+        z_lo, z_hi = np.concatenate([z_lo, z_new]), np.concatenate([z_new, z_hi])
+    upper = max(floor, top, float(bound[~keep].max(initial=-math.inf)))
     if not smallest:
         vectors = np.linalg.eigh(_hermitian(b, np.array([best_phase])))[1][0]
         rows.append(vectors[:, -1][None])
-    return floor, upper, vectors, np.concatenate(rows), evaluations + (not smallest), int(shut.all())
+    return floor, upper, vectors, np.concatenate(rows), evaluations + (not smallest), int(not keep.any())
 
 
 def _nearest_in_span(b: np.ndarray, basis: np.ndarray, w: complex = 0.0) -> np.ndarray:
