@@ -467,7 +467,7 @@ def _bracket(b: np.ndarray, smallest: bool) -> tuple[float, float, np.ndarray, n
         lo, hi = np.concatenate([lo, new]), np.concatenate([new, hi])
         h_lo, h_hi = np.concatenate([h_lo, h_new]), np.concatenate([h_new, h_hi])
         z_lo, z_hi = np.concatenate([z_lo, z_new]), np.concatenate([z_new, z_hi])
-    upper = max(floor, top, float(bound[~keep].max(initial=-math.inf)))
+    upper = max(floor, top, float(bound[keep].max(initial=-math.inf)))
     if not smallest:
         vectors = np.linalg.eigh(_hermitian(b, np.array([best_phase])))[1][0]
         rows.append(vectors[:, -1][None])

@@ -116,6 +116,16 @@ class TestPhaseMax:
         assert lower <= upper <= lower + 1e-12 * norm
         assert closed == 1
 
+    def test_an_open_bracket_keeps_the_bound_of_its_open_cells(self):
+        # lambda_max of J3 is flat (W(J3) is a disk about 0), so no cell closes before
+        # the cap: omega_A is a lower bound, and upper the bound of the cells left open
+        b = JORDAN3 / np.linalg.norm(JORDAN3)  # omega = 1 / 2
+        lower, upper, _, _, evaluations, closed = _bracket(b, smallest=False)
+        assert (closed, evaluations <= radius._BRACKET_CAP + 1) == (0, True)
+        assert lower == pytest.approx(0.5, abs=1e-15)
+        assert upper > 0.5 + 1e-12
+        assert a_radius(I3, JORDAN3).direction == LOWER_BOUND_OF_SUP
+
     def test_eigenvector_reproduces_the_value_among_several_peaks(self):
         # nearly normal B peak several times; the eigenvector at the best phase attains
         # the value, also for nearly_normal(278, 8), where a Newton refine once stopped
