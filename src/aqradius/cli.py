@@ -10,6 +10,7 @@ flags are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -238,6 +239,7 @@ def _cmd_converge(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: each parse_args call fills a new namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aqradius",

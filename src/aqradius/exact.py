@@ -2,20 +2,17 @@
 
 Any 2x2 complex matrix is unitarily similar to ``exp(i t) [[gamma, a], [b, gamma]]``
 with 0 <= b <= a, and its q-numerical range for |q| <= 1 is a translated filled
-ellipse.  Since W_q(T) = (q/|q|) W_{|q|}(T), a complex q rotates the ellipse of
-|q| by arg q and leaves every modulus unchanged, so the radius and Crawford
-values are evaluated at |q|.  This module computes that canonical form, the
-ellipse, and the resulting extremal moduli, plus the known formula for the 3x3
-nilpotent Jordan block.  Both extremal moduli are attained on the ellipse's
-boundary, at phases where d|z|/ds = 0; these are the roots of one quartic in
-e^{is} (`_boundary_moduli`), so neither value needs a grid or an iteration,
-except a Crawford number of 0 when the origin is inside.  `q_extremal_2x2`
-returns each value with a unit vector u whose partner values reach it: at the
-extremal boundary phase, or, for a Crawford number of 0, at the root of a
-quartic in the parameter of u (`_origin_preimage`), polished by Newton steps;
-at |q| = 1, where the range is W(T) and that quartic vanishes on a segment,
-at a root of a quadratic in a Schur basis (`_numerical_preimage`).
-`radius` takes every reduced-dimension-2 estimate from it.
+ellipse; a complex q rotates the ellipse of |q| by arg q, so every modulus is
+taken at |q|.  Both extremal moduli lie on the ellipse's boundary, at roots of
+one quartic in e^{is} (`_boundary_moduli`), but for a Crawford number of 0 when
+the origin is inside.  `q_extremal_2x2` returns each value with a unit u whose
+partner values reach it: at the extremal boundary phase; for a Crawford number
+of 0, at a root of a quartic in u's parameter polished by Newton steps
+(`_origin_preimage`), or at |q| = 1 at a root of a quadratic in a Schur basis
+(`_numerical_preimage`).  The route runs on the four entries as Python scalars,
+and its one LAPACK call takes a quartic's roots (`_quartic_roots`).  `radius`
+takes every estimate at reduced dimension 2 or on a segment from it.  The 3x3
+nilpotent Jordan block has its known formula.
 """
 
 from __future__ import annotations
@@ -95,56 +92,44 @@ class EllipseDisk:
         return (xi / big) ** 2 + (eta / small) ** 2 <= 1.0 + tol
 
 
-def _zero_diagonal_vector(m: np.ndarray) -> np.ndarray:
-    """Unit u with u^H M u = 0 for a traceless 2x2 matrix M (closed form)."""
-    d = complex(m[0, 0])
-    b = complex(m[0, 1])
-    c = complex(m[1, 0])
-    if abs(d) < 1e-300:
-        return np.array([1.0, 0.0], dtype=np.complex128)
-    # u = (cos r, sin r e^{i phi}) gives u^H M u = d cos 2r + beta(phi) sin 2r
-    # with beta = (b e^{i phi} + c e^{-i phi}) / 2; pick phi making beta a real
-    # multiple of d, then solve the real equation for r.
-    bp = b / d
-    cp = c / d
-    phi = math.atan2(-(bp.imag + cp.imag), bp.real - cp.real)
-    kappa = ((b * cmath.exp(1j * phi) + c * cmath.exp(-1j * phi)) / (2.0 * d)).real
-    two_r = math.atan2(1.0, -kappa)
-    r = 0.5 * two_r
-    return np.array([math.cos(r), math.sin(r) * cmath.exp(1j * phi)], dtype=np.complex128)
-
-
 def canonical_2x2(t) -> CanonicalForm2x2:
-    """Canonical form of a 2x2 matrix under unitary similarity.
+    """Canonical form of a 2x2 matrix under unitary similarity, from its four entries as scalars.
 
-    Splits off the trace, conjugates the traceless part to zero diagonal, and
-    absorbs the off-diagonal phases into a diagonal unitary so the remaining
-    entries are the nonnegative reals b <= a times a common phase exp(i t).
+    Splits off the trace, conjugates the traceless part M0 = [[d, b], [c, -d]] to zero
+    diagonal in the basis u1, u2 = (-conj(u1[1]), conj(u1[0])), and absorbs the off-diagonal
+    phases into a diagonal unitary: the entries left are b <= a times a phase exp(i t).
     """
     t_mat = as_operator(t)
     if t_mat.shape != (2, 2):
         raise ValueError("canonical form is defined for 2x2 matrices only")
-    half_trace = 0.5 * complex(np.trace(t_mat))
-    m0 = t_mat - half_trace * np.eye(2)
-
-    u1 = _zero_diagonal_vector(m0)
-    u2 = np.array([-np.conj(u1[1]), np.conj(u1[0])], dtype=np.complex128)
-    basis = np.column_stack([u1, u2])
-    m = basis.conj().T @ m0 @ basis
+    (t00, t01), (t10, t11) = t_mat.tolist()
+    half_trace = 0.5 * (t00 + t11)
+    d0, d1 = t00 - half_trace, t11 - half_trace
+    x0, x1 = 1.0, 0.0
+    if abs(d0) >= 1e-300:
+        # u1 = (cos r, sin r e^{i phi}) gives u1^H M0 u1 = d cos 2r + beta(phi) sin 2r, beta =
+        # (b e^{i phi} + c e^{-i phi}) / 2: phi makes beta a real multiple of d, then solve for r
+        bp, cp = t01 / d0, t10 / d0
+        phi = math.atan2(-(bp.imag + cp.imag), bp.real - cp.real)
+        kappa = ((t01 * cmath.exp(1j * phi) + t10 * cmath.exp(-1j * phi)) / (2.0 * d0)).real
+        r = 0.5 * math.atan2(1.0, -kappa)
+        x0, x1 = math.cos(r), math.sin(r) * cmath.exp(1j * phi)
+    y0, y1 = -x1.conjugate(), x0.conjugate()
+    up = x0.conjugate() * (d0 * y0 + t01 * y1) + x1.conjugate() * (t10 * y0 + d1 * y1)  # u1^H M0 u2
+    lo = y0.conjugate() * (d0 * x0 + t01 * x1) + y1.conjugate() * (t10 * x0 + d1 * x1)  # u2^H M0 u1
     # missing arguments of vanished off-diagonals default to 0
-    up, lo = complex(m[0, 1]), complex(m[1, 0])
     arg_up = cmath.phase(up) if abs(up) > 1e-300 else 0.0
     arg_lo = cmath.phase(lo) if abs(lo) > 1e-300 else 0.0
     phase = math.fmod(0.5 * (arg_up + arg_lo), 2.0 * math.pi)
     if phase < 0.0:
         phase += 2.0 * math.pi
-    delta = 0.5 * (arg_lo - arg_up)
-    basis = basis @ np.diag([1.0, cmath.exp(1j * delta)]).astype(np.complex128)
+    turn = cmath.exp(0.5j * (arg_lo - arg_up))
+    y0, y1 = y0 * turn, y1 * turn
     a_val, b_val = abs(up), abs(lo)
     if a_val < b_val:
         a_val, b_val = b_val, a_val
-        basis = basis @ np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    gamma = half_trace * cmath.exp(-1j * phase)
+        x0, x1, y0, y1 = y0, y1, x0, x1
+    gamma, basis = half_trace * cmath.exp(-1j * phase), np.array([[x0, y0], [x1, y1]], dtype=np.complex128)
     return CanonicalForm2x2(t=phase, gamma=gamma, a=a_val, b=b_val, u_similar=basis)
 
 
@@ -169,6 +154,20 @@ def q_range_2x2(form: CanonicalForm2x2, q) -> EllipseDisk:
     )
 
 
+_COMPANION = np.eye(4, k=-1)  # the companion matrix of a monic quartic but for its first row
+
+
+def _quartic_roots(coeffs: list) -> list:
+    """Roots of a quartic (coefficients highest first): the eigenvalues of np.roots's companion matrix, in
+    the leading coefficient's type; with that 0, both quartics here are c2 w^2 + c0 times w^k, w = 0 left out."""
+    if not coeffs[0]:
+        c2, c0 = (coeffs[1], coeffs[3]) if coeffs[1] else (coeffs[2], coeffs[4])
+        return [root := cmath.sqrt(-c0 / c2), -root] if c2 else []
+    companion = _COMPANION.astype(type(coeffs[0]))
+    companion[0] = [-c / coeffs[0] for c in coeffs[1:]]
+    return np.linalg.eigvals(companion).tolist()
+
+
 def _boundary_moduli(disk: EllipseDisk) -> tuple[tuple[float, float], tuple[float, float]]:
     """Smallest and largest |z| over the boundary of the ellipse-disk, each with its phase s.
 
@@ -186,15 +185,15 @@ def _boundary_moduli(disk: EllipseDisk) -> tuple[tuple[float, float], tuple[floa
     size = big + abs(zeta) or 1.0
     x, y, mj, mn = zeta.real / size, zeta.imag / size, big / size, small / size
     lead = mn * mn - mj * mj
-    coeffs = np.array([lead, 2 * (1j * mn * y - mj * x), 0.0, 2 * (1j * mn * y + mj * x), -lead])
-    coeffs[np.abs(coeffs) <= 1e-15] = 0.0
-    phases = np.concatenate([np.angle(np.roots(coeffs)), 0.5 * np.pi * np.arange(4)])
-    moduli = np.abs(zeta + big * np.cos(phases) + 1j * small * np.sin(phases))
-    low, high = int(np.argmin(moduli)), int(np.argmax(moduli))
-    return (float(moduli[low]), float(phases[low])), (float(moduli[high]), float(phases[high]))
+    coeffs = (complex(lead), 2 * (1j * mn * y - mj * x), 0.0, 2 * (1j * mn * y + mj * x), -lead)
+    roots = _quartic_roots([c if abs(c) > 1e-15 else 0.0 for c in coeffs])
+    phases = [cmath.phase(r) for r in roots] + [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]
+    moduli = [abs(zeta + complex(big * math.cos(s), small * math.sin(s))) for s in phases]
+    low, high = (f(range(len(phases)), key=moduli.__getitem__) for f in (min, max))
+    return (moduli[low], phases[low]), (moduli[high], phases[high])
 
 
-def _numerical_preimage(a: float, b: float, w: complex) -> np.ndarray:
+def _numerical_preimage(a: float, b: float, w: complex) -> tuple[complex, complex]:
     """Unit y with y^H N y = w for N = [[0, a], [b, 0]], 0 <= b <= a, and w in W(N).
 
     W(N) is the ellipse of semi-axes M = (a + b) / 2 along the real axis and
@@ -213,7 +212,7 @@ def _numerical_preimage(a: float, b: float, w: complex) -> np.ndarray:
     by round-off the discriminant clamps at 0, and s at most the larger root.
     """
     if a == 0.0:  # N = 0 and W(N) = {0}: any unit vector
-        return np.array([1.0, 0.0], dtype=np.complex128)
+        return 1.0, 0.0
     big, small, h = 0.5 * (a + b), 0.5 * (a - b), math.sqrt(a * b)
     x, y = min(big, max(-big, w.real)), w.imag
     gap = big * small * small / (big + h)  # M (M - h)
@@ -224,8 +223,10 @@ def _numerical_preimage(a: float, b: float, w: complex) -> np.ndarray:
     lever = w - h * (t - s)
     tilt = lever / abs(lever) if lever != 0.0 else 1.0
     ra, rb = math.sqrt(a / (a + b)), math.sqrt(b / (a + b))
-    u = np.array([[ra, -rb], [rb, ra]]) @ np.array([math.sqrt(t), tilt * math.sqrt(s)])
-    return u / np.linalg.norm(u)
+    first, second = math.sqrt(t), tilt * math.sqrt(s)
+    y0, y1 = ra * first - rb * second, rb * first + ra * second
+    norm = math.sqrt(y0.real**2 + y0.imag**2 + y1.real**2 + y1.imag**2)
+    return y0 / norm, y1 / norm
 
 
 _POLISH_STEPS = 8  # Newton steps per start on the preimage of the origin; a few reach round-off
@@ -261,7 +262,7 @@ def _origin_preimage(a: float, b: float, p: float, w: complex) -> tuple[float, f
             2.0 * a1 * a0 - 8.0 * ww * p * d,
             a0 * a0 - 4.0 * ww * p * p * s2 - 8.0 * rw * b * p * p,
         ]
-        for root in np.roots(coeffs):
+        for root in _quartic_roots(coeffs):
             kappa = min(1.0, max(-1.0, root.real))
             alpha, beta = kappa + p, b * (kappa - p)
             den = alpha * alpha - beta * beta
@@ -326,19 +327,19 @@ def q_extremal_2x2(form: CanonicalForm2x2, q, sup: bool) -> tuple[float, np.ndar
     m = _modulus(q)
     p = math.sqrt(max(0.0, 1.0 - m * m))
     disk = q_range_2x2(form, m)
-    if not sup and disk.contains(0.0):
-        if p == 0.0:  # the numerical range of the form: a quadratic, not the quartic
-            return 0.0, form.u_similar @ _numerical_preimage(form.a, form.b, -form.gamma)
-        value = 0.0
-        kappa, s = _origin_preimage(form.a, form.b, p, -m * form.gamma)
-        two_theta = math.atan2(p, m) + math.asin(kappa)  # kappa = sin(2 theta - atan2(p, |q|))
+    inside = not sup and disk.contains(0.0)
+    if inside and p == 0.0:  # the numerical range of the form: a quadratic, not the quartic
+        value, (y0, y1) = 0.0, _numerical_preimage(form.a, form.b, -form.gamma)
     else:
-        low, high = _boundary_moduli(disk)
-        value, s = high if sup else low
-        two_theta = math.atan2(m, -p)
-    half = 0.5 * two_theta
-    u = form.u_similar @ np.array([math.cos(half), cmath.exp(1j * s) * math.sin(half)])
-    return value, u
+        if inside:
+            value, (kappa, s) = 0.0, _origin_preimage(form.a, form.b, p, -m * form.gamma)
+            two_theta = math.atan2(p, m) + math.asin(kappa)  # kappa = sin(2 theta - atan2(p, |q|))
+        else:
+            value, s = _boundary_moduli(disk)[1 if sup else 0]
+            two_theta = math.atan2(m, -p)
+        y0, y1 = math.cos(0.5 * two_theta), cmath.exp(1j * s) * math.sin(0.5 * two_theta)
+    (u00, u01), (u10, u11) = form.u_similar.tolist()  # u = U y
+    return value, np.array([u00 * y0 + u01 * y1, u10 * y0 + u11 * y1])
 
 
 def q_radius_2x2(form: CanonicalForm2x2, q) -> float:

@@ -1,44 +1,36 @@
 """Estimators for weighted (q-)numerical radii and Crawford numbers.
 
 All quantities are computed on the reduced operator B (standard inner product,
-dimension n = rank of the weight).  Every value scales with T, so each route
-runs on B / ||B||_F and multiplies its value back.  With p = sqrt(1 - |q|^2),
-`_estimate` takes the first of three routes that applies:
+dimension n = rank of the weight), and every route runs on B / ||B||_F.  With
+p = sqrt(1 - |q|^2), `_estimate` takes the first of three routes that applies:
 
 - n = 2, or W(B) a segment [a, b] (B = e^{i phi} H + s I, H Hermitian, as for
-  multiplication operators), any q: the closed form of a 2x2 matrix, whose
-  q-range is an ellipse-disk; `exact.q_extremal_2x2` gives omega_q or c_q with
-  a unit u that attains it.  On a segment both rules depend on u through the
-  mean and the spread of H's spectrum under |u_i|^2, and the two-point law on
-  its ends spreads most for its mean (Bhatia-Davis), so the q-range is that of
-  diag(a, b), the compression to the end eigenvectors (`_segment`).
+  multiplication operators), any q: the 2x2 closed form on Python scalars,
+  `exact.q_extremal_2x2`, two-sided, with a unit u attaining omega_q or c_q.
+  On a segment both rules depend on u through the mean and the spread of H's
+  spectrum under |u_i|^2, and the two-point law on its ends spreads most for
+  its mean (Bhatia-Davis): the q-range is that of the compression to the end
+  eigenvectors (`_segment`), accepted within 1e-12 ||B||_F of e^{i phi} H + s I,
+  so that the value is within 3e-12 ||B||_F (both are sqrt(2)-Lipschitz).
 - p = 0 (|q| = 1 as given; one ulp below 1, p = 1.5e-8, is not): the phase
   bracket `_bracket`.  As W(B) is convex, omega_A and c_A are the max over phi
   of lambda_max and of max(0, lambda_min) of the Hermitian part H(e^{i phi} B).
-  omega_A is its best sample; c_A takes the lower bound max(0, best lambda_min)
-  with a witness from the bracket's eigenvectors (`_crawford_witness`).
-- otherwise: the sphere search `_extremize`.  Its suprema are lower bounds and
-  its infima upper bounds.
-
-A closed-form value is two-sided.  A segment is accepted within 1e-12 ||B||_F
-of e^{i phi} H + s I; as both values are sqrt(2)-Lipschitz in B and in its
-compression, the one reported is within 3e-12 ||B||_F.
-omega_A is two-sided once its bracket closes, else a lower bound.
-An inf is two-sided once its witness attains a known lower bound within
-1e-12 ||B||_2: max(0, best lambda_min) for the bracket, and 0 (c_q >= 0) for a
-sphere value of exactly 0, there within 1e-12 / sqrt(n), which needs no SVD.
-A certificate that falls short reports the point nearest 0 it found, an upper
-bound.
+  omega_A is its best sample, two-sided once the bracket closes; c_A takes the
+  lower bound max(0, best lambda_min), two-sided once a witness built from the
+  bracket's eigenvectors (`_crawford_witness`) attains it within 1e-12 ||B||_2.
+- otherwise: the sphere search `_extremize`, whose suprema are lower bounds and
+  infima upper bounds; an inf of exactly 0 is two-sided once its witness
+  attains it within 1e-12 / sqrt(n) <= 1e-12 ||B||_2, as c_q >= 0.
 
 For a unit vector u, the values attainable over all admissible partner vectors
 form a circle (n = 2) or a full disk (n >= 3) of radius
-``p * ||(I - u u^H) B u||`` centered at ``q <B u, u>``, so the partner search
-collapses analytically and only the unit sphere in u remains: the sphere
-search `_extremize` is multi-start projected ascent, by BFGS steps at reduced
-dimension 3 and 4, on one rule per estimator (`_rule`), whose value and
+``p * ||(I - u u^H) B u||`` centered at ``q <B u, u>``, so only the unit sphere
+in u remains: `_extremize` is multi-start projected ascent, by BFGS steps at
+reduced dimension 3 to 8, on one rule per estimator (`_rule`), whose value and
 gradient cost one evaluation.  Each estimate carries a witness pair (x, y)
 with ||x||_A = ||y||_A = 1 and <x, y>_A = q that attains the reported value;
-`_witness` builds the partner of the route's u.
+`_witness` builds the partner of the route's u.  A certificate that falls short
+reports the point nearest 0 it found, an upper bound.
 """
 
 from __future__ import annotations
@@ -172,11 +164,13 @@ def _rule(b: np.ndarray, absq: float, p: float, kind: str):
 # default budget, on 80 searches at |q| < 1 (n = 3-8, "sup" and "disk"), the
 # window cut the rule evaluations from 14383 to 3137, values within 1.9e-13.
 _STALL_STEPS = 20
-# Reduced dimensions up to this take BFGS steps (see `_extremize`).  There a
-# rule evaluation costs about as much as the metric update, and the 2n x 2n
-# metric learns the curvature within a few steps.  Above it the metric costs
-# more than it saves within the iteration budgets.
-_BFGS_DIM = 4
+# Reduced dimensions up to this take BFGS steps (see `_extremize`).  On the 57 sup
+# searches at n = 5-8 of a law suite pass (seed 77) at Budget(6, 47), gradient steps
+# ran to the cap (46.8 evaluations, 2.2 of 6 restarts converged) and BFGS steps did
+# not (25.5, 5.8), in 1.86 against 1.99 ms a call on a 2-core machine; 4.69 against
+# 6.41 ms at Budget(32, 250), 6.95 against 7.87 at the default.  At n = 16 and 32 the
+# 2n x 2n metric costs more (8.26 against 4.57 ms a call at Budget(6, 60)).
+_BFGS_DIM = 8
 
 
 @functools.lru_cache(maxsize=32)
@@ -326,24 +320,25 @@ def _orth_unit(u: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
 def _witness(b: np.ndarray, u: np.ndarray, q: complex, p: float, sup: bool) -> np.ndarray:
     """Reduced partner v with <u, v> = q and |v^H B u| the sup (or inf) over u's partner values.
 
-    v = conj(q) u +- p conj(d) w, d the phase of q c, w a unit vector orthogonal
-    to u: w^H B u = rho along the residual, beta rho when the disk tilts w out of it.
-    At n = 2 the partner values form a circle, whose inf is | |q| |c| - p rho |, and
-    w is the complement of u, taken exactly rather than from the residual.
+    v = conj(q) u +- p conj(d) w, d the phase of q c, w a unit vector orthogonal to u:
+    w^H B u = rho along the residual (made orthogonal to u by one Gram-Schmidt pass),
+    beta rho when the disk tilts w out of it.  At n = 2 the partner values form a circle,
+    whose inf is | |q| |c| - p rho |, and w is u's complement (-conj(u1), conj(u0)), on scalars.
     """
     if u.size == 1 or p == 0.0:
         return np.conj(q) * u
+    if u.size == 2:  # w spans the complement of u exactly, however small rho is
+        ((b00, b01), (b10, b11)), (u0, u1) = b.tolist(), u.tolist()
+        bu0, bu1 = b00 * u0 + b01 * u1, b10 * u0 + b11 * u1
+        qc = q * (u0.conjugate() * bu0 + u1.conjugate() * bu1)
+        tilt = cmath.rect(p if sup else -p, cmath.phase(u0 * bu1 - u1 * bu0) - cmath.phase(qc))  # the first is w^H B u
+        return np.array([q.conjugate() * u0 - tilt * u1.conjugate(), q.conjugate() * u1 + tilt * u0.conjugate()])
     bu = b @ u
     c = complex(u.conj() @ bu)
     qc = q * c
-    d = qc / abs(qc) if abs(qc) > 0.0 else 1.0
-    if u.size == 2:  # w spans the complement of u exactly, however small rho is
-        w = np.array([-u[1].conjugate(), u[0].conjugate()])
-        along = complex(w.conj() @ bu)
-        if along != 0.0:
-            w *= along / abs(along)
-        return np.conj(q) * u + (1.0 if sup else -1.0) * p * np.conj(d) * w
+    d = cmath.rect(1.0, cmath.phase(qc))  # of modulus 1 also for a subnormal q c, unlike q c / |q c|
     resid = bu - c * u
+    resid -= np.vdot(u, resid) * u
     rho = float(np.linalg.norm(resid))
     if rho <= 1e-14 * np.linalg.norm(b):  # relative, so that T -> cT keeps the branch
         return np.conj(q) * u + p * np.conj(d) * _orth_unit(u)
@@ -532,8 +527,8 @@ def _crawford_witness(b: np.ndarray, lower: float, vectors: np.ndarray, rows: np
     return rows[int(np.argmin(np.abs(np.vecdot(rows, rows @ b.T))))]
 
 
-def _segment(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The closed form's 2x2 matrix V^H B V and basis V where W(B) is a segment or n = 2 (V = I), else None.
+def _segment(b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """The closed form's 2x2 matrix V^H B V and basis V where W(B) is a segment, else None; at n = 2, (B, None).
 
     At n >= 3, with s = tr B / n, C = B - s I and e^{2 i phi} the phase of tr(C^2)
     (1 if it is 0), g = e^{-i phi} C must have ||(g - g^H) / 2||_F <= 1e-12; V holds
@@ -542,7 +537,7 @@ def _segment(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """
     n = b.shape[0]
     if n == 2:
-        return b, np.eye(2)
+        return b, None
     if n < 3 or abs(abs(b[0, 1]) - abs(b[1, 0])) > 2e-12 or np.abs(abs(b) - abs(b.T)).max() > 2e-12:
         return None
     c = b - (np.trace(b) / n) * np.eye(n)
@@ -564,10 +559,11 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
     size = float(np.linalg.norm(b)) or 1.0  # both values scale with T: every route runs on B / ||B||_F
     b = b / size
     p = math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
-    lower = None  # a lower bound of the inf, two-sided once a witness attains it
-    if (segment := _segment(b)) is not None:  # the q-range is that of a 2x2 matrix: its closed form
-        value, u = q_extremal_2x2(canonical_2x2(segment[0]), q, sup)
-        u, direction, evaluations, converged = segment[1] @ u, TWO_SIDED, 1, 1
+    lower, basis = None, None  # a lower bound of the inf, two-sided once a witness attains it
+    if (segment := _segment(b)) is not None:  # the q-range is that of C = V^H B V: its closed form
+        b, basis = segment  # (V v)^H B (V u) = v^H C u, so the route finds u and v for C and V maps them
+        value, u = q_extremal_2x2(canonical_2x2(b), q, sup)
+        direction, evaluations, converged = TWO_SIDED, 1, 1
     elif p == 0.0:
         value, _, vectors, rows, evaluations, converged = _bracket(b, not sup)
         if sup:
@@ -587,6 +583,7 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
     v = _witness(b, u, q, p, sup)
     if lower is not None and abs(np.vdot(v, b @ u)) - lower <= tol:
         value, direction = lower, TWO_SIDED
+    u, v = (u, v) if basis is None else (basis @ u, basis @ v)
     x, y = w.lift(u), w.lift(v)
     return Estimate(size * value, direction, x, y, budget, seed, evaluations, converged)
 

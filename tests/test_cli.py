@@ -51,6 +51,24 @@ def test_verify_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert outputs[0][1].count(b"\n") == 22
 
 
+def test_main_calls_parse_independently(tmp_path, capsys):
+    # the parser is built once per process, so no flag of one call may leak into the next
+    assert cli._build_parser() is cli._build_parser()
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(matrix_to_json(EX2)))
+    compute = ["compute", "--matrix", str(path), "--q", "0.5"]
+    budgets = []
+    for k, extra in enumerate([["--budget", "4", "--seed", "1"], [], ["--budget", "2"]]):
+        figure = tmp_path / f"f{k}.csv"
+        assert cli.main(["figure", "--example", "1", "--out", str(figure)] + (["--grid", "3"] if k == 0 else [])) == 0
+        assert figure.read_text().count("\n") == (4 if k == 0 else 102)  # the header and --grid rows
+        assert cli.main(compute + extra) == 0
+        budgets.append(json.loads(capsys.readouterr().out)["budget"])
+    assert [(b["restarts"], b["iterations"]) for b in budgets] == [(4, 31), (64, 500), (2, 16)]
+    args = cli._build_parser().parse_args(["converge", "--rule", "qseq", "--out", "o.csv"])
+    assert (args.qexp, args.budget, args.matrix) == (2.0, 64, None)
+
+
 def _operator_rule(rule, tmp_path):
     """CLI flags of an operator rule and the OperatorSequence they select."""
     if rule == "multiplication":

@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +22,11 @@ from aqradius import (
     q_radius_2x2,
     q_range_2x2,
 )
-from conftest import crandn
+from aqradius import exact
+from aqradius.exact import CanonicalForm2x2, EllipseDisk, _polish, _residual
+from aqradius.semispace import as_operator
+from conftest import crandn, random_pd_weight
+from oracle import oracle_grid
 
 EX1 = np.array([[0.0, 1.0 / 70.0], [0.0, 0.0]], dtype=complex)
 EX2 = np.array([[0.0, 1.0 / 24.0], [0.0, 0.0]], dtype=complex)
@@ -342,3 +349,201 @@ def test_q_one_zero_witness_of_a_hermitian_segment():
     est = a_crawford(Weight.identity(2), t)
     assert (est.value, est.direction) == (0.0, TWO_SIDED)
     assert abs(np.vdot(est.witness_y, t @ est.witness_x)) <= 1e-15
+
+
+# The closed forms as they were on numpy arrays, kept verbatim (but for their names) as the
+# reference of the scalar route: canonical_2x2, the boundary quartic's np.roots, and the
+# quartic of the origin's preimage.  `_polish` and `_residual` are unchanged since.
+
+
+def reference_zero_diagonal_vector(m: np.ndarray) -> np.ndarray:
+    """Unit u with u^H M u = 0 for a traceless 2x2 matrix M (closed form)."""
+    d = complex(m[0, 0])
+    b = complex(m[0, 1])
+    c = complex(m[1, 0])
+    if abs(d) < 1e-300:
+        return np.array([1.0, 0.0], dtype=np.complex128)
+    # u = (cos r, sin r e^{i phi}) gives u^H M u = d cos 2r + beta(phi) sin 2r
+    # with beta = (b e^{i phi} + c e^{-i phi}) / 2; pick phi making beta a real
+    # multiple of d, then solve the real equation for r.
+    bp = b / d
+    cp = c / d
+    phi = math.atan2(-(bp.imag + cp.imag), bp.real - cp.real)
+    kappa = ((b * cmath.exp(1j * phi) + c * cmath.exp(-1j * phi)) / (2.0 * d)).real
+    two_r = math.atan2(1.0, -kappa)
+    r = 0.5 * two_r
+    return np.array([math.cos(r), math.sin(r) * cmath.exp(1j * phi)], dtype=np.complex128)
+
+
+def reference_canonical_2x2(t) -> CanonicalForm2x2:
+    """Canonical form of a 2x2 matrix under unitary similarity.
+
+    Splits off the trace, conjugates the traceless part to zero diagonal, and
+    absorbs the off-diagonal phases into a diagonal unitary so the remaining
+    entries are the nonnegative reals b <= a times a common phase exp(i t).
+    """
+    t_mat = as_operator(t)
+    if t_mat.shape != (2, 2):
+        raise ValueError("canonical form is defined for 2x2 matrices only")
+    half_trace = 0.5 * complex(np.trace(t_mat))
+    m0 = t_mat - half_trace * np.eye(2)
+
+    u1 = reference_zero_diagonal_vector(m0)
+    u2 = np.array([-np.conj(u1[1]), np.conj(u1[0])], dtype=np.complex128)
+    basis = np.column_stack([u1, u2])
+    m = basis.conj().T @ m0 @ basis
+    # missing arguments of vanished off-diagonals default to 0
+    up, lo = complex(m[0, 1]), complex(m[1, 0])
+    arg_up = cmath.phase(up) if abs(up) > 1e-300 else 0.0
+    arg_lo = cmath.phase(lo) if abs(lo) > 1e-300 else 0.0
+    phase = math.fmod(0.5 * (arg_up + arg_lo), 2.0 * math.pi)
+    if phase < 0.0:
+        phase += 2.0 * math.pi
+    delta = 0.5 * (arg_lo - arg_up)
+    basis = basis @ np.diag([1.0, cmath.exp(1j * delta)]).astype(np.complex128)
+    a_val, b_val = abs(up), abs(lo)
+    if a_val < b_val:
+        a_val, b_val = b_val, a_val
+        basis = basis @ np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+    gamma = half_trace * cmath.exp(-1j * phase)
+    return CanonicalForm2x2(t=phase, gamma=gamma, a=a_val, b=b_val, u_similar=basis)
+
+
+def reference_boundary_moduli(disk: EllipseDisk) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Smallest and largest |z| over the boundary of the ellipse-disk, each with its phase s."""
+    zeta = disk.center * cmath.exp(-1j * disk.rotation)
+    big, small = disk.semi_major, disk.semi_minor
+    size = big + abs(zeta) or 1.0
+    x, y, mj, mn = zeta.real / size, zeta.imag / size, big / size, small / size
+    lead = mn * mn - mj * mj
+    coeffs = np.array([lead, 2 * (1j * mn * y - mj * x), 0.0, 2 * (1j * mn * y + mj * x), -lead])
+    coeffs[np.abs(coeffs) <= 1e-15] = 0.0
+    phases = np.concatenate([np.angle(np.roots(coeffs)), 0.5 * np.pi * np.arange(4)])
+    moduli = np.abs(zeta + big * np.cos(phases) + 1j * small * np.sin(phases))
+    low, high = int(np.argmin(moduli)), int(np.argmax(moduli))
+    return (float(moduli[low]), float(phases[low])), (float(moduli[high]), float(phases[high]))
+
+
+def reference_origin_preimage(a: float, b: float, p: float, w: complex) -> tuple[float, float]:
+    """(kappa, s) in [-1, 1] x R with a (kappa + p) e^{is} + b (kappa - p) e^{-is} = 2 w, for p > 0."""
+    if a == 0.0:  # B is scalar, its range the point |q| gamma = -w = 0: any (kappa, s) will do
+        return 0.0, 0.0
+    b, w = b / a, w / a
+    kappa = p * (b - 1.0) / (1.0 + b)
+    starts = [(kappa, 0.0), (kappa, math.pi)]
+    if w != 0.0:
+        ww, rw = abs(w) ** 2, (w * w).real
+        d, s2 = 1.0 - b * b, 1.0 + b * b  # a^2 - b^2 and a^2 + b^2, with a = 1
+        a2, a1, a0 = d, 2.0 * p * s2, p * p * d  # alpha^2 - beta^2 = a2 k^2 + a1 k + a0
+        coeffs = [
+            a2 * a2,
+            2.0 * a2 * a1,
+            a1 * a1 + 2.0 * a2 * a0 - 4.0 * ww * s2 + 8.0 * rw * b,
+            2.0 * a1 * a0 - 8.0 * ww * p * d,
+            a0 * a0 - 4.0 * ww * p * p * s2 - 8.0 * rw * b * p * p,
+        ]
+        for root in np.roots(coeffs):
+            kappa = min(1.0, max(-1.0, root.real))
+            alpha, beta = kappa + p, b * (kappa - p)
+            den = alpha * alpha - beta * beta
+            zeta = math.copysign(1.0, den) * (alpha * w - beta * w.conjugate()) if den else w
+            starts.append((kappa, cmath.phase(zeta)))
+    best = (math.inf, 0.0, 0.0)
+    for kappa, s in sorted(starts, key=lambda start: abs(_residual(b, p, w, *start))):
+        best = min(best, _polish(b, p, w, kappa, s))
+        if best[0] <= 1e-15:
+            break
+    return best[1], best[2]
+
+
+def reference_values(t, q) -> tuple[float, float]:
+    """(omega_q, c_q) of a 2x2 matrix by the reference closed forms."""
+    m = abs(q)
+    disk = q_range_2x2(reference_canonical_2x2(t), m)
+    low, high = reference_boundary_moduli(disk)
+    return high[0], 0.0 if disk.contains(0.0) else low[0]
+
+
+FORM_KINDS = ["random", "scalar", "normal", "nilpotent", "a=b", "b=0", "boundary"]
+
+
+def form_case(kind, rng, modulus):
+    """A 2x2 matrix of the kind, as the canonical form sees it, and the modulus to take it at.
+
+    "a=b" and "b=0" are canonical forms as given (zero diagonal after the trace is split
+    off), so a = b and b = 0 hold exactly; "boundary" puts the origin on the boundary of
+    the range at the modulus mapped to [1/2, 1] (at 0 the range is a disk about 0, and
+    near 0 the trace that moves it there grows as 1 / |q|).
+    """
+    u = np.linalg.qr(crandn(rng, 2, 2))[0]
+    gamma, a, b = crandn(rng), rng.uniform(0.1, 2.0), rng.uniform(0.0, 1.0)
+    if kind == "random":
+        t = crandn(rng, 2, 2) + 3 * rng.random() * gamma * np.eye(2)
+    elif kind == "scalar":
+        t = gamma * np.eye(2)
+    elif kind == "normal":
+        t = u @ np.diag(crandn(rng, 2)) @ u.conj().T
+    elif kind == "nilpotent":
+        t = u @ np.array([[0.0, a], [0.0, 0.0]]) @ u.conj().T
+    elif kind == "a=b":
+        t = gamma * np.eye(2) + a * np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 2))) * (1 - np.eye(2))
+    elif kind == "b=0":
+        t = np.array([[gamma, a], [0.0, gamma]])
+    else:
+        modulus = 0.5 + 0.5 * modulus
+        t = u @ _point_outside(a, a * b, modulus, rng.uniform(0, 2 * np.pi), 0.0) @ u.conj().T
+    return t, modulus
+
+
+@settings(max_examples=150, deadline=None)
+@example(kind="boundary", seed=0, modulus=1.0, scale=1e8)
+@example(kind="a=b", seed=1, modulus=0.5, scale=1e-8)
+@example(kind="nilpotent", seed=2, modulus=0.0, scale=1.0)
+@given(
+    kind=st.sampled_from(FORM_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    modulus=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+)
+def test_scalar_closed_forms_match_the_reference(kind, seed, modulus, scale):
+    # the values within 1e-14 (|gamma| + a) of the numpy reference, the origin's preimage
+    # solving its equation as closely, and the estimators' witness pairs attaining them
+    rng = np.random.default_rng(seed)
+    t, modulus = form_case(kind, rng, modulus)
+    t = scale * t
+    q = modulus * np.exp(2j * np.pi * rng.random())
+    form, ref = canonical_2x2(t), reference_canonical_2x2(t)
+    tol = 1e-14 * (abs(ref.gamma) + ref.a)
+    assert reconstruction_residual(t, form) <= tol
+    assert (form.a, form.b, abs(form.gamma)) == pytest.approx((ref.a, ref.b, abs(ref.gamma)), abs=tol)
+    values = q_radius_2x2(form, q), q_crawford_2x2(form, q)
+    assert values == pytest.approx(reference_values(t, q), abs=tol)
+    p = math.sqrt(1.0 - modulus**2)
+    if p > 0.0 and values[1] == 0.0 and form.a > 0.0:  # a preimage of the origin as exact as the reference's
+        a, b, w = form.a, form.b, -modulus * form.gamma
+        found, expected = exact._origin_preimage(a, b, p, w), reference_origin_preimage(a, b, p, w)
+        residual = [abs(_residual(b / a, p, w / a, *point)) for point in (found, expected)]
+        assert residual[0] <= max(residual[1], 1e-15)
+    norm, w = np.linalg.norm(t, 2), Weight.identity(2)
+    for estimator, value in zip((aq_radius, aq_crawford), values):
+        est = estimator(w, t, q)
+        assert est.value == pytest.approx(value, abs=tol)
+        assert np.vdot(est.witness_y, est.witness_x) == pytest.approx(q, abs=1e-12)
+        assert abs(np.vdot(est.witness_y, t @ est.witness_x)) == pytest.approx(est.value, abs=1e-12 * norm)
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(FORM_KINDS), seed=st.integers(0, 2**32 - 1), modulus=st.floats(0.0, 1.0))
+def test_closed_forms_bracket_the_pair_grid(kind, seed, modulus):
+    # reduced dimension 2 under a random weight: every pair the grid evaluates is feasible, so
+    # its best sup bounds omega_q from below and its best inf bounds c_q from above
+    rng = np.random.default_rng(seed)
+    b, modulus = form_case(kind, rng, modulus)
+    w = random_pd_weight(rng, 2)
+    s = np.sqrt(w.eigvals)
+    t = w.eigvecs @ (b * s[None, :] / s[:, None]) @ w.eigvecs.conj().T  # reduces to b
+    q = modulus * np.exp(2j * np.pi * rng.random())
+    lower_sup, upper_inf = oracle_grid(w, t, q, resolution=48)
+    tol = 1e-12 * np.linalg.norm(b, 2)
+    assert aq_radius(w, t, q).value >= lower_sup - tol
+    assert aq_crawford(w, t, q).value <= upper_inf + tol

@@ -553,6 +553,14 @@ class TestBfgsSteps:
         assert max(sphere) <= 60
         assert sum(sphere) < sum(gradient) / 2
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dimension_six_sup_converges_within_a_short_budget(self, seed):
+        # reduced dimension 6 takes BFGS steps: at 47 iterations gradient steps end most
+        # restarts at the cap, BFGS steps retire them by the stop rule
+        rng = np.random.default_rng(seed)
+        est = aq_radius(Weight.identity(6), crandn(rng, 6, 6), 0.7, Budget(6, 47))
+        assert est.converged >= 5
+
 
 def central_difference(fn, u, h=1e-6):
     """Central differences in the 2r real coordinates, as complex rows d/dRe + i d/dIm."""
@@ -732,6 +740,17 @@ WITNESS_BRANCHES = [
     "b, u, q, sup", [pytest.param(*case[1:], id=case[0]) for case in WITNESS_BRANCHES]
 )
 def test_witness_attains_the_rule_value(b, u, q, sup):
+    assert_witness_attains(b, u, q, sup, all="raise")
+
+
+@pytest.mark.parametrize("sup", [True, False])
+@pytest.mark.parametrize("b, u", [(np.array([[1, 2], [0, -1j]]), _unit(1, 1j)), (SUP_B, SUP_U)], ids=["dim2", "dim3"])
+def test_witness_at_a_subnormal_q(b, u, sup):
+    # at |q| = 1e-318 the product q c keeps 5 digits, so q c / |q c| misses modulus 1 by 1e-6
+    assert_witness_attains(b, u, 1e-318 * np.exp(0.3j), sup, all="raise", under="ignore")
+
+
+def assert_witness_attains(b, u, q, sup, **errstate):
     absq = abs(q)
     p = np.sqrt(max(0.0, 1 - absq**2))
     if sup or u.size != 2:
@@ -740,11 +759,40 @@ def test_witness_attains_the_rule_value(b, u, q, sup):
         bu = b @ u
         c = np.vdot(u, bu)
         value = abs(absq * abs(c) - p * np.linalg.norm(bu - c * u))
-    with np.errstate(all="raise"):
+    with np.errstate(**errstate):
         v = _witness(b, u, q, p, sup)
     assert np.vdot(v, u) == pytest.approx(q, abs=1e-12)  # <u, v> = v^H u
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     assert abs(np.vdot(v, b @ u)) == pytest.approx(value, abs=1e-12 * np.linalg.norm(b, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(1e-5, 1e-2),
+    ratio=st.sampled_from([0.5, 1.0, 2.0]),
+    sup=st.booleans(),
+)
+def test_witness_is_exact_at_a_small_residual(seed, spread, ratio, sup):
+    # u near an eigenvector of a normal B, so rho is small, and |q| |c| = ratio rho: the
+    # residual B u - c u is orthogonal to u only up to eps ||B|| / rho, which the partner
+    # must not inherit (an unorthogonalized residual missed both figures by up to 5e-11)
+    rng = np.random.default_rng(seed)
+    h = crandn(rng, 8, 8)
+    lam, vecs = np.linalg.eigh(h + h.conj().T)
+    b = np.exp(1j * rng.uniform(0, 2 * np.pi)) * (vecs * lam) @ vecs.conj().T
+    b += complex(*rng.standard_normal(2)) * np.eye(8)
+    b /= np.linalg.norm(b)
+    u = np.sqrt(1.0 - spread**2) * vecs[:, 0] + spread * np.exp(1j * rng.uniform(0, 2 * np.pi)) * vecs[:, -1]
+    bu = b @ u
+    c = np.vdot(u, bu)
+    rho = np.linalg.norm(bu - c * u)
+    q = min(1.0, ratio * rho / abs(c)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    p = np.sqrt(1.0 - abs(q) ** 2)
+    value = abs(q) * abs(c) + p * rho if sup else max(0.0, abs(q) * abs(c) - p * rho)
+    v = _witness(b, u, q, p, sup)
+    assert abs(np.vdot(v, u) - q) <= 1e-14
+    assert abs(np.vdot(v, bu)) == pytest.approx(value, abs=1e-14)
 
 
 @settings(max_examples=20, deadline=None)
@@ -1192,6 +1240,8 @@ def weighted(rng, b, c):
 @settings(max_examples=30, deadline=None)
 @example(seed=0, n=3, c=1.0, modulus=1.0, positive=True)
 @example(seed=1, n=8, c=1e8, modulus=0.5, positive=False)
+# a small rho: a c_q = 0 witness from the unorthogonalized residual missed by 1.85e-12 against tol 1.80e-12
+@example(seed=77563, n=8, c=1e-8, modulus=1e-3, positive=False)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.sampled_from([3, 4, 8]),
@@ -1229,11 +1279,11 @@ def test_segment_route(seed, n, c, modulus, positive):
 
 
 def test_segment_route_runs_from_dimension_two():
-    # n = 2 is the closed form on B itself; n = 1 has no 2x2 compression (a rank-one
+    # n = 2 is the closed form on B itself, with no basis to map back by; n = 1 has no 2x2 compression (a rank-one
     # weight at |q| = 1 keeps the bracket, which returns 3, not 6)
     b = np.diag([1.0 + 1j, 2.0])
     c2, basis = _segment(b)
-    assert c2 is b and np.array_equal(basis, np.eye(2))
+    assert c2 is b and basis is None
     assert _segment(np.array([[1.0 + 0j]])) is None
     est = aq_radius(Weight.diagonal([1.0, 0.0]), np.diag([3.0, 0.0]), np.exp(0.5j))
     assert est.value == pytest.approx(3.0, abs=1e-10)
