@@ -68,6 +68,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _dims(text: str) -> tuple[int, ...]:
+    dims = tuple(int(d) for d in text.split(","))  # argparse reports a ValueError as an invalid value
+    if min(dims) < 2:
+        raise argparse.ArgumentTypeError(f"must be ints >= 2, got {text}")
+    return dims
+
+
 def _budget_from_flag(n: int) -> Budget:
     # scale the default 64-restart budget proportionally so --budget 64
     # reproduces the library default and --budget 1 is genuinely starved
@@ -186,7 +193,7 @@ def _cmd_figure(args) -> int:
 def _cmd_verify(args) -> int:
     config = laws.SuiteConfig(
         n_instances=args.instances,
-        dims=tuple(int(d) for d in args.dims.split(",")),
+        dims=args.dims,
         seed=args.seed,
         budget=_budget_from_flag(args.budget),
     )
@@ -263,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the randomized law suite")
     p.add_argument("--instances", type=_positive_int, default=200)
-    p.add_argument("--dims", default="2,3,4")
+    p.add_argument("--dims", type=_dims, default="2,3,4", help="reduced dimensions, ints >= 2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=_positive_int, default=32)
     p.add_argument("--out", required=True, help="summary CSV path (JSONL written alongside)")

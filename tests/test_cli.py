@@ -142,6 +142,27 @@ def test_rejects_nonpositive_counts(command, flag, value, tmp_path, capsys):
     assert f"{flag}: must be positive, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("0", "must be ints >= 2, got 0"),
+        ("-2", "must be ints >= 2, got -2"),
+        ("1", "must be ints >= 2, got 1"),
+        ("3,1", "must be ints >= 2, got 3,1"),
+        ("2,x", "invalid _dims value: '2,x'"),
+        ("", "invalid _dims value: ''"),
+    ],
+)
+def test_verify_rejects_dims_below_two_when_parsing(value, message, tmp_path, capsys):
+    # a usage error that names the flag, before the suite starts and writes anything
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--instances", "1", "--out", str(out), "--dims", value])
+    assert exc.value.code == 2
+    assert f"argument --dims: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _matrix_file(tmp_path, mat, name="t.json"):
     path = tmp_path / name
     path.write_text(json.dumps(matrix_to_json(np.asarray(mat, dtype=complex))))

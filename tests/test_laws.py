@@ -344,6 +344,16 @@ class TestRunSuite:
         parsed = json.loads(lines[0])
         assert {"law_id", "lhs", "rhs", "slack", "pass", "instance_digest"} <= parsed.keys()
 
+    def test_numpy_integer_budget_serializes(self, rng, tmp_path):
+        # Budget stores its fields as plain ints, which json.dumps takes and np.int64 is not
+        budget = Budget(np.int64(3), np.int64(20))
+        assert [type(v) for v in (budget.restarts, budget.iterations, budget.grid_resolution)] == [int] * 3
+        rep = law_t1_1(Weight.identity(3), crandn(rng, 3, 3), 0.5, budget=budget)
+        path = tmp_path / "reports.jsonl"
+        reports_to_jsonl([rep], path)
+        parsed = json.loads(path.read_text())
+        assert parsed["budget"] == {"restarts": 3, "iterations": 20, "grid_resolution": 256}
+
 
 LAW_IDS = {
     "t1_1", "t1_2", "t1_3", "t1_4", "t1_5", "t1_7", "t1_8", "note", "t2_lower", "t2_upper",

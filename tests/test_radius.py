@@ -328,10 +328,12 @@ class TestEstimatorContracts:
             {"restarts": 2.5},
             {"iterations": 4.5},
             {"iterations": 64.0},
+            {"restarts": True},
+            {"iterations": np.True_},
         ],
         ids=[
             "restarts-0", "iterations-negative", "grid-negative", "grid-3", "grid-4.5",
-            "restarts-2.5", "iterations-4.5", "iterations-64.0",
+            "restarts-2.5", "iterations-4.5", "iterations-64.0", "restarts-True", "iterations-np.True_",
         ],  # fmt: skip
     )
     def test_budget_rejects_fields_it_cannot_run(self, fields):
@@ -536,7 +538,10 @@ class TestBfgsSteps:
     @pytest.mark.parametrize("estimator", [aq_radius, aq_crawford])
     def test_shifted_jordan_block_in_few_steps(self, rng, estimator):
         # the q-range of J3 + s I is the disc of radius omega_q(J3) about q s; gradient steps
-        # crawl to its peak, up to the 200-step cap, and BFGS steps take a fraction of that
+        # crawl to its peak, up to the 200-step cap, and BFGS steps take a fraction of that.
+        # The restarts that reach a peak found before them end there: the most evaluations
+        # of a search here are 42 (38 for aq_crawford; 58 before), and the bound leaves 8
+        # steps for round-off to move a stop
         budget = Budget(16, 200)
         sphere, gradient = [], []
         for _ in range(6):
@@ -550,7 +555,7 @@ class TestBfgsSteps:
             b = t / np.linalg.norm(t)
             sphere.append(est.evaluations)
             gradient.append(_extremize(_rule(b, abs(q), np.sqrt(1 - abs(q) ** 2), kind), 3, budget, 0)[2])
-        assert max(sphere) <= 60
+        assert max(sphere) <= 50
         assert sum(sphere) < sum(gradient) / 2
 
     @pytest.mark.parametrize("seed", range(4))
@@ -561,6 +566,164 @@ class TestBfgsSteps:
         est = aq_radius(Weight.identity(6), crandn(rng, 6, 6), 0.7, Budget(6, 47))
         assert est.converged >= 5
 
+
+def reference_extremize(value_grad, dim, budget, seed, bfgs=False):
+    """`radius._extremize` before restarts retired at a found peak: each restart runs
+    until its own stop rule (the gradient or the stall test) or the iteration cap."""
+    u = radius._starts(seed, budget.restarts, dim).copy()
+    f, grad = value_grad(u)
+    gsq = np.vecdot(grad, grad).real
+    evaluations, converged = 1, 0
+    best_f = np.empty(budget.restarts)
+    best_u = np.empty((budget.restarts, dim), dtype=complex)
+    index = np.arange(budget.restarts)
+    alpha = np.ones(budget.restarts)
+    ring = np.empty((radius._STALL_STEPS, budget.restarts))
+    tol = 1e-16 if bfgs else 1e-24
+    eye = np.eye(2 * dim) if bfgs else None
+    h = None  # the BFGS estimates, built at the first update
+
+    for step in range(budget.iterations):
+        keep = gsq > tol
+        slot = step % radius._STALL_STEPS
+        if step >= radius._STALL_STEPS:
+            keep &= f - ring[slot] > 1e-12
+        ring[slot] = f
+        live = int(np.count_nonzero(keep))
+        if live < index.size:
+            stop = ~keep
+            best_f[index[stop]], best_u[index[stop]] = f[stop], u[stop]
+            converged += index.size - live
+            u, f, grad, gsq = u[keep], f[keep], grad[keep], gsq[keep]
+            alpha, index, ring = alpha[keep], index[keep], ring[:, keep]
+            if h is not None:
+                h = h[keep]
+            if live == 0:
+                break
+        if h is None:
+            d, slope = grad, gsq
+        else:
+            d = (h @ grad.view(np.float64)[:, :, None])[:, :, 0].view(np.complex128)
+            slope = np.maximum(np.vecdot(grad, d).real, 0.0)
+        cand = u + alpha[:, None] * d
+        cand /= np.sqrt(np.vecdot(cand, cand).real)[:, None]
+        f_cand, g_cand = value_grad(cand)
+        g_cand_sq = np.vecdot(g_cand, g_cand).real
+        evaluations += 1
+        ok = f_cand >= f + 1e-4 * alpha * slope
+        if bfgs:
+            if h is None:
+                h = np.tile(eye, (live, 1, 1))
+            radius._bfgs_update(h, cand - u, grad - g_cand, ok)
+        if np.count_nonzero(ok) == live:
+            u, f, grad, gsq = cand, f_cand, g_cand, g_cand_sq
+            alpha = np.ones(live) if bfgs else alpha * 1.3
+        else:
+            rows = ok[:, None]
+            np.copyto(u, cand, where=rows)
+            np.copyto(f, f_cand, where=ok)
+            np.copyto(grad, g_cand, where=rows)
+            np.copyto(gsq, g_cand_sq, where=ok)
+            if bfgs:
+                np.copyto(h, eye, where=~rows[:, :, None])
+            alpha = np.where(ok, 1.0 if bfgs else 1.3 * alpha, 0.5 * alpha)
+
+    best_f[index], best_u[index] = f, u
+    idx = int(np.argmax(best_f))
+    return float(best_f[idx]), best_u[idx], evaluations, converged
+
+
+SPHERE_KINDS = ("gaussian", "shifted", "nearly_normal", "nilpotent", "jordan")
+
+
+def sphere_operator(seed, kind, n):
+    """B / ||B||_F of one draw kind at reduced dimension n."""
+    rng = np.random.default_rng(seed)
+    shift = 2.0 * np.sqrt(n) * np.exp(2j * np.pi * rng.random()) * np.eye(n)
+    if kind == "gaussian":
+        b = crandn(rng, n, n)
+    elif kind == "shifted":
+        b = crandn(rng, n, n) + shift
+    elif kind == "nearly_normal":
+        b = nearly_normal(seed, n)
+    elif kind == "nilpotent":
+        b = np.triu(crandn(rng, n, n), 1)
+    else:
+        b = np.eye(n, k=1) + shift / np.sqrt(n)
+    return b / np.linalg.norm(b)
+
+
+def rayleigh(m):
+    """The rule u -> u^H M u of a Hermitian M, whose gradient 2 (M u - f u) vanishes at its eigenvectors."""
+
+    def rule(u):
+        mu = u @ m.T
+        f = np.vecdot(u, mu).real
+        return f, 2.0 * (mu - f[:, None] * u)
+
+    return rule
+
+
+class TestFoundPeaks:
+    # A restart retired at a found peak j ends there, where the reference's would have gone
+    # on to j's peak and stopped on its own, a little higher or lower.  The gradient test
+    # leaves j about 1e-16 / curvature short of the peak, and the stall test up to about its
+    # own 1e-12 threshold, most at a flat peak.  Values moved by at most 3.7e-14 on 2400
+    # searches over 400 draws of the five kinds (n = 3-8 and 16, the three budgets below),
+    # and by 1.5e-13 on 3000 over 1500 nearly normal draws (n = 16, Budget(64, 500)).
+    TOL = 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(SPHERE_KINDS),
+        n=st.sampled_from([3, 4, 5, 6, 7, 8, 16]),
+        absq=st.floats(0.05, 0.99),
+        budget=st.sampled_from([Budget(6, 47), Budget(16, 200), Budget(64, 500)]),
+    )
+    def test_matches_the_reference(self, seed, kind, n, absq, budget):
+        # the restarts that are not retired take the reference's steps, so no search takes
+        # more of them, and every restart the reference's stop rule retired still counts
+        b = sphere_operator(seed, kind, n)
+        for rule_kind in ("sup", "disk"):
+            rule = _rule(b, absq, np.sqrt(1 - absq**2), rule_kind)
+            value, u, evaluations, converged = _extremize(rule, n, budget, seed, n <= radius._BFGS_DIM)
+            ref_value, _, ref_evaluations, ref_converged = reference_extremize(
+                rule, n, budget, seed, n <= radius._BFGS_DIM
+            )
+            assert abs(value - ref_value) <= self.TOL
+            assert rule(u[None])[0][0] == pytest.approx(value, abs=1e-15)
+            assert evaluations <= ref_evaluations
+            assert converged >= ref_converged
+
+    @pytest.mark.parametrize(
+        "overlap, level, tilt, above",
+        [((0.99, 1.0), 0.0, 0.0, True), ((0.5, 0.9), 0.5, np.pi / 4, False)],
+        ids=["above-the-found-peak", "apart-from-the-found-peak"],
+    )
+    def test_a_restart_beyond_a_found_peak_reaches_the_higher_one(self, overlap, level, tilt, above):
+        # start row 0 is an eigenvector of M (eigenvalue `level`), so the gradient test stops
+        # it at once and it marks a found peak; row 1 climbs to the top eigenvector (1).  It
+        # starts within `overlap` of row 0: above its peak, or below it but apart from it
+        budget = Budget(2, 200)
+        seed = next(s for s in range(10_000) if overlap[0] < abs(np.vdot(*_starts(s, 2, 3))) < overlap[1])
+        first, second = _starts(seed, 2, 3)
+        away = second - np.vdot(first, second) * first
+        away /= np.linalg.norm(away)
+        other = radius._orth_unit(first, away)
+        top = np.cos(tilt) * away + np.sin(tilt) * other
+        low = np.cos(tilt) * other - np.sin(tilt) * away
+        m = level * np.outer(first, first.conj()) + np.outer(top, top.conj()) - np.outer(low, low.conj())
+        rule = rayleigh(m)
+        start = rule(np.stack([first, second]))[0]
+        assert start[0] == pytest.approx(level, abs=1e-15)
+        assert (start[1] > level + 1e-12) == above
+        value, u, evaluations, converged = _extremize(rule, 3, budget, seed, True)
+        assert value == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(top, u)) == pytest.approx(1.0, abs=1e-6)
+        assert converged == 2
+        ref_value, _, ref_evaluations, _ = reference_extremize(rule, 3, budget, seed, True)
+        assert (value, evaluations) == (ref_value, ref_evaluations)
 
 def central_difference(fn, u, h=1e-6):
     """Central differences in the 2r real coordinates, as complex rows d/dRe + i d/dIm."""
