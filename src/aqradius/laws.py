@@ -19,8 +19,10 @@ shortfall.  A row's tolerance class says how much slack is forgiven:
 * ``IDENTITY`` (2e-3, two-sided): both sides estimate the same number.
 * ``ESTIMATED`` (5e-3): the larger side carries an estimate.
 
-A row of the last two classes that does not pass is re-run at 4x and then 16x
-the restart budget before its failure is reported.
+:meth:`_Law.run` is the one way a law is checked, by :func:`run_suite` and by
+every public ``law_*`` function alike: a row of the last two classes that does
+not pass is re-run at 4x and then 16x the restart budget before its failure is
+reported, and each report carries the budget of the run that gave it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -80,7 +82,11 @@ ESTIMATED = (5e-3, "le")
 
 @dataclass
 class LawReport:
-    """Outcome of checking one inequality (kind "le") or identity (kind "eq")."""
+    """Outcome of checking one inequality (kind "le") or identity (kind "eq").
+
+    ``estimator_budget`` is the budget of the run that gave the verdict: the
+    caller's, or 4x or 16x its restarts after a re-run.
+    """
 
     law_id: str
     lhs: float
@@ -95,20 +101,14 @@ class LawReport:
     skip_reason: str = ""
 
     def to_dict(self) -> dict:
-        d = {
-            "law_id": self.law_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "pass": self.passed,
-            "tol_law": self.tol_law,
-            "instance_digest": self.instance_digest,
-            "budget": asdict(self.estimator_budget),
-            "kind": self.kind,
-        }
-        if self.skipped:
-            d["skipped"] = True
-            d["skip_reason"] = self.skip_reason
+        """The fields as a JSON record: ``passed`` as "pass", ``estimator_budget`` as
+        "budget" (a dict), and ``skipped``/``skip_reason`` only on a skip."""
+        renamed = {"passed": "pass", "estimator_budget": "budget"}
+        d = {renamed.get(k, k): v for k, v in vars(self).items()}
+        # a flat copy: Budget holds plain ints, and asdict's recursive copy costs twice as much
+        d["budget"] = dict(vars(self.estimator_budget))
+        if not self.skipped:
+            del d["skipped"], d["skip_reason"]
         return d
 
 
@@ -127,38 +127,6 @@ class LinComboParams:
         if g2 <= 1e-24:
             raise ValueError("degenerate combination: gamma vanishes")
         return cls(lam=complex(lam), mu=complex(mu), gamma=math.sqrt(g2))
-
-
-def _report(law_id, lhs, rhs, tolerance, digest, budget) -> LawReport:
-    tol, kind = tolerance
-    slack = rhs - lhs
-    passed = abs(slack) <= tol if kind == "eq" else slack >= -tol
-    return LawReport(
-        law_id=law_id,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        slack=float(slack),
-        passed=bool(passed),
-        tol_law=float(tol),
-        instance_digest=digest,
-        estimator_budget=budget,
-        kind=kind,
-    )
-
-
-def _skip(law_id, reason, digest, budget) -> LawReport:
-    return LawReport(
-        law_id=law_id,
-        lhs=0.0,
-        rhs=0.0,
-        slack=0.0,
-        passed=True,
-        tol_law=0.0,
-        instance_digest=digest,
-        estimator_budget=budget,
-        skipped=True,
-        skip_reason=reason,
-    )
 
 
 class _Ev:
@@ -398,22 +366,27 @@ class _Law(NamedTuple):
     check: Callable[[_Instance, Budget], list]
     tolerance: tuple[float, str]
 
-    def reports(self, inst: _Instance, budget: Budget) -> list[LawReport]:
-        out = []
-        for law_id, sides in self.check(inst, budget):
-            if isinstance(sides, str):
-                out.append(_skip(law_id, sides, inst.digest, budget))
-            else:
-                out.append(_report(law_id, *sides, self.tolerance, inst.digest, budget))
-        return out
-
     def run(self, inst: _Instance, budget: Budget) -> list[LawReport]:
-        reports = self.reports(inst, budget)
-        if self.tolerance is not EXACT:  # a larger budget cannot change an EXACT verdict
-            for factor in (4, 16):
-                if all(r.passed for r in reports):
-                    break
-                reports = self.reports(inst, budget.scaled(factor))
+        """One report per law id of the check on ``inst``.
+
+        A group that does not pass is re-run at 4x and then 16x the restarts,
+        unless its class is EXACT: a larger budget cannot change that verdict.
+        """
+        tol, kind = self.tolerance
+        for factor in (1,) if self.tolerance is EXACT else (1, 4, 16):
+            b = budget if factor == 1 else budget.scaled(factor)
+            reports = []
+            for law_id, sides in self.check(inst, b):
+                if isinstance(sides, str):  # a skip reason
+                    reports.append(LawReport(law_id, 0.0, 0.0, 0.0, True, 0.0, inst.digest, b,
+                                             skipped=True, skip_reason=sides))
+                    continue
+                lhs, rhs = map(float, sides)
+                slack = rhs - lhs
+                passed = abs(slack) <= tol if kind == "eq" else slack >= -tol
+                reports.append(LawReport(law_id, lhs, rhs, slack, passed, tol, inst.digest, b, kind))
+            if all(r.passed for r in reports):
+                break
         return reports
 
 
@@ -437,16 +410,22 @@ _LAWS = {
 
 
 def _check(name: str, inst: _Instance, budget: Budget | None) -> tuple[LawReport, ...]:
-    return tuple(_LAWS[name].reports(inst, budget or Budget()))
+    return tuple(_LAWS[name].run(inst, budget or Budget()))
 
 
 def law_t1_1(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
-    """omega_{A,q}(T) <= ||T||_A."""
+    """omega_{A,q}(T) <= ||T||_A.
+
+    EXACT: the right side is a singular value, so a failure is final, with no re-run.
+    """
     return _check("t1_1", _Instance(w, t, q, seed), budget)[0]
 
 
 def law_t1_23(w: Weight, t, q, alpha, budget: Budget | None = None, seed: int = 0):
-    """Phase covariance: the radius/Crawford numbers of alpha T at q equal those of T at alpha q."""
+    """Phase covariance: the radius/Crawford numbers of alpha T at q equal those of T at alpha q.
+
+    A failing group is re-run at 4x, then 16x the restarts.
+    """
     return _check("t1_23", _Instance(w, t, q, seed, alpha=alpha), budget)
 
 
@@ -455,56 +434,84 @@ def law_t1_45(w: Weight, t, q, params: LinComboParams, budget: Budget | None = N
 
     The partner operator is the weighted adjoint A^+ T^H A, which the
     underlying pairing identity requires; T^H fails the bounds on skewed weights.
+    A failing group is re-run at 4x, then 16x the restarts.
     """
     return _check("t1_45", _Instance(w, t, q, seed, params=params), budget)
 
 
 def law_t1_78(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
-    """Reverse triangle bounds recovering the plain radius/Crawford from the q-versions."""
+    """Reverse triangle bounds recovering the plain radius/Crawford from the q-versions.
+
+    A failing group is re-run at 4x, then 16x the restarts.
+    """
     return _check("t1_78", _Instance(w, t, q, seed), budget)
 
 
 def law_note(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
-    """(1 - sqrt(2(1 - Re q))) omega_A(T) <= omega_{A,q}(T)."""
+    """(1 - sqrt(2(1 - Re q))) omega_A(T) <= omega_{A,q}(T).
+
+    A failing group is re-run at 4x, then 16x the restarts.
+    """
     return _check("note", _Instance(w, t, q, seed), budget)[0]
 
 
 def law_t2(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
-    """Two-sided chain for omega_{A,q}(T) + omega_{A,conj(q)}(T)."""
+    """Two-sided chain for omega_{A,q}(T) + omega_{A,conj(q)}(T).
+
+    A failing group is re-run at 4x, then 16x the restarts.
+    """
     return _check("t2", _Instance(w, t, q, seed), budget)
 
 
 def law_t3(w1: Weight, t1, q1, w2: Weight, t2, q2, budget: Budget | None = None, seed: int = 0):
-    """Tensor-product chain c <= c1 c2 <= o1 o2 <= o at q = q1 q2."""
+    """Tensor-product chain c <= c1 c2 <= o1 o2 <= o at q = q1 q2.
+
+    A failing group is re-run at 4x, then 16x the restarts.
+    """
     inst = _Instance(w1, t1, q1, seed, partner=(w2, t2, q2))
     inst.digest = _digest(inst.tensor.w, inst.tensor.t, inst.q * inst.q2, seed)
     return _check("t3", inst, budget)
 
 
 def law_cor1(w1: Weight, t1, q1, w2: Weight, t2, q2, budget: Budget | None = None, seed: int = 0):
-    """Scalar consequences of the tensor chain (skipping near-zero denominators)."""
+    """Scalar consequences of the tensor chain (skipping near-zero denominators).
+
+    A failing group is re-run at 4x, then 16x the restarts.
+    """
     inst = _Instance(w1, t1, q1, seed, partner=(w2, t2, q2))
     inst.digest = _digest(inst.tensor.w, inst.tensor.t, inst.q * inst.q2, seed)
     return _check("cor1", inst, budget)
 
 
 def law_t4_1(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
-    """|omega_{A,q}(T) - omega_A(T)| <= sqrt(2(1 - Re q)) ||T||_A."""
+    """|omega_{A,q}(T) - omega_A(T)| <= sqrt(2(1 - Re q)) ||T||_A.
+
+    A failing group is re-run at 4x, then 16x the restarts.
+    """
     return _check("t4_1", _Instance(w, t, q, seed), budget)[0]
 
 
 def law_t5_1(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
-    """|c_{A,q}(T) - c_A(T)| <= sqrt(2(1 - Re q)) ||T||_A."""
+    """|c_{A,q}(T) - c_A(T)| <= sqrt(2(1 - Re q)) ||T||_A.
+
+    A failing group is re-run at 4x, then 16x the restarts.
+    """
     return _check("t5_1", _Instance(w, t, q, seed), budget)[0]
 
 
 def law_t5_3(w: Weight, t, s, q, budget: Budget | None = None, seed: int = 0):
-    """|c_{A,q}(T) - c_{A,q}(S)| <= omega_{A,q}(T - S)."""
+    """|c_{A,q}(T) - c_{A,q}(S)| <= omega_{A,q}(T - S).
+
+    A failing group is re-run at 4x, then 16x the restarts.
+    """
     return _check("t5_3", _Instance(w, t, q, seed, s=s), budget)[0]
 
 
 def law_app1(w1: Weight, s, w2: Weight, m, q, budget: Budget | None = None, seed: int = 0):
-    """Direct-sum gap bounds: omega-gap bounded by the block maxima, Crawford-gap from below."""
+    """Direct-sum gap bounds: omega-gap bounded by the block maxima, Crawford-gap from below.
+
+    A failing group is re-run at 4x, then 16x the restarts.
+    """
     inst = _Instance(w1, s, q, seed, partner=(w2, m, q))
     inst.digest = _digest(inst.direct_sum.w, inst.direct_sum.t, inst.q, seed)
     return _check("app1", inst, budget)
@@ -515,12 +522,15 @@ def law_app1(w1: Weight, s, w2: Weight, m, q, budget: Budget | None = None, seed
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Configuration of the randomized verification suite (deterministic per seed)."""
+    """Configuration of the randomized verification suite (deterministic per seed).
+
+    The defaults are those of ``aqradius verify`` with its default flags.
+    """
 
     n_instances: int = 200
     dims: tuple[int, ...] = (2, 3, 4)
     seed: int = 0
-    budget: Budget = Budget(restarts=32, iterations=200)
+    budget: Budget = Budget(restarts=32, iterations=250)
 
 
 def _crandn(rng: np.random.Generator, n: int) -> np.ndarray:

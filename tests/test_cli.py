@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from aqradius import Weight, cli, exact, sequences
+from aqradius import Weight, cli, exact, laws, sequences
 from aqradius.semispace import matrix_to_json, weight_to_json
 from conftest import nearly_normal, phase_grid
 
@@ -49,6 +49,13 @@ def test_verify_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert outputs[0] == outputs[1]
     assert outputs[0][0].startswith(b"law_id,pass_rate,min_slack\n")
     assert outputs[0][1].count(b"\n") == 22
+
+
+def test_verify_default_flags_build_the_default_suite_config(tmp_path, monkeypatch, capsys):
+    configs = []
+    monkeypatch.setattr(laws, "run_suite", lambda config: configs.append(config) or [])
+    assert cli.main(["verify", "--out", str(tmp_path / "o.csv")]) == 0
+    assert configs == [laws.SuiteConfig()]
 
 
 def test_main_calls_parse_independently(tmp_path, capsys):
@@ -249,6 +256,31 @@ def test_figure_output_is_byte_identical_across_runs(example, tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") == 102  # header and the default 101 grid points
+
+
+@pytest.mark.parametrize("example, mat", [(2, EX2), (3, np.eye(2) / 20.0)])
+def test_figure_examples_2_and_3_follow_the_closed_forms(example, mat, tmp_path, capsys):
+    # |omega_q - omega| against sqrt(2 (1 - q)) ||T||, with omega_q from the 2x2 closed form
+    out = tmp_path / "f.csv"
+    assert cli.main(["figure", "--example", str(example), "--out", str(out), "--grid", "11"]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header == "q,abs_diff,upper_bound"
+    form = exact.canonical_2x2(mat)
+    opnorm = np.linalg.norm(mat, 2)
+    assert [float(row.split(",")[0]) for row in rows] == pytest.approx(np.linspace(0.0, 1.0, 11), abs=1e-15)
+    for row in rows:
+        q, abs_diff, upper = map(float, row.split(","))
+        expected = abs(exact.q_radius_2x2(form, q) - exact.q_radius_2x2(form, 1.0))
+        assert abs_diff == pytest.approx(expected, rel=1e-11, abs=1e-15)
+        assert upper == pytest.approx(np.sqrt(2.0 * (1.0 - q)) * opnorm, rel=1e-11, abs=1e-15)
+    err = capsys.readouterr().err
+    if example == 3:
+        assert err == (
+            "note: the exact difference for the scalar family is (1 - q)/20; "
+            "a formula with the opposite sign is in circulation\n"
+        )
+    else:
+        assert err == ""
 
 
 class _ClosedPipe:

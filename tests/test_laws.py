@@ -29,7 +29,7 @@ from aqradius import (
     run_suite,
     summarize_reports,
 )
-from aqradius.laws import _random_instance
+from aqradius.laws import _LAWS, ESTIMATED, _random_instance
 from conftest import crandn, random_pd_weight, random_q
 
 EX1 = np.array([[0.0, 1.0 / 70.0], [0.0, 0.0]], dtype=complex)
@@ -400,11 +400,44 @@ class TestLawTable:
         reports = reports if isinstance(reports, tuple) else (reports,)
         for rep in reports:
             suite_rep = by_id[rep.law_id]
-            # no near-violation re-run in the suite, so both sides used FAST
-            assert suite_rep.estimator_budget == FAST
-            assert (rep.lhs, rep.rhs, rep.passed, rep.skipped) == (
+            assert suite_rep.estimator_budget == FAST  # no group of this instance is re-run
+            assert (rep.lhs, rep.rhs, rep.passed, rep.skipped, rep.estimator_budget) == (
                 suite_rep.lhs,
                 suite_rep.rhs,
                 suite_rep.passed,
                 suite_rep.skipped,
+                suite_rep.estimator_budget,
             )
+
+
+class TestLadder:
+    def test_suite_and_public_law_rerun_a_failing_group(self):
+        # at verify --budget 1, app1_omega fails on two instances of suite seed 0; the
+        # suite and the public law both re-run the group at 4x, and the second at 16x
+        budget = Budget(1, 8)
+        config = SuiteConfig(n_instances=8, seed=0, budget=budget)
+        reports = run_suite(config)
+        assert all(r.passed for r in reports)
+        rerun = [r for r in reports if r.estimator_budget != budget]
+        passing_restarts = {"s1158655583-n4-f0a858ca3675": 4, "s2989608534-n4-861c92d42c1a": 16}
+        assert sorted((r.instance_digest, r.law_id, r.estimator_budget.restarts) for r in rerun) == [
+            (digest, law_id, restarts)
+            for digest, restarts in passing_restarts.items()
+            for law_id in ("app1_crawford", "app1_omega")
+        ]
+        instances = {inst.digest: inst for inst in (_random_instance(0, idx, config.dims) for idx in range(8))}
+        for digest, restarts in passing_restarts.items():
+            inst = instances[digest]
+            for factor in (f for f in (1, 4) if f < restarts):  # the runs below the passing one
+                lhs, rhs = dict(_LAWS["app1"].check(inst, budget.scaled(factor)))["app1_omega"]
+                assert rhs - lhs < -ESTIMATED[0]
+            suite_reports = [r for r in rerun if r.instance_digest == digest]
+            public = sorted(PUBLIC_LAWS["app1"](inst, budget), key=lambda r: r.law_id)
+            for rep, suite_rep in zip(public, suite_reports, strict=True):
+                assert (rep.law_id, rep.lhs, rep.rhs, rep.passed, rep.estimator_budget) == (
+                    suite_rep.law_id,
+                    suite_rep.lhs,
+                    suite_rep.rhs,
+                    suite_rep.passed,
+                    suite_rep.estimator_budget,
+                )

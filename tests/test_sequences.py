@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -73,8 +75,24 @@ class TestTraceRadius:
         t = crandn(rng, 2, 2)
         wrong_limit = t + np.eye(2)
         seq = OperatorSequence(I2, lambda n: t, wrong_limit)
-        with pytest.raises(EnvelopeViolation):
+        with pytest.raises(EnvelopeViolation, match="does not decay"):
             sequences.trace(seq, "radius", 0.9, indices=(64, 128), budget=FAST, slack=1e-4)
+
+    def test_estimate_outside_its_envelope_detected(self, rng, monkeypatch):
+        # an estimator 1e-2 high on each term T + 1e-3 I / n and exact at the limit T: the
+        # deviations decay, so only the envelope, at most 1e-3 + 5e-3, can catch it
+        t = crandn(rng, 2, 2)
+        exact_radius = sequences.aq_radius
+
+        def high_off_the_limit(w, t_n, q, **kwargs):
+            est = exact_radius(w, t_n, q, **kwargs)
+            return est if np.array_equal(t_n, t) else dataclasses.replace(est, value=est.value + 1e-2)
+
+        monkeypatch.setattr(sequences, "aq_radius", high_off_the_limit)
+        seq = OperatorSequence.perturbation(I2, t, 1e-3 * np.eye(2))
+        message = r"^radius trace: \|value - target\| = .* exceeds envelope .* at n = 1$"
+        with pytest.raises(EnvelopeViolation, match=message):
+            sequences.trace(seq, "radius", 0.7, indices=SHORT, budget=FAST)
 
     def test_growing_deviation_detected(self, rng):
         t = crandn(rng, 2, 2)
