@@ -7,12 +7,13 @@ taken at |q|.  Both extremal moduli lie on the ellipse's boundary, at roots of
 one quartic in e^{is} (`_boundary_moduli`), but for a Crawford number of 0 when
 the origin is inside.  `q_extremal_2x2` returns each value with a unit u whose
 partner values reach it: at the extremal boundary phase; for a Crawford number
-of 0, at a root of a quartic in u's parameter polished by Newton steps
+of 0, at the one parameter of u whose ellipse of values, in a nested family,
+passes through the origin, found by Newton steps that climb to it
 (`_origin_preimage`), or at |q| = 1 at a root of a quadratic in a Schur basis
-(`_numerical_preimage`).  The route runs on the four entries as Python scalars,
-and its one LAPACK call takes a quartic's roots (`_quartic_roots`).  `radius`
-takes every estimate at reduced dimension 2 or on a segment from it.  The 3x3
-nilpotent Jordan block has its known formula.
+(`_numerical_preimage`).  The route runs on the four entries as Python
+scalars, and its one LAPACK call takes the boundary quartic's roots
+(`_quartic_roots`).  `radius` takes every estimate at reduced dimension 2 or
+on a segment from it.  The 3x3 nilpotent Jordan block has its known formula.
 """
 
 from __future__ import annotations
@@ -154,16 +155,16 @@ def q_range_2x2(form: CanonicalForm2x2, q) -> EllipseDisk:
     )
 
 
-_COMPANION = np.eye(4, k=-1)  # the companion matrix of a monic quartic but for its first row
+_COMPANION = np.eye(4, k=-1, dtype=complex)  # the companion matrix of a monic quartic but for its first row
 
 
 def _quartic_roots(coeffs: list) -> list:
-    """Roots of a quartic (coefficients highest first): the eigenvalues of np.roots's companion matrix, in
-    the leading coefficient's type; with that 0, both quartics here are c2 w^2 + c0 times w^k, w = 0 left out."""
+    """Roots of the boundary quartic c4 w^4 + c3 w^3 + c1 w + c0 (coefficients highest first, c2 = 0):
+    the eigenvalues of np.roots's companion matrix; with c4 = 0 (a circle), +-sqrt(-c1 / c3), w = 0
+    left out, or none where c3 = 0 (then c1 = 0 too: the centred circle)."""
     if not coeffs[0]:
-        c2, c0 = (coeffs[1], coeffs[3]) if coeffs[1] else (coeffs[2], coeffs[4])
-        return [root := cmath.sqrt(-c0 / c2), -root] if c2 else []
-    companion = _COMPANION.astype(type(coeffs[0]))
+        return [root := cmath.sqrt(-coeffs[3] / coeffs[1]), -root] if coeffs[1] else []
+    companion = _COMPANION.copy()
     companion[0] = [-c / coeffs[0] for c in coeffs[1:]]
     return np.linalg.eigvals(companion).tolist()
 
@@ -229,85 +230,52 @@ def _numerical_preimage(a: float, b: float, w: complex) -> tuple[complex, comple
     return y0 / norm, y1 / norm
 
 
-_POLISH_STEPS = 8  # Newton steps per start on the preimage of the origin; a few reach round-off
-
-
 def _origin_preimage(a: float, b: float, p: float, w: complex) -> tuple[float, float]:
     """(kappa, s) in [-1, 1] x R with a (kappa + p) e^{is} + b (kappa - p) e^{-is} = 2 w, for p > 0.
 
-    With alpha = a (kappa + p), beta = b (kappa - p) and zeta = e^{is}, the
-    equation alpha zeta + beta conj(zeta) = 2 w and its conjugate give
-    zeta = 2 (alpha w - beta conj(w)) / (alpha^2 - beta^2), which is unimodular
-    where 4 |alpha w - beta conj(w)|^2 = (alpha^2 - beta^2)^2, a quartic in
-    kappa.  Its roots (real parts, clipped to [-1, 1]) are starts, and so are
-    kappa = p (b - a) / (a + b), where alpha = -beta, with zeta = +-1: the
-    solutions at w = 0, which stay the better starts while w is round-off and
-    the phase of alpha w - beta conj(w) is noise.  Each start, least residual
-    first, is polished by `_polish` until one reaches round-off.  The data are
-    scaled by a, so the quartic's coefficients are of order one.
+    With a = 1 (the data scaled by a) the left side is 2 (A cos s + i B sin s),
+    A = ((1 + b) kappa + p (1 - b)) / 2 and B = ((1 - b) kappa + p (1 + b)) / 2:
+    an ellipse whose semi-axes grow with kappa, from A = 0 at
+    kappa_A = -p (1 - b) / (1 + b) to the range's boundary at kappa = 1.  A point
+    w = x + i y of the range lies on one of them, at the root on [kappa_A, 1] of
+    r - 1 with 1 / r = sqrt((x / A)^2 + (y / B)^2), the gauge of w in the kappa
+    ellipse.  r is increasing and concave in kappa, so Newton steps from a kappa
+    below the root climb to it without passing it; they start where A reaches
+    |x| or B reaches |y|, and run on t = kappa - kappa_A, so that A = (1 + b) t / 2
+    keeps its digits near kappa_A.  s is the phase of (x / A, y / B), moved by one
+    Newton step to the nearest point of the ellipse.  A w outside the range by
+    round-off gets kappa = 1 and that nearest point.
     """
     if a == 0.0:  # B is scalar, its range the point |q| gamma = -w = 0: any (kappa, s) will do
         return 0.0, 0.0
-    b, w = b / a, w / a
-    kappa = p * (b - 1.0) / (1.0 + b)
-    starts = [(kappa, 0.0), (kappa, math.pi)]
-    if w != 0.0:
-        ww, rw = abs(w) ** 2, (w * w).real
-        d, s2 = 1.0 - b * b, 1.0 + b * b  # a^2 - b^2 and a^2 + b^2, with a = 1
-        a2, a1, a0 = d, 2.0 * p * s2, p * p * d  # alpha^2 - beta^2 = a2 k^2 + a1 k + a0
-        coeffs = [
-            a2 * a2,
-            2.0 * a2 * a1,
-            a1 * a1 + 2.0 * a2 * a0 - 4.0 * ww * s2 + 8.0 * rw * b,
-            2.0 * a1 * a0 - 8.0 * ww * p * d,
-            a0 * a0 - 4.0 * ww * p * p * s2 - 8.0 * rw * b * p * p,
-        ]
-        for root in _quartic_roots(coeffs):
-            kappa = min(1.0, max(-1.0, root.real))
-            alpha, beta = kappa + p, b * (kappa - p)
-            den = alpha * alpha - beta * beta
-            zeta = math.copysign(1.0, den) * (alpha * w - beta * w.conjugate()) if den else w
-            starts.append((kappa, cmath.phase(zeta)))
-    best = (math.inf, 0.0, 0.0)
-    for kappa, s in sorted(starts, key=lambda start: abs(_residual(b, p, w, *start))):
-        best = min(best, _polish(b, p, w, kappa, s))
-        if best[0] <= 1e-15:
+    b, x, y = b / a, 2.0 * w.real / a, 2.0 * w.imag / a
+    offset, edge = p * (1.0 - b) / (1.0 + b), 4.0 * p * b / (1.0 + b)  # -kappa_A and 2 B at kappa_A
+    top = 1.0 + offset  # t at kappa = 1
+    t = abs(x) / (1.0 + b)
+    if b < 1.0:
+        t = max(t, (abs(y) - edge) / (1.0 - b))
+    t = min(t, top)
+    if t == 0.0:  # w = i y on the segment that is the ellipse at kappa_A, where A = 0
+        return -offset, math.asin(min(1.0, max(-1.0, y / edge))) if edge else 0.0
+    while True:
+        big, small = (1.0 + b) * t, edge + (1.0 - b) * t  # 2 A and 2 B
+        u, v = x / big, y / small
+        gauge = u * u + v * v  # squared, 1 / r^2
+        slope = (1.0 + b) * u * u / big + (1.0 - b) * v * v / small  # -d(gauge)/dt / 2
+        step = min(top, t + (gauge * math.sqrt(gauge) - gauge) / slope)  # Newton on r - 1
+        if not step > t:
             break
-    return best[1], best[2]
-
-
-def _residual(b: float, p: float, w: complex, kappa: float, s: float) -> complex:
-    """G = (kappa + p) e^{is} + b (kappa - p) e^{-is} - 2 w, the equation of `_origin_preimage` with a = 1."""
-    e = complex(math.cos(s), math.sin(s))
-    return (kappa + p) * e + b * (kappa - p) * e.conjugate() - 2.0 * w
-
-
-def _polish(b: float, p: float, w: complex, kappa: float, s: float) -> tuple[float, float, float]:
-    """Newton steps on the two real equations G = 0 (`_residual`); returns (|G|, kappa, s).
-
-    A step is halved until it lowers |G| (up to four times), and kappa is kept
-    in [-1, 1]; the steps end when none lowers |G|, or after `_POLISH_STEPS`.
-    """
-    g = _residual(b, p, w, kappa, s)
-    for _ in range(_POLISH_STEPS):
-        if g == 0.0:
-            break
-        e = complex(math.cos(s), math.sin(s))
-        gk, gs = e + b * e.conjugate(), 1j * ((kappa + p) * e - b * (kappa - p) * e.conjugate())
-        det = gk.real * gs.imag - gs.real * gk.imag  # dG/dkappa and dG/ds as real 2-vectors
-        if det == 0.0:
-            break
-        dk = (gs.real * g.imag - g.real * gs.imag) / det
-        ds = (g.real * gk.imag - gk.real * g.imag) / det
-        for scale in (1.0, 0.5, 0.25, 0.125, 0.0625):
-            k_new, s_new = min(1.0, max(-1.0, kappa + scale * dk)), s + scale * ds
-            g_new = _residual(b, p, w, k_new, s_new)
-            if abs(g_new) < abs(g):
-                break
-        else:
-            break
-        kappa, s, g = k_new, s_new, g_new
-    return abs(g), kappa, s
+        t = step
+    s, kappa = math.atan2(v, u), t - offset if t < top else 1.0
+    # the step takes the semi-axes as the equation forms them from kappa; d/ds of
+    # |2 A cos s + 2 i B sin s - 2 w|^2 / 2 and its derivative
+    big, small = (kappa + p) + b * (kappa - p), (kappa + p) - b * (kappa - p)
+    cos, sin = math.cos(s), math.sin(s)
+    grad = (small * small - big * big) * sin * cos + big * x * sin - small * y * cos
+    curve = (small * small - big * big) * (cos * cos - sin * sin) + big * x * cos + small * y * sin
+    if curve > 0.0:
+        s -= grad / curve
+    return kappa, s
 
 
 def q_extremal_2x2(form: CanonicalForm2x2, q, sup: bool) -> tuple[float, np.ndarray]:
@@ -321,7 +289,9 @@ def q_extremal_2x2(form: CanonicalForm2x2, q, sup: bool) -> tuple[float, np.ndar
     the extremal boundary phase of `_boundary_moduli` gives u for the radius
     and for a positive Crawford number.  If the range holds the origin, the
     Crawford number is 0 and u comes from the (kappa, s) at which |q| gamma + z_N
-    vanishes (`_origin_preimage`), or at |q| = 1 from `_numerical_preimage`.  The circle of u then reaches the value: its
+    vanishes: z_N runs over ellipses that grow with kappa, and `_origin_preimage`
+    finds the one through -|q| gamma and the phase on it; at |q| = 1 u comes from
+    `_numerical_preimage`.  The circle of u then reaches the value: its
     largest (smallest) modulus is the partner of `radius._witness`.
     """
     m = _modulus(q)
