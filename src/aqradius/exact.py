@@ -4,22 +4,24 @@ Any 2x2 complex matrix is unitarily similar to ``exp(i t) [[gamma, a], [b, gamma
 with 0 <= b <= a, and its q-numerical range for |q| <= 1 is a translated filled
 ellipse; a complex q rotates the ellipse of |q| by arg q, so every modulus is
 taken at |q|.  Both extremal moduli lie on the ellipse's boundary, at roots of
-one quartic in e^{is} (`_boundary_moduli`), but for a Crawford number of 0 when
-the origin is inside.  `q_extremal_2x2` returns each value with a unit u whose
-partner values reach it: at the extremal boundary phase; for a Crawford number
-of 0, at the one parameter of u whose ellipse of values, in a nested family,
-passes through the origin, found by Newton steps that climb to it
-(`_origin_preimage`), or at |q| = 1 at a root of a quadratic in a Schur basis
-(`_numerical_preimage`).  The route runs on the four entries as Python
-scalars, and its one LAPACK call takes the boundary quartic's roots
-(`_quartic_roots`).  `radius` takes every estimate at reduced dimension 2 or
-on a segment from it.  The 3x3 nilpotent Jordan block has its known formula.
+one quartic in e^{is} (`_boundary_moduli`, the least refined by a Newton step),
+but for a Crawford number of 0 when the origin is inside.  `q_extremal_2x2`
+returns each value with a unit u whose partner values reach it: at the
+extremal boundary phase; for a Crawford number of 0, at the one parameter of
+u whose ellipse of values, in a nested family, passes through the origin,
+found by Newton steps that climb to it (`_origin_preimage`), or at |q| = 1 at
+a root of a quadratic in a Schur basis (`_numerical_preimage`).  The route
+runs on the four entries as Python scalars, and its one LAPACK call takes the
+boundary quartic's roots (`_quartic_roots`).  `radius` takes every estimate
+at reduced dimension 2 or on a segment from it.  The 3x3 nilpotent Jordan
+block has its known formula.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,8 +180,11 @@ def _boundary_moduli(disk: EllipseDisk) -> tuple[tuple[float, float], tuple[floa
     The phases of its roots, with the four vertices for the centred circle where
     it vanishes, are the candidates.  The quartic is taken for the ellipse
     scaled to size M + |zeta| = 1, so its coefficients neither overflow nor
-    underflow, and coefficients below round-off are dropped.  Returns
-    ((min |z|, its s), (max |z|, its s)), s being the phase of `EllipseDisk.point`.
+    underflow, and coefficients below round-off are dropped.  Near a thin
+    ellipse the two roots about the nearest point nearly meet and keep half
+    their digits, so the least modulus takes one Newton step on its phase
+    where that lowers it.  Returns ((min |z|, its s), (max |z|, its s)), s being
+    the phase of `EllipseDisk.point`.
     """
     zeta = disk.center * cmath.exp(-1j * disk.rotation)
     big, small = disk.semi_major, disk.semi_minor
@@ -191,7 +196,18 @@ def _boundary_moduli(disk: EllipseDisk) -> tuple[tuple[float, float], tuple[floa
     phases = [cmath.phase(r) for r in roots] + [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]
     moduli = [abs(zeta + complex(big * math.cos(s), small * math.sin(s))) for s in phases]
     low, high = (f(range(len(phases)), key=moduli.__getitem__) for f in (min, max))
-    return (moduli[low], phases[low]), (moduli[high], phases[high])
+    s = _nearer_phase(mj, mn, -x, -y, phases[low])
+    modulus = abs(zeta + complex(big * math.cos(s), small * math.sin(s)))
+    least = (modulus, s) if modulus < moduli[low] else (moduli[low], phases[low])
+    return least, (moduli[high], phases[high])
+
+
+def _nearer_phase(big: float, small: float, x: float, y: float, s: float) -> float:
+    """s after one Newton step on d/ds |big cos s + i small sin s - (x + i y)|^2 / 2 = 0, where that is convex."""
+    cos, sin = math.cos(s), math.sin(s)
+    grad = (small * small - big * big) * sin * cos + big * x * sin - small * y * cos
+    curve = (small * small - big * big) * (cos * cos - sin * sin) + big * x * cos + small * y * sin
+    return s - grad / curve if curve > 0.0 else s
 
 
 def _numerical_preimage(a: float, b: float, w: complex) -> tuple[complex, complex]:
@@ -242,9 +258,12 @@ def _origin_preimage(a: float, b: float, p: float, w: complex) -> tuple[float, f
     ellipse.  r is increasing and concave in kappa, so Newton steps from a kappa
     below the root climb to it without passing it; they start where A reaches
     |x| or B reaches |y|, and run on t = kappa - kappa_A, so that A = (1 + b) t / 2
-    keeps its digits near kappa_A.  s is the phase of (x / A, y / B), moved by one
-    Newton step to the nearest point of the ellipse.  A w outside the range by
-    round-off gets kappa = 1 and that nearest point.
+    keeps its digits near kappa_A; a start below the smallest normal float, where
+    x / A would keep few digits, is w = i y up to a subnormal x on the segment at
+    kappa_A.  s is the phase of (x / A, y / B), moved by one Newton step to the
+    nearest point of the ellipse.  A w outside the range by round-off gets
+    kappa = 1 and, of the float phases around that nearest point's, the one at
+    which the equation's two sides, as rounded, differ least.
     """
     if a == 0.0:  # B is scalar, its range the point |q| gamma = -w = 0: any (kappa, s) will do
         return 0.0, 0.0
@@ -255,7 +274,7 @@ def _origin_preimage(a: float, b: float, p: float, w: complex) -> tuple[float, f
     if b < 1.0:
         t = max(t, (abs(y) - edge) / (1.0 - b))
     t = min(t, top)
-    if t == 0.0:  # w = i y on the segment that is the ellipse at kappa_A, where A = 0
+    if t < sys.float_info.min:  # w = i y, but for a subnormal x, on the segment that is the ellipse at kappa_A
         return -offset, math.asin(min(1.0, max(-1.0, y / edge))) if edge else 0.0
     while True:
         big, small = (1.0 + b) * t, edge + (1.0 - b) * t  # 2 A and 2 B
@@ -266,15 +285,18 @@ def _origin_preimage(a: float, b: float, p: float, w: complex) -> tuple[float, f
         if not step > t:
             break
         t = step
-    s, kappa = math.atan2(v, u), t - offset if t < top else 1.0
-    # the step takes the semi-axes as the equation forms them from kappa; d/ds of
-    # |2 A cos s + 2 i B sin s - 2 w|^2 / 2 and its derivative
-    big, small = (kappa + p) + b * (kappa - p), (kappa + p) - b * (kappa - p)
-    cos, sin = math.cos(s), math.sin(s)
-    grad = (small * small - big * big) * sin * cos + big * x * sin - small * y * cos
-    curve = (small * small - big * big) * (cos * cos - sin * sin) + big * x * cos + small * y * sin
-    if curve > 0.0:
-        s -= grad / curve
+    kappa = t - offset if t < top else 1.0
+    # the step takes the semi-axes 2 A and 2 B as the equation forms them from kappa
+    s = _nearer_phase((kappa + p) + b * (kappa - p), (kappa + p) - b * (kappa - p), x, y, math.atan2(v, u))
+    if t == top:  # w outside the range by round-off: no (kappa, s) solves the equation, and cos s and
+        # sin s round differently at each float phase, so take the one that misses least within
+        # 16 ulps of s and of its turns by up to two full circles either way
+        def miss(phase: float) -> float:
+            e = complex(math.cos(phase), math.sin(phase))
+            return abs((1.0 + p) * e + b * (1.0 - p) * e.conjugate() - complex(x, y))
+
+        turns = [s + j * math.tau for j in range(-2, 3)]
+        s = min((turn + k * math.ulp(turn) for turn in turns for k in range(-16, 17)), key=miss)
     return kappa, s
 
 

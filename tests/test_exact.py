@@ -352,10 +352,13 @@ def test_q_one_zero_witness_of_a_hermitian_segment():
 
 
 # reference_origin_preimage misses the first example by |G| = 4.1e-7; on the second, the
-# witness of the quartic route it keeps attained 1.4e-8 ||T||_2
+# witness of the quartic route it keeps attained 1.4e-8 ||T||_2; on the third, the origin
+# is found just outside the range, and the boundary quartic's phase for the least modulus
+# gave a two-sided 1.1e-12 ||T||_2
 @settings(max_examples=60, deadline=None)
 @example(digits=None, log_p=-7.370620955674008, s=4.742036584061512, seed=2341192542)
 @example(digits=None, log_p=-7.265627836658405, s=4.727399990611805, seed=1542215076)
+@example(digits=None, log_p=-7.8125, s=0.0001, seed=125)
 @given(
     digits=st.one_of(st.none(), st.floats(4.0, 16.0)),
     log_p=st.floats(math.log10(1.5e-8), -2.0),
@@ -379,6 +382,20 @@ def test_origin_preimage_on_the_boundary_of_thin_ranges(digits, log_p, s, seed):
     assert est.direction == TWO_SIDED
     assert est.value <= 1e-12 * norm
     assert abs(np.vdot(est.witness_y, t @ est.witness_x)) == pytest.approx(est.value, abs=1e-12 * norm)
+
+
+def test_origin_preimage_with_a_subnormal_real_part():
+    # at q = 0.6, -q gamma / a = -6e-311 - 0.06i lies on the segment that is the kappa_A
+    # ellipse but for a subnormal real part; a climb from a subnormal kappa - kappa_A missed
+    # the equation by |G| = 9.0e-8, and the witness of the two-sided 0 attained 8.0e-9 ||T||_2
+    g = 1e-310 + 0.1j
+    t, q = np.array([[g, 1.0], [0.5, g]]), 0.6
+    form, p = canonical_2x2(t), 0.8
+    a, b, w = form.a, form.b, -q * form.gamma
+    assert abs(_residual(b / a, p, w / a, *exact._origin_preimage(a, b, p, w))) <= 1e-14
+    est = aq_crawford(Weight.identity(2), t, q)
+    assert (est.value, est.direction) == (0.0, TWO_SIDED)
+    assert abs(np.vdot(est.witness_y, t @ est.witness_x)) <= 1e-12 * np.linalg.norm(t, 2)
 
 
 # The closed forms as they were on numpy arrays, kept verbatim (but for their names) as the
@@ -568,6 +585,10 @@ def form_case(kind, rng, modulus):
 @example(kind="nilpotent", seed=2, modulus=0.0, scale=1.0)
 @example(kind="a=b", seed=0, modulus=1 - 2**-53, scale=1.0)  # p = 2^-26, the smallest positive p
 @example(kind="boundary", seed=0, modulus=1 - 2**-52, scale=1.0)  # |q| = 1 - 2^-53 once mapped to [1/2, 1]
+# the origin outside the range by round-off, where the nearest point's phase alone missed
+# the equation by |G| = 1.11e-15 and 1.79e-15 against the reference's 1.05e-15 and 1.67e-15
+@example(kind="boundary", seed=1797717322, modulus=0.1706443401776797, scale=1.0)
+@example(kind="boundary", seed=3856201369, modulus=0.07525053535808401, scale=1e8)
 @given(
     kind=st.sampled_from(FORM_KINDS),
     seed=st.integers(0, 2**32 - 1),
