@@ -3,18 +3,17 @@
 Any 2x2 complex matrix is unitarily similar to ``exp(i t) [[gamma, a], [b, gamma]]``
 with 0 <= b <= a, and its q-numerical range for |q| <= 1 is a translated filled
 ellipse; a complex q rotates the ellipse of |q| by arg q, so every modulus is
-taken at |q|.  Both extremal moduli lie on the ellipse's boundary, at roots of
-one quartic in e^{is} (`_boundary_moduli`, the least refined by a Newton step),
-but for a Crawford number of 0 when the origin is inside.  `q_extremal_2x2`
-returns each value with a unit u whose partner values reach it: at the
-extremal boundary phase; for a Crawford number of 0, at the one parameter of
-u whose ellipse of values, in a nested family, passes through the origin,
-found by Newton steps that climb to it (`_origin_preimage`), or at |q| = 1 at
-a root of a quadratic in a Schur basis (`_numerical_preimage`).  The route
-runs on the four entries as Python scalars, and its one LAPACK call takes the
-boundary quartic's roots (`_quartic_roots`).  `radius` takes every estimate
-at reduced dimension 2 or on a segment from it.  The 3x3 nilpotent Jordan
-block has its known formula.
+taken at |q|.  Both extremal moduli lie on the ellipse's boundary, at its
+farthest or nearest point to the origin, found by Newton steps that climb to
+the one root of a monotone gauge (`_boundary_extreme`), but for a Crawford
+number of 0 when the origin is inside.  `q_extremal_2x2` returns each value
+with a unit u whose partner values reach it: at the extremal boundary phase;
+for a Crawford number of 0, at the one parameter of u whose ellipse of values,
+in a nested family, passes through the origin, found by the same kind of climb
+(`_origin_preimage`), or at |q| = 1 at a root of a quadratic in a Schur basis
+(`_numerical_preimage`).  The route runs on the four entries as Python
+scalars.  `radius` takes every estimate at reduced dimension 2 or on a segment
+from it.  The 3x3 nilpotent Jordan block has its known formula.
 """
 
 from __future__ import annotations
@@ -157,53 +156,55 @@ def q_range_2x2(form: CanonicalForm2x2, q) -> EllipseDisk:
     )
 
 
-_COMPANION = np.eye(4, k=-1, dtype=complex)  # the companion matrix of a monic quartic but for its first row
+def _boundary_extreme(disk: EllipseDisk, sup: bool) -> tuple[float, float]:
+    """The largest (sup) or smallest |z| over the boundary of the ellipse-disk, with its phase s.
 
-
-def _quartic_roots(coeffs: list) -> list:
-    """Roots of the boundary quartic c4 w^4 + c3 w^3 + c1 w + c0 (coefficients highest first, c2 = 0):
-    the eigenvalues of np.roots's companion matrix; with c4 = 0 (a circle), +-sqrt(-c1 / c3), w = 0
-    left out, or none where c3 = 0 (then c1 = 0 too: the centred circle)."""
-    if not coeffs[0]:
-        return [root := cmath.sqrt(-coeffs[3] / coeffs[1]), -root] if coeffs[1] else []
-    companion = _COMPANION.copy()
-    companion[0] = [-c / coeffs[0] for c in coeffs[1:]]
-    return np.linalg.eigvals(companion).tolist()
-
-
-def _boundary_moduli(disk: EllipseDisk) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Smallest and largest |z| over the boundary of the ellipse-disk, each with its phase s.
-
-    In the ellipse's own frame the boundary is zeta + M cos s + i m sin s with
-    zeta = x + i y, and d|z|^2/ds = 0 is, in w = e^{is}, the quartic
-    (m^2 - M^2) w^4 + 2(i m y - M x) w^3 + 2(i m y + M x) w - (m^2 - M^2) = 0.
-    The phases of its roots, with the four vertices for the centred circle where
-    it vanishes, are the candidates.  The quartic is taken for the ellipse
-    scaled to size M + |zeta| = 1, so its coefficients neither overflow nor
-    underflow, and coefficients below round-off are dropped.  Near a thin
-    ellipse the two roots about the nearest point nearly meet and keep half
-    their digits, so the least modulus takes one Newton step on its phase
-    where that lowers it.  Returns ((min |z|, its s), (max |z|, its s)), s being
-    the phase of `EllipseDisk.point`.
+    In the ellipse's own frame the boundary is zeta + e_0 cos s + i e_1 sin s
+    with e_0 = M >= e_1 = m, so |z| is the distance from -zeta = (X_0, X_1) to
+    (e_0 cos s, e_1 sin s).  The nearest and the farthest point are
+    (e_0 z_0, e_1 z_1), z_i = e_i X_i / (t + e_i^2), at the root of |z| = 1 in
+    t > -e_1^2 and in t < -e_0^2 (Eberly, *Distance from a Point to an Ellipse,
+    an Ellipsoid, or a Hyperellipsoid*, 2013).  Measured from that pole by
+    u > 0, with d = e_0^2 - e_1^2, the ratios' moduli are A / u and C / (u + d):
+    A = e_1 |X_1| and C = e_0 |X_0| for the nearest point, A = e_0 |X_0| and
+    C = e_1 |X_1| for the farthest.  The gauge 1 / |z| - 1 is increasing and
+    concave in u, so Newton steps from the larger u at which one ratio alone is
+    1 climb to its root without passing it.  Where A vanishes and C < d (-zeta
+    on an axis, inside the evolute) the root is u = 0, with the ratios
+    sqrt(1 - (C / d)^2) and C / d.  The nearest point lies on -zeta's side of
+    both axes, the farthest across both.  The ellipse is scaled to size
+    M + |zeta| = 1, where no step overflows; s is the phase of
+    `EllipseDisk.point`.
     """
     zeta = disk.center * cmath.exp(-1j * disk.rotation)
     big, small = disk.semi_major, disk.semi_minor
     size = big + abs(zeta) or 1.0
     x, y, mj, mn = zeta.real / size, zeta.imag / size, big / size, small / size
-    lead = mn * mn - mj * mj
-    coeffs = (complex(lead), 2 * (1j * mn * y - mj * x), 0.0, 2 * (1j * mn * y + mj * x), -lead)
-    roots = _quartic_roots([c if abs(c) > 1e-15 else 0.0 for c in coeffs])
-    phases = [cmath.phase(r) for r in roots] + [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]
-    moduli = [abs(zeta + complex(big * math.cos(s), small * math.sin(s))) for s in phases]
-    low, high = (f(range(len(phases)), key=moduli.__getitem__) for f in (min, max))
-    s = _nearer_phase(mj, mn, -x, -y, phases[low])
-    modulus = abs(zeta + complex(big * math.cos(s), small * math.sin(s)))
-    least = (modulus, s) if modulus < moduli[low] else (moduli[low], phases[low])
-    return least, (moduli[high], phases[high])
+    gap = (mj - mn) * (mj + mn)  # d
+    lead, rest, sign = (mj * abs(x), mn * abs(y), 1.0) if sup else (mn * abs(y), mj * abs(x), -1.0)  # A, C
+    u = max(lead, rest - gap)
+    if u < sys.float_info.min:  # A = 0 but for a subnormal, and C <= d: the root is u = 0
+        other = rest / gap if rest < gap else 1.0
+        pole = math.sqrt((1.0 - other) * (1.0 + other))
+    else:
+        while True:
+            pole, other = lead / u, rest / (u + gap)
+            gauge = pole * pole + other * other  # 1 / |z|^2
+            slope = pole * pole / u + other * other / (u + gap)  # -d(gauge)/du / 2
+            step = u + (gauge * math.sqrt(gauge) - gauge) / slope  # Newton on 1 / |z| - 1
+            if not step > u:
+                break
+            u = step
+    z0, z1 = (pole, other) if sup else (other, pole)
+    s = math.atan2(math.copysign(z1, sign * y), math.copysign(z0, sign * x))
+    return abs(zeta + complex(big * math.cos(s), small * math.sin(s))), s
 
 
 def _nearer_phase(big: float, small: float, x: float, y: float, s: float) -> float:
-    """s after one Newton step on d/ds |big cos s + i small sin s - (x + i y)|^2 / 2 = 0, where that is convex."""
+    """s after one Newton step on d/ds |big cos s + i small sin s - (x + i y)|^2 / 2 = 0, where that is convex.
+
+    `_origin_preimage` moves its phase to the nearest point of its ellipse by it.
+    """
     cos, sin = math.cos(s), math.sin(s)
     grad = (small * small - big * big) * sin * cos + big * x * sin - small * y * cos
     curve = (small * small - big * big) * (cos * cos - sin * sin) + big * x * cos + small * y * sin
@@ -308,11 +309,12 @@ def q_extremal_2x2(form: CanonicalForm2x2, q, sup: bool) -> tuple[float, np.ndar
     with <u, v> = q form a circle through e^{i (t + arg q)} (|q| gamma + z_N),
     z_N = [a (kappa + p) e^{is} + b (kappa - p) e^{-is}] / 2.  At kappa = 1
     (2 theta = atan2(|q|, -p)), z_N is the boundary point M cos s + i m sin s, so
-    the extremal boundary phase of `_boundary_moduli` gives u for the radius
-    and for a positive Crawford number.  If the range holds the origin, the
-    Crawford number is 0 and u comes from the (kappa, s) at which |q| gamma + z_N
-    vanishes: z_N runs over ellipses that grow with kappa, and `_origin_preimage`
-    finds the one through -|q| gamma and the phase on it; at |q| = 1 u comes from
+    the phase of the boundary point farthest from (nearest to) the origin,
+    `_boundary_extreme`, gives u for the radius and for a positive Crawford
+    number.  If the range holds the origin, the Crawford number is 0 and u
+    comes from the (kappa, s) at which |q| gamma + z_N vanishes: z_N runs over
+    ellipses that grow with kappa, and `_origin_preimage` finds the one through
+    -|q| gamma and the phase on it; at |q| = 1 u comes from
     `_numerical_preimage`.  The circle of u then reaches the value: its
     largest (smallest) modulus is the partner of `radius._witness`.
     """
@@ -320,14 +322,14 @@ def q_extremal_2x2(form: CanonicalForm2x2, q, sup: bool) -> tuple[float, np.ndar
     p = math.sqrt(max(0.0, 1.0 - m * m))
     disk = q_range_2x2(form, m)
     inside = not sup and disk.contains(0.0)
-    if inside and p == 0.0:  # the numerical range of the form: a quadratic, not the quartic
+    if inside and p == 0.0:  # the numerical range of the form: a quadratic
         value, (y0, y1) = 0.0, _numerical_preimage(form.a, form.b, -form.gamma)
     else:
         if inside:
             value, (kappa, s) = 0.0, _origin_preimage(form.a, form.b, p, -m * form.gamma)
             two_theta = math.atan2(p, m) + math.asin(kappa)  # kappa = sin(2 theta - atan2(p, |q|))
         else:
-            value, s = _boundary_moduli(disk)[1 if sup else 0]
+            value, s = _boundary_extreme(disk, sup)
             two_theta = math.atan2(m, -p)
         y0, y1 = math.cos(0.5 * two_theta), cmath.exp(1j * s) * math.sin(0.5 * two_theta)
     (u00, u01), (u10, u11) = form.u_similar.tolist()  # u = U y

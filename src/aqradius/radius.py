@@ -578,7 +578,13 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
     b = reduce_to_range(w, t)
     if w.rank < 2 and abs(abs(q) - 1.0) > 1e-12:
         raise RankTooLow(f"weight rank {w.rank} < 2: the constraint set is empty for |q| < 1")
-    size = float(np.linalg.norm(b)) or 1.0  # both values scale with T: every route runs on B / ||B||_F
+    # both values scale with T: every route runs on B / ||B||_F, whose sum of squares
+    # overflows or underflows far from 1 unless B is first divided by its largest entry
+    top = float(np.abs(b).max(initial=0.0))
+    if 1e-150 <= top <= 1e150:
+        size = float(np.linalg.norm(b))
+    else:
+        size = top * float(np.linalg.norm(b / top)) if top else 1.0
     b = b / size
     p = math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
     lower, basis = None, None  # a lower bound of the inf, two-sided once a witness attains it

@@ -153,7 +153,7 @@ class TestClosedFormValues:
         ids=["example1", "example2", "example3", "random-shifted-scaled"],
     )
     def test_q_zero_gives_the_disk_of_radius_a(self, ts):
-        # W_0(T) is the disk of radius a about 0, where every quartic coefficient vanishes
+        # W_0(T) is the disk of radius a about 0, every boundary point of which is extreme
         for t in ts:
             form = canonical_2x2(t)
             assert q_radius_2x2(form, 0.0) == form.a
@@ -249,7 +249,7 @@ PHASES = st.floats(0.0, 2 * np.pi)
 
 
 @settings(max_examples=30, deadline=None)
-@example(seed=1, modulus=5e-324, theta=0.0)  # every nonzero quartic coefficient is denormal
+@example(seed=1, modulus=5e-324, theta=0.0)  # the range's centre |q| gamma is subnormal
 @given(seed=st.integers(0, 2**32 - 1), modulus=st.floats(0.0, 1.0), theta=PHASES)
 def test_closed_forms_take_q_by_its_modulus(seed, modulus, theta):
     # W_q(T) = (q/|q|) W_{|q|}(T), so no modulus over it moves with arg q; the
@@ -396,6 +396,43 @@ def test_origin_preimage_with_a_subnormal_real_part():
     est = aq_crawford(Weight.identity(2), t, q)
     assert (est.value, est.direction) == (0.0, TWO_SIDED)
     assert abs(np.vdot(est.witness_y, t @ est.witness_x)) <= 1e-12 * np.linalg.norm(t, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@example(shape="random", centre="real", scale=1.0, seed=0)
+@example(shape="thin", centre="imaginary", scale=1e200, seed=1)
+@example(shape="segment", centre="zero", scale=1e-200, seed=2)
+@example(shape="circle", centre="tiny", scale=1.0, seed=3)
+@given(
+    shape=st.sampled_from(["random", "thin", "circle", "segment"]),
+    centre=st.sampled_from(["random", "zero", "real", "imaginary", "tiny"]),
+    scale=st.sampled_from([1e-200, 1.0, 1e200]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_boundary_extremes_match_the_reference(shape, centre, scale, seed):
+    # the least |z| over the boundary no larger, and the largest no smaller, than the
+    # np.roots reference's (which takes no Newton step) beyond 1e-15 (M + |zeta|), and each
+    # attained at its returned phase; centres on an axis take the evolute's branch
+    rng = np.random.default_rng(seed)
+    big = rng.uniform(0.1, 2.0)
+    ratio = {"random": rng.random(), "thin": 10.0 ** rng.uniform(-12.0, -3.0), "circle": 1.0, "segment": 0.0}
+    zeta = {
+        "random": complex(crandn(rng)) * 10.0 ** rng.uniform(-1.0, 1.0),
+        "zero": 0.0,
+        "real": complex(rng.standard_normal()),
+        "imaginary": 1j * rng.standard_normal(),
+        "tiny": 1e-12 * big * cmath.exp(2j * math.pi * rng.random()),
+    }
+    rotation = rng.uniform(0.0, 2.0 * math.pi)
+    disk = EllipseDisk(scale * zeta[centre] * cmath.exp(1j * rotation), scale * big, scale * big * ratio[shape], rotation)
+    framed = disk.center * cmath.exp(-1j * rotation)
+    tol = 1e-15 * (disk.semi_major + abs(framed))
+    (low, _), (high, _) = reference_boundary_moduli(disk)
+    for sup, sign, reference in ((False, 1.0, low), (True, -1.0, high)):
+        value, s = exact._boundary_extreme(disk, sup)
+        assert sign * (value - reference) <= tol
+        point = framed + complex(disk.semi_major * math.cos(s), disk.semi_minor * math.sin(s))
+        assert abs(point) == pytest.approx(value, abs=tol)
 
 
 # The closed forms as they were on numpy arrays, kept verbatim (but for their names) as the

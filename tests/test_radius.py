@@ -1003,6 +1003,25 @@ def test_estimates_homogeneous_in_t(seed, n, c, unimodular):
         assert estimator(w, c * t, q, budget, seed=3).value == pytest.approx(c * value, abs=tol)
 
 
+ORIGIN_INSIDE = np.array([[0.1 + 0.05j, 1.0], [0.5, 0.1 + 0.05j]])  # its q-range at q = 0.6 holds 0
+GAUSS3 = crandn(np.random.default_rng(0), 3, 3)
+
+
+@pytest.mark.parametrize(
+    ("t", "c"),
+    [(ORIGIN_INSIDE, c) for c in (1e160, 1e200, 1e300, 1e-300)] + [(GAUSS3, 1e-165)],
+    ids=["2x2-1e160", "2x2-1e200", "2x2-1e300", "2x2-1e-300", "gauss3-1e-165"],
+)
+def test_estimates_homogeneous_far_from_unit_size(t, c):
+    # ||B||_F as a plain sum of squares overflows above about 1e154 entries (a NaN
+    # value) and underflows below about 1e-162 (B left unscaled)
+    w = Weight.identity(t.shape[0])
+    for estimator in (aq_radius, aq_crawford):
+        unit, far = estimator(w, t, 0.6), estimator(w, c * t, 0.6)
+        assert far.value / c == pytest.approx(unit.value, rel=1e-12)
+        assert far.direction == unit.direction
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
 def test_estimates_invariant_under_unitary_congruence(seed, n):
