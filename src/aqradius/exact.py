@@ -10,10 +10,9 @@ number of 0 when the origin is inside.  `q_extremal_2x2` returns each value
 with a unit u whose partner values reach it: at the extremal boundary phase;
 for a Crawford number of 0, at the one parameter of u whose ellipse of values,
 in a nested family, passes through the origin, found by the same kind of climb
-(`_origin_preimage`), or at |q| = 1 at a root of a quadratic in a Schur basis
-(`_numerical_preimage`).  The route runs on the four entries as Python
-scalars.  `radius` takes every estimate at reduced dimension 2 or on a segment
-from it.  The 3x3 nilpotent Jordan block has its known formula.
+(`_origin_preimage`) at every |q|.  The route runs on the four entries as
+Python scalars.  `radius` takes every estimate at reduced dimension 2 or on a
+segment from it.  The 3x3 nilpotent Jordan block has its known formula.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,12 +98,18 @@ def canonical_2x2(t) -> CanonicalForm2x2:
 
     Splits off the trace, conjugates the traceless part M0 = [[d, b], [c, -d]] to zero
     diagonal in the basis u1, u2 = (-conj(u1[1]), conj(u1[0])), and absorbs the off-diagonal
-    phases into a diagonal unitary: the entries left are b <= a times a phase exp(i t).
+    phases into a diagonal unitary: the entries left are b <= a times a phase exp(i t).  A
+    matrix whose largest entry lies outside [1e-150, 1e150] is taken at unit size and scaled back.
     """
     t_mat = as_operator(t)
     if t_mat.shape != (2, 2):
         raise ValueError("canonical form is defined for 2x2 matrices only")
     (t00, t01), (t10, t11) = t_mat.tolist()
+    top = max(abs(t00), abs(t01), abs(t10), abs(t11))
+    if top and not 1e-150 <= top <= 1e150:  # at unit size, so that the 1e-300 screens below are relative;
+        # divided as scalars, since numpy's complex division overflows at a subnormal top
+        form = canonical_2x2([[t00 / top, t01 / top], [t10 / top, t11 / top]])
+        return replace(form, gamma=top * form.gamma, a=top * form.a, b=top * form.b)
     half_trace = 0.5 * (t00 + t11)
     d0, d1 = t00 - half_trace, t11 - half_trace
     x0, x1 = 1.0, 0.0
@@ -211,44 +216,8 @@ def _nearer_phase(big: float, small: float, x: float, y: float, s: float) -> flo
     return s - grad / curve if curve > 0.0 else s
 
 
-def _numerical_preimage(a: float, b: float, w: complex) -> tuple[complex, complex]:
-    """Unit y with y^H N y = w for N = [[0, a], [b, 0]], 0 <= b <= a, and w in W(N).
-
-    W(N) is the ellipse of semi-axes M = (a + b) / 2 along the real axis and
-    m = (a - b) / 2 along the imaginary one.  In the Schur basis
-    v1 = (sqrt a, sqrt b) / sqrt(a + b), v2 = (-sqrt b, sqrt a) / sqrt(a + b),
-    N is [[h, 2 m], [0, -h]] with h = sqrt(a b), and (sqrt t, e^{i psi} sqrt s),
-    t + s = 1, attains h (t - s) + 2 m sqrt(t s) e^{i psi}.  That is w = x + i y
-    where |w - h (t - s)| = 2 m sqrt(t s), with e^{i psi} the phase of
-    w - h (t - s): the quadratics M^2 s^2 - P s + |w - h|^2 / 4 = 0 and
-    M^2 t^2 - P' t + |w + h|^2 / 4 = 0, with P = M (M - h) + h (M - x) and
-    P' = M (M - h) + h (M + x) (x clipped to [-M, M]), M - h = m^2 / (M + h).
-    Their common discriminant is m^2 (M - x)(M + x) - M^2 y^2 in centred form,
-    so the smaller root s, from the product of the roots, and the larger root
-    t, which belong to one solution, are both free of cancellation.  A segment
-    (m = 0) gives t - s = x / h, a thin ellipse no worse.  For a w outside W(N)
-    by round-off the discriminant clamps at 0, and s at most the larger root.
-    """
-    if a == 0.0:  # N = 0 and W(N) = {0}: any unit vector
-        return 1.0, 0.0
-    big, small, h = 0.5 * (a + b), 0.5 * (a - b), math.sqrt(a * b)
-    x, y = min(big, max(-big, w.real)), w.imag
-    gap = big * small * small / (big + h)  # M (M - h)
-    root = math.sqrt(max(0.0, small * small * (big - x) * (big + x) - big * big * y * y))
-    s_sum = gap + h * (big - x) + root  # P + root, 2 M^2 times the larger root in s
-    s = min(0.5 * abs(w - h) ** 2, 0.5 * (s_sum / big) ** 2) / s_sum if s_sum > 0.0 else 0.0
-    t = (gap + h * (big + x) + root) / (2.0 * big * big)
-    lever = w - h * (t - s)
-    tilt = lever / abs(lever) if lever != 0.0 else 1.0
-    ra, rb = math.sqrt(a / (a + b)), math.sqrt(b / (a + b))
-    first, second = math.sqrt(t), tilt * math.sqrt(s)
-    y0, y1 = ra * first - rb * second, rb * first + ra * second
-    norm = math.sqrt(y0.real**2 + y0.imag**2 + y1.real**2 + y1.imag**2)
-    return y0 / norm, y1 / norm
-
-
 def _origin_preimage(a: float, b: float, p: float, w: complex) -> tuple[float, float]:
-    """(kappa, s) in [-1, 1] x R with a (kappa + p) e^{is} + b (kappa - p) e^{-is} = 2 w, for p > 0.
+    """(kappa, s) in [-1, 1] x R with a (kappa + p) e^{is} + b (kappa - p) e^{-is} = 2 w, for p >= 0.
 
     With a = 1 (the data scaled by a) the left side is 2 (A cos s + i B sin s),
     A = ((1 + b) kappa + p (1 - b)) / 2 and B = ((1 - b) kappa + p (1 + b)) / 2:
@@ -261,10 +230,15 @@ def _origin_preimage(a: float, b: float, p: float, w: complex) -> tuple[float, f
     |x| or B reaches |y|, and run on t = kappa - kappa_A, so that A = (1 + b) t / 2
     keeps its digits near kappa_A; a start below the smallest normal float, where
     x / A would keep few digits, is w = i y up to a subnormal x on the segment at
-    kappa_A.  s is the phase of (x / A, y / B), moved by one Newton step to the
-    nearest point of the ellipse.  A w outside the range by round-off gets
-    kappa = 1 and, of the float phases around that nearest point's, the one at
-    which the equation's two sides, as rounded, differ least.
+    kappa_A.  At p = 0 (|q| = 1, the numerical range) the ellipses are scaled
+    copies of one, r is linear in kappa and the first step lands on the root;
+    with b = 1 as well they are segments of the real axis, B = 0, and y / B is
+    taken as 0.  s is the phase of (x / A, y / B), moved by one Newton step to
+    the nearest point of the ellipse.  A w outside the range by round-off gets
+    kappa = 1, where y / B can be round-off over round-off on a thin range, so
+    its phase starts at the nearest point of the kappa = 1 ellipse by
+    `_boundary_extreme`; of the float phases around it, it takes the one at which
+    the equation's two sides, as rounded, differ least.
     """
     if a == 0.0:  # B is scalar, its range the point |q| gamma = -w = 0: any (kappa, s) will do
         return 0.0, 0.0
@@ -278,27 +252,30 @@ def _origin_preimage(a: float, b: float, p: float, w: complex) -> tuple[float, f
     if t < sys.float_info.min:  # w = i y, but for a subnormal x, on the segment that is the ellipse at kappa_A
         return -offset, math.asin(min(1.0, max(-1.0, y / edge))) if edge else 0.0
     while True:
-        big, small = (1.0 + b) * t, edge + (1.0 - b) * t  # 2 A and 2 B
-        u, v = x / big, y / small
+        big, small = (1.0 + b) * t, edge + (1.0 - b) * t  # 2 A and 2 B; B = 0 only at p = 0, b = 1
+        u, v = x / big, y / small if small else 0.0
         gauge = u * u + v * v  # squared, 1 / r^2
-        slope = (1.0 + b) * u * u / big + (1.0 - b) * v * v / small  # -d(gauge)/dt / 2
+        slope = (1.0 + b) * u * u / big + ((1.0 - b) * v * v / small if small else 0.0)  # -d(gauge)/dt / 2
         step = min(top, t + (gauge * math.sqrt(gauge) - gauge) / slope)  # Newton on r - 1
         if not step > t:
             break
         t = step
     kappa = t - offset if t < top else 1.0
-    # the step takes the semi-axes 2 A and 2 B as the equation forms them from kappa
-    s = _nearer_phase((kappa + p) + b * (kappa - p), (kappa + p) - b * (kappa - p), x, y, math.atan2(v, u))
-    if t == top:  # w outside the range by round-off: no (kappa, s) solves the equation, and cos s and
-        # sin s round differently at each float phase, so take the one that misses least within
-        # 16 ulps of s and of its turns by up to two full circles either way
-        def miss(phase: float) -> float:
-            e = complex(math.cos(phase), math.sin(phase))
-            return abs((1.0 + p) * e + b * (1.0 - p) * e.conjugate() - complex(x, y))
+    # the semi-axes 2 A and 2 B as the equation forms them from kappa
+    big, small = (kappa + p) + b * (kappa - p), (kappa + p) - b * (kappa - p)
+    if t < top:
+        return kappa, _nearer_phase(big, small, x, y, math.atan2(v, u))
+    # w outside the range by round-off: no (kappa, s) solves the equation, and cos s and sin s
+    # round differently at each float phase, so take the one that misses least within 16 ulps
+    # of the nearest point's phase and of its turns by up to two full circles either way
+    s = _boundary_extreme(EllipseDisk(-complex(x, y), big, small, 0.0), False)[1]
 
-        turns = [s + j * math.tau for j in range(-2, 3)]
-        s = min((turn + k * math.ulp(turn) for turn in turns for k in range(-16, 17)), key=miss)
-    return kappa, s
+    def miss(phase: float) -> float:
+        e = complex(math.cos(phase), math.sin(phase))
+        return abs((1.0 + p) * e + b * (1.0 - p) * e.conjugate() - complex(x, y))
+
+    turns = [s + j * math.tau for j in range(-2, 3)]
+    return kappa, min((turn + k * math.ulp(turn) for turn in turns for k in range(-16, 17)), key=miss)
 
 
 def q_extremal_2x2(form: CanonicalForm2x2, q, sup: bool) -> tuple[float, np.ndarray]:
@@ -314,24 +291,19 @@ def q_extremal_2x2(form: CanonicalForm2x2, q, sup: bool) -> tuple[float, np.ndar
     number.  If the range holds the origin, the Crawford number is 0 and u
     comes from the (kappa, s) at which |q| gamma + z_N vanishes: z_N runs over
     ellipses that grow with kappa, and `_origin_preimage` finds the one through
-    -|q| gamma and the phase on it; at |q| = 1 u comes from
-    `_numerical_preimage`.  The circle of u then reaches the value: its
-    largest (smallest) modulus is the partner of `radius._witness`.
+    -|q| gamma and the phase on it, at every |q|.  The circle of u then reaches the
+    value: its largest (smallest) modulus is the partner of `radius._witness`.
     """
     m = _modulus(q)
     p = math.sqrt(max(0.0, 1.0 - m * m))
     disk = q_range_2x2(form, m)
-    inside = not sup and disk.contains(0.0)
-    if inside and p == 0.0:  # the numerical range of the form: a quadratic
-        value, (y0, y1) = 0.0, _numerical_preimage(form.a, form.b, -form.gamma)
+    if not sup and disk.contains(0.0):
+        value, (kappa, s) = 0.0, _origin_preimage(form.a, form.b, p, -m * form.gamma)
+        two_theta = math.atan2(p, m) + math.asin(kappa)  # kappa = sin(2 theta - atan2(p, |q|))
     else:
-        if inside:
-            value, (kappa, s) = 0.0, _origin_preimage(form.a, form.b, p, -m * form.gamma)
-            two_theta = math.atan2(p, m) + math.asin(kappa)  # kappa = sin(2 theta - atan2(p, |q|))
-        else:
-            value, s = _boundary_extreme(disk, sup)
-            two_theta = math.atan2(m, -p)
-        y0, y1 = math.cos(0.5 * two_theta), cmath.exp(1j * s) * math.sin(0.5 * two_theta)
+        value, s = _boundary_extreme(disk, sup)
+        two_theta = math.atan2(m, -p)
+    y0, y1 = math.cos(0.5 * two_theta), cmath.exp(1j * s) * math.sin(0.5 * two_theta)
     (u00, u01), (u10, u11) = form.u_similar.tolist()  # u = U y
     return value, np.array([u00 * y0 + u01 * y1, u10 * y0 + u11 * y1])
 

@@ -24,6 +24,7 @@ from aqradius import (
 )
 from aqradius import exact
 from aqradius.exact import CanonicalForm2x2, EllipseDisk
+from aqradius.radius import _witness
 from aqradius.semispace import as_operator
 from conftest import crandn, random_pd_weight
 from oracle import oracle_grid
@@ -266,27 +267,41 @@ def test_closed_forms_take_q_by_its_modulus(seed, modulus, theta):
 
 # the origin 1e-6 and 0.3 outside the q = 0.8 range ellipse
 NEAR_BOUNDARY = [(_point_outside(1.0, 0.4, 0.8, 0.7, gap), 0.8) for gap in (1e-6, 0.3)]
+# a numerical range that holds the origin: at q = 1 a Schur-basis quadratic divided by a^2
+# (ZeroDivisionError at c = 1e-300) and gave a NaN witness at c = 1e300
+INSIDE = np.array([[0.1 + 0.05j, 1.0], [0.5, 0.1 + 0.05j]])
 
 
 def _random_case(seed):
     rng = np.random.default_rng(seed)
     t = crandn(rng, 2, 2) + 3 * rng.random() * crandn(rng) * np.eye(2)  # a shift moves the origin out
-    return t, rng.random() * np.exp(2j * np.pi * rng.random())
+    modulus = 1.0 if rng.random() < 0.25 else rng.random()
+    return t, modulus * np.exp(2j * np.pi * rng.random())
 
 
 @settings(max_examples=40, deadline=None)
 @example(case=NEAR_BOUNDARY[0], c=1e-8)
 @example(case=NEAR_BOUNDARY[1], c=1e-12)
+@example(case=(INSIDE, 1.0), c=1e-300)
+@example(case=(INSIDE, 1.0), c=1e300)
 @given(
-    case=st.one_of(st.sampled_from(NEAR_BOUNDARY), st.integers(0, 2**32 - 1).map(_random_case)),
-    c=st.sampled_from([1e-200, 1e-12, 1e-8, 1e-4, 1e4, 1e8, 1e200]),
+    case=st.one_of(
+        st.sampled_from([*NEAR_BOUNDARY, (INSIDE, 1.0), (INSIDE, 0.6)]),
+        st.integers(0, 2**32 - 1).map(_random_case),
+    ),
+    c=st.sampled_from([1e-310, 1e-300, 1e-200, 1e-12, 1e-8, 1e-4, 1e4, 1e8, 1e200, 1e300]),
 )
 def test_closed_forms_are_homogeneous(case, c):
-    # W_q(cT) = c W_q(T), so both moduli scale with c at every magnitude
+    # W_q(cT) = c W_q(T), so both moduli scale with c at every magnitude, and the unit u of
+    # q_extremal_2x2 at cT, with its partner from radius._witness, attains the value
     t, q = case
     tol = 1e-12 * np.linalg.norm(t, 2)
-    for value in (q_radius_2x2, q_crawford_2x2):
-        assert value(canonical_2x2(c * t), q) / c == pytest.approx(value(canonical_2x2(t), q), abs=tol)
+    p = math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
+    for sup in (True, False):
+        value, u = q_extremal_2x2(canonical_2x2(c * t), q, sup)
+        assert value / c == pytest.approx(q_extremal_2x2(canonical_2x2(t), q, sup)[0], abs=tol)
+        v = _witness(c * t, u, complex(q), p, sup)
+        assert abs(np.vdot(v, c * t @ u)) / c == pytest.approx(value / c, abs=tol)
 
 
 @settings(max_examples=30, deadline=None)
@@ -325,6 +340,7 @@ def test_closed_forms_match_estimators_on_random_matrices(rng):
 
 @settings(max_examples=60, deadline=None)
 @example(seed=0, eps=0.0)
+@example(seed=7375394, eps=0.0)  # b / a = 1 - ulp: y / B at kappa = 1 is round-off over round-off
 @given(seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([0.0, 1e-14, 1e-10, 1e-8]))
 def test_q_one_zero_witness_on_segments_and_thin_ellipses(seed, eps):
     # T = U ([[l1, eps g], [0, l2]] + s I) U^H: W(T) is the segment [l1, l2] through 0 when
@@ -509,7 +525,7 @@ def reference_boundary_moduli(disk: EllipseDisk) -> tuple[tuple[float, float], t
 
 
 def reference_origin_preimage(a: float, b: float, p: float, w: complex) -> tuple[float, float]:
-    """(kappa, s) in [-1, 1] x R with a (kappa + p) e^{is} + b (kappa - p) e^{-is} = 2 w, for p > 0."""
+    """(kappa, s) in [-1, 1] x R with a (kappa + p) e^{is} + b (kappa - p) e^{-is} = 2 w, for p >= 0."""
     if a == 0.0:  # B is scalar, its range the point |q| gamma = -w = 0: any (kappa, s) will do
         return 0.0, 0.0
     b, w = b / a, w / a
@@ -646,7 +662,7 @@ def test_scalar_closed_forms_match_the_reference(kind, seed, modulus, scale):
     values = q_radius_2x2(form, q), q_crawford_2x2(form, q)
     assert values == pytest.approx(reference_values(t, q), abs=tol)
     p = math.sqrt(1.0 - modulus**2)
-    if p > 0.0 and values[1] == 0.0 and form.a > 0.0:  # a preimage of the origin as exact as the reference's
+    if values[1] == 0.0 and form.a > 0.0:  # a preimage of the origin as exact as the reference's
         a, b, w = form.a, form.b, -modulus * form.gamma
         found, expected = exact._origin_preimage(a, b, p, w), reference_origin_preimage(a, b, p, w)
         residual = [abs(_residual(b / a, p, w / a, *point)) for point in (found, expected)]
