@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,22 +98,19 @@ def canonical_2x2(t) -> CanonicalForm2x2:
 
     Splits off the trace, conjugates the traceless part M0 = [[d, b], [c, -d]] to zero
     diagonal in the basis u1, u2 = (-conj(u1[1]), conj(u1[0])), and absorbs the off-diagonal
-    phases into a diagonal unitary: the entries left are b <= a times a phase exp(i t).  A
-    matrix whose largest entry lies outside [1e-150, 1e150] is taken at unit size and scaled back.
+    phases into a diagonal unitary: the entries left are b <= a times a phase exp(i t).  Every
+    step is homogeneous in T, and the screens for a vanished entry are relative to the largest
+    entry, so the form scales with T at every magnitude.
     """
     t_mat = as_operator(t)
     if t_mat.shape != (2, 2):
         raise ValueError("canonical form is defined for 2x2 matrices only")
     (t00, t01), (t10, t11) = t_mat.tolist()
-    top = max(abs(t00), abs(t01), abs(t10), abs(t11))
-    if top and not 1e-150 <= top <= 1e150:  # at unit size, so that the 1e-300 screens below are relative;
-        # divided as scalars, since numpy's complex division overflows at a subnormal top
-        form = canonical_2x2([[t00 / top, t01 / top], [t10 / top, t11 / top]])
-        return replace(form, gamma=top * form.gamma, a=top * form.a, b=top * form.b)
-    half_trace = 0.5 * (t00 + t11)
+    tiny = 1e-300 * max(abs(t00), abs(t01), abs(t10), abs(t11))
+    half_trace = 0.5 * t00 + 0.5 * t11  # halved first, so that the sum cannot overflow
     d0, d1 = t00 - half_trace, t11 - half_trace
     x0, x1 = 1.0, 0.0
-    if abs(d0) >= 1e-300:
+    if abs(d0) > tiny:
         # u1 = (cos r, sin r e^{i phi}) gives u1^H M0 u1 = d cos 2r + beta(phi) sin 2r, beta =
         # (b e^{i phi} + c e^{-i phi}) / 2: phi makes beta a real multiple of d, then solve for r
         bp, cp = t01 / d0, t10 / d0
@@ -125,8 +122,8 @@ def canonical_2x2(t) -> CanonicalForm2x2:
     up = x0.conjugate() * (d0 * y0 + t01 * y1) + x1.conjugate() * (t10 * y0 + d1 * y1)  # u1^H M0 u2
     lo = y0.conjugate() * (d0 * x0 + t01 * x1) + y1.conjugate() * (t10 * x0 + d1 * x1)  # u2^H M0 u1
     # missing arguments of vanished off-diagonals default to 0
-    arg_up = cmath.phase(up) if abs(up) > 1e-300 else 0.0
-    arg_lo = cmath.phase(lo) if abs(lo) > 1e-300 else 0.0
+    arg_up = cmath.phase(up) if abs(up) > tiny else 0.0
+    arg_lo = cmath.phase(lo) if abs(lo) > tiny else 0.0
     phase = math.fmod(0.5 * (arg_up + arg_lo), 2.0 * math.pi)
     if phase < 0.0:
         phase += 2.0 * math.pi

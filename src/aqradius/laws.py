@@ -124,7 +124,7 @@ class LinComboParams:
     def for_q(cls, lam, mu, q) -> "LinComboParams":
         q = validate_q(q)
         g2 = abs(lam) ** 2 + abs(mu) ** 2 + 2.0 * (lam * np.conj(mu) * q).real
-        if g2 <= 1e-24:
+        if g2 <= 1e-24 * (abs(lam) + abs(mu)) ** 2:  # gamma is homogeneous in (lambda, mu)
             raise ValueError("degenerate combination: gamma vanishes")
         return cls(lam=complex(lam), mu=complex(mu), gamma=math.sqrt(g2))
 

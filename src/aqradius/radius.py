@@ -1,7 +1,11 @@
 """Estimators for weighted (q-)numerical radii and Crawford numbers.
 
 All quantities are computed on the reduced operator B (standard inner product,
-dimension n = rank of the weight), and every route runs on B / ||B||_F.  With
+dimension n = rank of the weight), and every route runs on B / ||B||_F.  B
+reaches unit size in two steps: an exact scaling to B 2^-e, e the binary
+exponent of its largest entry modulus, whose sum of squares can neither
+overflow nor underflow, then the division by its norm; the value is scaled
+back by 2^e.  With
 p = sqrt(1 - |q|^2), `_estimate` takes the first of three routes that applies:
 
 - n = 2, or W(B) a segment [a, b] (B = e^{i phi} H + s I, H Hermitian, as for
@@ -45,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exact import canonical_2x2, q_extremal_2x2
-from .semispace import RankTooLow, Weight, reduce_to_range, validate_q
+from .semispace import RankTooLow, Weight, _unit_scale, reduce_to_range, validate_q
 
 __all__ = [
     "Budget",
@@ -575,17 +579,15 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
     """The sup (or the inf) of |<T x, y>_A| and its witness pair, by the route of the module docstring."""
     q = validate_q(q, allow_zero=True)
     budget = budget or Budget()
-    b = reduce_to_range(w, t)
+    b, e = _unit_scale(reduce_to_range(w, t))  # B 2^-e, whose largest entry modulus is in [1/2, 1)
     if w.rank < 2 and abs(abs(q) - 1.0) > 1e-12:
         raise RankTooLow(f"weight rank {w.rank} < 2: the constraint set is empty for |q| < 1")
-    # both values scale with T: every route runs on B / ||B||_F, whose sum of squares
-    # overflows or underflows far from 1 unless B is first divided by its largest entry
-    top = float(np.abs(b).max(initial=0.0))
-    if 1e-150 <= top <= 1e150:
-        size = float(np.linalg.norm(b))
-    else:
-        size = top * float(np.linalg.norm(b / top)) if top else 1.0
-    b = b / size
+    # both values scale with T: every route runs on B / ||B||_F, whose sum of squares at 2^-e can
+    # neither overflow nor underflow; the norm is numpy's, term for term, without its argument
+    # handling, which costs a 2x2 estimate about as much as the scaling does
+    flat = b.ravel()
+    size = math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag)) or 1.0
+    b /= size
     p = math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
     lower, basis = None, None  # a lower bound of the inf, two-sided once a witness attains it
     if (segment := _segment(b)) is not None:  # the q-range is that of C = V^H B V: its closed form
@@ -613,7 +615,7 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
         value, direction = lower, TWO_SIDED
     u, v = (u, v) if basis is None else (basis @ u, basis @ v)
     x, y = w.lift(u), w.lift(v)
-    return Estimate(size * value, direction, x, y, budget, seed, evaluations, converged)
+    return Estimate(math.ldexp(size * value, e), direction, x, y, budget, seed, evaluations, converged)
 
 
 def aq_radius(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> Estimate:

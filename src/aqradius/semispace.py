@@ -63,6 +63,20 @@ def as_vector(x, dim: int) -> np.ndarray:
     return v
 
 
+def _unit_scale(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """x scaled in place to x 2^-e, and e, the binary exponent of its largest modulus.
+
+    x is a C-contiguous array of the caller's own; e is 0 for x = 0.  The
+    largest modulus of x 2^-e lies in [1/2, 1), so no sum of its squares
+    overflows or underflows, and the scaling is exact: it changes exponents
+    only, but for entries it takes below the smallest normal float.
+    """
+    e = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
+    flat = x.view(np.float64)  # ldexp takes no complex array; the view needs C order
+    np.ldexp(flat, -e, out=flat)
+    return x, e
+
+
 def validate_q(q, *, allow_zero: bool = False) -> complex:
     """Check that a constraint parameter q satisfies 0 < |q| <= 1.
 
@@ -112,7 +126,7 @@ class Weight:
         psd_tol = float(psd_tol)
         if psd_tol < 0.0:
             raise ValueError("psd_tol must be nonnegative")
-        if vals.size and float(vals[-1]) < -psd_tol - 1e-300:
+        if vals.size and float(vals[-1]) < -psd_tol:
             raise ValueError(
                 f"weight is not positive semidefinite: min eigenvalue {vals[-1]:.3e}"
             )
@@ -126,10 +140,12 @@ class Weight:
         self.eigvals = vals
         self.eigvecs = vecs
         self.rank = rank
-        vr = vecs[:, :rank]
-        sr = np.sqrt(vals[:rank])
-        self._range_basis = vr
-        self._range_scale = sr
+        self._range_basis = vecs[:, :rank]
+        self._range_scale = np.sqrt(vals[:rank])  # S_r, by which `lift` divides
+        # A and S_r at unit size, for `_check_compatible` (which reads A only at rank < dim)
+        # and `reduce_to_range`
+        self._unit_a = _unit_scale(a.copy())[0] if rank < a.shape[0] else None
+        self._unit_range_scale = _unit_scale(self._range_scale.copy())[0]
 
     @property
     def dim(self) -> int:
@@ -163,27 +179,32 @@ def a_norm_vec(w: Weight, x) -> float:
     """Weighted seminorm sqrt(Re <x, x>_A); may vanish on nonzero vectors.
 
     Raises if Im <x, x>_A exceeds 1e-10 ||A|| ||x||^2, the scale of its round-off.
+    Both are taken at x 2^-e, of largest entry in [1/2, 1), and the seminorm is
+    scaled back by 2^e, so no square overflows or underflows.
     """
+    x, e = _unit_scale(as_vector(x, w.dim).copy())
     s = a_inner(w, x, x)
     if abs(s.imag) > 1e-10 * float(w.eigvals[0]) * float(np.vdot(x, x).real):
         raise ValueError(
             f"self inner product has imaginary part {s.imag:.3e}; weight is broken"
         )
-    return math.sqrt(max(s.real, 0.0))
+    return math.ldexp(math.sqrt(max(s.real, 0.0)), e)
 
 
 def _check_compatible(w: Weight, t: np.ndarray) -> None:
     # T is compatible with the weight iff A T vanishes on null(A); otherwise
     # the weighted operator seminorm is infinite.  The trailing eigenvectors
-    # are an orthonormal basis N of null(A), so ||A T N||_F is the leak
-    # ||A T (I - P)||_F, P the projector onto range(A).
+    # are an orthonormal basis N of null(A), so A T N is the leak A T (I - P),
+    # P the projector onto range(A).  The test is scale-free: it takes A at unit
+    # size and compares the leak with A T by their largest entry moduli, which,
+    # unlike sums of squares, neither overflow nor underflow at any size of T.
     if w.rank == w.dim:
         return
-    at = w.a @ t
-    leak_norm = np.linalg.norm(at @ w.eigvecs[:, w.rank :])
-    if leak_norm > 1e-8 * max(np.linalg.norm(at), 1e-300):
+    at = w._unit_a @ t
+    leak, top = np.abs(at @ w.eigvecs[:, w.rank :]).max(), np.abs(at).max()
+    if leak > 1e-8 * top:
         raise NotABounded(
-            f"operator maps null(weight) out of null(weight) (leak {leak_norm:.3e})"
+            f"operator maps null(weight) out of null(weight) (leak {leak / top:.3e})"
         )
 
 
@@ -199,7 +220,7 @@ def reduce_to_range(w: Weight, t) -> np.ndarray:
         raise ValueError("operator and weight dimensions differ")
     _check_compatible(w, t)
     vr = w._range_basis
-    sr = w._range_scale
+    sr = w._unit_range_scale  # S_r 2^-e: B takes only the ratios of its entries
     return (sr[:, None] * (vr.conj().T @ t @ vr)) / sr[None, :]
 
 

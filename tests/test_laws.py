@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -117,6 +118,17 @@ class TestT1_45:
         rep4, rep5 = law_t1_45(I2, EX1, 0.5, params, budget=FAST)
         assert rep4.skipped and rep5.skipped
         assert "composite" in rep4.skip_reason
+
+    @pytest.mark.parametrize("c", [1e-13, 1e-100, 1e100])
+    def test_degeneracy_is_relative(self, c):
+        # gamma is homogeneous in (lambda, mu), so small coefficients are no degeneracy:
+        # an absolute 1e-24 floor on gamma^2 rejected (1e-13, 1e-13) at q = 1/2
+        lam, mu = 0.3 - 0.7j, -1.2 + 0.4j
+        gamma = LinComboParams.for_q(c * lam, c * mu, 0.5).gamma
+        assert gamma == pytest.approx(c * LinComboParams.for_q(lam, mu, 0.5).gamma, rel=1e-14)
+        assert LinComboParams.for_q(1e-13, 1e-13, 0.5).gamma == pytest.approx(math.sqrt(3) * 1e-13, rel=1e-14)
+        with pytest.raises(ValueError, match="gamma"):
+            LinComboParams.for_q(c, -c, 1.0)
 
     def test_ordinary_adjoint_is_provably_wrong_on_skewed_weights(self):
         # frozen counterexample: the weighted-adjoint law is tight, while T^H in

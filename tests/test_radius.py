@@ -1009,17 +1009,53 @@ GAUSS3 = crandn(np.random.default_rng(0), 3, 3)
 
 @pytest.mark.parametrize(
     ("t", "c"),
-    [(ORIGIN_INSIDE, c) for c in (1e160, 1e200, 1e300, 1e-300)] + [(GAUSS3, 1e-165)],
-    ids=["2x2-1e160", "2x2-1e200", "2x2-1e300", "2x2-1e-300", "gauss3-1e-165"],
+    [(ORIGIN_INSIDE, c) for c in (1e160, 1e200, 1e300, 1.7e308, 1e-300, 1e-310)]
+    + [(GAUSS3, c) for c in (1e-165, 1e-310)],
+    ids=["2x2-1e160", "2x2-1e200", "2x2-1e300", "2x2-1.7e308", "2x2-1e-300", "2x2-1e-310"]
+    + ["gauss3-1e-165", "gauss3-1e-310"],
 )
 def test_estimates_homogeneous_far_from_unit_size(t, c):
     # ||B||_F as a plain sum of squares overflows above about 1e154 entries (a NaN
-    # value) and underflows below about 1e-162 (B left unscaled)
+    # value) and underflows below about 1e-162 (B left unscaled); B divided by its
+    # largest entry overflows where that entry is subnormal, and m ||B / m||_F
+    # overflows at 1.7e308
     w = Weight.identity(t.shape[0])
     for estimator in (aq_radius, aq_crawford):
         unit, far = estimator(w, t, 0.6), estimator(w, c * t, 0.6)
         assert far.value / c == pytest.approx(unit.value, rel=1e-12)
         assert far.direction == unit.direction
+
+
+_POW2_RNG = np.random.default_rng(28)
+_H4 = crandn(_POW2_RNG, 4, 4)
+POW2_ROUTES = {  # (weight, T, q), one for each route of radius._estimate; the shifts make c_q > 0
+    "closed-form-2x2": (random_pd_weight(_POW2_RNG, 2, (0.5, 2.0)), crandn(_POW2_RNG, 2, 2) + 12.0 * np.eye(2), 0.6),
+    "segment": (Weight.identity(4), np.exp(0.7j) * (_H4 + _H4.conj().T) + (0.3 - 0.2j) * np.eye(4), 0.6),
+    "bracket": (random_pd_weight(_POW2_RNG, 3), crandn(_POW2_RNG, 3, 3), 1.0),
+    "bracket-shifted": (random_pd_weight(_POW2_RNG, 3), crandn(_POW2_RNG, 3, 3) + 6.0j * np.eye(3), 1.0),
+    "sphere": (random_pd_weight(_POW2_RNG, 3), crandn(_POW2_RNG, 3, 3), 0.6),
+    "sphere-shifted": (random_pd_weight(_POW2_RNG, 4, (0.5, 2.0)), crandn(_POW2_RNG, 4, 4) + 8.0 * np.eye(4), 0.9),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@example(route="closed-form-2x2", k=-1000)
+@example(route="segment", k=1000)
+@example(route="bracket", k=-1000)
+@example(route="sphere-shifted", k=1000)
+@given(route=st.sampled_from(sorted(POW2_ROUTES)), k=st.integers(-1000, 1000))
+def test_estimates_exactly_homogeneous_in_powers_of_two(route, k):
+    # 2^k T reduces to 2^k B, and B 2^-e is then the same array at every k: each route
+    # runs on the same bits, so the value is exactly 2^k times the unit-size one and the
+    # witnesses are the same vectors
+    w, t, q = POW2_ROUTES[route]
+    budget = Budget(8, 60)
+    for estimator in (aq_radius, aq_crawford):
+        unit, far = estimator(w, t, q, budget), estimator(w, t * 2.0**k, q, budget)
+        assert far.value == np.ldexp(unit.value, k)
+        assert far.direction == unit.direction
+        assert np.array_equal(far.witness_x, unit.witness_x)
+        assert np.array_equal(far.witness_y, unit.witness_y)
 
 
 @settings(max_examples=10, deadline=None)

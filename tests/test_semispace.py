@@ -76,6 +76,16 @@ class TestANormVec:
     def test_diagonal(self):
         assert a_norm_vec(Weight.diagonal([2, 3]), [1, 1]) == pytest.approx(np.sqrt(5))
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e200, 1e300])
+    def test_homogeneous_far_from_unit_size(self, c):
+        # <x, x>_A as a plain sum of squares underflows to 0 at 1e-200 and overflows at 1e200;
+        # a strided x is not C-contiguous, as a float view of it would need to be
+        w = Weight.diagonal([1, 2, 3])
+        x = np.array([1 + 1j, 2, -1j])
+        unit = a_norm_vec(w, x)
+        for scaled in (c * x, np.repeat(c * x, 2)[::2]):
+            assert a_norm_vec(w, scaled) / c == pytest.approx(unit, rel=1e-15)
+
 
 class TestWeight:
     def test_rejects_negative_definite(self):
@@ -103,6 +113,14 @@ class TestWeight:
     def test_rank_counts_positive_eigenvalues(self):
         assert Weight.diagonal([3, 1, 0]).rank == 2
         assert Weight.identity(4).rank == 4
+
+    @pytest.mark.parametrize("c", [1e-310, 1e-305, 1e-300, 1e-290, 1.0, 1e300])
+    def test_psd_test_is_relative(self, c):
+        # psd_tol = 1e-10 lambda_max scales with A; an absolute 1e-300 floor below it let
+        # diag(1, -0.5, 2) pass as PSD at c <= 1e-300
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            Weight(c * np.diag([1.0, -0.5, 2.0]))
+        assert Weight(c * np.diag([1.0, 0.0, 2.0])).rank == 2
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -149,6 +167,22 @@ class TestReduce:
         t = np.array([[0, 1], [0, 0]], dtype=complex)  # sends null(A) into range(A)
         with pytest.raises(NotABounded):
             reduce_to_range(w, t)
+
+    @pytest.mark.parametrize("t_scale", [1e-310, 1e-200, 1.0, 1e200, 1e300])
+    @pytest.mark.parametrize("a_scale", [1e-300, 1.0, 1e300])
+    def test_compatibility_is_scale_free(self, a_scale, t_scale):
+        # the leak A T N and A T are compared by their largest entries at unit-size A, and
+        # B takes S_r at unit size: no sum of squares, absolute floor or product S_r T to
+        # overflow or underflow.  T, not scaled, may be F-ordered.
+        w = Weight(a_scale * np.diag([1.0, 2.0, 0.0]))
+        leaking = np.array([[1, 2, 1], [3, 1, 0], [0, 0, 5]], dtype=complex)  # e_3 -> e_1 + 5 e_3
+        with pytest.raises(NotABounded):
+            reduce_to_range(w, t_scale * leaking)
+        keeping = np.array([[1, 2, 0], [3, 1, 0], [0, 0, 5]], dtype=complex)
+        unit = reduce_to_range(Weight(np.diag([1.0, 2.0, 0.0])), keeping)
+        for t in (t_scale * keeping, np.asfortranarray(t_scale * keeping)):
+            b = reduce_to_range(w, t)
+            np.testing.assert_allclose(b, t_scale * unit, rtol=1e-12, atol=1e-12 * t_scale)
 
     def test_accepts_operator_into_null_space(self):
         w = Weight.diagonal([1, 0])
