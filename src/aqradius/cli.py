@@ -228,7 +228,7 @@ def _operator_sequence(args) -> sequences.OperatorSequence:
 def _cmd_converge(args) -> int:
     budget = _budget_from_flag(args.budget)
     if args.rule == "qseq":
-        if sequences._quantities()[args.quantity].is_gap:
+        if sequences._QUANTITIES[args.quantity].is_gap:
             raise ValueError(f"--quantity {args.quantity} needs an operator rule; qseq traces radius or crawford")
         if args.matrix is None:
             raise ValueError("--matrix is required for the qseq rule")
@@ -286,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--qexp", type=_positive_float, default=2.0, help="qseq rule: q_n = 1 - n^(-qexp), qexp > 0"
     )
     p.add_argument("--grid-points", type=_positive_int, default=64)
-    p.add_argument("--quantity", default="radius", choices=tuple(sequences._quantities()))
+    p.add_argument("--quantity", default="radius", choices=tuple(sequences._QUANTITIES))
     p.add_argument("--budget", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

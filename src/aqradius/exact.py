@@ -4,15 +4,15 @@ Any 2x2 complex matrix is unitarily similar to ``exp(i t) [[gamma, a], [b, gamma
 with 0 <= b <= a, and its q-numerical range for |q| <= 1 is a translated filled
 ellipse; a complex q rotates the ellipse of |q| by arg q, so every modulus is
 taken at |q|.  Both extremal moduli lie on the ellipse's boundary, at its
-farthest or nearest point to the origin, found by Newton steps that climb to
-the one root of a monotone gauge (`_boundary_extreme`), but for a Crawford
-number of 0 when the origin is inside.  `q_extremal_2x2` returns each value
-with a unit u whose partner values reach it: at the extremal boundary phase;
-for a Crawford number of 0, at the one parameter of u whose ellipse of values,
-in a nested family, passes through the origin, found by the same kind of climb
-(`_origin_preimage`) at every |q|.  The route runs on the four entries as
-Python scalars.  `radius` takes every estimate at reduced dimension 2 or on a
-segment from it.  The 3x3 nilpotent Jordan block has its known formula.
+farthest or nearest point to the origin (`_boundary_extreme`), but for a
+Crawford number of 0 when the origin is inside.  `q_extremal_2x2` returns each
+value with a unit u whose partner values reach it: at the extremal boundary
+phase; for a Crawford number of 0, at the one parameter of u whose ellipse of
+values, in a nested family, passes through the origin (`_origin_preimage`), at
+every |q|.  Both roots are taken by one climb, `_climb`: Newton steps that rise
+to the one root of a monotone, concave gauge.  The route runs on the four
+entries as Python scalars.  `radius` takes every estimate at reduced dimension 2
+or on a segment from it.  The 3x3 nilpotent Jordan block has its known formula.
 """
 
 from __future__ import annotations
@@ -149,13 +149,33 @@ def q_range_2x2(form: CanonicalForm2x2, q) -> EllipseDisk:
     """Ellipse-disk q-numerical range of a canonical 2x2 form: the |q| ellipse rotated by arg q."""
     m, theta = _modulus(q), cmath.phase(complex(q))
     p = math.sqrt(max(0.0, 1.0 - m * m))
-    # ((1 + p) a +- (1 - p) b)/2, so q = 0 gives the disk of radius a exactly
+    # ((1 + p) a +- (1 - p) b)/2 with a and b halved first, so that no product overflows and
+    # q = 0 gives the disk of radius a exactly
     return EllipseDisk(
         center=cmath.exp(1j * form.t) * form.gamma * m * cmath.exp(1j * theta),
-        semi_major=0.5 * ((1.0 + p) * form.a + (1.0 - p) * form.b),
-        semi_minor=0.5 * ((1.0 + p) * form.a - (1.0 - p) * form.b),
+        semi_major=(1.0 + p) * (0.5 * form.a) + (1.0 - p) * (0.5 * form.b),
+        semi_minor=(1.0 + p) * (0.5 * form.a) - (1.0 - p) * (0.5 * form.b),
         rotation=form.t + theta,
     )
+
+
+def _climb(t: float, top: float, c0: float, a0: float, c1: float, a1: float, b1: float) -> tuple:
+    """(t, r_0, r_1) at the root of g - 1 on [t, top], g = 1 / sqrt(r_0^2 + r_1^2).
+
+    r_0 = c_0 / (a_0 t) and r_1 = c_1 / (a_1 t + b_1), whose denominators are
+    positive on [t, top].  g is increasing and concave in t, so Newton steps from
+    a t below the root climb to it without passing it; they stop where a step no
+    longer moves t up, or at top.
+    """
+    while True:
+        d0, d1 = a0 * t, a1 * t + b1
+        r0, r1 = c0 / d0, c1 / d1
+        gauge = r0 * r0 + r1 * r1  # 1 / g^2
+        slope = a0 * r0 * r0 / d0 + a1 * r1 * r1 / d1  # -d(gauge)/dt / 2
+        step = t + (gauge * math.sqrt(gauge) - gauge) / slope  # Newton on g - 1
+        if t == top or not step > t:
+            return t, r0, r1
+        t = step if step < top else top
 
 
 def _boundary_extreme(disk: EllipseDisk, sup: bool) -> tuple[float, float]:
@@ -170,17 +190,16 @@ def _boundary_extreme(disk: EllipseDisk, sup: bool) -> tuple[float, float]:
     u > 0, with d = e_0^2 - e_1^2, the ratios' moduli are A / u and C / (u + d):
     A = e_1 |X_1| and C = e_0 |X_0| for the nearest point, A = e_0 |X_0| and
     C = e_1 |X_1| for the farthest.  The gauge 1 / |z| - 1 is increasing and
-    concave in u, so Newton steps from the larger u at which one ratio alone is
-    1 climb to its root without passing it.  Where A vanishes and C < d (-zeta
-    on an axis, inside the evolute) the root is u = 0, with the ratios
-    sqrt(1 - (C / d)^2) and C / d.  The nearest point lies on -zeta's side of
-    both axes, the farthest across both.  The ellipse is scaled to size
-    M + |zeta| = 1, where no step overflows; s is the phase of
-    `EllipseDisk.point`.
+    concave in u, so `_climb` takes its root from the larger u at which one
+    ratio alone is 1.  Where A vanishes and C < d (-zeta on an axis, inside the
+    evolute) the root is u = 0, with the ratios sqrt(1 - (C / d)^2) and C / d.
+    The nearest point lies on -zeta's side of both axes, the farthest across
+    both.  The ellipse is scaled to size M + |zeta| = 2, where no step
+    overflows; s is the phase of `EllipseDisk.point`.
     """
     zeta = disk.center * cmath.exp(-1j * disk.rotation)
     big, small = disk.semi_major, disk.semi_minor
-    size = big + abs(zeta) or 1.0
+    size = 0.5 * big + 0.5 * abs(zeta) or 1.0  # halved first, so that the sum cannot overflow
     x, y, mj, mn = zeta.real / size, zeta.imag / size, big / size, small / size
     gap = (mj - mn) * (mj + mn)  # d
     lead, rest, sign = (mj * abs(x), mn * abs(y), 1.0) if sup else (mn * abs(y), mj * abs(x), -1.0)  # A, C
@@ -189,28 +208,10 @@ def _boundary_extreme(disk: EllipseDisk, sup: bool) -> tuple[float, float]:
         other = rest / gap if rest < gap else 1.0
         pole = math.sqrt((1.0 - other) * (1.0 + other))
     else:
-        while True:
-            pole, other = lead / u, rest / (u + gap)
-            gauge = pole * pole + other * other  # 1 / |z|^2
-            slope = pole * pole / u + other * other / (u + gap)  # -d(gauge)/du / 2
-            step = u + (gauge * math.sqrt(gauge) - gauge) / slope  # Newton on 1 / |z| - 1
-            if not step > u:
-                break
-            u = step
+        _, pole, other = _climb(u, math.inf, lead, 1.0, rest, 1.0, gap)
     z0, z1 = (pole, other) if sup else (other, pole)
     s = math.atan2(math.copysign(z1, sign * y), math.copysign(z0, sign * x))
     return abs(zeta + complex(big * math.cos(s), small * math.sin(s))), s
-
-
-def _nearer_phase(big: float, small: float, x: float, y: float, s: float) -> float:
-    """s after one Newton step on d/ds |big cos s + i small sin s - (x + i y)|^2 / 2 = 0, where that is convex.
-
-    `_origin_preimage` moves its phase to the nearest point of its ellipse by it.
-    """
-    cos, sin = math.cos(s), math.sin(s)
-    grad = (small * small - big * big) * sin * cos + big * x * sin - small * y * cos
-    curve = (small * small - big * big) * (cos * cos - sin * sin) + big * x * cos + small * y * sin
-    return s - grad / curve if curve > 0.0 else s
 
 
 def _origin_preimage(a: float, b: float, p: float, w: complex) -> tuple[float, float]:
@@ -222,20 +223,21 @@ def _origin_preimage(a: float, b: float, p: float, w: complex) -> tuple[float, f
     kappa_A = -p (1 - b) / (1 + b) to the range's boundary at kappa = 1.  A point
     w = x + i y of the range lies on one of them, at the root on [kappa_A, 1] of
     r - 1 with 1 / r = sqrt((x / A)^2 + (y / B)^2), the gauge of w in the kappa
-    ellipse.  r is increasing and concave in kappa, so Newton steps from a kappa
-    below the root climb to it without passing it; they start where A reaches
-    |x| or B reaches |y|, and run on t = kappa - kappa_A, so that A = (1 + b) t / 2
-    keeps its digits near kappa_A; a start below the smallest normal float, where
-    x / A would keep few digits, is w = i y up to a subnormal x on the segment at
-    kappa_A.  At p = 0 (|q| = 1, the numerical range) the ellipses are scaled
-    copies of one, r is linear in kappa and the first step lands on the root;
-    with b = 1 as well they are segments of the real axis, B = 0, and y / B is
-    taken as 0.  s is the phase of (x / A, y / B), moved by one Newton step to
-    the nearest point of the ellipse.  A w outside the range by round-off gets
-    kappa = 1, where y / B can be round-off over round-off on a thin range, so
-    its phase starts at the nearest point of the kappa = 1 ellipse by
-    `_boundary_extreme`; of the float phases around it, it takes the one at which
-    the equation's two sides, as rounded, differ least.
+    ellipse.  r is increasing and concave in kappa, so `_climb` takes the root
+    from a kappa below it: where A reaches |x| or B reaches |y|, on
+    t = kappa - kappa_A, so that A = (1 + b) t / 2 keeps its digits near
+    kappa_A; a start below the smallest normal float, where x / A would keep few
+    digits, is w = i y up to a subnormal x on the segment at kappa_A.  At p = 0
+    (|q| = 1, the numerical range) the ellipses are scaled copies of one, r is
+    linear in kappa and the first step lands on the root; with b = 1 as well
+    they are segments of the real axis, B = 0, and y / B is taken as 0.  s is
+    the phase of (x / A, y / B) at the root, with no Newton step on the phase:
+    on a thin range its curvature, about (m / M)^2, would divide round-off.  A w
+    outside the range by round-off gets kappa = 1, where y / B can be round-off
+    over round-off on a thin range, so its phase starts at the nearest point of
+    the kappa = 1 ellipse by `_boundary_extreme`; of the float phases around it,
+    it takes the one at which the equation's two sides, as rounded, differ
+    least.
     """
     if a == 0.0:  # B is scalar, its range the point |q| gamma = -w = 0: any (kappa, s) will do
         return 0.0, 0.0
@@ -248,20 +250,12 @@ def _origin_preimage(a: float, b: float, p: float, w: complex) -> tuple[float, f
     t = min(t, top)
     if t < sys.float_info.min:  # w = i y, but for a subnormal x, on the segment that is the ellipse at kappa_A
         return -offset, math.asin(min(1.0, max(-1.0, y / edge))) if edge else 0.0
-    while True:
-        big, small = (1.0 + b) * t, edge + (1.0 - b) * t  # 2 A and 2 B; B = 0 only at p = 0, b = 1
-        u, v = x / big, y / small if small else 0.0
-        gauge = u * u + v * v  # squared, 1 / r^2
-        slope = (1.0 + b) * u * u / big + ((1.0 - b) * v * v / small if small else 0.0)  # -d(gauge)/dt / 2
-        step = min(top, t + (gauge * math.sqrt(gauge) - gauge) / slope)  # Newton on r - 1
-        if not step > t:
-            break
-        t = step
-    kappa = t - offset if t < top else 1.0
-    # the semi-axes 2 A and 2 B as the equation forms them from kappa
-    big, small = (kappa + p) + b * (kappa - p), (kappa + p) - b * (kappa - p)
+    c1, b1 = (y, edge) if edge or b < 1.0 else (0.0, 1.0)  # y / B is taken as 0 where B = 0
+    t, u, v = _climb(t, top, x, 1.0 + b, c1, 1.0 - b, b1)  # the ratios are x / (2 A) and y / (2 B)
     if t < top:
-        return kappa, _nearer_phase(big, small, x, y, math.atan2(v, u))
+        return t - offset, math.atan2(v, u)
+    # the semi-axes 2 A and 2 B at kappa = 1, as the equation forms them
+    big, small = (1.0 + p) + b * (1.0 - p), (1.0 + p) - b * (1.0 - p)
     # w outside the range by round-off: no (kappa, s) solves the equation, and cos s and sin s
     # round differently at each float phase, so take the one that misses least within 16 ulps
     # of the nearest point's phase and of its turns by up to two full circles either way
@@ -272,7 +266,7 @@ def _origin_preimage(a: float, b: float, p: float, w: complex) -> tuple[float, f
         return abs((1.0 + p) * e + b * (1.0 - p) * e.conjugate() - complex(x, y))
 
     turns = [s + j * math.tau for j in range(-2, 3)]
-    return kappa, min((turn + k * math.ulp(turn) for turn in turns for k in range(-16, 17)), key=miss)
+    return 1.0, min((turn + k * math.ulp(turn) for turn in turns for k in range(-16, 17)), key=miss)
 
 
 def q_extremal_2x2(form: CanonicalForm2x2, q, sup: bool) -> tuple[float, np.ndarray]:

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .radius import Budget, aq_crawford, aq_radius
+from .radius import _DEFAULT_BUDGET, Budget, aq_crawford, aq_radius
 from .semispace import (
     Weight,
     a_adjoint,
@@ -410,7 +410,7 @@ _LAWS = {
 
 
 def _check(name: str, inst: _Instance, budget: Budget | None) -> tuple[LawReport, ...]:
-    return tuple(_LAWS[name].run(inst, budget or Budget()))
+    return tuple(_LAWS[name].run(inst, budget or _DEFAULT_BUDGET))
 
 
 def law_t1_1(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):

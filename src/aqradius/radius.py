@@ -93,6 +93,9 @@ class Budget:
         return replace(self, restarts=self.restarts * factor)
 
 
+_DEFAULT_BUDGET = Budget()  # for calls made without one; frozen, so one instance serves them all
+
+
 @dataclass
 class Estimate:
     """A computed radius/Crawford value with its bound direction and witnesses.
@@ -578,7 +581,7 @@ def _segment(b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
 def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> Estimate:
     """The sup (or the inf) of |<T x, y>_A| and its witness pair, by the route of the module docstring."""
     q = validate_q(q, allow_zero=True)
-    budget = budget or Budget()
+    budget = budget or _DEFAULT_BUDGET
     b, e = _unit_scale(reduce_to_range(w, t))  # B 2^-e, whose largest entry modulus is in [1/2, 1)
     if w.rank < 2 and abs(abs(q) - 1.0) > 1e-12:
         raise RankTooLow(f"weight rank {w.rank} < 2: the constraint set is empty for |q| < 1")

@@ -165,23 +165,22 @@ def _finish(
 
 
 class _Quantity(NamedTuple):
-    estimator: Callable  # aq_radius or aq_crawford
+    sup: bool  # the radius (aq_radius) or the Crawford number (aq_crawford)
     is_gap: bool  # the gap against the seminorm, whose envelope has Lipschitz factor 2
 
 
-def _quantities() -> dict[str, _Quantity]:
-    # the table of traced quantities, built at each call from this module's
-    # bindings, so that a wrapper installed on one (a profiler, a mock) sees every call
-    return {
-        "radius": _Quantity(aq_radius, False),
-        "crawford": _Quantity(aq_crawford, False),
-        "gap_omega": _Quantity(aq_radius, True),
-        "gap_c": _Quantity(aq_crawford, True),
-    }
+_QUANTITIES = {
+    "radius": _Quantity(True, False),
+    "crawford": _Quantity(False, False),
+    "gap_omega": _Quantity(True, True),
+    "gap_c": _Quantity(False, True),
+}
 
 
 def _value(spec: _Quantity, w, t, q, opnorm, budget, seed) -> float:
-    value = spec.estimator(w, t, q, budget=budget, seed=seed).value
+    # the estimator is looked up in this module at each call, so that a wrapper installed
+    # on its binding (a profiler, a mock) sees every call
+    value = (aq_radius if spec.sup else aq_crawford)(w, t, q, budget=budget, seed=seed).value
     return opnorm - value if spec.is_gap else value
 
 
@@ -210,7 +209,7 @@ def _operator_traces(seq: OperatorSequence, quantities, q, indices, budget, seed
     """Each quantity along the sequence vs. at the limit; the bound is ||T_n - T||_A."""
     q = validate_q(q)
     w, scale = seq.weight, a_opnorm(seq.weight, seq.limit)
-    specs = [_quantities()[k] for k in quantities]
+    specs = [_QUANTITIES[k] for k in quantities]
     targets = [_value(spec, w, seq.limit, q, scale, budget, seed) for spec in specs]
     steps = ((n, seq.term(n), q, d := seq.deviation(n), d) for n in indices)
     labels = [f"{k} trace" for k in quantities]
@@ -227,8 +226,8 @@ def trace(
     slack: float = DEFAULT_SLACK,
 ) -> ConvergenceTrace:
     """``quantity`` (radius, crawford, gap_omega or gap_c) along the sequence vs. at the limit."""
-    if quantity not in _quantities():
-        raise ValueError(f"quantity must be one of {', '.join(_quantities())}, got {quantity!r}")
+    if quantity not in _QUANTITIES:
+        raise ValueError(f"quantity must be one of {', '.join(_QUANTITIES)}, got {quantity!r}")
     return _operator_traces(seq, (quantity,), q, indices, budget, seed, slack)[0]
 
 
@@ -242,7 +241,7 @@ def trace_q(
     kind: str = "radius",
 ) -> ConvergenceTrace:
     """Radius (or Crawford) at a q-sequence with Re q_n -> 1 vs. its estimate at q = 1."""
-    spec = _quantities().get(kind)
+    spec = _QUANTITIES.get(kind)
     if spec is None or spec.is_gap:
         raise ValueError("kind must be 'radius' or 'crawford'")
     t = as_operator(t)

@@ -270,6 +270,9 @@ NEAR_BOUNDARY = [(_point_outside(1.0, 0.4, 0.8, 0.7, gap), 0.8) for gap in (1e-6
 # a numerical range that holds the origin: at q = 1 a Schur-basis quadratic divided by a^2
 # (ZeroDivisionError at c = 1e-300) and gave a NaN witness at c = 1e300
 INSIDE = np.array([[0.1 + 0.05j, 1.0], [0.5, 0.1 + 0.05j]])
+# a complex Gaussian of unit 2-norm, so that 1e308 times it is finite
+GAUSSIAN = crandn(np.random.default_rng(0), 2, 2)
+GAUSSIAN /= np.linalg.norm(GAUSSIAN, 2)
 
 
 def _random_case(seed):
@@ -284,6 +287,16 @@ def _random_case(seed):
 @example(case=NEAR_BOUNDARY[1], c=1e-12)
 @example(case=(INSIDE, 1.0), c=1e-300)
 @example(case=(INSIDE, 1.0), c=1e300)
+# near the largest float: the semi-axes' products (1 + p) a overflowed, so q_radius_2x2 was NaN
+@example(case=(INSIDE, 0.0), c=1e308)
+@example(case=(INSIDE, 0.6), c=1e308)
+@example(case=(INSIDE, 1.0), c=1e308)
+@example(case=(GAUSSIAN, 0.0), c=1e308)
+@example(case=(GAUSSIAN, 0.6), c=1e308)
+@example(case=(GAUSSIAN, 1.0), c=1e308)
+@example(case=(INSIDE, 0.0), c=1.7e308)
+@example(case=(INSIDE, 0.6), c=1.7e308)
+@example(case=(INSIDE, 1.0), c=1.7e308)
 @given(
     case=st.one_of(
         st.sampled_from([*NEAR_BOUNDARY, (INSIDE, 1.0), (INSIDE, 0.6)]),
@@ -367,6 +380,36 @@ def test_q_one_zero_witness_of_a_hermitian_segment():
     assert abs(np.vdot(est.witness_y, t @ est.witness_x)) <= 1e-15
 
 
+def _real_nearly_symmetric(seed):
+    """A real symmetric n x n with one-decimal entries, n in {2, 3, 4, 6}, half of them plus a
+    skew part of relative size 1e-16 to 1e-6 (n = 2: a multiple of [[0, 1], [-1, 0]])."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([2, 3, 4, 6]))
+    h = np.triu(np.round(rng.uniform(-2.0, 2.0, (n, n)), 1))
+    h = h + np.triu(h, 1).T
+    if rng.random() < 0.5:
+        skew = rng.standard_normal((n, n))
+        skew -= skew.T
+        h = h + 10.0 ** rng.uniform(-16.0, -6.0) * np.linalg.norm(h, 2) * skew / np.linalg.norm(skew, 2)
+    return h
+
+
+# the |q| = 1 Crawford witnesses of a two-sided 0 attained 0.37 ||T||_2 on the first and
+# 0.066 ||T||_2 on the second while a Newton step on the phase of the origin's preimage moved
+# it off a thin range's vertex, dividing round-off by the squared ratio of the axes
+@settings(max_examples=60, deadline=None)
+@example(t=np.array([[1.2, 0.0, -1.2], [0.0, 0.7, -0.4], [-1.2, -0.4, 1.1]]))
+@example(t=np.array([[-1.78, 1.95], [1.94999999999999, 2.0]]))
+@given(t=st.integers(0, 2**32 - 1).map(_real_nearly_symmetric))
+def test_q_one_crawford_witness_of_real_nearly_symmetric_operators(t):
+    # W(T) of a real symmetric T is a real segment, an ellipse about one for a small skew
+    # part: a two-sided c_A (a_crawford, and aq_crawford at q = i) is attained by its witness
+    norm = np.linalg.norm(t, 2)
+    for est in (a_crawford(Weight.identity(len(t)), t), aq_crawford(Weight.identity(len(t)), t, 1j)):
+        if est.direction == TWO_SIDED:
+            assert abs(np.vdot(est.witness_y, t @ est.witness_x)) == pytest.approx(est.value, abs=1e-12 * norm)
+
+
 # reference_origin_preimage misses the first example by |G| = 4.1e-7; on the second, the
 # witness of the quartic route it keeps attained 1.4e-8 ||T||_2; on the third, the origin
 # is found just outside the range, and the boundary quartic's phase for the least modulus
@@ -398,6 +441,28 @@ def test_origin_preimage_on_the_boundary_of_thin_ranges(digits, log_p, s, seed):
     assert est.direction == TWO_SIDED
     assert est.value <= 1e-12 * norm
     assert abs(np.vdot(est.witness_y, t @ est.witness_x)) == pytest.approx(est.value, abs=1e-12 * norm)
+
+
+def _thin_numerical_range_point(case):
+    """(b, w): b = 1 - 10^-digits, or 1 - 2^-52 for digits None, and w inside the p = 0 range
+    1/2 (1 + b) cos s + i/2 (1 - b) sin s at r of its major semi-axis and rel of its minor one."""
+    digits, r, rel = case
+    b = 1.0 - (2.0**-52 if digits is None else 10.0**-digits)
+    return b, complex(0.5 * (1.0 + b) * r, 0.5 * (1.0 - b) * rel)
+
+
+@settings(max_examples=60, deadline=None)
+@example(case=(1.0 - 1e-9, 0.5 + 1e-20j))  # |G| was 0.96, with s = 2.5e10
+@given(
+    case=st.tuples(
+        st.one_of(st.none(), st.floats(4.0, 16.0)), st.floats(-0.999, 0.999), st.floats(-1e-10, 1e-10)
+    ).map(_thin_numerical_range_point)
+)
+def test_origin_preimage_near_the_axis_of_thin_numerical_ranges(case):
+    # p = 0 (|q| = 1) on a thin range, w off its major axis by far less than the round-off of
+    # the minor one: the preimage solves its equation to round-off
+    b, w = case
+    assert abs(_residual(b, 0.0, w, *exact._origin_preimage(1.0, b, 0.0, w))) <= 1e-14
 
 
 def test_origin_preimage_with_a_subnormal_real_part():

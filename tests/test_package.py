@@ -143,7 +143,7 @@ w = Weight.identity(2)
 a_radius(w, t)
 form = canonical_2x2(t + 4.0 * np.exp(0.5j) * np.eye(2))
 q_radius_2x2(form, 0.7)
-assert q_crawford_2x2(form, 0.7) > 0.0  # the origin is outside: the boundary quartic runs
+assert q_crawford_2x2(form, 0.7) > 0.0  # the origin is outside: the boundary extreme's climb runs
 law_app1(w, t, w, 2.0 * t, 0.5, Budget(restarts=2, iterations=5))
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """

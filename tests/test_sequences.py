@@ -265,3 +265,30 @@ def test_trace_rejects_unknown_quantity():
     seq = scaled_sequence(EX1, I2)
     with pytest.raises(ValueError, match="quantity must be one of radius, crawford, gap_omega, gap_c"):
         sequences.trace(seq, "norm", 0.5, indices=(1, 2), budget=FAST)
+
+
+def test_wrappers_on_the_estimator_bindings_see_every_call(rng, monkeypatch):
+    # a wrapper installed on sequences.aq_radius or aq_crawford (a profiler, a mock) sees every
+    # estimator call of the traces: one at the target and one per index for each quantity
+    calls = {"aq_radius": 0, "aq_crawford": 0}
+    for name, original in ((name, getattr(sequences, name)) for name in calls):
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sequences, name, counted)
+    t = crandn(rng, 2, 2)
+    seq = OperatorSequence.perturbation(I2, t, 1e-3 * np.eye(2))
+    per_trace = 1 + len(SHORT)
+    for quantity in ("radius", "crawford", "gap_omega", "gap_c"):
+        name = "aq_radius" if quantity in ("radius", "gap_omega") else "aq_crawford"
+        before = dict(calls)
+        sequences.trace(seq, quantity, 0.7, indices=SHORT, budget=FAST)
+        assert calls == {**before, name: before[name] + per_trace}
+    before = dict(calls)
+    trace_q(I2, t, [0.5, 0.9, 0.99], budget=FAST, kind="crawford")
+    assert calls == {**before, "aq_crawford": before["aq_crawford"] + 4}
+    before = dict(calls)
+    trace_gaps(seq, 0.7, indices=SHORT, budget=FAST)
+    assert calls == {name: before[name] + per_trace for name in calls}
