@@ -24,18 +24,7 @@ from .laws import (
     LawReport,
     LinComboParams,
     SuiteConfig,
-    law_app1,
-    law_cor1,
-    law_note,
-    law_t1_1,
-    law_t1_23,
-    law_t1_45,
-    law_t1_78,
-    law_t2,
-    law_t3,
-    law_t4_1,
-    law_t5_1,
-    law_t5_3,
+    check_law,
     reports_csv_summary,
     reports_to_jsonl,
     run_suite,

@@ -228,8 +228,6 @@ def _operator_sequence(args) -> sequences.OperatorSequence:
 def _cmd_converge(args) -> int:
     budget = _budget_from_flag(args.budget)
     if args.rule == "qseq":
-        if sequences._QUANTITIES[args.quantity].is_gap:
-            raise ValueError(f"--quantity {args.quantity} needs an operator rule; qseq traces radius or crawford")
         if args.matrix is None:
             raise ValueError("--matrix is required for the qseq rule")
         mat = _load_matrix(args.matrix)

@@ -98,16 +98,19 @@ def canonical_2x2(t) -> CanonicalForm2x2:
 
     Splits off the trace, conjugates the traceless part M0 = [[d, b], [c, -d]] to zero
     diagonal in the basis u1, u2 = (-conj(u1[1]), conj(u1[0])), and absorbs the off-diagonal
-    phases into a diagonal unitary: the entries left are b <= a times a phase exp(i t).  Every
-    step is homogeneous in T, and the screens for a vanished entry are relative to the largest
-    entry, so the form scales with T at every magnitude.
+    phases into a diagonal unitary: the entries left are b <= a times a phase exp(i t).  The
+    entries are first scaled by 2^-e, the exact power of two that brings the largest modulus
+    into [1/2, 1) as in ``semispace._unit_scale``, so no quotient or sum overflows, and gamma,
+    a and b are scaled back: the form scales with T at every magnitude.
     """
     t_mat = as_operator(t)
     if t_mat.shape != (2, 2):
         raise ValueError("canonical form is defined for 2x2 matrices only")
-    (t00, t01), (t10, t11) = t_mat.tolist()
-    tiny = 1e-300 * max(abs(t00), abs(t01), abs(t10), abs(t11))
-    half_trace = 0.5 * t00 + 0.5 * t11  # halved first, so that the sum cannot overflow
+    entries = t_mat.ravel().tolist()
+    top, e = math.frexp(max(map(abs, entries)))
+    t00, t01, t10, t11 = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in entries]
+    tiny = 1e-300 * top  # a vanished entry is screened relative to the largest
+    half_trace = 0.5 * (t00 + t11)
     d0, d1 = t00 - half_trace, t11 - half_trace
     x0, x1 = 1.0, 0.0
     if abs(d0) > tiny:
@@ -134,7 +137,8 @@ def canonical_2x2(t) -> CanonicalForm2x2:
         a_val, b_val = b_val, a_val
         x0, x1, y0, y1 = y0, y1, x0, x1
     gamma, basis = half_trace * cmath.exp(-1j * phase), np.array([[x0, y0], [x1, y1]], dtype=np.complex128)
-    return CanonicalForm2x2(t=phase, gamma=gamma, a=a_val, b=b_val, u_similar=basis)
+    gamma = complex(math.ldexp(gamma.real, e), math.ldexp(gamma.imag, e))
+    return CanonicalForm2x2(t=phase, gamma=gamma, a=math.ldexp(a_val, e), b=math.ldexp(b_val, e), u_similar=basis)
 
 
 def _modulus(q) -> float:

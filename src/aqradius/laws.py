@@ -5,9 +5,11 @@ reports the slack.  An :class:`_Instance` builds, once each, the partner
 operators the laws compare T with (alpha T, the weighted adjoint, S and T - S,
 the Kronecker product and the direct sum with a second instance) and shares
 their estimator caches.  ``_LAWS`` is the one table of laws: :func:`run_suite`
-loops over it, and each public ``law_*`` function builds an instance and calls
-its row.  Adding a law means one check function, returning ``(law id,
-(lhs, rhs))`` pairs or ``(law id, skip reason)``, plus one table row.
+loops over it, and :func:`check_law`, the one single-instance entry point,
+builds an instance and runs one row.  Adding a law means one check function,
+returning ``(law id, (lhs, rhs))`` pairs or ``(law id, skip reason)``, whose
+docstring states the law, plus one table row that names the ingredients the
+check reads beyond (A, T, q).
 
 Since suprema are estimated from below and infima from above, a law whose
 *larger* side carries such an estimate can look violated purely from estimator
@@ -20,9 +22,10 @@ shortfall.  A row's tolerance class says how much slack is forgiven:
 * ``ESTIMATED`` (5e-3): the larger side carries an estimate.
 
 :meth:`_Law.run` is the one way a law is checked, by :func:`run_suite` and by
-every public ``law_*`` function alike: a row of the last two classes that does
-not pass is re-run at 4x and then 16x the restart budget before its failure is
-reported, and each report carries the budget of the run that gave it.
+:func:`check_law` alike: a row of the last two classes that does not pass is
+re-run at 4x and then 16x the restart budget before its failure is reported,
+and each report carries the budget of the run that gave it and the digest of
+its (A, T, q).
 """
 
 from __future__ import annotations
@@ -50,18 +53,7 @@ __all__ = [
     "LawReport",
     "LinComboParams",
     "SuiteConfig",
-    "law_app1",
-    "law_cor1",
-    "law_note",
-    "law_t1_1",
-    "law_t1_23",
-    "law_t1_45",
-    "law_t1_78",
-    "law_t2",
-    "law_t3",
-    "law_t4_1",
-    "law_t5_1",
-    "law_t5_3",
+    "check_law",
     "reports_csv_summary",
     "reports_to_jsonl",
     "run_suite",
@@ -85,7 +77,9 @@ class LawReport:
     """Outcome of checking one inequality (kind "le") or identity (kind "eq").
 
     ``estimator_budget`` is the budget of the run that gave the verdict: the
-    caller's, or 4x or 16x its restarts after a re-run.
+    one passed to :func:`check_law` (its default when none is) or the suite's,
+    or 4x or 16x its restarts after a re-run.  ``instance_digest`` labels
+    (A, T, q); :func:`check_law` and :func:`run_suite` give the same label.
     """
 
     law_id: str
@@ -185,7 +179,7 @@ class _Instance:
     The optional ingredients feed only the laws that read them: ``alpha``
     t1_23, ``params`` t1_45, ``s`` t5_3, and ``partner = (A2, T2, q2)`` the
     tensor laws t3/cor1 and the direct-sum law app1.  Reports carry
-    ``digest``, the digest of (A, T, q) unless a caller replaces it.
+    ``digest``, the digest of (A, T, q).
     """
 
     def __init__(self, w: Weight, t, q, seed: int, *, alpha=1.0, params: LinComboParams | None = None,
@@ -241,10 +235,15 @@ class _Instance:
 
 
 def _t1_1(inst: _Instance, b: Budget):
+    """omega_{A,q}(T) <= ||T||_A.
+
+    EXACT: the right side is a singular value, so a failure is final, with no re-run.
+    """
     return [("t1_1", (inst.ev.radius_q(inst.q, b), inst.ev.opnorm))]
 
 
 def _t1_23(inst: _Instance, b: Budget):
+    """Phase covariance: the radius/Crawford numbers of alpha T at q equal those of T at alpha q."""
     ev, q, moved = inst.ev, inst.q, inst.alpha * inst.q
     return [
         ("t1_2", (inst.scaled.radius_q(q, b), ev.radius_q(moved, b))),
@@ -253,6 +252,11 @@ def _t1_23(inst: _Instance, b: Budget):
 
 
 def _t1_45(inst: _Instance, b: Budget):
+    """Linear-combination bounds at the composite parameter (lambda + mu conj(q))/gamma.
+
+    The partner operator is the weighted adjoint A^+ T^H A, which the
+    underlying pairing identity requires; T^H fails the bounds on skewed weights.
+    """
     p, q = inst.params, inst.q
     if p is None:
         return []
@@ -271,6 +275,7 @@ def _t1_45(inst: _Instance, b: Budget):
 
 
 def _t1_78(inst: _Instance, b: Budget):
+    """Reverse triangle bounds recovering the plain radius/Crawford from the q-versions."""
     ev, q = inst.ev, inst.q
     if abs(q - 1.0) < 1e-12:
         reason = "q = 1: correction term degenerates"
@@ -284,11 +289,13 @@ def _t1_78(inst: _Instance, b: Budget):
 
 
 def _note(inst: _Instance, b: Budget):
+    """(1 - sqrt(2(1 - Re q))) omega_A(T) <= omega_{A,q}(T)."""
     ev, q = inst.ev, inst.q
     return [("note", ((1.0 - _sqrt_2_1mre(q)) * ev.radius_q(1.0, b), ev.radius_q(q, b)))]
 
 
 def _t2(inst: _Instance, b: Budget):
+    """Two-sided chain for omega_{A,q}(T) + omega_{A,conj(q)}(T)."""
     ev, q = inst.ev, inst.q
     pair_sum = ev.radius_q(q, b) + ev.radius_q(np.conj(q), b)
     upper = 2.0 * ev.radius_q(1.0, b) + 2.0 * _sqrt_2_1mre(q) * ev.opnorm
@@ -299,16 +306,19 @@ def _t2(inst: _Instance, b: Budget):
 
 
 def _t4_1(inst: _Instance, b: Budget):
+    """|omega_{A,q}(T) - omega_A(T)| <= sqrt(2(1 - Re q)) ||T||_A."""
     ev, q = inst.ev, inst.q
     return [("t4_1", (abs(ev.radius_q(q, b) - ev.radius_q(1.0, b)), _sqrt_2_1mre(q) * ev.opnorm))]
 
 
 def _t5_1(inst: _Instance, b: Budget):
+    """|c_{A,q}(T) - c_A(T)| <= sqrt(2(1 - Re q)) ||T||_A."""
     ev, q = inst.ev, inst.q
     return [("t5_1", (abs(ev.crawford_q(q, b) - ev.crawford_q(1.0, b)), _sqrt_2_1mre(q) * ev.opnorm))]
 
 
 def _t5_3(inst: _Instance, b: Budget):
+    """|c_{A,q}(T) - c_{A,q}(S)| <= omega_{A,q}(T - S)."""
     q = inst.q
     lhs = abs(inst.ev.crawford_q(q, b) - inst.near.crawford_q(q, b))
     return [("t5_3", (lhs, inst.difference.radius_q(q, b)))]
@@ -321,6 +331,7 @@ def _factor_values(inst: _Instance, b: Budget):
 
 
 def _t3(inst: _Instance, b: Budget):
+    """Tensor-product chain c <= c1 c2 <= o1 o2 <= o at q = q1 q2."""
     q = inst.q * inst.q2
     c1, c2, o1, o2 = _factor_values(inst, b)
     return [
@@ -331,9 +342,9 @@ def _t3(inst: _Instance, b: Budget):
 
 
 def _cor1(inst: _Instance, b: Budget):
-    # scalar consequences of the tensor chain: dividing the sup/inf links by a
-    # positive factor (the paper's printed direction for the Crawford pair
-    # contradicts the chain; the derivable direction is implemented)
+    """Scalar consequences of the tensor chain (skipping near-zero denominators)."""
+    # the sup/inf links divided by a positive factor (the paper's printed direction
+    # for the Crawford pair contradicts the chain; the derivable direction is implemented)
     q = inst.q * inst.q2
     c1, c2, o1, o2 = _factor_values(inst, b)
     op = inst.tensor.radius_q(q, b)
@@ -353,6 +364,10 @@ def _cor1(inst: _Instance, b: Budget):
 
 
 def _app1(inst: _Instance, b: Budget):
+    """Direct-sum gap bounds at the partner's q2.
+
+    The omega-gap of T (+) T2 is bounded by the block maxima, the Crawford-gap from below.
+    """
     q = inst.q2
 
     def gaps(ev):
@@ -365,6 +380,7 @@ def _app1(inst: _Instance, b: Budget):
 class _Law(NamedTuple):
     check: Callable[[_Instance, Budget], list]
     tolerance: tuple[float, str]
+    ingredients: tuple[str, ...] = ()  # the _Instance options the check reads
 
     def run(self, inst: _Instance, budget: Budget) -> list[LawReport]:
         """One report per law id of the check on ``inst``.
@@ -392,129 +408,41 @@ class _Law(NamedTuple):
 
 _LAWS = {
     "t1_1": _Law(_t1_1, EXACT),
-    "t1_23": _Law(_t1_23, IDENTITY),
-    "t1_45": _Law(_t1_45, ESTIMATED),
+    "t1_23": _Law(_t1_23, IDENTITY, ("alpha",)),
+    "t1_45": _Law(_t1_45, ESTIMATED, ("params",)),
     "t1_78": _Law(_t1_78, ESTIMATED),
     "note": _Law(_note, ESTIMATED),
     "t2": _Law(_t2, ESTIMATED),
     "t4_1": _Law(_t4_1, ESTIMATED),
     "t5_1": _Law(_t5_1, ESTIMATED),
-    "t5_3": _Law(_t5_3, ESTIMATED),
-    "t3": _Law(_t3, ESTIMATED),
-    "cor1": _Law(_cor1, ESTIMATED),
-    "app1": _Law(_app1, ESTIMATED),
+    "t5_3": _Law(_t5_3, ESTIMATED, ("s",)),
+    "t3": _Law(_t3, ESTIMATED, ("partner",)),
+    "cor1": _Law(_cor1, ESTIMATED, ("partner",)),
+    "app1": _Law(_app1, ESTIMATED, ("partner",)),
 }
 
 
-# --- public single-instance law API ------------------------------------------
+# --- the one single-instance entry point ---------------------------------------
 
 
-def _check(name: str, inst: _Instance, budget: Budget | None) -> tuple[LawReport, ...]:
-    return tuple(_LAWS[name].run(inst, budget or _DEFAULT_BUDGET))
+def check_law(name: str, w: Weight, t, q, *, alpha=None, params: LinComboParams | None = None, s=None,
+              partner=None, budget: Budget | None = None, seed: int = 0) -> tuple[LawReport, ...]:
+    """The reports of the law group ``name`` of ``_LAWS`` on (A, T, q), one per law id.
 
-
-def law_t1_1(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
-    """omega_{A,q}(T) <= ||T||_A.
-
-    EXACT: the right side is a singular value, so a failure is final, with no re-run.
+    A group reads only the ingredients its row names: ``alpha`` (t1_23),
+    ``params`` (t1_45), ``s`` (t5_3) or ``partner = (A2, T2, q2)`` (t3, cor1,
+    app1); the others are not read.  The group runs as in :func:`run_suite`,
+    re-runs included, and its reports carry the suite's digest of (A, T, q).
+    Raises ValueError for an unknown name or a missing ingredient.
     """
-    return _check("t1_1", _Instance(w, t, q, seed), budget)[0]
-
-
-def law_t1_23(w: Weight, t, q, alpha, budget: Budget | None = None, seed: int = 0):
-    """Phase covariance: the radius/Crawford numbers of alpha T at q equal those of T at alpha q.
-
-    A failing group is re-run at 4x, then 16x the restarts.
-    """
-    return _check("t1_23", _Instance(w, t, q, seed, alpha=alpha), budget)
-
-
-def law_t1_45(w: Weight, t, q, params: LinComboParams, budget: Budget | None = None, seed: int = 0):
-    """Linear-combination bounds at the composite parameter (lambda + mu conj(q))/gamma.
-
-    The partner operator is the weighted adjoint A^+ T^H A, which the
-    underlying pairing identity requires; T^H fails the bounds on skewed weights.
-    A failing group is re-run at 4x, then 16x the restarts.
-    """
-    return _check("t1_45", _Instance(w, t, q, seed, params=params), budget)
-
-
-def law_t1_78(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
-    """Reverse triangle bounds recovering the plain radius/Crawford from the q-versions.
-
-    A failing group is re-run at 4x, then 16x the restarts.
-    """
-    return _check("t1_78", _Instance(w, t, q, seed), budget)
-
-
-def law_note(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
-    """(1 - sqrt(2(1 - Re q))) omega_A(T) <= omega_{A,q}(T).
-
-    A failing group is re-run at 4x, then 16x the restarts.
-    """
-    return _check("note", _Instance(w, t, q, seed), budget)[0]
-
-
-def law_t2(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
-    """Two-sided chain for omega_{A,q}(T) + omega_{A,conj(q)}(T).
-
-    A failing group is re-run at 4x, then 16x the restarts.
-    """
-    return _check("t2", _Instance(w, t, q, seed), budget)
-
-
-def law_t3(w1: Weight, t1, q1, w2: Weight, t2, q2, budget: Budget | None = None, seed: int = 0):
-    """Tensor-product chain c <= c1 c2 <= o1 o2 <= o at q = q1 q2.
-
-    A failing group is re-run at 4x, then 16x the restarts.
-    """
-    inst = _Instance(w1, t1, q1, seed, partner=(w2, t2, q2))
-    inst.digest = _digest(inst.tensor.w, inst.tensor.t, inst.q * inst.q2, seed)
-    return _check("t3", inst, budget)
-
-
-def law_cor1(w1: Weight, t1, q1, w2: Weight, t2, q2, budget: Budget | None = None, seed: int = 0):
-    """Scalar consequences of the tensor chain (skipping near-zero denominators).
-
-    A failing group is re-run at 4x, then 16x the restarts.
-    """
-    inst = _Instance(w1, t1, q1, seed, partner=(w2, t2, q2))
-    inst.digest = _digest(inst.tensor.w, inst.tensor.t, inst.q * inst.q2, seed)
-    return _check("cor1", inst, budget)
-
-
-def law_t4_1(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
-    """|omega_{A,q}(T) - omega_A(T)| <= sqrt(2(1 - Re q)) ||T||_A.
-
-    A failing group is re-run at 4x, then 16x the restarts.
-    """
-    return _check("t4_1", _Instance(w, t, q, seed), budget)[0]
-
-
-def law_t5_1(w: Weight, t, q, budget: Budget | None = None, seed: int = 0):
-    """|c_{A,q}(T) - c_A(T)| <= sqrt(2(1 - Re q)) ||T||_A.
-
-    A failing group is re-run at 4x, then 16x the restarts.
-    """
-    return _check("t5_1", _Instance(w, t, q, seed), budget)[0]
-
-
-def law_t5_3(w: Weight, t, s, q, budget: Budget | None = None, seed: int = 0):
-    """|c_{A,q}(T) - c_{A,q}(S)| <= omega_{A,q}(T - S).
-
-    A failing group is re-run at 4x, then 16x the restarts.
-    """
-    return _check("t5_3", _Instance(w, t, q, seed, s=s), budget)[0]
-
-
-def law_app1(w1: Weight, s, w2: Weight, m, q, budget: Budget | None = None, seed: int = 0):
-    """Direct-sum gap bounds: omega-gap bounded by the block maxima, Crawford-gap from below.
-
-    A failing group is re-run at 4x, then 16x the restarts.
-    """
-    inst = _Instance(w1, s, q, seed, partner=(w2, m, q))
-    inst.digest = _digest(inst.direct_sum.w, inst.direct_sum.t, inst.q, seed)
-    return _check("app1", inst, budget)
+    law = _LAWS.get(name)
+    if law is None:
+        raise ValueError(f"unknown law {name!r}; the laws are {', '.join(_LAWS)}")
+    given = {k: v for k, v in dict(alpha=alpha, params=params, s=s, partner=partner).items() if v is not None}
+    missing = [k for k in law.ingredients if k not in given]
+    if missing:
+        raise ValueError(f"law {name!r} needs {' and '.join(missing)}")
+    return tuple(law.run(_Instance(w, t, q, seed, **given), budget or _DEFAULT_BUDGET))
 
 
 # --- randomized suite --------------------------------------------------------

@@ -243,7 +243,8 @@ def trace_q(
     """Radius (or Crawford) at a q-sequence with Re q_n -> 1 vs. its estimate at q = 1."""
     spec = _QUANTITIES.get(kind)
     if spec is None or spec.is_gap:
-        raise ValueError("kind must be 'radius' or 'crawford'")
+        raise ValueError(f"kind must be 'radius' or 'crawford', not {kind!r}: a gap needs an operator rule; "
+                         "a q trace follows radius or crawford")
     t = as_operator(t)
     opn = a_opnorm(w, t)
     target = _value(spec, w, t, 1.0, None, budget, seed)

@@ -270,9 +270,15 @@ NEAR_BOUNDARY = [(_point_outside(1.0, 0.4, 0.8, 0.7, gap), 0.8) for gap in (1e-6
 # a numerical range that holds the origin: at q = 1 a Schur-basis quadratic divided by a^2
 # (ZeroDivisionError at c = 1e-300) and gave a NaN witness at c = 1e300
 INSIDE = np.array([[0.1 + 0.05j, 1.0], [0.5, 0.1 + 0.05j]])
-# a complex Gaussian of unit 2-norm, so that 1e308 times it is finite
-GAUSSIAN = crandn(np.random.default_rng(0), 2, 2)
-GAUSSIAN /= np.linalg.norm(GAUSSIAN, 2)
+
+
+def _unit_gaussian(seed):
+    """A complex Gaussian of unit 2-norm, so that 1.7e308 times it is finite."""
+    t = crandn(np.random.default_rng(seed), 2, 2)
+    return t / np.linalg.norm(t, 2)
+
+
+GAUSSIAN = _unit_gaussian(0)
 
 
 def _random_case(seed):
@@ -315,6 +321,22 @@ def test_closed_forms_are_homogeneous(case, c):
         assert value / c == pytest.approx(q_extremal_2x2(canonical_2x2(t), q, sup)[0], abs=tol)
         v = _witness(c * t, u, complex(q), p, sup)
         assert abs(np.vdot(v, c * t @ u)) / c == pytest.approx(value / c, abs=tol)
+
+
+@settings(max_examples=30, deadline=None)
+@example(seed=239, c=1.7e308)  # at the entries' own scale, t10 / d0 overflows to -inf
+@given(seed=st.integers(0, 2**32 - 1), c=st.sampled_from([1e308, 1.7e308]))
+def test_canonical_form_is_homogeneous_near_the_largest_float(seed, c):
+    # the form of cT is that of T with gamma, a and b times c, and the closed forms follow it
+    t = _unit_gaussian(seed)
+    form, big = canonical_2x2(t), canonical_2x2(c * t)
+    assert abs(cmath.exp(1j * big.t) - cmath.exp(1j * form.t)) <= 1e-12
+    assert np.abs(big.u_similar - form.u_similar).max() <= 1e-12
+    for scaled, unit in ((big.gamma, form.gamma), (big.a, form.a), (big.b, form.b)):
+        assert abs(scaled / c - unit) <= 1e-12
+    for q in (0.0, 0.6, 1.0):
+        assert q_radius_2x2(big, q) / c == pytest.approx(q_radius_2x2(form, q), abs=1e-12)
+        assert q_crawford_2x2(big, q) / c == pytest.approx(q_crawford_2x2(form, q), abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

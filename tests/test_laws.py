@@ -12,18 +12,7 @@ from aqradius import (
     a_opnorm,
     aq_radius,
     canonical_2x2,
-    law_app1,
-    law_cor1,
-    law_note,
-    law_t1_1,
-    law_t1_23,
-    law_t1_45,
-    law_t1_78,
-    law_t2,
-    law_t3,
-    law_t4_1,
-    law_t5_1,
-    law_t5_3,
+    check_law,
     q_radius_2x2,
     reports_csv_summary,
     reports_to_jsonl,
@@ -40,22 +29,22 @@ FAST = Budget(restarts=16, iterations=150)
 
 class TestT1_1:
     def test_example1_values(self):
-        rep = law_t1_1(I2, EX1, 0.5)
+        (rep,) = check_law("t1_1", I2, EX1, 0.5)
         assert rep.passed
         assert rep.lhs == pytest.approx((1 + np.sqrt(0.75)) / 140, abs=1e-6)
         assert rep.rhs == pytest.approx(1 / 70, abs=1e-15)
 
     def test_zero_matrix(self):
-        rep = law_t1_1(I2, np.zeros((2, 2)), 0.7)
+        (rep,) = check_law("t1_1", I2, np.zeros((2, 2)), 0.7)
         assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0
 
     def test_random_weighted_complex_q(self, rng):
         w = random_pd_weight(rng, 4)
-        rep = law_t1_1(w, crandn(rng, 4, 4), 0.3 + 0.2j, budget=FAST)
+        (rep,) = check_law("t1_1", w, crandn(rng, 4, 4), 0.3 + 0.2j, budget=FAST)
         assert rep.passed
 
     def test_slack_definition(self):
-        rep = law_t1_1(I2, EX1, 0.5)
+        (rep,) = check_law("t1_1", I2, EX1, 0.5)
         assert rep.slack == rep.rhs - rep.lhs
 
 
@@ -63,23 +52,23 @@ class TestT1_23:
     def test_alpha_one_identity(self, rng):
         w = random_pd_weight(rng, 2)
         t = crandn(rng, 2, 2)
-        for rep in law_t1_23(w, t, 0.6, 1.0, budget=FAST):
+        for rep in check_law("t1_23", w, t, 0.6, alpha=1.0, budget=FAST):
             assert rep.passed
             assert rep.kind == "eq"
 
     def test_alpha_i_on_example1(self):
-        for rep in law_t1_23(I2, EX1, 0.5, 1j, budget=FAST):
+        for rep in check_law("t1_23", I2, EX1, 0.5, alpha=1j, budget=FAST):
             assert rep.passed
 
     def test_random_phase(self, rng):
         w = random_pd_weight(rng, 3)
         alpha = np.exp(1j * np.pi / 3)
-        for rep in law_t1_23(w, crandn(rng, 3, 3), random_q(rng), alpha, budget=FAST):
+        for rep in check_law("t1_23", w, crandn(rng, 3, 3), random_q(rng), alpha=alpha, budget=FAST):
             assert rep.passed
 
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError, match="unimodular"):
-            law_t1_23(I2, EX1, 0.5, 2.0)
+            check_law("t1_23", I2, EX1, 0.5, alpha=2.0)
 
 
 class TestT1_45:
@@ -88,7 +77,7 @@ class TestT1_45:
         t = crandn(rng, 2, 2)
         params = LinComboParams.for_q(1.0, 0.0, 0.5)
         assert params.gamma == pytest.approx(1.0)
-        rep4, rep5 = law_t1_45(w, t, 0.5, params, budget=FAST)
+        rep4, rep5 = check_law("t1_45", w, t, 0.5, params=params, budget=FAST)
         assert rep4.passed and rep5.passed
 
     def test_equal_coefficients_at_q_one(self, rng):
@@ -96,7 +85,7 @@ class TestT1_45:
         t = crandn(rng, 2, 2)
         params = LinComboParams.for_q(1.0, 1.0, 1.0)
         assert params.gamma == pytest.approx(2.0)
-        rep4, rep5 = law_t1_45(w, t, 1.0, params, budget=FAST)
+        rep4, rep5 = check_law("t1_45", w, t, 1.0, params=params, budget=FAST)
         assert rep4.passed and rep5.passed
 
     def test_random_combo_on_example1(self, rng):
@@ -106,7 +95,7 @@ class TestT1_45:
             params = LinComboParams.for_q(lam, mu, 0.5)
         except ValueError:
             return
-        for rep in law_t1_45(I2, EX1, 0.5, params, budget=FAST):
+        for rep in check_law("t1_45", I2, EX1, 0.5, params=params, budget=FAST):
             assert rep.passed or rep.skipped
 
     def test_out_of_domain_composite_is_skipped(self):
@@ -115,7 +104,7 @@ class TestT1_45:
             LinComboParams.for_q(1.0, 1.0, -1.0)
         # lambda = -mu conj(q) makes the composite parameter vanish
         params = LinComboParams.for_q(-0.5, 1.0, 0.5)
-        rep4, rep5 = law_t1_45(I2, EX1, 0.5, params, budget=FAST)
+        rep4, rep5 = check_law("t1_45", I2, EX1, 0.5, params=params, budget=FAST)
         assert rep4.skipped and rep5.skipped
         assert "composite" in rep4.skip_reason
 
@@ -143,43 +132,43 @@ class TestT1_45:
         q = 0.021787300301263524
         params = LinComboParams.for_q(0.0, 1.0, q)
         budget = Budget(32, 300)
-        good4, good5 = law_t1_45(w, t, q, params, budget=budget)
+        good4, good5 = check_law("t1_45", w, t, q, params=params, budget=budget)
         assert good4.passed and good5.passed
         assert aq_radius(w, t.conj().T, q, budget).value < aq_radius(w, t, q, budget).value - 1.0
 
 
 class TestT1_78:
     def test_closed_forms_on_example1(self):
-        rep7, rep8 = law_t1_78(I2, EX1, 0.5, budget=FAST)
+        rep7, rep8 = check_law("t1_78", I2, EX1, 0.5, budget=FAST)
         assert rep7.passed and rep8.passed
         assert rep7.lhs == pytest.approx(1 / 140, abs=1e-7)
 
     def test_near_degenerate_q(self):
-        rep7, rep8 = law_t1_78(I2, EX1, 0.99, budget=FAST)
+        rep7, rep8 = check_law("t1_78", I2, EX1, 0.99, budget=FAST)
         assert rep7.passed and rep8.passed
 
     def test_zero_matrix(self):
-        for rep in law_t1_78(I2, np.zeros((2, 2)), 0.5):
+        for rep in check_law("t1_78", I2, np.zeros((2, 2)), 0.5):
             assert rep.passed
 
     def test_q_one_skips(self):
-        rep7, rep8 = law_t1_78(I2, EX1, 1.0)
+        rep7, rep8 = check_law("t1_78", I2, EX1, 1.0)
         assert rep7.skipped and rep8.skipped
 
 
 class TestNote:
     def test_boundary_req_one(self, rng):
         w = random_pd_weight(rng, 2)
-        rep = law_note(w, crandn(rng, 2, 2), 1.0, budget=FAST)
+        (rep,) = check_law("note", w, crandn(rng, 2, 2), 1.0, budget=FAST)
         assert rep.passed
 
     def test_vacuous_when_req_half(self, rng):
-        rep = law_note(I2, crandn(rng, 2, 2), 0.5, budget=FAST)
+        (rep,) = check_law("note", I2, crandn(rng, 2, 2), 0.5, budget=FAST)
         assert rep.passed
         assert rep.lhs <= 0
 
     def test_example1_tight_q(self):
-        rep = law_note(I2, EX1, 0.9, budget=FAST)
+        (rep,) = check_law("note", I2, EX1, 0.9, budget=FAST)
         assert rep.passed
         expected_lhs = (1 - np.sqrt(2 * 0.1)) / 140
         assert rep.lhs == pytest.approx(expected_lhs, abs=1e-7)
@@ -188,43 +177,43 @@ class TestNote:
 class TestT2:
     def test_example1_chain_on_real_grid(self):
         for q in np.linspace(0.05, 1.0, 8):
-            lower, upper = law_t2(I2, EX1, q, budget=FAST)
+            lower, upper = check_law("t2", I2, EX1, q, budget=FAST)
             assert lower.passed and upper.passed
 
     def test_equality_at_q_one(self, rng):
         w = random_pd_weight(rng, 2)
         t = crandn(rng, 2, 2)
-        lower, upper = law_t2(w, t, 1.0, budget=FAST)
+        lower, upper = check_law("t2", w, t, 1.0, budget=FAST)
         assert lower.passed and upper.passed
         assert lower.lhs == pytest.approx(lower.rhs, abs=5e-3)
 
     def test_complex_q_random(self, rng):
         w = random_pd_weight(rng, 3)
-        lower, upper = law_t2(w, crandn(rng, 3, 3), 0.5 + 0.5j, budget=FAST)
+        lower, upper = check_law("t2", w, crandn(rng, 3, 3), 0.5 + 0.5j, budget=FAST)
         assert lower.passed and upper.passed
 
 
 class TestT3AndCor1:
     def test_identity_factors_make_chain_tight(self):
-        reports = law_t3(I2, np.eye(2), 0.6, I2, np.eye(2), 0.5, budget=FAST)
+        reports = check_law("t3", I2, np.eye(2), 0.6, partner=(I2, np.eye(2), 0.5), budget=FAST)
         for rep in reports:
             assert rep.passed
             assert rep.lhs == pytest.approx(rep.rhs, abs=1e-6)
 
     def test_nilpotent_pair(self):
         n = np.array([[0, 1], [0, 0]], dtype=complex)
-        for rep in law_t3(I2, n, 0.8, I2, n, 0.8, budget=FAST):
+        for rep in check_law("t3", I2, n, 0.8, partner=(I2, n, 0.8), budget=FAST):
             assert rep.passed
 
     def test_weighted_diagonal_factors(self, rng):
         w1 = Weight.diagonal([1.0, 2.0])
         w2 = Weight.diagonal([1.0, 3.0])
-        reports = law_t3(w1, crandn(rng, 2, 2), 0.7, w2, crandn(rng, 2, 2), 0.9, budget=FAST)
+        reports = check_law("t3", w1, crandn(rng, 2, 2), 0.7, partner=(w2, crandn(rng, 2, 2), 0.9), budget=FAST)
         for rep in reports:
             assert rep.passed
 
     def test_cor1_scalar_factors_are_tight(self):
-        reports = law_cor1(I2, 2.0 * np.eye(2), 0.8, I2, 3.0 * np.eye(2), 0.5, budget=FAST)
+        reports = check_law("cor1", I2, 2.0 * np.eye(2), 0.8, partner=(I2, 3.0 * np.eye(2), 0.5), budget=FAST)
         assert len(reports) == 4
         for rep in reports:
             assert rep.passed and not rep.skipped
@@ -232,13 +221,13 @@ class TestT3AndCor1:
 
     def test_cor1_skips_vanishing_crawford(self):
         n = np.array([[0, 1], [0, 0]], dtype=complex)
-        reports = law_cor1(I2, n, 0.5, I2, np.eye(2), 0.5, budget=FAST)
+        reports = check_law("cor1", I2, n, 0.5, partner=(I2, np.eye(2), 0.5), budget=FAST)
         # c of the nilpotent factor is 0: the two laws dividing by it are skipped
         assert reports[0].skipped
         assert any(not rep.skipped and rep.passed for rep in reports)
 
     def test_cor1_positive_crawford_factor(self, rng):
-        reports = law_cor1(I2, 2.0 * np.eye(2), 0.9, I2, crandn(rng, 2, 2), 0.6, budget=FAST)
+        reports = check_law("cor1", I2, 2.0 * np.eye(2), 0.9, partner=(I2, crandn(rng, 2, 2), 0.6), budget=FAST)
         for rep in reports:
             assert rep.passed or rep.skipped
 
@@ -247,7 +236,7 @@ class TestT4T5:
     def test_example2_curve_values(self):
         t = np.array([[0, 1 / 24], [0, 0]], dtype=complex)
         q = 0.6
-        rep = law_t4_1(I2, t, q, budget=FAST)
+        (rep,) = check_law("t4_1", I2, t, q, budget=FAST)
         assert rep.passed
         assert rep.lhs == pytest.approx(np.sqrt(1 - q * q) / 48, abs=1e-6)
         assert rep.rhs == pytest.approx(np.sqrt(2 * (1 - q)) / 24, abs=1e-12)
@@ -255,53 +244,52 @@ class TestT4T5:
     def test_example3_scalar_curve(self):
         t = np.eye(2) / 20
         q = 0.3
-        rep = law_t4_1(I2, t, q, budget=FAST)
+        (rep,) = check_law("t4_1", I2, t, q, budget=FAST)
         assert rep.passed
         assert rep.lhs == pytest.approx((1 - q) / 20, abs=1e-9)
 
     def test_example4_jordan_curve(self):
         t = np.diag([1.0, 1.0], k=1).astype(complex)
-        rep = law_t4_1(Weight.identity(3), t, 0.75, budget=FAST)
+        (rep,) = check_law("t4_1", Weight.identity(3), t, 0.75, budget=FAST)
         assert rep.passed
         assert rep.rhs == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_t5_1_scalar_family(self):
         t = np.eye(2) / 20
-        rep = law_t5_1(I2, t, 0.4, budget=FAST)
+        (rep,) = check_law("t5_1", I2, t, 0.4, budget=FAST)
         assert rep.passed
         assert rep.lhs == pytest.approx((1 - 0.4) / 20, abs=1e-9)
 
     def test_t5_3_identical_operators(self, rng):
         t = crandn(rng, 2, 2)
-        rep = law_t5_3(I2, t, t, 0.7, budget=FAST)
+        (rep,) = check_law("t5_3", I2, t, 0.7, s=t, budget=FAST)
         assert rep.passed
         assert rep.lhs == pytest.approx(0.0, abs=1e-9)
         assert rep.rhs == pytest.approx(0.0, abs=1e-9)
 
     def test_t5_3_small_shift(self, rng):
         t = crandn(rng, 3, 3)
-        rep = law_t5_3(Weight.identity(3), t, t + 0.05 * np.eye(3), 0.6, budget=FAST)
+        (rep,) = check_law("t5_3", Weight.identity(3), t, 0.6, s=t + 0.05 * np.eye(3), budget=FAST)
         assert rep.passed
 
 
 class TestApp1:
     def test_equal_blocks(self, rng):
         t = crandn(rng, 2, 2)
-        rep_omega, rep_crawford = law_app1(I2, t, I2, t, 0.5, budget=FAST)
+        rep_omega, rep_crawford = check_law("app1", I2, t, 0.5, partner=(I2, t, 0.5), budget=FAST)
         assert rep_omega.passed and rep_crawford.passed
         assert rep_omega.lhs == pytest.approx(rep_omega.rhs, abs=5e-3)
 
     def test_identity_and_nilpotent_blocks(self):
         n = np.array([[0, 1], [0, 0]], dtype=complex)
-        rep_omega, rep_crawford = law_app1(I2, np.eye(2), I2, n, 0.5, budget=FAST)
+        rep_omega, rep_crawford = check_law("app1", I2, np.eye(2), 0.5, partner=(I2, n, 0.5), budget=FAST)
         assert rep_omega.passed and rep_crawford.passed
 
     def test_weighted_blocks(self, rng):
         w1 = random_pd_weight(rng, 2)
         w2 = random_pd_weight(rng, 2)
-        rep_omega, rep_crawford = law_app1(
-            w1, crandn(rng, 2, 2), w2, crandn(rng, 2, 2), random_q(rng), budget=FAST
-        )
+        t1, t2, q = crandn(rng, 2, 2), crandn(rng, 2, 2), random_q(rng)
+        rep_omega, rep_crawford = check_law("app1", w1, t1, q, partner=(w2, t2, q), budget=FAST)
         assert rep_omega.passed and rep_crawford.passed
 
 
@@ -360,7 +348,7 @@ class TestRunSuite:
         # Budget stores its fields as plain ints, which json.dumps takes and np.int64 is not
         budget = Budget(np.int64(3), np.int64(20))
         assert [type(v) for v in (budget.restarts, budget.iterations, budget.grid_resolution)] == [int] * 3
-        rep = law_t1_1(Weight.identity(3), crandn(rng, 3, 3), 0.5, budget=budget)
+        (rep,) = check_law("t1_1", Weight.identity(3), crandn(rng, 3, 3), 0.5, budget=budget)
         path = tmp_path / "reports.jsonl"
         reports_to_jsonl([rep], path)
         parsed = json.loads(path.read_text())
@@ -373,21 +361,12 @@ LAW_IDS = {
     "cor1_1", "cor1_2", "cor1_3", "cor1_4", "app1_omega", "app1_crawford",
 }  # fmt: skip
 
-# each public law called positionally on the ingredients of a suite instance
-PUBLIC_LAWS = {
-    "t1_1": lambda i, b: law_t1_1(i.ev.w, i.ev.t, i.q, b, i.seed),
-    "t1_23": lambda i, b: law_t1_23(i.ev.w, i.ev.t, i.q, i.alpha, b, i.seed),
-    "t1_45": lambda i, b: law_t1_45(i.ev.w, i.ev.t, i.q, i.params, b, i.seed),
-    "t1_78": lambda i, b: law_t1_78(i.ev.w, i.ev.t, i.q, b, i.seed),
-    "note": lambda i, b: law_note(i.ev.w, i.ev.t, i.q, b, i.seed),
-    "t2": lambda i, b: law_t2(i.ev.w, i.ev.t, i.q, b, i.seed),
-    "t4_1": lambda i, b: law_t4_1(i.ev.w, i.ev.t, i.q, b, i.seed),
-    "t5_1": lambda i, b: law_t5_1(i.ev.w, i.ev.t, i.q, b, i.seed),
-    "t5_3": lambda i, b: law_t5_3(i.ev.w, i.ev.t, i.s, i.q, b, i.seed),
-    "t3": lambda i, b: law_t3(i.ev.w, i.ev.t, i.q, i.partner.w, i.partner.t, i.q2, b, i.seed),
-    "cor1": lambda i, b: law_cor1(i.ev.w, i.ev.t, i.q, i.partner.w, i.partner.t, i.q2, b, i.seed),
-    "app1": lambda i, b: law_app1(i.ev.w, i.ev.t, i.partner.w, i.partner.t, i.q2, b, i.seed),
-}
+
+def check_suite_law(name, inst, budget):
+    """check_law on every ingredient of a suite instance; each group reads only its own."""
+    partner = (inst.partner.w, inst.partner.t, inst.q2)
+    return check_law(name, inst.ev.w, inst.ev.t, inst.q, alpha=inst.alpha, params=inst.params, s=inst.s,
+                     partner=partner, budget=budget, seed=inst.seed)
 
 
 @pytest.fixture(scope="module")
@@ -404,28 +383,29 @@ class TestLawTable:
         _, reports = suite_instance
         assert sorted(r.law_id for r in reports) == sorted(LAW_IDS)
 
-    @pytest.mark.parametrize("name", sorted(PUBLIC_LAWS))
+    @pytest.mark.parametrize("name", sorted(_LAWS))
     def test_public_law_matches_suite_report(self, suite_instance, name):
+        # every field, the digest of (A, T, q) included, for the tensor and direct-sum laws too
         inst, suite_reports = suite_instance
         by_id = {r.law_id: r for r in suite_reports}
-        reports = PUBLIC_LAWS[name](inst, FAST)
-        reports = reports if isinstance(reports, tuple) else (reports,)
+        reports = check_suite_law(name, inst, FAST)
+        assert reports
         for rep in reports:
-            suite_rep = by_id[rep.law_id]
-            assert suite_rep.estimator_budget == FAST  # no group of this instance is re-run
-            assert (rep.lhs, rep.rhs, rep.passed, rep.skipped, rep.estimator_budget) == (
-                suite_rep.lhs,
-                suite_rep.rhs,
-                suite_rep.passed,
-                suite_rep.skipped,
-                suite_rep.estimator_budget,
-            )
+            assert by_id[rep.law_id].estimator_budget == FAST  # no group of this instance is re-run
+            assert rep == by_id[rep.law_id]
+
+    def test_check_law_rejects_unknown_names_and_missing_ingredients(self):
+        with pytest.raises(ValueError, match="unknown law 't6'.*t1_1, t1_23"):
+            check_law("t6", I2, EX1, 0.5)
+        for name, ingredient in [("t1_23", "alpha"), ("t1_45", "params"), ("t5_3", "s"), ("t3", "partner")]:
+            with pytest.raises(ValueError, match=f"law '{name}' needs {ingredient}"):
+                check_law(name, I2, EX1, 0.5)
 
 
 class TestLadder:
     def test_suite_and_public_law_rerun_a_failing_group(self):
         # at verify --budget 1, app1_omega fails on two instances of suite seed 0; the
-        # suite and the public law both re-run the group at 4x, and the second at 16x
+        # suite and check_law both re-run the group at 4x, and the second at 16x
         budget = Budget(1, 8)
         config = SuiteConfig(n_instances=8, seed=0, budget=budget)
         reports = run_suite(config)
@@ -444,12 +424,5 @@ class TestLadder:
                 lhs, rhs = dict(_LAWS["app1"].check(inst, budget.scaled(factor)))["app1_omega"]
                 assert rhs - lhs < -ESTIMATED[0]
             suite_reports = [r for r in rerun if r.instance_digest == digest]
-            public = sorted(PUBLIC_LAWS["app1"](inst, budget), key=lambda r: r.law_id)
-            for rep, suite_rep in zip(public, suite_reports, strict=True):
-                assert (rep.law_id, rep.lhs, rep.rhs, rep.passed, rep.estimator_budget) == (
-                    suite_rep.law_id,
-                    suite_rep.lhs,
-                    suite_rep.rhs,
-                    suite_rep.passed,
-                    suite_rep.estimator_budget,
-                )
+            public = sorted(check_suite_law("app1", inst, budget), key=lambda r: r.law_id)
+            assert public == suite_reports

@@ -136,7 +136,7 @@ import sys
 import numpy as np
 import aqradius
 import aqradius.cli
-from aqradius import Budget, Weight, a_radius, canonical_2x2, law_app1, q_crawford_2x2, q_radius_2x2
+from aqradius import Budget, Weight, a_radius, canonical_2x2, check_law, q_crawford_2x2, q_radius_2x2
 
 t = np.array([[1.0, 2.0 + 1.0j], [0.5j, -1.0]])
 w = Weight.identity(2)
@@ -144,7 +144,7 @@ a_radius(w, t)
 form = canonical_2x2(t + 4.0 * np.exp(0.5j) * np.eye(2))
 q_radius_2x2(form, 0.7)
 assert q_crawford_2x2(form, 0.7) > 0.0  # the origin is outside: the boundary extreme's climb runs
-law_app1(w, t, w, 2.0 * t, 0.5, Budget(restarts=2, iterations=5))
+check_law("app1", w, t, 0.5, partner=(w, 2.0 * t, 0.5), budget=Budget(restarts=2, iterations=5))
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
