@@ -106,7 +106,14 @@ def canonical_2x2(t) -> CanonicalForm2x2:
     t_mat = as_operator(t)
     if t_mat.shape != (2, 2):
         raise ValueError("canonical form is defined for 2x2 matrices only")
-    entries = t_mat.ravel().tolist()
+    return _canonical(t_mat)
+
+
+def _canonical(t: np.ndarray) -> CanonicalForm2x2:
+    """`canonical_2x2` of a 2x2 complex array, which it checks only for finite entries, as scalars."""
+    entries = t.ravel().tolist()
+    if not all(map(cmath.isfinite, entries)):
+        raise ValueError("matrix entries must be finite")
     top, e = math.frexp(max(map(abs, entries)))
     t00, t01, t10, t11 = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in entries]
     tiny = 1e-300 * top  # a vanished entry is screened relative to the largest

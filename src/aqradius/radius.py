@@ -37,6 +37,17 @@ earlier restart stopped at ends there, as in clustering multi-start methods
 and <x, y>_A = q that attains the reported value; `_witness` builds the partner
 of the route's u.  A certificate that falls short reports the point nearest 0
 it found, an upper bound.
+
+What depends on (A, T) alone is prepared once and shared by `aq_radius` and
+`aq_crawford` at every q: `_prepare` holds B / ||B||_F (on the closed-form
+route the 2x2 compression V^H B V instead), the basis V, the canonical form
+of the closed form, ||B 2^-e||_F and e.  It keeps the last `_PREPARED` (8)
+preparations in an LRU cache keyed by the weight object and T's bytes, read in
+C order (they fix T's n x n shape, so a C and a Fortran copy of T share one
+entry, and T changed in place keys anew), and its arrays are read-only.  A
+miss runs the same code on the caller's T as a call without the cache, so a
+value and its witnesses have the same bits either way.  Errors are not cached:
+a call that raises raises again.
 """
 
 from __future__ import annotations
@@ -48,8 +59,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exact import canonical_2x2, q_extremal_2x2
-from .semispace import RankTooLow, Weight, _unit_scale, reduce_to_range, validate_q
+from .exact import CanonicalForm2x2, _canonical, q_extremal_2x2
+from .semispace import RankTooLow, Weight, _reduce, _unit_scale, as_operator, validate_q
 
 __all__ = [
     "Budget",
@@ -109,7 +120,9 @@ class Estimate:
     best) and `converged = 1` when it closed, else 0.  A Crawford certificate
     adds no count: its 2x2 closed forms solve no eigenproblem, and its
     eigenvectors are the bracket's.  The closed form (reduced dimension 2, or
-    W(B) a segment) reports `evaluations = 1` and `converged = 1`.
+    W(B) a segment) reports `evaluations = 1` and `converged = 1`.  Both count
+    the route's work alone: they are the same whether or not the preparation
+    of (A, T) it ran on was cached (the module docstring).
     """
 
     value: float
@@ -506,7 +519,7 @@ def _nearest_in_span(b: np.ndarray, basis: np.ndarray, w: complex = 0.0) -> np.n
     q = 1) gives the point nearest w with a unit vector that attains it.
     """
     c = basis.conj().T @ b @ basis - w * np.eye(2)
-    return basis @ q_extremal_2x2(canonical_2x2(c), 1.0, False)[1]
+    return basis @ q_extremal_2x2(_canonical(c), 1.0, False)[1]
 
 
 def _crawford_witness(b: np.ndarray, lower: float, vectors: np.ndarray, rows: np.ndarray, tol: float) -> np.ndarray:
@@ -556,6 +569,14 @@ def _crawford_witness(b: np.ndarray, lower: float, vectors: np.ndarray, rows: np
     return rows[int(np.argmin(np.abs(np.vecdot(rows, rows @ b.T))))]
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """||x||_F, numpy's norm term for term without its argument handling, which costs a 2x2 estimate
+    about as much as the scaling does."""
+    flat = x.ravel()
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _segment(b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
     """The closed form's 2x2 matrix V^H B V and basis V where W(B) is a segment, else None; at n = 2, (B, None).
 
@@ -567,35 +588,75 @@ def _segment(b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
     n = b.shape[0]
     if n == 2:
         return b, None
-    if n < 3 or abs(abs(b[0, 1]) - abs(b[1, 0])) > 2e-12 or np.abs(abs(b) - abs(b.T)).max() > 2e-12:
+    if n < 3 or abs(abs(b[0, 1]) - abs(b[1, 0])) > 2e-12:
         return None
-    c = b - (np.trace(b) / n) * np.eye(n)
+    mod = np.abs(b)
+    if np.abs(mod - mod.T).max() > 2e-12:
+        return None
+    c = b.copy()
+    c.ravel()[:: n + 1] -= np.trace(b) / n  # the shift touches the diagonal alone
     square = complex(np.sum(c * c.T))  # tr(C^2) = e^{2 i phi} ||g||_F^2
     g = c * (cmath.sqrt(square / abs(square)).conjugate() if square else 1.0)
-    if np.linalg.norm(g - g.conj().T) > 2e-12:
+    g_h = g.conj().T
+    if _frobenius(g - g_h) > 2e-12:
         return None
-    v = np.linalg.eigh(0.5 * (g + g.conj().T))[1][:, [-1, 0]]
+    v = np.linalg.eigh(0.5 * (g + g_h))[1][:, [-1, 0]]
     return v.conj().T @ b @ v, v
+
+
+_PREPARED = 8  # the (weight, operator) preparations `_prepare` keeps
+
+
+class _Operator:
+    """A validated T as `_prepare`'s key, equal to another by its bytes, read in C order (they fix its n x n shape)."""
+
+    __slots__ = ("t", "key")
+
+    def __init__(self, t: np.ndarray):
+        self.t, self.key = t, t.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+
+@functools.lru_cache(maxsize=_PREPARED)
+def _prepare(w: Weight, op: _Operator) -> tuple[np.ndarray, np.ndarray | None, CanonicalForm2x2 | None, float, int]:
+    """What an estimate of T under A needs before q (the module docstring): b, basis, form, size and e.
+
+    b is B / ||B||_F of B 2^-e (on the closed-form route its compression V^H b V), basis is V
+    where W(B) is a segment at n >= 3, form is the canonical form of the closed form, and size
+    is ||B 2^-e||_F.  The arrays are read-only.
+    """
+    b, e = _unit_scale(_reduce(w, op.t))  # B 2^-e, whose largest entry modulus is in [1/2, 1)
+    # both values scale with T: every route runs on B / ||B||_F, whose sum of squares at 2^-e can
+    # neither overflow nor underflow
+    size = _frobenius(b) or 1.0
+    b /= size
+    basis = form = None
+    if (segment := _segment(b)) is not None:  # the q-range is that of C = V^H B V: its closed form
+        b, basis = segment  # (V v)^H B (V u) = v^H C u, so the route finds u and v for C and V maps them
+        form = _canonical(b)
+        form.u_similar.setflags(write=False)
+    for a in (b, basis):
+        if a is not None:
+            a.setflags(write=False)
+    return b, basis, form, size, e
 
 
 def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> Estimate:
     """The sup (or the inf) of |<T x, y>_A| and its witness pair, by the route of the module docstring."""
     q = validate_q(q, allow_zero=True)
     budget = budget or _DEFAULT_BUDGET
-    b, e = _unit_scale(reduce_to_range(w, t))  # B 2^-e, whose largest entry modulus is in [1/2, 1)
+    b, basis, form, size, e = _prepare(w, _Operator(as_operator(t)))
     if w.rank < 2 and abs(abs(q) - 1.0) > 1e-12:
         raise RankTooLow(f"weight rank {w.rank} < 2: the constraint set is empty for |q| < 1")
-    # both values scale with T: every route runs on B / ||B||_F, whose sum of squares at 2^-e can
-    # neither overflow nor underflow; the norm is numpy's, term for term, without its argument
-    # handling, which costs a 2x2 estimate about as much as the scaling does
-    flat = b.ravel()
-    size = math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag)) or 1.0
-    b /= size
     p = math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
-    lower, basis = None, None  # a lower bound of the inf, two-sided once a witness attains it
-    if (segment := _segment(b)) is not None:  # the q-range is that of C = V^H B V: its closed form
-        b, basis = segment  # (V v)^H B (V u) = v^H C u, so the route finds u and v for C and V maps them
-        value, u = q_extremal_2x2(canonical_2x2(b), q, sup)
+    lower = None  # a lower bound of the inf, two-sided once a witness attains it
+    if form is not None:
+        value, u = q_extremal_2x2(form, q, sup)
         direction, evaluations, converged = TWO_SIDED, 1, 1
     elif p == 0.0:
         value, _, vectors, rows, evaluations, converged = _bracket(b, not sup)
@@ -617,7 +678,7 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
     if lower is not None and abs(np.vdot(v, b @ u)) - lower <= tol:
         value, direction = lower, TWO_SIDED
     u, v = (u, v) if basis is None else (basis @ u, basis @ v)
-    x, y = w.lift(u), w.lift(v)
+    x, y = w._lift(u), w._lift(v)
     return Estimate(math.ldexp(size * value, e), direction, x, y, budget, seed, evaluations, converged)
 
 

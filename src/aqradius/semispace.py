@@ -141,6 +141,7 @@ class Weight:
         self.eigvecs = vecs
         self.rank = rank
         self._range_basis = vecs[:, :rank]
+        self._range_basis_h = self._range_basis.conj().T  # V_r^H, for `reduce_to_range`
         self._range_scale = np.sqrt(vals[:rank])  # S_r, by which `lift` divides
         # A and S_r at unit size, for `_check_compatible` (which reads A only at rank < dim)
         # and `reduce_to_range`
@@ -164,7 +165,10 @@ class Weight:
 
         A unit vector u maps to an A-unit vector x with A^{1/2} x = V_r u.
         """
-        u = as_vector(u, self.rank)
+        return self._lift(as_vector(u, self.rank))
+
+    def _lift(self, u: np.ndarray) -> np.ndarray:
+        """`lift` of a complex vector of length rank, unchecked."""
         return self._range_basis @ (u / self._range_scale)
 
 
@@ -215,13 +219,16 @@ def reduce_to_range(w: Weight, t) -> np.ndarray:
     every weighted quantity of T equals the standard one of B.  Raises
     :class:`NotABounded` if T is incompatible with a rank-deficient weight.
     """
-    t = as_operator(t)
+    return _reduce(w, as_operator(t))
+
+
+def _reduce(w: Weight, t: np.ndarray) -> np.ndarray:
+    """`reduce_to_range` of a square complex matrix, as `as_operator` returns it."""
     if t.shape[0] != w.dim:
         raise ValueError("operator and weight dimensions differ")
     _check_compatible(w, t)
-    vr = w._range_basis
     sr = w._unit_range_scale  # S_r 2^-e: B takes only the ratios of its entries
-    return (sr[:, None] * (vr.conj().T @ t @ vr)) / sr[None, :]
+    return (sr[:, None] * (w._range_basis_h @ t @ w._range_basis)) / sr
 
 
 def a_opnorm(w: Weight, t) -> float:

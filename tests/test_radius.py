@@ -30,11 +30,14 @@ from aqradius.radius import (
     _bracket,
     _extremize,
     _normalize_rows,
+    _Operator,
+    _prepare,
     _rule,
     _segment,
     _starts,
     _witness,
 )
+from aqradius.semispace import as_operator
 from conftest import crandn, nearly_normal, phase_grid, random_pd_weight, random_q
 from oracle import oracle_grid
 
@@ -491,6 +494,93 @@ class TestStarts:
             assert fresh.value == cached.value
             assert fresh.witness_x.tobytes() == cached.witness_x.tobytes()
             assert fresh.witness_y.tobytes() == cached.witness_y.tobytes()
+
+
+def estimate_fields(est):
+    """Every field of an Estimate, witnesses by their bytes."""
+    return (est.value, est.direction, est.witness_x.tobytes(), est.witness_y.tobytes(), est.budget, est.seed,
+            est.evaluations, est.converged)  # fmt: skip
+
+
+PREPARED_ROUTES = [
+    # (id, q, maker of (A, T), (closed form?, basis?) of the preparation): one per route of `_estimate`
+    ("closed-form-2x2", 0.6, lambda rng: (random_pd_weight(rng, 2), crandn(rng, 2, 2)), (True, False)),
+    ("segment", 0.6, lambda rng: (Weight.diagonal(rng.uniform(0.5, 2.0, 4)),
+                                  np.exp(0.7j) * np.diag([1.0, -2.0, 0.5, 3.0]) + (0.2 - 1j) * np.eye(4)),
+     (True, True)),
+    ("bracket", 1.0, lambda rng: (random_pd_weight(rng, 3), crandn(rng, 3, 3) + 4.0 * np.eye(3)), (False, False)),
+    ("sphere", 0.6, lambda rng: (random_pd_weight(rng, 3), crandn(rng, 3, 3)), (False, False)),
+]  # fmt: skip
+
+
+class TestPrepared:
+    """`_prepare`: the (A, T) work shared by both estimators, cached for the last 8 pairs."""
+
+    @pytest.mark.parametrize("q, make, route", [pytest.param(*case[1:], id=case[0]) for case in PREPARED_ROUTES])
+    def test_cold_warm_and_crossed_calls_agree(self, rng, q, make, route):
+        (w, t), budget = make(rng), Budget(8, 80)
+        _, basis, form, _, _ = _prepare(w, _Operator(as_operator(t)))
+        assert (form is not None, basis is not None) == route
+        for estimator, other in ((aq_radius, aq_crawford), (aq_crawford, aq_radius)):
+            _prepare.cache_clear()
+            cold = estimate_fields(estimator(w, t, q, budget, seed=4))
+            warm = estimate_fields(estimator(w, t, q, budget, seed=4))
+            _prepare.cache_clear()
+            other(w, t, q, budget, seed=4)
+            crossed = estimate_fields(estimator(w, t, q, budget, seed=4))
+            assert _prepare.cache_info()[:2] == (1, 1)  # (hits, misses): the other estimator's preparation served
+            assert warm == cold
+            assert crossed == cold
+
+    def test_operator_changed_in_place_is_prepared_anew(self, rng):
+        w, t = random_pd_weight(rng, 3), crandn(rng, 3, 3)
+        before = aq_radius(w, t, 0.6, Budget(8, 80))
+        t[0, 1] += 1.0
+        after = estimate_fields(aq_radius(w, t, 0.6, Budget(8, 80)))
+        _prepare.cache_clear()
+        assert after == estimate_fields(aq_radius(w, t.copy(), 0.6, Budget(8, 80)))
+        assert after[0] != before.value
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_c_and_fortran_copies_give_the_same_bits(self, rng, n):
+        w, t = random_pd_weight(rng, n), crandn(rng, n, n)
+        copies = np.ascontiguousarray(t), np.asfortranarray(t)
+        assert copies[1].flags.f_contiguous and not copies[1].flags.c_contiguous
+        for estimator in (aq_radius, aq_crawford):
+            seen = []
+            for first, second in (copies, copies[::-1]):
+                _prepare.cache_clear()
+                seen += [estimate_fields(estimator(w, m, 0.6, Budget(8, 80))) for m in (first, second)]
+            assert seen == [seen[0]] * 4
+
+    @pytest.mark.parametrize("t, count", [(np.diag([1.0, 2.0, -0.5]) + 0.3j * np.eye(3), 3), (JORDAN3, 1), (EX1, 2)])
+    def test_cached_arrays_are_read_only(self, t, count):
+        # a segment keeps B's compression, V and the form's basis; a sphere search B alone; n = 2 B and the basis
+        b, basis, form, _, _ = _prepare(Weight.identity(t.shape[0]), _Operator(as_operator(t)))
+        arrays = [a for a in (b, basis, form and form.u_similar) if a is not None]
+        assert len(arrays) == count
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
+
+    def test_errors_are_raised_on_every_call(self):
+        rank_one, diag = Weight.diagonal([1.0, 0.0, 0.0]), np.diag([2.0, 0.0, 0.0])
+        singular, leaking = Weight.diagonal([1.0, 2.0, 0.0]), np.ones((3, 3))
+        _prepare.cache_clear()
+        for estimator in (aq_radius, aq_crawford):
+            for _ in range(2):
+                with pytest.raises(RankTooLow):
+                    estimator(rank_one, diag, 0.6)
+                assert estimator(rank_one, diag, 1.0).value == pytest.approx(2.0)  # a hit: the next RankTooLow is warm
+                with pytest.raises(NotABounded):
+                    estimator(singular, leaking, 0.6)
+                with pytest.raises(ValueError, match="dimensions differ"):
+                    estimator(I3, np.eye(2), 0.6)
+        assert _prepare.cache_info().currsize == 1  # the rank-one weight's; a call that raised left none
+
+    def test_cache_keeps_eight_preparations(self):
+        assert _prepare.cache_info().maxsize == radius._PREPARED == 8
 
 
 class TestStopRule:
