@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .semispace import as_operator
+from .semispace import _scale_back, _unit_scale, as_operator
 
 __all__ = [
     "CanonicalForm2x2",
@@ -99,24 +99,25 @@ def canonical_2x2(t) -> CanonicalForm2x2:
     Splits off the trace, conjugates the traceless part M0 = [[d, b], [c, -d]] to zero
     diagonal in the basis u1, u2 = (-conj(u1[1]), conj(u1[0])), and absorbs the off-diagonal
     phases into a diagonal unitary: the entries left are b <= a times a phase exp(i t).  The
-    entries are first scaled by 2^-e, the exact power of two that brings the largest modulus
-    into [1/2, 1) as in ``semispace._unit_scale``, so no quotient or sum overflows, and gamma,
-    a and b are scaled back: the form scales with T at every magnitude.
+    form is taken of a copy of T at unit size, T 2^-e by ``semispace._unit_scale``, so no
+    quotient or sum overflows, and gamma, a and b are scaled back by 2^e: the form scales
+    with T at every magnitude, and one beyond the largest float raises a ValueError.
     """
     t_mat = as_operator(t)
     if t_mat.shape != (2, 2):
         raise ValueError("canonical form is defined for 2x2 matrices only")
-    return _canonical(t_mat)
+    unit, e = _unit_scale(t_mat.copy())
+    form = _canonical(unit)
+    form.gamma = complex(_scale_back(form.gamma.real, e), _scale_back(form.gamma.imag, e))
+    form.a, form.b = _scale_back(form.a, e), _scale_back(form.b, e)
+    return form
 
 
 def _canonical(t: np.ndarray) -> CanonicalForm2x2:
-    """`canonical_2x2` of a 2x2 complex array, which it checks only for finite entries, as scalars."""
+    """`canonical_2x2` of a finite 2x2 complex array at unit size, as `_unit_scale` leaves it, on scalars."""
     entries = t.ravel().tolist()
-    if not all(map(cmath.isfinite, entries)):
-        raise ValueError("matrix entries must be finite")
-    top, e = math.frexp(max(map(abs, entries)))
-    t00, t01, t10, t11 = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in entries]
-    tiny = 1e-300 * top  # a vanished entry is screened relative to the largest
+    t00, t01, t10, t11 = entries
+    tiny = 1e-300 * max(map(abs, entries))  # a vanished entry is screened relative to the largest
     half_trace = 0.5 * (t00 + t11)
     d0, d1 = t00 - half_trace, t11 - half_trace
     x0, x1 = 1.0, 0.0
@@ -143,14 +144,16 @@ def _canonical(t: np.ndarray) -> CanonicalForm2x2:
     if a_val < b_val:
         a_val, b_val = b_val, a_val
         x0, x1, y0, y1 = y0, y1, x0, x1
-    gamma, basis = half_trace * cmath.exp(-1j * phase), np.array([[x0, y0], [x1, y1]], dtype=np.complex128)
-    gamma = complex(math.ldexp(gamma.real, e), math.ldexp(gamma.imag, e))
-    return CanonicalForm2x2(t=phase, gamma=gamma, a=math.ldexp(a_val, e), b=math.ldexp(b_val, e), u_similar=basis)
+    basis = np.array([[x0, y0], [x1, y1]], dtype=np.complex128)
+    return CanonicalForm2x2(t=phase, gamma=half_trace * cmath.exp(-1j * phase), a=a_val, b=b_val, u_similar=basis)
 
 
 def _modulus(q) -> float:
     """|q|, the only part of q the closed-form values depend on; |q| > 1 is out of range."""
-    m = abs(complex(q))
+    q = complex(q)
+    if max(abs(q.real), abs(q.imag)) > 1.0 + 1e-12:  # before abs(q), which can overflow
+        raise QOutOfRange(f"q = {q} has a part beyond 1, so |q| is outside [0, 1]")
+    m = abs(q)
     if not m <= 1.0 + 1e-12:
         raise QOutOfRange(f"|q| = {m} is outside [0, 1]")
     return min(m, 1.0)

@@ -2,10 +2,11 @@
 
 All quantities are computed on the reduced operator B (standard inner product,
 dimension n = rank of the weight), and every route runs on B / ||B||_F.  B
-reaches unit size in two steps: an exact scaling to B 2^-e, e the binary
-exponent of its largest entry modulus, whose sum of squares can neither
-overflow nor underflow, then the division by its norm; the value is scaled
-back by 2^e.  With
+reaches unit size in two steps: an exact scaling to B 2^-e by
+`semispace._unit_scale`, e the binary exponent of its largest real or
+imaginary part, whose sum of squares can neither overflow nor underflow, then
+the division by its norm; the value is scaled back by 2^e, and one beyond the
+largest float raises a ValueError.  With
 p = sqrt(1 - |q|^2), `_estimate` takes the first of three routes that applies:
 
 - n = 2, or W(B) a segment [a, b] (B = e^{i phi} H + s I, H Hermitian, as for
@@ -42,12 +43,13 @@ What depends on (A, T) alone is prepared once and shared by `aq_radius` and
 `aq_crawford` at every q: `_prepare` holds B / ||B||_F (on the closed-form
 route the 2x2 compression V^H B V instead), the basis V, the canonical form
 of the closed form, ||B 2^-e||_F and e.  It keeps the last `_PREPARED` (8)
-preparations in an LRU cache keyed by the weight object and T's bytes, read in
-C order (they fix T's n x n shape, so a C and a Fortran copy of T share one
-entry, and T changed in place keys anew), and its arrays are read-only.  A
-miss runs the same code on the caller's T as a call without the cache, so a
-value and its witnesses have the same bits either way.  Errors are not cached:
-a call that raises raises again.
+preparations in an LRU cache keyed by the weight object and T's bytes alone,
+read in C order (they fix T's n x n shape, so a C and a Fortran copy of T
+share one entry, and T changed in place keys anew); its arrays are read-only.
+A miss rebuilds T from the bytes, so the cache keeps no reference to the
+caller's array, and a value and its witnesses have the same bits whether the
+preparation was cached or not.  Errors are not cached: a call that raises
+raises again.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exact import CanonicalForm2x2, _canonical, q_extremal_2x2
-from .semispace import RankTooLow, Weight, _reduce, _unit_scale, as_operator, validate_q
+from .semispace import RankTooLow, Weight, _reduce, _scale_back, _unit_scale, as_operator, validate_q
 
 __all__ = [
     "Budget",
@@ -364,7 +366,8 @@ def _witness(b: np.ndarray, u: np.ndarray, q: complex, p: float, sup: bool) -> n
 
     v = conj(q) u +- p conj(d) w, d the phase of q c, w a unit vector orthogonal to u:
     w^H B u = rho along the residual (made orthogonal to u by one Gram-Schmidt pass),
-    beta rho when the disk tilts w out of it.  At n = 2 the partner values form a circle,
+    beta rho when the disk tilts w out of it; at n >= 3, B has ||B||_F = 1 (`_prepare`), and
+    a rho up to 1e-14 counts as 0.  At n = 2 the partner values form a circle,
     whose inf is | |q| |c| - p rho |, and w is u's complement (-conj(u1), conj(u0)), on scalars.
     """
     if u.size == 1 or p == 0.0:
@@ -382,7 +385,7 @@ def _witness(b: np.ndarray, u: np.ndarray, q: complex, p: float, sup: bool) -> n
     resid = bu - c * u
     resid -= np.vdot(u, resid) * u
     rho = float(np.linalg.norm(resid))
-    if rho <= 1e-14 * np.linalg.norm(b):  # relative, so that T -> cT keeps the branch
+    if rho <= 1e-14:  # relative to ||B||_F, so that T -> cT keeps the branch
         return np.conj(q) * u + p * np.conj(d) * _orth_unit(u)
     w = resid / rho
     if sup:
@@ -607,30 +610,17 @@ def _segment(b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
 _PREPARED = 8  # the (weight, operator) preparations `_prepare` keeps
 
 
-class _Operator:
-    """A validated T as `_prepare`'s key, equal to another by its bytes, read in C order (they fix its n x n shape)."""
-
-    __slots__ = ("t", "key")
-
-    def __init__(self, t: np.ndarray):
-        self.t, self.key = t, t.tobytes()
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other) -> bool:
-        return self.key == other.key
-
-
 @functools.lru_cache(maxsize=_PREPARED)
-def _prepare(w: Weight, op: _Operator) -> tuple[np.ndarray, np.ndarray | None, CanonicalForm2x2 | None, float, int]:
+def _prepare(w: Weight, key: bytes) -> tuple[np.ndarray, np.ndarray | None, CanonicalForm2x2 | None, float, int]:
     """What an estimate of T under A needs before q (the module docstring): b, basis, form, size and e.
 
-    b is B / ||B||_F of B 2^-e (on the closed-form route its compression V^H b V), basis is V
-    where W(B) is a segment at n >= 3, form is the canonical form of the closed form, and size
-    is ||B 2^-e||_F.  The arrays are read-only.
+    key is the bytes of T, n x n complex in C order, from which T is rebuilt.  b is B / ||B||_F
+    of B 2^-e (on the closed-form route its compression V^H b V), basis is V where W(B) is a
+    segment at n >= 3, form is the canonical form of the closed form, and size is ||B 2^-e||_F.
+    The arrays are read-only.
     """
-    b, e = _unit_scale(_reduce(w, op.t))  # B 2^-e, whose largest entry modulus is in [1/2, 1)
+    n = math.isqrt(len(key) // 16)
+    b, e = _unit_scale(_reduce(w, np.frombuffer(key, np.complex128).reshape(n, n)))
     # both values scale with T: every route runs on B / ||B||_F, whose sum of squares at 2^-e can
     # neither overflow nor underflow
     size = _frobenius(b) or 1.0
@@ -650,7 +640,7 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
     """The sup (or the inf) of |<T x, y>_A| and its witness pair, by the route of the module docstring."""
     q = validate_q(q, allow_zero=True)
     budget = budget or _DEFAULT_BUDGET
-    b, basis, form, size, e = _prepare(w, _Operator(as_operator(t)))
+    b, basis, form, size, e = _prepare(w, as_operator(t).tobytes())
     if w.rank < 2 and abs(abs(q) - 1.0) > 1e-12:
         raise RankTooLow(f"weight rank {w.rank} < 2: the constraint set is empty for |q| < 1")
     p = math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
@@ -679,7 +669,7 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
         value, direction = lower, TWO_SIDED
     u, v = (u, v) if basis is None else (basis @ u, basis @ v)
     x, y = w._lift(u), w._lift(v)
-    return Estimate(math.ldexp(size * value, e), direction, x, y, budget, seed, evaluations, converged)
+    return Estimate(_scale_back(size * value, e), direction, x, y, budget, seed, evaluations, converged)
 
 
 def aq_radius(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> Estimate:

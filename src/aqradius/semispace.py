@@ -64,17 +64,32 @@ def as_vector(x, dim: int) -> np.ndarray:
 
 
 def _unit_scale(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """x scaled in place to x 2^-e, and e, the binary exponent of its largest modulus.
+    """x scaled in place to x 2^-e, and e, the binary exponent of its largest real or imaginary part.
 
-    x is a C-contiguous array of the caller's own; e is 0 for x = 0.  The
-    largest modulus of x 2^-e lies in [1/2, 1), so no sum of its squares
-    overflows or underflows, and the scaling is exact: it changes exponents
-    only, but for entries it takes below the smallest normal float.
+    x is a nonempty C-contiguous array of the caller's own; e is 0 for x = 0.
+    Every power-of-two scaling in the package takes its exponent here.  A part,
+    unlike a modulus, cannot overflow, so every finite x has one; an x with an
+    entry that is not finite, such as a product that overflowed, raises a
+    ValueError.  The largest part of x 2^-e lies in [1/2, 1) and its largest
+    modulus in [1/2, sqrt(2)), so no sum of its squares overflows or
+    underflows, and the scaling is exact: it changes exponents only, but for
+    entries it takes below the smallest normal float.
     """
-    e = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
     flat = x.view(np.float64)  # ldexp takes no complex array; the view needs C order
+    top = float(np.abs(flat).max())
+    if not math.isfinite(top):
+        raise ValueError("an entry overflows the largest float")
+    e = math.frexp(top)[1]
     np.ldexp(flat, -e, out=flat)
     return x, e
+
+
+def _scale_back(value: float, e: int) -> float:
+    """value 2^e, for a value taken at the scale `_unit_scale` set; a ValueError if it overflows."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        raise ValueError(f"the value {value!r} x 2^{e} overflows the largest float") from None
 
 
 def validate_q(q, *, allow_zero: bool = False) -> complex:
@@ -87,6 +102,8 @@ def validate_q(q, *, allow_zero: bool = False) -> complex:
     q = complex(q)
     if not (math.isfinite(q.real) and math.isfinite(q.imag)):
         raise ValueError("q must be finite")
+    if max(abs(q.real), abs(q.imag)) > 1.0 + 1e-12:  # before abs(q), which can overflow
+        raise ValueError(f"q = {q} has a part beyond 1, so |q| exceeds 1")
     m = abs(q)
     if m > 1.0 + 1e-12:
         raise ValueError(f"|q| = {m} exceeds 1")
@@ -183,8 +200,9 @@ def a_norm_vec(w: Weight, x) -> float:
     """Weighted seminorm sqrt(Re <x, x>_A); may vanish on nonzero vectors.
 
     Raises if Im <x, x>_A exceeds 1e-10 ||A|| ||x||^2, the scale of its round-off.
-    Both are taken at x 2^-e, of largest entry in [1/2, 1), and the seminorm is
-    scaled back by 2^e, so no square overflows or underflows.
+    Both are taken at x 2^-e (`_unit_scale`), and the seminorm is scaled back
+    by 2^e, so no square overflows or underflows; a seminorm beyond the largest
+    float raises a ValueError.
     """
     x, e = _unit_scale(as_vector(x, w.dim).copy())
     s = a_inner(w, x, x)
@@ -192,7 +210,7 @@ def a_norm_vec(w: Weight, x) -> float:
         raise ValueError(
             f"self inner product has imaginary part {s.imag:.3e}; weight is broken"
         )
-    return math.ldexp(math.sqrt(max(s.real, 0.0)), e)
+    return _scale_back(math.sqrt(max(s.real, 0.0)), e)
 
 
 def _check_compatible(w: Weight, t: np.ndarray) -> None:
@@ -217,24 +235,36 @@ def reduce_to_range(w: Weight, t) -> np.ndarray:
 
     Contract: <T x, y>_A = v^H B u for x = ``w.lift(u)``, y = ``w.lift(v)``, so
     every weighted quantity of T equals the standard one of B.  Raises
-    :class:`NotABounded` if T is incompatible with a rank-deficient weight.
+    :class:`NotABounded` if T is incompatible with a rank-deficient weight, and
+    a ValueError if an entry of B overflows the largest float.
     """
-    return _reduce(w, as_operator(t))
+    b = _reduce(w, as_operator(t))
+    if not np.isfinite(b).all():
+        raise ValueError("the reduced operator overflows the largest float")
+    return b
 
 
 def _reduce(w: Weight, t: np.ndarray) -> np.ndarray:
-    """`reduce_to_range` of a square complex matrix, as `as_operator` returns it."""
+    """`reduce_to_range` of a square complex matrix, as `as_operator` returns it, but for its overflow check.
+
+    An entry of B that overflows is inf or NaN; the callers that scale B by
+    `_unit_scale` next leave the check to it.
+    """
     if t.shape[0] != w.dim:
         raise ValueError("operator and weight dimensions differ")
     _check_compatible(w, t)
     sr = w._unit_range_scale  # S_r 2^-e: B takes only the ratios of its entries
-    return (sr[:, None] * (w._range_basis_h @ t @ w._range_basis)) / sr
+    with np.errstate(over="ignore"):  # an overflow is refused by the caller, as a ValueError
+        return (sr[:, None] * (w._range_basis_h @ t @ w._range_basis)) / sr
 
 
 def a_opnorm(w: Weight, t) -> float:
-    """Weighted operator seminorm: largest singular value of the reduction."""
-    b = reduce_to_range(w, t)
-    return float(np.linalg.svd(b, compute_uv=False)[0])
+    """Weighted operator seminorm: largest singular value of the reduction, taken at unit size.
+
+    A reduction or a seminorm beyond the largest float raises a ValueError.
+    """
+    b, e = _unit_scale(_reduce(w, as_operator(t)))
+    return _scale_back(float(np.linalg.svd(b, compute_uv=False)[0]), e)
 
 
 def a_adjoint(w: Weight, t) -> np.ndarray:

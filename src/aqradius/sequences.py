@@ -11,7 +11,7 @@ driven by one table of quantities, and use the Lipschitz-type envelopes:
     |gap(T_n)         - gap(T)|         <= 2 ||T_n - T||_A
     |omega_{A,q_n}(T) - omega_A(T)|     <= sqrt(2 (1 - Re q_n)) ||T||_A
 
-augmented by an estimator slack.  Each trace makes two checks and raises
+augmented by a fixed estimator slack, 5e-3.  Each trace makes two checks and raises
 :class:`EnvelopeViolation` when either fails:
 
 * The envelope check catches an estimator failure.  The bounds above hold for
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 DEFAULT_INDICES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-DEFAULT_SLACK = 5e-3
+_SLACK = 5e-3  # the estimator slack each envelope adds
 # deviations up to this fraction of the limit's size count as zero
 DECAY_RTOL = 1e-12
 
@@ -184,11 +184,11 @@ def _value(spec: _Quantity, w, t, q, opnorm, budget, seed) -> float:
     return opnorm - value if spec.is_gap else value
 
 
-def _traces(w, specs, targets, steps, scale, labels, budget, seed, slack):
+def _traces(w, specs, targets, steps, scale, labels, budget, seed):
     """Each quantity at every step vs. its target, from one pass over the steps.
 
     A step is (n, T_n, q_n, deviation, bound): the value at (T_n, q_n) must lie
-    within the quantity's Lipschitz factor times ``bound``, plus ``slack``, of
+    within the quantity's Lipschitz factor times ``bound``, plus ``_SLACK``, of
     its target, and ``deviation``, the distance to the declared limit, must
     decay.  The seminorm of T_n is evaluated once per step, and only for a gap.
     """
@@ -200,20 +200,21 @@ def _traces(w, specs, targets, steps, scale, labels, budget, seed, slack):
     indices, deviations, bounds, *columns = ([r[i] for r in rows] for i in range(3 + len(specs)))
     traces = []
     for spec, values, target, label in zip(specs, columns, targets, labels):
-        envelopes = [(2.0 if spec.is_gap else 1.0) * b + slack for b in bounds]
+        envelopes = [(2.0 if spec.is_gap else 1.0) * b + _SLACK for b in bounds]
         traces.append(_finish(indices, values, target, envelopes, deviations, scale, label))
     return traces
 
 
-def _operator_traces(seq: OperatorSequence, quantities, q, indices, budget, seed, slack):
+def _operator_traces(seq: OperatorSequence, quantities, q, indices, budget, seed):
     """Each quantity along the sequence vs. at the limit; the bound is ||T_n - T||_A."""
     q = validate_q(q)
     w, scale = seq.weight, a_opnorm(seq.weight, seq.limit)
     specs = [_QUANTITIES[k] for k in quantities]
     targets = [_value(spec, w, seq.limit, q, scale, budget, seed) for spec in specs]
-    steps = ((n, seq.term(n), q, d := seq.deviation(n), d) for n in indices)
+    terms = ((n, seq.term(n)) for n in indices)  # each term built once, for its value and its deviation
+    steps = ((n, t_n, q, d := a_opnorm(w, t_n - seq.limit), d) for n, t_n in terms)
     labels = [f"{k} trace" for k in quantities]
-    return _traces(w, specs, targets, steps, scale, labels, budget, seed, slack)
+    return _traces(w, specs, targets, steps, scale, labels, budget, seed)
 
 
 def trace(
@@ -223,12 +224,11 @@ def trace(
     indices: Sequence[int] = DEFAULT_INDICES,
     budget: Budget | None = None,
     seed: int = 0,
-    slack: float = DEFAULT_SLACK,
 ) -> ConvergenceTrace:
     """``quantity`` (radius, crawford, gap_omega or gap_c) along the sequence vs. at the limit."""
     if quantity not in _QUANTITIES:
         raise ValueError(f"quantity must be one of {', '.join(_QUANTITIES)}, got {quantity!r}")
-    return _operator_traces(seq, (quantity,), q, indices, budget, seed, slack)[0]
+    return _operator_traces(seq, (quantity,), q, indices, budget, seed)[0]
 
 
 def trace_q(
@@ -237,7 +237,6 @@ def trace_q(
     q_list: Sequence,
     budget: Budget | None = None,
     seed: int = 0,
-    slack: float = DEFAULT_SLACK,
     kind: str = "radius",
 ) -> ConvergenceTrace:
     """Radius (or Crawford) at a q-sequence with Re q_n -> 1 vs. its estimate at q = 1."""
@@ -253,7 +252,7 @@ def trace_q(
         (n, t, q, abs(1.0 - q), math.sqrt(max(0.0, 2.0 * (1.0 - q.real))) * opn)
         for n, q in enumerate(map(validate_q, q_list), start=1)
     ]
-    return _traces(w, [spec], [target], steps, 1.0, ["q trace"], budget, seed, slack)[0]
+    return _traces(w, [spec], [target], steps, 1.0, ["q trace"], budget, seed)[0]
 
 
 def trace_gaps(
@@ -262,10 +261,9 @@ def trace_gaps(
     indices: Sequence[int] = DEFAULT_INDICES,
     budget: Budget | None = None,
     seed: int = 0,
-    slack: float = DEFAULT_SLACK,
 ) -> tuple[ConvergenceTrace, ConvergenceTrace]:
     """Radius gap and Crawford gap along the sequence (2-Lipschitz envelopes)."""
-    return tuple(_operator_traces(seq, ("gap_omega", "gap_c"), q, indices, budget, seed, slack))
+    return tuple(_operator_traces(seq, ("gap_omega", "gap_c"), q, indices, budget, seed))
 
 
 def trace_to_csv(trace: ConvergenceTrace, path) -> None:

@@ -185,6 +185,26 @@ def test_compute_exits_3_on_an_operator_the_weight_does_not_bound(tmp_path, caps
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    ("mat", "weight", "q"),
+    [
+        (np.diag([1.5e308 + 1.3e308j, 1.0]), None, "0.6"),  # ||T||_A = |1.5e308 + 1.3e308 i| overflows
+        (np.eye(2), None, "1.5e308,1.5e308"),  # |q| overflows
+        ([[1.0, 5e306, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 3.0]], [1.0, 1e-4, 2.0], "0.6"),  # B overflows
+    ],
+    ids=["opnorm", "q", "reduction"],
+)
+def test_compute_exits_2_with_one_error_line_beyond_the_largest_float(mat, weight, q, tmp_path, capsys):
+    args = ["compute", "--matrix", _matrix_file(tmp_path, mat), "--q", q]
+    if weight is not None:
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(weight_to_json(Weight.diagonal(weight))))
+        args += ["--weight", str(path)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_compute_exact_uses_the_closed_forms(tmp_path, capsys):
     # reduced dimension 2 takes every value from the closed forms, with witnesses; the
     # second matrix is the one whose q = 1 Crawford number a sphere search missed by

@@ -94,6 +94,21 @@ class TestCanonical2x2:
         with pytest.raises(ValueError):
             canonical_2x2(np.eye(3))
 
+    def test_entry_whose_modulus_overflows(self):
+        # the parts are finite and the modulus 1.98e308 is not: T 2^-e takes e from the parts,
+        # and a = b = |lambda_1 - lambda_2| / 2 scale back below the largest float
+        lam = 1.5e308 + 1.3e308j
+        form = canonical_2x2(np.diag([lam, 1.0]))
+        assert form.a == pytest.approx(abs(lam / 2.0), rel=1e-12)
+        assert form.b == pytest.approx(abs(lam / 2.0), rel=1e-12)
+        assert abs(form.gamma) == pytest.approx(abs(lam / 2.0), rel=1e-12)
+
+    def test_form_beyond_the_largest_float_raises(self):
+        # the traceless part [[x, x], [x, -x]] has a = b = sqrt(2) x > 1.8e308
+        x = 1.7e308
+        with pytest.raises(ValueError, match="overflows the largest float"):
+            canonical_2x2([[x, x], [x, -x]])
+
 
 class TestQRange2x2:
     def test_disk_at_q_zero(self):
@@ -244,6 +259,10 @@ class TestJordanFormula:
             jordan3_q_radius(0.4)
         with pytest.raises(QOutOfRange):
             jordan3_q_radius(1.2)
+        with pytest.raises(QOutOfRange):  # abs(q) would overflow
+            jordan3_q_radius(1.5e308 + 1.5e308j)
+        with pytest.raises(QOutOfRange):
+            q_radius_2x2(canonical_2x2(EX1), 1.5e308 + 1.5e308j)
 
 
 PHASES = st.floats(0.0, 2 * np.pi)

@@ -1,8 +1,9 @@
 """Constraint pairs: the witnesses (x, y) that aq_radius and aq_crawford return.
 
-Each estimator samples start pairs on the sphere and ascends to a pair with
-||x||_A = ||y||_A = 1 and <x, y>_A = q; these tests check that the pairs it hands
-back satisfy the constraints and attain the value reported.
+Each estimator returns a witness pair with ||x||_A = ||y||_A = 1 and
+<x, y>_A = q, lifted from the reduced partner vectors of its route; these tests
+check that the pairs it hands back satisfy the constraints and attain the value
+reported.
 """
 
 import numpy as np
@@ -28,6 +29,8 @@ def assert_constraint_pair(w, x, y, q):
 
 
 class TestSamplePairs:
+    """The witness pairs of both estimators: their constraints and the values they attain."""
+
     def test_pair_invariants_on_weighted_instances(self, rng):
         for _ in range(3):
             n = int(rng.integers(2, 5))

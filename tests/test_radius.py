@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +32,6 @@ from aqradius.radius import (
     _bracket,
     _extremize,
     _normalize_rows,
-    _Operator,
     _prepare,
     _rule,
     _segment,
@@ -519,7 +520,7 @@ class TestPrepared:
     @pytest.mark.parametrize("q, make, route", [pytest.param(*case[1:], id=case[0]) for case in PREPARED_ROUTES])
     def test_cold_warm_and_crossed_calls_agree(self, rng, q, make, route):
         (w, t), budget = make(rng), Budget(8, 80)
-        _, basis, form, _, _ = _prepare(w, _Operator(as_operator(t)))
+        _, basis, form, _, _ = _prepare(w, as_operator(t).tobytes())
         assert (form is not None, basis is not None) == route
         for estimator, other in ((aq_radius, aq_crawford), (aq_crawford, aq_radius)):
             _prepare.cache_clear()
@@ -556,7 +557,7 @@ class TestPrepared:
     @pytest.mark.parametrize("t, count", [(np.diag([1.0, 2.0, -0.5]) + 0.3j * np.eye(3), 3), (JORDAN3, 1), (EX1, 2)])
     def test_cached_arrays_are_read_only(self, t, count):
         # a segment keeps B's compression, V and the form's basis; a sphere search B alone; n = 2 B and the basis
-        b, basis, form, _, _ = _prepare(Weight.identity(t.shape[0]), _Operator(as_operator(t)))
+        b, basis, form, _, _ = _prepare(Weight.identity(t.shape[0]), as_operator(t).tobytes())
         arrays = [a for a in (b, basis, form and form.u_similar) if a is not None]
         assert len(arrays) == count
         for a in arrays:
@@ -578,6 +579,15 @@ class TestPrepared:
                 with pytest.raises(ValueError, match="dimensions differ"):
                     estimator(I3, np.eye(2), 0.6)
         assert _prepare.cache_info().currsize == 1  # the rank-one weight's; a call that raised left none
+
+    def test_cache_keeps_no_reference_to_the_callers_array(self, rng):
+        w, t = random_pd_weight(rng, 3), crandn(rng, 3, 3)
+        _prepare.cache_clear()
+        aq_radius(w, t, 0.6, Budget(2, 20))
+        alive = weakref.ref(t)
+        del t
+        assert alive() is None
+        assert _prepare.cache_info().currsize == 1
 
     def test_cache_keeps_eight_preparations(self):
         assert _prepare.cache_info().maxsize == radius._PREPARED == 8
@@ -1114,6 +1124,24 @@ def test_estimates_homogeneous_far_from_unit_size(t, c):
         unit, far = estimator(w, t, 0.6), estimator(w, c * t, 0.6)
         assert far.value / c == pytest.approx(unit.value, rel=1e-12)
         assert far.direction == unit.direction
+
+
+# finite parts, but an entry modulus of 1.98e308, beyond the largest float
+HUGE_PART = np.diag([1.5e308 + 1.3e308j, 1.0])
+
+
+def test_estimates_of_an_entry_whose_modulus_overflows():
+    # B 2^-e takes e from the largest part, which cannot overflow.  The q-range at q = 0.6 is
+    # the ellipse about 0.6 gamma of semi-axes a and 0.8 a, with |gamma| = a = |lambda_1| / 2
+    # but for 1e-308 relative: omega_q = 0.8 |lambda_1|, and the ellipse holds 0
+    w, half = Weight.identity(2), abs(HUGE_PART[0, 0] / 2.0)
+    radius_, crawford = aq_radius(w, HUGE_PART, 0.6), aq_crawford(w, HUGE_PART, 0.6)
+    assert radius_.value == pytest.approx(1.6 * half, rel=1e-12)
+    assert radius_.direction == TWO_SIDED
+    assert (crawford.value, crawford.direction) == (0.0, TWO_SIDED)
+    # omega_A = |lambda_1| itself overflows: an error that names it, not NaN or an OverflowError
+    with pytest.raises(ValueError, match="overflows the largest float"):
+        aq_radius(w, HUGE_PART, 1.0)
 
 
 _POW2_RNG = np.random.default_rng(28)

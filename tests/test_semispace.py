@@ -11,6 +11,7 @@ from aqradius import (
     a_inner,
     a_norm_vec,
     a_opnorm,
+    aq_radius,
     kron,
     matrix_from_json,
     matrix_to_json,
@@ -19,6 +20,7 @@ from aqradius import (
     weight_from_json,
     weight_to_json,
 )
+from aqradius.semispace import _unit_scale
 from conftest import crandn, random_pd_weight
 
 
@@ -143,6 +145,10 @@ class TestValidateQ:
         with pytest.raises(ValueError):
             validate_q(1.2)
 
+    def test_rejects_a_q_whose_modulus_overflows(self):
+        with pytest.raises(ValueError, match="exceeds 1"):
+            validate_q(1.5e308 + 1.5e308j)
+
 
 class TestReduce:
     def test_identity_weight_is_identity_map(self, rng):
@@ -183,6 +189,14 @@ class TestReduce:
         for t in (t_scale * keeping, np.asfortranarray(t_scale * keeping)):
             b = reduce_to_range(w, t)
             np.testing.assert_allclose(b, t_scale * unit, rtol=1e-12, atol=1e-12 * t_scale)
+
+    def test_rejects_a_reduction_that_overflows(self):
+        # B's (0, 1) entry is T's times sqrt(1 / 1e-4): 5e308
+        w = Weight.diagonal([1.0, 1e-4, 2.0])
+        t = np.array([[1.0, 5e306, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 3.0]])
+        for quantity in (reduce_to_range, a_opnorm, lambda w, t: aq_radius(w, t, 0.6)):
+            with pytest.raises(ValueError, match="overflows the largest float"):
+                quantity(w, t)
 
     def test_accepts_operator_into_null_space(self):
         w = Weight.diagonal([1, 0])
@@ -234,6 +248,22 @@ class TestAOpnorm:
             ratios.append(a_norm_vec(w, t @ x) / a_norm_vec(w, x))
         assert max(ratios) <= target + 1e-9
         assert max(ratios) == pytest.approx(target, rel=2e-2)
+
+    def test_beyond_the_largest_float_raises(self):
+        # ||T||_A = |1.5e308 + 1.3e308 i| = 1.98e308
+        with pytest.raises(ValueError, match="overflows the largest float"):
+            a_opnorm(Weight.identity(2), np.diag([1.5e308 + 1.3e308j, 1.0]))
+
+
+class TestUnitScale:
+    def test_entry_whose_modulus_overflows(self):
+        # the exponent comes from the largest part, 1.5e308: the modulus, 1.98e308, is inf
+        entry = 1.5e308 + 1.3e308j
+        x, e = _unit_scale(np.array([entry, 1.0]))
+        parts = np.abs(x.view(np.float64))
+        assert np.isfinite(parts).all()
+        assert 0.5 <= parts.max() < 1.0
+        assert complex(np.ldexp(x.real[0], e), np.ldexp(x.imag[0], e)) == entry
 
 
 class TestKron:

@@ -76,7 +76,7 @@ class TestTraceRadius:
         wrong_limit = t + np.eye(2)
         seq = OperatorSequence(I2, lambda n: t, wrong_limit)
         with pytest.raises(EnvelopeViolation, match="does not decay"):
-            sequences.trace(seq, "radius", 0.9, indices=(64, 128), budget=FAST, slack=1e-4)
+            sequences.trace(seq, "radius", 0.9, indices=(64, 128), budget=FAST)
 
     def test_estimate_outside_its_envelope_detected(self, rng, monkeypatch):
         # an estimator 1e-2 high on each term T + 1e-3 I / n and exact at the limit T: the
@@ -129,7 +129,7 @@ class TestTraceCrawford:
         t = crandn(rng, 2, 2)
         seq = OperatorSequence(I2, lambda n: t, t + np.eye(2))
         with pytest.raises(EnvelopeViolation, match="does not decay"):
-            sequences.trace(seq, "crawford", 0.9, indices=(64, 128), budget=FAST, slack=1e-4)
+            sequences.trace(seq, "crawford", 0.9, indices=(64, 128), budget=FAST)
 
 
 class TestTraceQ:
@@ -224,7 +224,7 @@ class TestTraceGaps:
         t = crandn(rng, 2, 2)
         seq = OperatorSequence(I2, lambda n: t, t + np.eye(2))
         with pytest.raises(EnvelopeViolation, match="does not decay"):
-            trace_gaps(seq, 0.9, indices=(64, 128), budget=FAST, slack=1e-4)
+            trace_gaps(seq, 0.9, indices=(64, 128), budget=FAST)
 
 
 class TestSequenceTypes:
