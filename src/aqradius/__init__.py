@@ -9,64 +9,11 @@ quantities satisfy (``laws``), and convergence experiments for operator and
 parameter sequences (``sequences``).
 """
 
-from .exact import (
-    CanonicalForm2x2,
-    EllipseDisk,
-    QOutOfRange,
-    canonical_2x2,
-    jordan3_q_radius,
-    q_crawford_2x2,
-    q_extremal_2x2,
-    q_radius_2x2,
-    q_range_2x2,
-)
-from .laws import (
-    LawReport,
-    LinComboParams,
-    SuiteConfig,
-    check_law,
-    reports_csv_summary,
-    reports_to_jsonl,
-    run_suite,
-    summarize_reports,
-)
-from .radius import (
-    LOWER_BOUND_OF_SUP,
-    TWO_SIDED,
-    UPPER_BOUND_OF_INF,
-    Budget,
-    Estimate,
-    a_crawford,
-    a_radius,
-    aq_crawford,
-    aq_radius,
-)
-from .semispace import (
-    NotABounded,
-    RankTooLow,
-    Weight,
-    a_adjoint,
-    a_inner,
-    a_norm_vec,
-    a_opnorm,
-    as_operator,
-    kron,
-    matrix_from_json,
-    matrix_to_json,
-    reduce_to_range,
-    validate_q,
-    weight_from_json,
-    weight_to_json,
-)
-from .sequences import (
-    DEFAULT_INDICES,
-    ConvergenceTrace,
-    EnvelopeViolation,
-    OperatorSequence,
-    trace,
-    trace_gaps,
-    trace_q,
-    trace_to_csv,
-)
+# each submodule's __all__ is the one list of its public names, republished here
+from .exact import *
+from .laws import *
+from .radius import *
+from .semispace import *
+from .sequences import *
 
 __version__ = "0.1.0"

@@ -306,7 +306,7 @@ def main(argv=None) -> int:
         # (128 + SIGPIPE), silently, and give the final flush a sink that cannot fail
         sys.stdout = open(os.devnull, "w")
         return 141
-    # ValueError includes RankTooLow, the closed forms' domain errors and bad JSON
+    # ValueError includes RankTooLow, QOutOfRange (a q outside the closed unit disc) and bad JSON
     except (ValueError, KeyError, OSError, sequences.EnvelopeViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

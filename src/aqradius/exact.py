@@ -3,16 +3,20 @@
 Any 2x2 complex matrix is unitarily similar to ``exp(i t) [[gamma, a], [b, gamma]]``
 with 0 <= b <= a, and its q-numerical range for |q| <= 1 is a translated filled
 ellipse; a complex q rotates the ellipse of |q| by arg q, so every modulus is
-taken at |q|.  Both extremal moduli lie on the ellipse's boundary, at its
-farthest or nearest point to the origin (`_boundary_extreme`), but for a
-Crawford number of 0 when the origin is inside.  `q_extremal_2x2` returns each
-value with a unit u whose partner values reach it: at the extremal boundary
-phase; for a Crawford number of 0, at the one parameter of u whose ellipse of
-values, in a nested family, passes through the origin (`_origin_preimage`), at
-every |q|.  Both roots are taken by one climb, `_climb`: Newton steps that rise
-to the one root of a monotone, concave gauge.  The route runs on the four
-entries as Python scalars.  `radius` takes every estimate at reduced dimension 2
-or on a segment from it.  The 3x3 nilpotent Jordan block has its known formula.
+taken at |q|.  q is checked and read once, by ``semispace._q_parts``, as |q| and
+p = sqrt(1 - |q|^2): a q outside the closed unit disc raises ``QOutOfRange``
+from ``semispace.validate_q``, as it does for the estimators, and only the
+Jordan formula's narrower domain is checked here.  Both extremal moduli lie on
+the ellipse's boundary, at its farthest or nearest point to the origin
+(`_boundary_extreme`), but for a Crawford number of 0 when the origin is inside.
+`q_extremal_2x2` returns each value with a unit u whose partner values reach it:
+at the extremal boundary phase; for a Crawford number of 0, at the one parameter
+of u whose ellipse of values, in a nested family, passes through the origin
+(`_origin_preimage`), at every |q|.  Both roots are taken by one climb,
+`_climb`: Newton steps that rise to the one root of a monotone, concave gauge.
+The route runs on the four entries as Python scalars.  `radius` takes every
+estimate at reduced dimension 2 or on a segment from it.  The 3x3 nilpotent
+Jordan block has its known formula.
 """
 
 from __future__ import annotations
@@ -24,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .semispace import _scale_back, _unit_scale, as_operator
+from .semispace import QOutOfRange, _q_parts, _scale_back, _unit_scale, as_operator
 
 __all__ = [
     "CanonicalForm2x2",
     "EllipseDisk",
-    "QOutOfRange",
     "canonical_2x2",
     "jordan3_q_radius",
     "q_crawford_2x2",
@@ -37,10 +40,6 @@ __all__ = [
     "q_radius_2x2",
     "q_range_2x2",
 ]
-
-
-class QOutOfRange(ValueError):
-    """q is outside the domain of the requested closed form."""
 
 
 @dataclass
@@ -148,21 +147,10 @@ def _canonical(t: np.ndarray) -> CanonicalForm2x2:
     return CanonicalForm2x2(t=phase, gamma=half_trace * cmath.exp(-1j * phase), a=a_val, b=b_val, u_similar=basis)
 
 
-def _modulus(q) -> float:
-    """|q|, the only part of q the closed-form values depend on; |q| > 1 is out of range."""
-    q = complex(q)
-    if max(abs(q.real), abs(q.imag)) > 1.0 + 1e-12:  # before abs(q), which can overflow
-        raise QOutOfRange(f"q = {q} has a part beyond 1, so |q| is outside [0, 1]")
-    m = abs(q)
-    if not m <= 1.0 + 1e-12:
-        raise QOutOfRange(f"|q| = {m} is outside [0, 1]")
-    return min(m, 1.0)
-
-
 def q_range_2x2(form: CanonicalForm2x2, q) -> EllipseDisk:
     """Ellipse-disk q-numerical range of a canonical 2x2 form: the |q| ellipse rotated by arg q."""
-    m, theta = _modulus(q), cmath.phase(complex(q))
-    p = math.sqrt(max(0.0, 1.0 - m * m))
+    q, m, p = _q_parts(q)
+    theta = cmath.phase(q)
     # ((1 + p) a +- (1 - p) b)/2 with a and b halved first, so that no product overflows and
     # q = 0 gives the disk of radius a exactly
     return EllipseDisk(
@@ -299,8 +287,7 @@ def q_extremal_2x2(form: CanonicalForm2x2, q, sup: bool) -> tuple[float, np.ndar
     -|q| gamma and the phase on it, at every |q|.  The circle of u then reaches the
     value: its largest (smallest) modulus is the partner of `radius._witness`.
     """
-    m = _modulus(q)
-    p = math.sqrt(max(0.0, 1.0 - m * m))
+    _, m, p = _q_parts(q)
     disk = q_range_2x2(form, m)
     if not sup and disk.contains(0.0):
         value, (kappa, s) = 0.0, _origin_preimage(form.a, form.b, p, -m * form.gamma)
@@ -329,7 +316,7 @@ def jordan3_q_radius(q) -> float:
     omega_q = (1/8) sqrt(27 + 18 q - 13 q^2 + (9 + 7q) sqrt((1 - q)(9 + 7q)))
     at q = |q|; a complex q gives the value at its modulus.
     """
-    m = _modulus(q)
+    m = _q_parts(q)[1]
     if m < 0.5 - 1e-12:
         raise QOutOfRange(f"|q| = {m} is outside [1/2, 1]")
     m = max(m, 0.5)

@@ -7,7 +7,8 @@ reaches unit size in two steps: an exact scaling to B 2^-e by
 imaginary part, whose sum of squares can neither overflow nor underflow, then
 the division by its norm; the value is scaled back by 2^e, and one beyond the
 largest float raises a ValueError.  With
-p = sqrt(1 - |q|^2), `_estimate` takes the first of three routes that applies:
+p = sqrt(1 - |q|^2), which `semispace._q_parts` derives with the check of q,
+`_estimate` takes the first of three routes that applies:
 
 - n = 2, or W(B) a segment [a, b] (B = e^{i phi} H + s I, H Hermitian, as for
   multiplication operators), any q: the 2x2 closed form on Python scalars,
@@ -62,7 +63,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exact import CanonicalForm2x2, _canonical, q_extremal_2x2
-from .semispace import RankTooLow, Weight, _reduce, _scale_back, _unit_scale, as_operator, validate_q
+from .semispace import RankTooLow, Weight, _q_parts, _reduce, _scale_back, _unit_scale, as_operator
 
 __all__ = [
     "Budget",
@@ -638,12 +639,11 @@ def _prepare(w: Weight, key: bytes) -> tuple[np.ndarray, np.ndarray | None, Cano
 
 def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> Estimate:
     """The sup (or the inf) of |<T x, y>_A| and its witness pair, by the route of the module docstring."""
-    q = validate_q(q, allow_zero=True)
+    q, m, p = _q_parts(q)
     budget = budget or _DEFAULT_BUDGET
     b, basis, form, size, e = _prepare(w, as_operator(t).tobytes())
-    if w.rank < 2 and abs(abs(q) - 1.0) > 1e-12:
+    if w.rank < 2 and 1.0 - m > 1e-12:
         raise RankTooLow(f"weight rank {w.rank} < 2: the constraint set is empty for |q| < 1")
-    p = math.sqrt(max(0.0, 1.0 - abs(q) ** 2))
     lower = None  # a lower bound of the inf, two-sided once a witness attains it
     if form is not None:
         value, u = q_extremal_2x2(form, q, sup)
@@ -659,7 +659,7 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
     else:
         kind = "sup" if sup else "disk"
         value, u, evaluations, converged = _extremize(
-            _rule(b, abs(q), p, kind), b.shape[0], budget, seed, b.shape[0] <= _BFGS_DIM
+            _rule(b, m, p, kind), b.shape[0], budget, seed, b.shape[0] <= _BFGS_DIM
         )
         value, direction = (value, LOWER_BOUND_OF_SUP) if sup else (-value, UPPER_BOUND_OF_INF)
         if value == 0.0 and not sup:  # c_q >= 0; 1 / sqrt(n) <= ||B||_2 needs no SVD

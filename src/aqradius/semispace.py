@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "NotABounded",
+    "QOutOfRange",
     "RankTooLow",
     "Weight",
     "a_adjoint",
@@ -44,6 +45,10 @@ class NotABounded(ValueError):
 
 class RankTooLow(ValueError):
     """The weight has rank < 2, so no A-orthogonal partner direction exists."""
+
+
+class QOutOfRange(ValueError):
+    """q is outside the closed unit disc, or outside the domain of the requested closed form."""
 
 
 def as_operator(m) -> np.ndarray:
@@ -93,31 +98,51 @@ def _scale_back(value: float, e: int) -> float:
 
 
 def validate_q(q, *, allow_zero: bool = False) -> complex:
-    """Check that a constraint parameter q satisfies 0 < |q| <= 1.
+    """q as a complex number, once it satisfies 0 < |q| <= 1; the one check of q in the package.
 
-    The degenerate value q = 0 (orthogonal pairs) is accepted only where a
-    caller opts in; the estimators and closed forms do, since the classical
-    q = 0 range is well defined even though the weighted definition excludes it.
+    Every rejection raises :class:`QOutOfRange`, a ValueError: a q that is not
+    finite, has a part beyond 1 (tested before abs(q), which can overflow), or
+    has |q| > 1, each up to 1e-12.  The degenerate value q = 0 (orthogonal
+    pairs) is accepted only where a caller opts in; the estimators and closed
+    forms do, since the classical q = 0 range is well defined even though the
+    weighted definition excludes it.
     """
     q = complex(q)
     if not (math.isfinite(q.real) and math.isfinite(q.imag)):
-        raise ValueError("q must be finite")
+        raise QOutOfRange("q must be finite")
     if max(abs(q.real), abs(q.imag)) > 1.0 + 1e-12:  # before abs(q), which can overflow
-        raise ValueError(f"q = {q} has a part beyond 1, so |q| exceeds 1")
+        raise QOutOfRange(f"q = {q} has a part beyond 1, so |q| exceeds 1")
     m = abs(q)
     if m > 1.0 + 1e-12:
-        raise ValueError(f"|q| = {m} exceeds 1")
+        raise QOutOfRange(f"|q| = {m} exceeds 1")
     if m == 0.0 and not allow_zero:
-        raise ValueError("q = 0 is outside the admissible range 0 < |q| <= 1")
+        raise QOutOfRange("q = 0 is outside the admissible range 0 < |q| <= 1")
     return q
+
+
+def _q_parts(q) -> tuple[complex, float, float]:
+    """(q, m, p) for a q that `validate_q` accepts with q = 0 allowed: m = |q| clamped to 1, p = sqrt(1 - m^2).
+
+    The radius and Crawford values read q through m and p alone.
+    """
+    q = validate_q(q, allow_zero=True)
+    m = min(abs(q), 1.0)
+    return q, m, math.sqrt(1.0 - m * m)  # m * m, not m ** 2: a product is correctly rounded, pow need not be
+
+
+def _sqrt_2_1mre(q: complex) -> float:
+    """sqrt(2 (1 - Re q)), of Theorem 4.1: |omega_{A,q}(T) - omega_A(T)| <= sqrt(2 (1 - Re q)) ||T||_A."""
+    return math.sqrt(max(0.0, 2.0 * (1.0 - q.real)))
 
 
 class Weight:
     """Hermitian positive-semidefinite weight with cached spectral data.
 
-    The input is symmetrized (``A <- (A + A^H)/2``) before factorization to be
-    robust against round-off in file input.  Eigenvalues below ``psd_tol``
-    count as zero; anything below ``-psd_tol`` rejects the matrix as not PSD.
+    The input is symmetrized (``A <- (A + A^H)/2``, halved first where the sum
+    would overflow) before factorization to be robust against round-off in
+    file input; a largest eigenvalue beyond the largest float raises a
+    ValueError.  Eigenvalues below ``psd_tol`` count as zero; anything below
+    ``-psd_tol`` rejects the matrix as not PSD.
 
     Attributes
     ----------
@@ -133,11 +158,16 @@ class Weight:
 
     def __init__(self, a, psd_tol: float | None = None):
         a = as_operator(a)
-        a = 0.5 * (a + a.conj().T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = 0.5 * (a + a.conj().T)
+        # halving first, which drops the last bit of a subnormal, only where the sum overflows
+        a = h if np.isfinite(h).all() else 0.5 * a + 0.5 * a.conj().T
         vals, vecs = np.linalg.eigh(a)
         vals = vals[::-1].copy()
         vecs = vecs[:, ::-1].copy()
         lam_max = float(vals[0]) if vals.size else 0.0
+        if not math.isfinite(lam_max):
+            raise ValueError("the weight's largest eigenvalue overflows the largest float")
         if psd_tol is None:
             psd_tol = 1e-10 * max(lam_max, 0.0)
         psd_tol = float(psd_tol)

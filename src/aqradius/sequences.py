@@ -29,14 +29,13 @@ augmented by a fixed estimator slack, 5e-3.  Each trace makes two checks and rai
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .radius import Budget, aq_crawford, aq_radius
-from .semispace import Weight, a_opnorm, as_operator, validate_q
+from .semispace import Weight, _sqrt_2_1mre, a_opnorm, as_operator, validate_q
 
 __all__ = [
     "DEFAULT_INDICES",
@@ -249,7 +248,7 @@ def trace_q(
     target = _value(spec, w, t, 1.0, None, budget, seed)
     # q_n -> 1 is the declared limit; q lives in the closed unit disc, so its scale is 1
     steps = [
-        (n, t, q, abs(1.0 - q), math.sqrt(max(0.0, 2.0 * (1.0 - q.real))) * opn)
+        (n, t, q, abs(1.0 - q), _sqrt_2_1mre(q) * opn)
         for n, q in enumerate(map(validate_q, q_list), start=1)
     ]
     return _traces(w, [spec], [target], steps, 1.0, ["q trace"], budget, seed)[0]

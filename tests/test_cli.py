@@ -205,6 +205,23 @@ def test_compute_exits_2_with_one_error_line_beyond_the_largest_float(mat, weigh
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["compute", "--q", "0.9,0.9"], "|q| = 1.2727922061357855 exceeds 1"),  # both parts <= 1
+        (["compute", "--q", "1,2,3"], "cannot parse q from '1,2,3'"),
+        (["converge", "--rule", "perturb"], "--matrix is required for the perturb rule"),
+        (["converge", "--rule", "qseq"], "--matrix is required for the qseq rule"),
+    ],
+    ids=["q-modulus", "q-parse", "perturb-matrix", "qseq-matrix"],
+)
+def test_bad_input_exits_2_with_one_error_line(argv, message, tmp_path, capsys):
+    flag = ["--matrix", _matrix_file(tmp_path, EX2)] if argv[0] == "compute" else ["--out", str(tmp_path / "o.csv")]
+    assert cli.main(argv + flag) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+
 def test_compute_exact_uses_the_closed_forms(tmp_path, capsys):
     # reduced dimension 2 takes every value from the closed forms, with witnesses; the
     # second matrix is the one whose q = 1 Crawford number a sphere search missed by

@@ -22,7 +22,7 @@ def test_every_exported_name_resolves(name):
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_module_level_import(name):
-    # __init__ re-exports what it imports, so only the submodules are scanned
+    # __init__ star-imports the submodules, so only the submodules are scanned
     tree = ast.parse((Path(aqradius.__file__).parent / f"{name}.py").read_text())
     imported = {}
     for node in tree.body:
@@ -44,6 +44,16 @@ def test_namespace_reexports_exactly_the_submodule_exports():
     )
     public = {name for name in vars(aqradius) if not name.startswith("_")} - set(MODULES)
     assert public == exports
+
+
+def test_no_two_submodules_export_the_same_name():
+    # __init__ star-imports each submodule, so a name two of them export would
+    # silently take the later module's object
+    owners = {}
+    for name in MODULES:
+        for export in importlib.import_module(f"aqradius.{name}").__all__:
+            owners.setdefault(export, []).append(name)
+    assert not {export: found for export, found in owners.items() if len(found) > 1}
 
 
 def test_every_exported_exception_is_raised():

@@ -6,13 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqradius import (
+    LinComboParams,
     NotABounded,
+    OperatorSequence,
+    QOutOfRange,
     Weight,
     a_inner,
     a_norm_vec,
     a_opnorm,
+    a_radius,
+    aq_crawford,
     aq_radius,
+    canonical_2x2,
+    check_law,
+    jordan3_q_radius,
     kron,
+    q_crawford_2x2,
+    q_extremal_2x2,
+    q_radius_2x2,
+    q_range_2x2,
+    trace,
+    trace_gaps,
+    trace_q,
     matrix_from_json,
     matrix_to_json,
     reduce_to_range,
@@ -128,6 +143,26 @@ class TestWeight:
         with pytest.raises(ValueError, match="finite"):
             Weight([[np.inf, 0], [0, 1]])
 
+    def test_entries_whose_sum_overflows(self):
+        # A + A^H overflows above about 9e307: the weight is halved before the sum there,
+        # and every value under 1.5e308 I equals its value under I, with no RuntimeWarning
+        assert np.array_equal(Weight([[1.5e308, 0.0], [0.0, 1.0]]).a, [[1.5e308, 0.0], [0.0, 1.0]])
+        big, unit = Weight(1.5e308 * np.eye(2)), Weight.identity(2)
+        assert big.rank == 2
+        t = np.array([[2.0 + 1.0j, 0.5], [0.3j, 1.5 - 0.5j]])
+        for value in (
+            lambda w: aq_radius(w, t, 0.6).value,
+            lambda w: aq_crawford(w, t, 0.6).value,
+            lambda w: a_radius(w, t).value,
+            lambda w: a_opnorm(w, t),
+        ):
+            assert value(big) == pytest.approx(value(unit), rel=2e-14, abs=0.0)
+
+    def test_rejects_a_largest_eigenvalue_beyond_the_largest_float(self):
+        # eigenvalues 2.5e308 and 5e307: the parent read lambda_max = inf as "nonzero PSD"
+        with pytest.raises(ValueError, match="largest eigenvalue overflows"):
+            Weight([[1.5e308, 1e308], [1e308, 1.5e308]])
+
 
 class TestValidateQ:
     def test_accepts_boundary(self):
@@ -148,6 +183,61 @@ class TestValidateQ:
     def test_rejects_a_q_whose_modulus_overflows(self):
         with pytest.raises(ValueError, match="exceeds 1"):
             validate_q(1.5e308 + 1.5e308j)
+
+
+_T = np.array([[1.0, 2.0j], [0.5, -1.0]])
+_FORM = canonical_2x2(_T)
+_SEQUENCE = OperatorSequence.perturbation(Weight.identity(2), _T, np.eye(2))
+# every public entry that takes q, as a function of q; the first group accepts q = 0
+Q_ENTRIES = {
+    "validate_q(allow_zero)": lambda q: validate_q(q, allow_zero=True),
+    "aq_radius": lambda q: aq_radius(Weight.identity(2), _T, q),
+    "aq_crawford": lambda q: aq_crawford(Weight.identity(2), _T, q),
+    "q_radius_2x2": lambda q: q_radius_2x2(_FORM, q),
+    "q_crawford_2x2": lambda q: q_crawford_2x2(_FORM, q),
+    "q_extremal_2x2": lambda q: q_extremal_2x2(_FORM, q, True),
+    "q_range_2x2": lambda q: q_range_2x2(_FORM, q),
+    "validate_q": validate_q,
+    "jordan3_q_radius": jordan3_q_radius,
+    "trace": lambda q: trace(_SEQUENCE, "radius", q, indices=(1, 2)),
+    "trace_gaps": lambda q: trace_gaps(_SEQUENCE, q, indices=(1, 2)),
+    "trace_q": lambda q: trace_q(Weight.identity(2), _T, [0.5, q]),
+    "check_law": lambda q: check_law("t4_1", Weight.identity(2), _T, q),
+    "LinComboParams.for_q": lambda q: LinComboParams.for_q(1.0, 0.5j, q),
+}
+TAKE_ZERO = list(Q_ENTRIES)[:7]
+
+
+@pytest.mark.parametrize("entry", Q_ENTRIES)
+@pytest.mark.parametrize(
+    "q",
+    [0.9 + 0.9j, complex(0.0, np.nan), np.inf, 1.5e308 + 1.5e308j, 2.0],
+    ids=["modulus", "nan", "inf", "overflow", "part"],
+)
+def test_every_entry_refuses_a_q_outside_the_disc_by_the_one_rule(entry, q):
+    # 0.9 + 0.9i has |q| = 1.27 with both parts <= 1; each entry raises validate_q's error and message
+    with pytest.raises(QOutOfRange) as expected:
+        validate_q(q)
+    with pytest.raises(QOutOfRange) as exc:
+        Q_ENTRIES[entry](q)
+    assert str(exc.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("entry", Q_ENTRIES)
+def test_q_zero_is_taken_by_the_estimators_and_closed_forms_alone(entry):
+    if entry in TAKE_ZERO:
+        Q_ENTRIES[entry](0.0)
+    elif entry == "jordan3_q_radius":  # its formula covers |q| in [1/2, 1]
+        with pytest.raises(QOutOfRange, match=r"outside \[1/2, 1\]"):
+            jordan3_q_radius(0.0)
+    else:
+        with pytest.raises(QOutOfRange, match="q = 0 is outside"):
+            Q_ENTRIES[entry](0.0)
+
+
+def test_as_operator_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        aq_radius(Weight.identity(2), np.ones((2, 3)), 0.5)
 
 
 class TestReduce:
