@@ -40,7 +40,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .radius import _DEFAULT_BUDGET, Budget, aq_crawford, aq_radius
-from .semispace import Weight, _sqrt_2_1mre, a_adjoint, a_opnorm, as_operator, kron, validate_q
+from .semispace import (
+    Weight,
+    a_adjoint,
+    a_opnorm,
+    as_operator,
+    kron,
+    validate_q,
+)
 
 __all__ = [
     "LawReport",
@@ -155,6 +162,10 @@ def _digest(w: Weight, t, q, seed: int) -> str:
     h.update(t.tobytes())
     h.update(repr(complex(q)).encode())
     return f"s{seed}-n{t.shape[0]}-{h.hexdigest()[:12]}"
+
+
+def _sqrt_2_1mre(q: complex) -> float:
+    return math.sqrt(max(0.0, 2.0 * (1.0 - q.real)))
 
 
 def _block_diag(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -130,18 +130,13 @@ def _q_parts(q) -> tuple[complex, float, float]:
     return q, m, math.sqrt(1.0 - m * m)  # m * m, not m ** 2: a product is correctly rounded, pow need not be
 
 
-def _sqrt_2_1mre(q: complex) -> float:
-    """sqrt(2 (1 - Re q)), of Theorem 4.1: |omega_{A,q}(T) - omega_A(T)| <= sqrt(2 (1 - Re q)) ||T||_A."""
-    return math.sqrt(max(0.0, 2.0 * (1.0 - q.real)))
-
-
 class Weight:
     """Hermitian positive-semidefinite weight with cached spectral data.
 
-    The input is symmetrized (``A <- (A + A^H)/2``, halved first where the sum
-    would overflow) before factorization to be robust against round-off in
-    file input; a largest eigenvalue beyond the largest float raises a
-    ValueError.  Eigenvalues below ``psd_tol`` count as zero; anything below
+    The input is symmetrized (``A <- A/2 + A^H/2``, halved first so that no
+    sum of finite entries overflows) before factorization to be robust against
+    round-off in file input; a largest eigenvalue beyond the largest float
+    raises a ValueError.  Eigenvalues below ``psd_tol`` count as zero; anything below
     ``-psd_tol`` rejects the matrix as not PSD.
 
     Attributes
@@ -158,10 +153,7 @@ class Weight:
 
     def __init__(self, a, psd_tol: float | None = None):
         a = as_operator(a)
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = 0.5 * (a + a.conj().T)
-        # halving first, which drops the last bit of a subnormal, only where the sum overflows
-        a = h if np.isfinite(h).all() else 0.5 * a + 0.5 * a.conj().T
+        a = 0.5 * a + 0.5 * a.conj().T  # halved before the sum, which can overflow
         vals, vecs = np.linalg.eigh(a)
         vals = vals[::-1].copy()
         vecs = vecs[:, ::-1].copy()

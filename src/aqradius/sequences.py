@@ -34,8 +34,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .laws import _sqrt_2_1mre
 from .radius import Budget, aq_crawford, aq_radius
-from .semispace import Weight, _sqrt_2_1mre, a_opnorm, as_operator, validate_q
+from .semispace import Weight, a_opnorm, as_operator, validate_q
 
 __all__ = [
     "DEFAULT_INDICES",

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from aqradius import (
     weight_from_json,
     weight_to_json,
 )
-from aqradius.semispace import _unit_scale
+from aqradius.semispace import _q_parts, _unit_scale
 from conftest import crandn, random_pd_weight
 
 
@@ -159,7 +160,7 @@ class TestWeight:
             assert value(big) == pytest.approx(value(unit), rel=2e-14, abs=0.0)
 
     def test_rejects_a_largest_eigenvalue_beyond_the_largest_float(self):
-        # eigenvalues 2.5e308 and 5e307: the parent read lambda_max = inf as "nonzero PSD"
+        # eigenvalues 2.5e308 and 5e307: lambda_max = inf must not read as "nonzero PSD"
         with pytest.raises(ValueError, match="largest eigenvalue overflows"):
             Weight([[1.5e308, 1e308], [1e308, 1.5e308]])
 
@@ -184,6 +185,14 @@ class TestValidateQ:
         with pytest.raises(ValueError, match="exceeds 1"):
             validate_q(1.5e308 + 1.5e308j)
 
+    def test_p_is_read_from_the_product_of_the_modulus(self):
+        # every route reads p from |q| * |q|, which is correctly rounded; at this q, pow(|q|, 2) of the
+        # C library (Python 3.11, x86_64 Linux) rounds the other way, and p moves by one ulp
+        q = 0.6300097008235537 + 0.667894083052831j
+        _, m, p = _q_parts(q)
+        assert m == abs(q)
+        assert p == math.sqrt(1.0 - m * m)
+
 
 _T = np.array([[1.0, 2.0j], [0.5, -1.0]])
 _FORM = canonical_2x2(_T)
@@ -197,7 +206,6 @@ Q_ENTRIES = {
     "q_crawford_2x2": lambda q: q_crawford_2x2(_FORM, q),
     "q_extremal_2x2": lambda q: q_extremal_2x2(_FORM, q, True),
     "q_range_2x2": lambda q: q_range_2x2(_FORM, q),
-    "validate_q": validate_q,
     "jordan3_q_radius": jordan3_q_radius,
     "trace": lambda q: trace(_SEQUENCE, "radius", q, indices=(1, 2)),
     "trace_gaps": lambda q: trace_gaps(_SEQUENCE, q, indices=(1, 2)),
