@@ -17,7 +17,9 @@ p = sqrt(1 - |q|^2), which `semispace._q_parts` derives with the check of q,
   spectrum under |u_i|^2, and the two-point law on its ends spreads most for
   its mean (Bhatia-Davis): the q-range is that of the compression to the end
   eigenvectors (`_segment`), accepted within 1e-12 ||B||_F of e^{i phi} H + s I,
-  so that the value is within 3e-12 ||B||_F (both are sqrt(2)-Lipschitz).
+  so that the value is within 3e-12 ||B||_F (both are sqrt(2)-Lipschitz).  A
+  diagonal B (a multiplication operator under a diagonal weight) shows its end
+  eigenvectors: they are standard basis vectors, and no eigensolver runs.
 - p = 0 (|q| = 1 as given; one ulp below 1, p = 1.5e-8, is not): the phase
   bracket `_bracket`.  As W(B) is convex, omega_A and c_A are the max over phi
   of lambda_max and of max(0, lambda_min) of the Hermitian part H(e^{i phi} B).
@@ -47,10 +49,12 @@ of the closed form, ||B 2^-e||_F and e.  It keeps the last `_PREPARED` (8)
 preparations in an LRU cache keyed by the weight object and T's bytes alone,
 read in C order (they fix T's n x n shape, so a C and a Fortran copy of T
 share one entry, and T changed in place keys anew); its arrays are read-only.
-A miss rebuilds T from the bytes, so the cache keeps no reference to the
-caller's array, and a value and its witnesses have the same bits whether the
-preparation was cached or not.  Errors are not cached: a call that raises
-raises again.
+A miss starts from B 2^-e and e of `semispace._unit_reduction`, a cache of
+the same key that `a_opnorm` shares, so the seminorm and both estimators of
+one (A, T) reduce T once; T is rebuilt from the bytes there, so neither
+cache keeps a reference to the caller's array, and a value and its
+witnesses have the same bits whether either was cached or not.  Errors are
+not cached: a call that raises raises again.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exact import CanonicalForm2x2, _canonical, q_extremal_2x2
-from .semispace import RankTooLow, Weight, _q_parts, _reduce, _scale_back, _unit_scale, as_operator
+from .semispace import RankTooLow, Weight, _q_parts, _scale_back, _unit_reduction, as_operator
 
 __all__ = [
     "Budget",
@@ -587,7 +591,11 @@ def _segment(b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
     At n >= 3, with s = tr B / n, C = B - s I and e^{2 i phi} the phase of tr(C^2)
     (1 if it is 0), g = e^{-i phi} C must have ||(g - g^H) / 2||_F <= 1e-12; V holds
     the extreme eigenvectors of (g + g^H) / 2.  ||b_ij| - |b_ji|| is at most sqrt(2)
-    times that, so a larger gap, at (0, 1) first, rejects B at less cost.
+    times that, so a larger gap, at (0, 1) first, rejects B at less cost.  Where
+    every off-diagonal entry of B is exactly 0, as for a multiplication operator
+    under a diagonal weight, (g + g^H) / 2 is the diagonal Re diag(g), and V is
+    read off it without an eigensolver: the standard basis vectors at its last
+    largest and its first smallest entry, k and j, with V^H B V = diag(b_kk, b_jj).
     """
     n = b.shape[0]
     if n == 2:
@@ -604,6 +612,12 @@ def _segment(b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
     g_h = g.conj().T
     if _frobenius(g - g_h) > 2e-12:
         return None
+    if not b.ravel()[1:].reshape(n - 1, n + 1)[:, :n].any():  # the off-diagonal entries, row by row
+        h = g.diagonal().real
+        k, j = n - 1 - int(np.argmax(h[::-1])), int(np.argmin(h))
+        v = np.zeros((n, 2), dtype=complex)
+        v[k, 0] = v[j, 1] = 1.0
+        return np.array([[b[k, k], 0.0], [0.0, b[j, j]]]), v
     v = np.linalg.eigh(0.5 * (g + g_h))[1][:, [-1, 0]]
     return v.conj().T @ b @ v, v
 
@@ -615,17 +629,17 @@ _PREPARED = 8  # the (weight, operator) preparations `_prepare` keeps
 def _prepare(w: Weight, key: bytes) -> tuple[np.ndarray, np.ndarray | None, CanonicalForm2x2 | None, float, int]:
     """What an estimate of T under A needs before q (the module docstring): b, basis, form, size and e.
 
-    key is the bytes of T, n x n complex in C order, from which T is rebuilt.  b is B / ||B||_F
-    of B 2^-e (on the closed-form route its compression V^H b V), basis is V where W(B) is a
-    segment at n >= 3, form is the canonical form of the closed form, and size is ||B 2^-e||_F.
-    The arrays are read-only.
+    key is the bytes of T, n x n complex in C order, and B 2^-e and e come from
+    `semispace._unit_reduction(w, key)`, whose cached array the division leaves as it is.  b is
+    B / ||B||_F of B 2^-e (on the closed-form route its compression V^H b V), basis is V where
+    W(B) is a segment at n >= 3, form is the canonical form of the closed form, and size is
+    ||B 2^-e||_F.  The arrays are read-only.
     """
-    n = math.isqrt(len(key) // 16)
-    b, e = _unit_scale(_reduce(w, np.frombuffer(key, np.complex128).reshape(n, n)))
+    b, e = _unit_reduction(w, key)  # read-only and shared with `a_opnorm`: the division makes b anew
     # both values scale with T: every route runs on B / ||B||_F, whose sum of squares at 2^-e can
     # neither overflow nor underflow
     size = _frobenius(b) or 1.0
-    b /= size
+    b = b / size
     basis = form = None
     if (segment := _segment(b)) is not None:  # the q-range is that of C = V^H B V: its closed form
         b, basis = segment  # (V v)^H B (V u) = v^H C u, so the route finds u and v for C and V maps them

@@ -11,6 +11,7 @@ quantity of the reduced operator ``A^{1/2} T A^{1/2+}`` restricted to range(A);
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -182,10 +183,12 @@ class Weight:
         self._range_basis = vecs[:, :rank]
         self._range_basis_h = self._range_basis.conj().T  # V_r^H, for `reduce_to_range`
         self._range_scale = np.sqrt(vals[:rank])  # S_r, by which `lift` divides
-        # A and S_r at unit size, for `_check_compatible` (which reads A only at rank < dim)
-        # and `reduce_to_range`
-        self._unit_a = _unit_scale(a.copy())[0] if rank < a.shape[0] else None
-        self._unit_range_scale = _unit_scale(self._range_scale.copy())[0]
+        self._unit_range_scale = _unit_scale(self._range_scale.copy())[0]  # S_r at unit size, for `reduce_to_range`
+
+    @functools.cached_property
+    def _unit_a(self) -> tuple[np.ndarray, int]:
+        """A at unit size, A 2^-e, and e, for `a_inner`, `a_norm_vec` and `_check_compatible`; built at first use."""
+        return _unit_scale(self.a.copy())
 
     @property
     def dim(self) -> int:
@@ -212,27 +215,37 @@ class Weight:
 
 
 def a_inner(w: Weight, x, y) -> complex:
-    """Weighted inner product <x, y>_A = y^H A x (conjugation on the second slot)."""
-    x = as_vector(x, w.dim)
-    y = as_vector(y, w.dim)
-    return complex(y.conj() @ (w.a @ x))
+    """Weighted inner product <x, y>_A = y^H A x (conjugation on the second slot).
+
+    x, y and A are taken at unit size (`_unit_scale`), and each part of the
+    product is scaled back by the sum of their exponents, so no product
+    overflows, and none underflows but for entries far below the largest of
+    their array; a part beyond the largest float raises a ValueError.
+    """
+    x, ex = _unit_scale(as_vector(x, w.dim).copy())
+    y, ey = _unit_scale(as_vector(y, w.dim).copy())
+    a, ea = w._unit_a
+    s, e = complex(y.conj() @ (a @ x)), ex + ey + ea
+    return complex(_scale_back(s.real, e), _scale_back(s.imag, e))
 
 
 def a_norm_vec(w: Weight, x) -> float:
     """Weighted seminorm sqrt(Re <x, x>_A); may vanish on nonzero vectors.
 
     Raises if Im <x, x>_A exceeds 1e-10 ||A|| ||x||^2, the scale of its round-off.
-    Both are taken at x 2^-e (`_unit_scale`), and the seminorm is scaled back
-    by 2^e, so no square overflows or underflows; a seminorm beyond the largest
-    float raises a ValueError.
+    Both are taken at x 2^-e and A 2^-f (`_unit_scale`), and the seminorm is
+    scaled back by 2^(e + f // 2), an odd f leaving a factor 2 under the root,
+    so no square or product overflows or underflows; a seminorm beyond the
+    largest float raises a ValueError.
     """
     x, e = _unit_scale(as_vector(x, w.dim).copy())
-    s = a_inner(w, x, x)
-    if abs(s.imag) > 1e-10 * float(w.eigvals[0]) * float(np.vdot(x, x).real):
+    a, f = w._unit_a
+    s = complex(x.conj() @ (a @ x))
+    if abs(s.imag) > 1e-10 * math.ldexp(float(w.eigvals[0]), -f) * float(np.vdot(x, x).real):
         raise ValueError(
-            f"self inner product has imaginary part {s.imag:.3e}; weight is broken"
+            f"self inner product has imaginary part {s.imag:.3e} x 2^{2 * e + f}; weight is broken"
         )
-    return _scale_back(math.sqrt(max(s.real, 0.0)), e)
+    return _scale_back(math.sqrt(math.ldexp(max(s.real, 0.0), f % 2)), e + f // 2)
 
 
 def _check_compatible(w: Weight, t: np.ndarray) -> None:
@@ -244,7 +257,7 @@ def _check_compatible(w: Weight, t: np.ndarray) -> None:
     # unlike sums of squares, neither overflow nor underflow at any size of T.
     if w.rank == w.dim:
         return
-    at = w._unit_a @ t
+    at = w._unit_a[0] @ t
     leak, top = np.abs(at @ w.eigvecs[:, w.rank :]).max(), np.abs(at).max()
     if leak > 1e-8 * top:
         raise NotABounded(
@@ -280,12 +293,35 @@ def _reduce(w: Weight, t: np.ndarray) -> np.ndarray:
         return (sr[:, None] * (w._range_basis_h @ t @ w._range_basis)) / sr
 
 
+_REDUCED = 8  # the reductions `_unit_reduction` keeps
+
+
+@functools.lru_cache(maxsize=_REDUCED)
+def _unit_reduction(w: Weight, key: bytes) -> tuple[np.ndarray, int]:
+    """The reduction of T at unit size, B 2^-e (read-only), and e, for the T whose bytes are key.
+
+    key is the bytes of T, n x n complex in C order, from which T is rebuilt,
+    so the cache keeps no reference to the caller's array, a C and a Fortran
+    copy of T share one entry, and T changed in place keys anew.  It keeps the
+    last `_REDUCED` (8) reductions, keyed by the weight object and key; the
+    seminorm (`a_opnorm`) and the estimators' preparation (`radius._prepare`)
+    of one (A, T) share one.  Errors are not cached: a call that raises
+    (`NotABounded`, a dimension mismatch, an overflow) raises again.
+    """
+    n = math.isqrt(len(key) // 16)
+    b, e = _unit_scale(_reduce(w, np.frombuffer(key, np.complex128).reshape(n, n)))
+    b.setflags(write=False)
+    return b, e
+
+
 def a_opnorm(w: Weight, t) -> float:
     """Weighted operator seminorm: largest singular value of the reduction, taken at unit size.
 
-    A reduction or a seminorm beyond the largest float raises a ValueError.
+    The reduction comes from the cache `_unit_reduction`, which the estimators
+    of the same (A, T) share.  A reduction or a seminorm beyond the largest
+    float raises a ValueError.
     """
-    b, e = _unit_scale(_reduce(w, as_operator(t)))
+    b, e = _unit_reduction(w, as_operator(t).tobytes())
     return _scale_back(float(np.linalg.svd(b, compute_uv=False)[0]), e)
 
 

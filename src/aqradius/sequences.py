@@ -190,7 +190,9 @@ def _traces(w, specs, targets, steps, scale, labels, budget, seed):
     A step is (n, T_n, q_n, deviation, bound): the value at (T_n, q_n) must lie
     within the quantity's Lipschitz factor times ``bound``, plus ``_SLACK``, of
     its target, and ``deviation``, the distance to the declared limit, must
-    decay.  The seminorm of T_n is evaluated once per step, and only for a gap.
+    decay.  The seminorm of T_n is evaluated once per step, and only for a gap;
+    it reduces T_n into the cache (`semispace._unit_reduction`) from which the
+    estimators' preparation of T_n starts, so a step reduces T_n once.
     """
     rows = []  # (n, deviation, bound, the value of each quantity)
     for n, t_n, q_n, deviation, bound in steps:

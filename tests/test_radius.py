@@ -1,4 +1,5 @@
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1623,6 +1624,56 @@ def test_segment_route_runs_from_dimension_two():
     assert _segment(np.array([[1.0 + 0j]])) is None
     est = aq_radius(Weight.diagonal([1.0, 0.0]), np.diag([3.0, 0.0]), np.exp(0.5j))
     assert est.value == pytest.approx(3.0, abs=1e-10)
+
+
+def diagonal_operator(rng, n, kind):
+    """A diagonal T of one kind: real, complex collinear, complex non-collinear, with tied extremes, or scalar."""
+    d = rng.standard_normal(n)
+    if kind == "tied":  # the smallest and the largest entry each twice (at n = 3, the largest)
+        lo, hi = np.sort(rng.standard_normal(2))
+        d = rng.permutation(np.concatenate([[lo, hi, hi], [lo] * (n > 3), rng.uniform(lo, hi, max(n - 4, 0))]))
+    elif kind == "scalar":
+        d = np.full(n, rng.standard_normal())
+    if kind == "non-collinear":
+        d = d + 1j * rng.standard_normal(n)
+    elif kind != "real":  # W(T) a segment off the real axis
+        d = np.exp(1j * rng.uniform(0, 2 * np.pi)) * d + complex(*rng.standard_normal(2))
+    return np.diag(d.astype(complex))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([3, 4, 8]),
+    kind=st.sampled_from(["real", "collinear", "non-collinear", "tied", "scalar"]),
+    diagonal_weight=st.booleans(),
+    q=st.sampled_from([0.6, 0.3 + 0.4j, 0.95, 1.0]),
+)
+def test_diagonal_segment_route(seed, n, kind, diagonal_weight, q):
+    # a diagonal T under a diagonal weight reduces to a diagonal B: a segment takes its end
+    # eigenvectors from the standard basis, with no eigensolver, and its values and witnesses
+    # are those of U T U^H under U A U^H, whose reduction is not diagonal and goes through eigh
+    rng = np.random.default_rng(seed)
+    t = diagonal_operator(rng, n, kind)
+    a = np.diag(rng.uniform(0.1, 3.0, n)) if diagonal_weight else np.eye(n)
+    u = np.linalg.qr(crandn(rng, n, n))[0]
+    w, w_u, t_u = Weight(a), Weight(u @ a @ u.conj().T), u @ t @ u.conj().T
+    tol = 1e-12 * np.linalg.norm(t, 2)
+    _prepare.cache_clear()
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        _, basis, form, _, _ = _prepare(w, t.tobytes())
+        assert eigh.call_count == 0
+        if kind == "non-collinear":  # W(T) is a polygon: no segment
+            assert form is None
+            return
+        assert np.count_nonzero(basis) == 2 and np.all(basis[basis != 0] == 1.0)  # standard basis vectors
+        for estimator in (aq_radius, aq_crawford):
+            est, other = estimator(w, t, q), estimator(w_u, t_u, q)
+            assert (est.direction, est.evaluations, est.converged) == (TWO_SIDED, 1, 1)
+            assert witness_value(w, t, est) == pytest.approx(est.value, abs=tol)
+            assert other.direction == TWO_SIDED
+            assert est.value == pytest.approx(other.value, abs=tol)
+        assert eigh.call_count == 1  # the rotated operator's segment, prepared once for both estimators
 
 
 SEGMENT_MISSES = [

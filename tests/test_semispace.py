@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -36,7 +38,9 @@ from aqradius import (
     weight_from_json,
     weight_to_json,
 )
-from aqradius.semispace import _q_parts, _unit_scale
+from aqradius import semispace
+from aqradius.radius import _prepare
+from aqradius.semispace import _q_parts, _unit_reduction, _unit_scale
 from conftest import crandn, random_pd_weight
 
 
@@ -82,10 +86,35 @@ class TestAInner:
         with pytest.raises(ValueError):
             a_inner(Weight.identity(2), [1, 0, 0], [0, 1])
 
+    def test_far_from_unit_size(self):
+        # x, y and A are taken at unit size: A x = 1e400 overflows unscaled (1e-400 underflows),
+        # yet the value is representable and comes out, with no RuntimeWarning
+        w = Weight(1e200 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert a_inner(w, [1e200, 0], [1e-200, 0]) == 1e200
+            assert a_inner(w, [1e200j, 0], [1e-200, 0]) == 1e200j
+            tiny = a_inner(Weight(1e-200 * np.eye(2)), [1e-200, 0], [1e200, 0])
+        assert tiny == pytest.approx(1e-200, rel=1e-15)
+
+    def test_beyond_the_largest_float_raises(self):
+        # the true value is 3e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows the largest float"):
+                a_inner(Weight(1.5e308 * np.eye(2)), [1, 1], [1, 1])
+
 
 class TestANormVec:
     def test_euclidean(self):
         assert a_norm_vec(Weight.identity(2), [3, 4]) == pytest.approx(5)
+
+    def test_weight_near_the_largest_float(self):
+        # <x, x>_A = 4.86e308 overflows, but its root, 2.2e154, does not: A is taken at unit size too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = a_norm_vec(Weight(1.5e308 * np.eye(4)), [0.9] * 4)
+        assert value == pytest.approx(math.sqrt(4 * 0.81 * 1.5) * 1e154, rel=1e-15)
 
     def test_null_direction_of_psd_weight(self):
         w = Weight.diagonal([1, 0])
@@ -351,6 +380,75 @@ class TestAOpnorm:
         # ||T||_A = |1.5e308 + 1.3e308 i| = 1.98e308
         with pytest.raises(ValueError, match="overflows the largest float"):
             a_opnorm(Weight.identity(2), np.diag([1.5e308 + 1.3e308j, 1.0]))
+
+
+class TestUnitReduction:
+    """`_unit_reduction`: B 2^-e and e of (A, T), shared by `a_opnorm` and the estimators' preparation."""
+
+    def test_seminorm_and_estimators_share_one_reduction(self, rng):
+        w, t = random_pd_weight(rng, 3), crandn(rng, 3, 3)
+        _prepare.cache_clear()
+        _unit_reduction.cache_clear()
+        cold = aq_radius(w, t, 0.6), a_opnorm(w, t)
+        assert _unit_reduction.cache_info()[:2] == (1, 1)  # (hits, misses): the seminorm's served
+        _prepare.cache_clear()
+        _unit_reduction.cache_clear()
+        norm = a_opnorm(w, t)
+        est = aq_radius(w, t, 0.6)
+        assert _unit_reduction.cache_info()[:2] == (1, 1)  # the estimator's served
+        assert norm == cold[1]
+        assert (est.value, est.witness_x.tobytes(), est.witness_y.tobytes()) == (
+            cold[0].value, cold[0].witness_x.tobytes(), cold[0].witness_y.tobytes())  # fmt: skip
+
+    def test_cached_array_is_read_only(self, rng):
+        b, e = _unit_reduction(random_pd_weight(rng, 3), crandn(rng, 3, 3).tobytes())
+        assert not b.flags.writeable
+        with pytest.raises(ValueError):
+            b[0, 0] = 1.0
+        assert 0.5 <= np.abs(b.view(np.float64)).max() < 1.0 and isinstance(e, int)
+
+    def test_operator_changed_in_place_is_reduced_anew(self, rng):
+        w, t = random_pd_weight(rng, 3), crandn(rng, 3, 3)
+        before = a_opnorm(w, t)
+        t[0, 1] += 1.0
+        after = a_opnorm(w, t)
+        _unit_reduction.cache_clear()
+        assert after == a_opnorm(w, t.copy())
+        assert after != before
+
+    def test_c_and_fortran_copies_share_one_entry(self, rng):
+        w, t = random_pd_weight(rng, 3), crandn(rng, 3, 3)
+        _unit_reduction.cache_clear()
+        values = [a_opnorm(w, m) for m in (np.ascontiguousarray(t), np.asfortranarray(t))]
+        assert values[0] == values[1]
+        assert _unit_reduction.cache_info()[:2] == (1, 1)
+
+    def test_errors_are_raised_on_every_call(self):
+        singular, leaking = Weight.diagonal([1.0, 2.0, 0.0]), np.ones((3, 3))
+        thin, huge = Weight.diagonal([1.0, 1e-4, 2.0]), np.array([[1.0, 5e306, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 3.0]])
+        _unit_reduction.cache_clear()
+        for _ in range(2):  # cold, then warm: a pair of each weight is cached
+            with pytest.raises(NotABounded):
+                a_opnorm(singular, leaking)
+            with pytest.raises(ValueError, match="dimensions differ"):
+                a_opnorm(singular, np.eye(2))
+            with pytest.raises(ValueError, match="overflows the largest float"):
+                a_opnorm(thin, huge)
+            assert a_opnorm(singular, np.eye(3)) == 1.0
+            assert a_opnorm(thin, np.eye(3)) == 1.0
+        assert _unit_reduction.cache_info().currsize == 2  # the calls that raised left none
+
+    def test_cache_keeps_no_reference_to_the_callers_array(self, rng):
+        w, t = random_pd_weight(rng, 3), crandn(rng, 3, 3)
+        _unit_reduction.cache_clear()
+        a_opnorm(w, t)
+        alive = weakref.ref(t)
+        del t
+        assert alive() is None
+        assert _unit_reduction.cache_info().currsize == 1
+
+    def test_cache_keeps_eight_reductions(self):
+        assert _unit_reduction.cache_info().maxsize == semispace._REDUCED == 8
 
 
 class TestUnitScale:

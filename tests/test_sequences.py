@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from aqradius import (
     trace_q,
     trace_to_csv,
 )
+from aqradius import radius, semispace
 from conftest import crandn, random_pd_weight
 
 EX1 = np.array([[0.0, 1.0 / 70.0], [0.0, 0.0]], dtype=complex)
@@ -292,3 +294,23 @@ def test_wrappers_on_the_estimator_bindings_see_every_call(rng, monkeypatch):
     before = dict(calls)
     trace_gaps(seq, 0.7, indices=SHORT, budget=FAST)
     assert calls == {name: before[name] + per_trace for name in calls}
+
+
+@pytest.mark.parametrize("indices", [(1, 4), (1, 4, 16), SHORT])
+def test_trace_gaps_reduces_each_operator_once(monkeypatch, indices):
+    # the seminorm of T_n reduces it into the cache the estimators' preparation starts from, so
+    # the limit takes one reduction and each index two (T_n - T and T_n), every binding counted
+    calls, original = [], semispace._reduce
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "aqradius"]:
+        if getattr(module, "_reduce", None) is original:
+            monkeypatch.setattr(module, "_reduce", counted)
+    radius._prepare.cache_clear()
+    semispace._unit_reduction.cache_clear()
+    seq = OperatorSequence.multiplication(psi=lambda x: 1.0 + x, phi=lambda n, x: 1.0 + x / n, grid_points=8)
+    trace_gaps(seq, 0.6, indices=indices, budget=FAST)
+    assert len(calls) == 1 + 2 * len(indices)
