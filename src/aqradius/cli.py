@@ -127,29 +127,24 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _example_matrix(example: int) -> np.ndarray:
-    if example == 1:
-        return np.array([[0.0, 1.0 / 70.0], [0.0, 0.0]], dtype=complex)
-    if example == 2:
-        return np.array([[0.0, 1.0 / 24.0], [0.0, 0.0]], dtype=complex)
-    if example == 3:
-        return np.eye(2, dtype=complex) / 20.0
-    if example == 4:
-        return np.diag([1.0, 1.0], k=1).astype(complex)
-    raise ValueError(f"unknown example {example}; expected 1-4")
+# the 2x2 examples of the figures; example 4 is J3, the 3x3 Jordan block, whose q-radius has a closed form
+_EXAMPLES = {
+    1: np.array([[0.0, 1.0 / 70.0], [0.0, 0.0]], dtype=complex),
+    2: np.array([[0.0, 1.0 / 24.0], [0.0, 0.0]], dtype=complex),
+    3: np.eye(2, dtype=complex) / 20.0,
+}
 
 
 def _cmd_figure(args) -> int:
     example = args.example
-    mat = _example_matrix(example)
     n_grid = args.grid
-    w = Weight.identity(mat.shape[0])
-    omega = a_radius(w, mat).value
     rows: list[list[float]] = []
 
-    if example in (1, 2, 3):
+    if example in _EXAMPLES:
+        mat = _EXAMPLES[example]
         form = exact.canonical_2x2(mat)
-        opnorm = a_opnorm(w, mat)
+        omega = exact.q_radius_2x2(form, 1.0)
+        opnorm = a_opnorm(Weight.identity(2), mat)
         qs = np.linspace(0.0, 1.0, n_grid)
         if example == 1:
             header = "q,two_q_omega,two_omega_q,upper_paper_sqrt1mq,upper_paper_sqrt1mq2"
@@ -168,9 +163,7 @@ def _cmd_figure(args) -> int:
             header = "q,abs_diff,upper_bound"
             for q in qs:
                 omega_q = exact.q_radius_2x2(form, q)
-                rows.append(
-                    [q, abs(omega_q - omega), math.sqrt(2.0 * (1.0 - q)) * opnorm]
-                )
+                rows.append([q, abs(omega_q - omega), laws._sqrt_2_1mre(q) * opnorm])
             if example == 3:
                 print(
                     "note: the exact difference for the scalar family is "
@@ -179,9 +172,10 @@ def _cmd_figure(args) -> int:
                 )
     else:
         header = "q,omega_q,abs_diff,upper_bound"
+        omega = exact.jordan3_q_radius(1.0)
         for q in np.linspace(0.5, 1.0, n_grid):
             omega_q = exact.jordan3_q_radius(q)
-            rows.append([q, omega_q, abs(omega_q - omega), math.sqrt(2.0 * (1.0 - q))])
+            rows.append([q, omega_q, abs(omega_q - omega), laws._sqrt_2_1mre(q)])  # ||J3|| = 1
 
     with open(args.out, "w") as fh:
         fh.write(header + "\n")

@@ -9,7 +9,9 @@ loops over it, and :func:`check_law`, the one single-instance entry point,
 builds an instance and runs one row.  Adding a law means one check function,
 returning ``(law id, (lhs, rhs))`` pairs or ``(law id, skip reason)``, whose
 docstring states the law, plus one table row that names the ingredients the
-check reads beyond (A, T, q).
+check reads beyond (A, T, q).  An ingredient is an input of the law, never a
+value derived from (A, T, q): t1_45 reads the coefficients (lambda, mu) and
+computes gamma from them and q itself, and a gamma that vanishes is a skip.
 
 Since suprema are estimated from below and infima from above, a law whose
 *larger* side carries such an estimate can look violated purely from estimator
@@ -19,13 +21,14 @@ shortfall.  A row's tolerance class says how much slack is forgiven:
   slack.  Only ``t1_1`` is here (its right side ||T||_A is a singular value);
   a larger budget cannot change its verdict, so it is the one law not re-run.
 * ``IDENTITY`` (2e-3, two-sided): both sides estimate the same number.
-* ``ESTIMATED`` (5e-3): the larger side carries an estimate.
+* ``ESTIMATED`` (5e-3): the larger side carries an estimate.  The same
+  allowance widens each envelope of a convergence trace (`sequences`).
 
 :meth:`_Law.run` is the one way a law is checked, by :func:`run_suite` and by
 :func:`check_law` alike: a row of the last two classes that does not pass is
-re-run at 4x and then 16x the restart budget before its failure is reported,
-and each report carries the budget of the run that gave it and the digest of
-its (A, T, q).
+re-run at 4x and then 16x the restart budget, which it scales itself, before
+its failure is reported, and each report carries the budget of the run that
+gave it and the digest of its (A, T, q).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -41,6 +44,7 @@ import numpy as np
 
 from .radius import _DEFAULT_BUDGET, Budget, aq_crawford, aq_radius
 from .semispace import (
+    QOutOfRange,
     Weight,
     a_adjoint,
     a_opnorm,
@@ -51,7 +55,6 @@ from .semispace import (
 
 __all__ = [
     "LawReport",
-    "LinComboParams",
     "SuiteConfig",
     "check_law",
     "reports_csv_summary",
@@ -104,23 +107,6 @@ class LawReport:
         if not self.skipped:
             del d["skipped"], d["skip_reason"]
         return d
-
-
-@dataclass
-class LinComboParams:
-    """Coefficients (lambda, mu) with the induced normalizer gamma."""
-
-    lam: complex
-    mu: complex
-    gamma: float
-
-    @classmethod
-    def for_q(cls, lam, mu, q) -> "LinComboParams":
-        q = validate_q(q)
-        g2 = abs(lam) ** 2 + abs(mu) ** 2 + 2.0 * (lam * np.conj(mu) * q).real
-        if g2 <= 1e-24 * (abs(lam) + abs(mu)) ** 2:  # gamma is homogeneous in (lambda, mu)
-            raise ValueError("degenerate combination: gamma vanishes")
-        return cls(lam=complex(lam), mu=complex(mu), gamma=math.sqrt(g2))
 
 
 class _Ev:
@@ -177,20 +163,20 @@ class _Instance:
     """One (A, T, q) instance and the partner operators the laws compare T with.
 
     The optional ingredients feed only the laws that read them: ``alpha``
-    t1_23, ``params`` t1_45, ``s`` t5_3, and ``partner = (A2, T2, q2)`` the
-    tensor laws t3/cor1 and the direct-sum law app1.  Reports carry
-    ``digest``, the digest of (A, T, q).
+    t1_23, ``coefficients = (lambda, mu)`` t1_45, which derives gamma from
+    them and q, ``s`` t5_3, and ``partner = (A2, T2, q2)`` the tensor laws
+    t3/cor1 and the direct-sum law app1.  Reports carry ``digest``, the
+    digest of (A, T, q).
     """
 
-    def __init__(self, w: Weight, t, q, seed: int, *, alpha=1.0, params: LinComboParams | None = None,
-                 s=None, partner=None):
+    def __init__(self, w: Weight, t, q, seed: int, *, alpha=1.0, coefficients=None, s=None, partner=None):
         if abs(abs(alpha) - 1.0) > 1e-12:
             raise ValueError("alpha must be unimodular")
         self.ev = _Ev(w, t, seed)
         self.q = validate_q(q)
         self.seed = seed
         self.alpha = complex(alpha)
-        self.params = params
+        self.coefficients = coefficients
         self.s = s
         if partner is not None:
             w2, t2, q2 = partner
@@ -254,23 +240,31 @@ def _t1_23(inst: _Instance, b: Budget):
 def _t1_45(inst: _Instance, b: Budget):
     """Linear-combination bounds at the composite parameter (lambda + mu conj(q))/gamma.
 
-    The partner operator is the weighted adjoint A^+ T^H A, which the
-    underlying pairing identity requires; T^H fails the bounds on skewed weights.
+    gamma = sqrt(|lambda|^2 + |mu|^2 + 2 Re(lambda conj(mu) q)) is fixed by the
+    coefficients and q; both laws are skipped where it vanishes relative to
+    |lambda| + |mu| (gamma is homogeneous in them), or where the composite
+    parameter is outside the range `validate_q` accepts.  The partner operator
+    is the weighted adjoint A^+ T^H A, which the underlying pairing identity
+    requires; T^H fails the bounds on skewed weights.
     """
-    p, q = inst.params, inst.q
-    if p is None:
-        return []
+    (lam, mu), q = map(complex, inst.coefficients), inst.q
+    g2 = abs(lam) ** 2 + abs(mu) ** 2 + 2.0 * (lam * np.conj(mu) * q).real
+    if g2 <= 1e-24 * (abs(lam) + abs(mu)) ** 2:
+        reason = "degenerate combination: gamma vanishes"
+        return [("t1_4", reason), ("t1_5", reason)]
+    gamma = math.sqrt(g2)
     # the statement's parameter; the paper's proof uses (lambda + conj(mu) q)/gamma
-    qc = (p.lam + p.mu * np.conj(q)) / p.gamma
-    m = abs(qc)
-    if m < 1e-12 or m > 1.0 + 1e-12:
+    qc = (lam + mu * np.conj(q)) / gamma
+    try:
+        validate_q(qc)
+    except QOutOfRange:
         reason = f"composite parameter |{qc:.4f}| outside (0, 1]"
         return [("t1_4", reason), ("t1_5", reason)]
-    ev, am = inst.ev, abs(p.mu)
-    base = abs(p.lam) * ev.radius_q(1.0, b)
+    ev, am = inst.ev, abs(mu)
+    base = abs(lam) * ev.radius_q(1.0, b)
     return [
-        ("t1_4", (p.gamma * ev.radius_q(qc, b), base + am * inst.adj.radius_q(q, b))),
-        ("t1_5", (p.gamma * ev.crawford_q(qc, b), base + am * inst.adj.crawford_q(q, b))),
+        ("t1_4", (gamma * ev.radius_q(qc, b), base + am * inst.adj.radius_q(q, b))),
+        ("t1_5", (gamma * ev.crawford_q(qc, b), base + am * inst.adj.crawford_q(q, b))),
     ]
 
 
@@ -390,7 +384,7 @@ class _Law(NamedTuple):
         """
         tol, kind = self.tolerance
         for factor in (1,) if self.tolerance is EXACT else (1, 4, 16):
-            b = budget if factor == 1 else budget.scaled(factor)
+            b = budget if factor == 1 else replace(budget, restarts=budget.restarts * factor)
             reports = []
             for law_id, sides in self.check(inst, b):
                 if isinstance(sides, str):  # a skip reason
@@ -409,7 +403,7 @@ class _Law(NamedTuple):
 _LAWS = {
     "t1_1": _Law(_t1_1, EXACT),
     "t1_23": _Law(_t1_23, IDENTITY, ("alpha",)),
-    "t1_45": _Law(_t1_45, ESTIMATED, ("params",)),
+    "t1_45": _Law(_t1_45, ESTIMATED, ("coefficients",)),
     "t1_78": _Law(_t1_78, ESTIMATED),
     "note": _Law(_note, ESTIMATED),
     "t2": _Law(_t2, ESTIMATED),
@@ -425,20 +419,23 @@ _LAWS = {
 # --- the one single-instance entry point ---------------------------------------
 
 
-def check_law(name: str, w: Weight, t, q, *, alpha=None, params: LinComboParams | None = None, s=None,
+def check_law(name: str, w: Weight, t, q, *, alpha=None, coefficients=None, s=None,
               partner=None, budget: Budget | None = None, seed: int = 0) -> tuple[LawReport, ...]:
     """The reports of the law group ``name`` of ``_LAWS`` on (A, T, q), one per law id.
 
     A group reads only the ingredients its row names: ``alpha`` (t1_23),
-    ``params`` (t1_45), ``s`` (t5_3) or ``partner = (A2, T2, q2)`` (t3, cor1,
-    app1); the others are not read.  The group runs as in :func:`run_suite`,
-    re-runs included, and its reports carry the suite's digest of (A, T, q).
-    Raises ValueError for an unknown name or a missing ingredient.
+    ``coefficients = (lambda, mu)`` (t1_45, whose gamma comes from them and
+    q; a gamma that vanishes is a skip of both laws), ``s`` (t5_3) or
+    ``partner = (A2, T2, q2)`` (t3, cor1, app1); the others are not read.
+    The group runs as in :func:`run_suite`, re-runs included, and its reports
+    carry the suite's digest of (A, T, q).  Raises ValueError for an unknown
+    name or a missing ingredient.
     """
     law = _LAWS.get(name)
     if law is None:
         raise ValueError(f"unknown law {name!r}; the laws are {', '.join(_LAWS)}")
-    given = {k: v for k, v in dict(alpha=alpha, params=params, s=s, partner=partner).items() if v is not None}
+    given = {k: v for k, v in dict(alpha=alpha, coefficients=coefficients, s=s, partner=partner).items()
+             if v is not None}
     missing = [k for k in law.ingredients if k not in given]
     if missing:
         raise ValueError(f"law {name!r} needs {' and '.join(missing)}")
@@ -496,11 +493,7 @@ def _random_instance(seed: int, idx: int, dims: tuple[int, ...]) -> _Instance:
     q2 = _random_q(rng)
     s = t + 0.05 * _crandn(rng, n)
     est_seed = int(np.random.SeedSequence((seed, idx, 0xE57)).generate_state(1)[0])
-    try:
-        params = LinComboParams.for_q(lam, mu, q)
-    except ValueError:
-        params = None  # t1_45 is left out of this instance
-    return _Instance(w, t, q, est_seed, alpha=alpha, params=params, s=s, partner=(w2, t2, q2))
+    return _Instance(w, t, q, est_seed, alpha=alpha, coefficients=(lam, mu), s=s, partner=(w2, t2, q2))
 
 
 def run_suite(config: SuiteConfig) -> list[LawReport]:

@@ -62,7 +62,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,8 +90,11 @@ TWO_SIDED = "two_sided"
 class Budget:
     """Sphere-search budget: restarts x iterations.
 
-    No estimator reads `grid_resolution` (the |q| = 1 phase bracket refines
-    until it closes); it stays, validated, for callers that still pass it.
+    A budget with more restarts draws the starts of one with fewer first, so
+    its estimate is at least as good (best-so-far); the laws' re-run ladder
+    raises the restarts by ``dataclasses.replace``.  No estimator reads
+    `grid_resolution` (the |q| = 1 phase bracket refines until it closes); it
+    stays, validated, for callers that still pass it.
     """
 
     restarts: int = 64
@@ -105,10 +108,6 @@ class Budget:
             raise ValueError(f"{self} needs restarts >= 1, iterations >= 1, grid_resolution >= 4 (ints)")
         for name, value in zip(("restarts", "iterations", "grid_resolution"), fields):
             object.__setattr__(self, name, int(value))  # plain ints, as JSON and np.empty take them
-
-    def scaled(self, factor: int) -> "Budget":
-        """Budget with `factor` times the restarts (best-so-far semantics)."""
-        return replace(self, restarts=self.restarts * factor)
 
 
 _DEFAULT_BUDGET = Budget()  # for calls made without one; frozen, so one instance serves them all

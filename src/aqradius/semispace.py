@@ -326,12 +326,25 @@ def a_opnorm(w: Weight, t) -> float:
 
 
 def a_adjoint(w: Weight, t) -> np.ndarray:
-    """Adjoint with respect to the weighted product: A^+ T^H A (on range(A))."""
-    t = as_operator(t)
+    """Adjoint with respect to the weighted product: A^+ T^H A (on range(A)).
+
+    T, the eigenvalues lambda_r of A on its range and A are each taken at unit
+    size (`_unit_scale`), so no 1/lambda and no product overflows, and the
+    adjoint is scaled back once, by the exact power of two; an adjoint with an
+    entry beyond the largest float raises a ValueError.
+    """
+    t, et = _unit_scale(as_operator(t).copy())
+    lam, el = _unit_scale(w.eigvals[: w.rank].copy())
+    a, ea = w._unit_a
     vr = w._range_basis
-    lam = w.eigvals[: w.rank]
     pinv_a = (vr / lam) @ vr.conj().T
-    return pinv_a @ t.conj().T @ w.a
+    adj = pinv_a @ t.conj().T @ a
+    flat = adj.view(np.float64)  # ldexp takes no complex array
+    with np.errstate(over="ignore"):  # an overflow is refused below, as a ValueError
+        np.ldexp(flat, et + ea - el, out=flat)
+    if not np.isfinite(adj).all():
+        raise ValueError("the weighted adjoint overflows the largest float")
+    return adj
 
 
 def kron(a, b) -> np.ndarray:

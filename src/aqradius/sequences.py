@@ -11,7 +11,8 @@ driven by one table of quantities, and use the Lipschitz-type envelopes:
     |gap(T_n)         - gap(T)|         <= 2 ||T_n - T||_A
     |omega_{A,q_n}(T) - omega_A(T)|     <= sqrt(2 (1 - Re q_n)) ||T||_A
 
-augmented by a fixed estimator slack, 5e-3.  Each trace makes two checks and raises
+each widened by the laws' allowance for an estimate, the tolerance of their
+``ESTIMATED`` class (5e-3).  Each trace makes two checks and raises
 :class:`EnvelopeViolation` when either fails:
 
 * The envelope check catches an estimator failure.  The bounds above hold for
@@ -34,7 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .laws import _sqrt_2_1mre
+from .laws import ESTIMATED, _sqrt_2_1mre
 from .radius import Budget, aq_crawford, aq_radius
 from .semispace import Weight, a_opnorm, as_operator, validate_q
 
@@ -50,7 +51,6 @@ __all__ = [
 ]
 
 DEFAULT_INDICES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-_SLACK = 5e-3  # the estimator slack each envelope adds
 # deviations up to this fraction of the limit's size count as zero
 DECAY_RTOL = 1e-12
 
@@ -188,11 +188,12 @@ def _traces(w, specs, targets, steps, scale, labels, budget, seed):
     """Each quantity at every step vs. its target, from one pass over the steps.
 
     A step is (n, T_n, q_n, deviation, bound): the value at (T_n, q_n) must lie
-    within the quantity's Lipschitz factor times ``bound``, plus ``_SLACK``, of
-    its target, and ``deviation``, the distance to the declared limit, must
-    decay.  The seminorm of T_n is evaluated once per step, and only for a gap;
-    it reduces T_n into the cache (`semispace._unit_reduction`) from which the
-    estimators' preparation of T_n starts, so a step reduces T_n once.
+    within the quantity's Lipschitz factor times ``bound``, plus the laws'
+    ``ESTIMATED`` tolerance, of its target, and ``deviation``, the distance to
+    the declared limit, must decay.  The seminorm of T_n is evaluated once per
+    step, and only for a gap; it reduces T_n into the cache
+    (`semispace._unit_reduction`) from which the estimators' preparation of
+    T_n starts, so a step reduces T_n once.
     """
     rows = []  # (n, deviation, bound, the value of each quantity)
     for n, t_n, q_n, deviation, bound in steps:
@@ -202,7 +203,7 @@ def _traces(w, specs, targets, steps, scale, labels, budget, seed):
     indices, deviations, bounds, *columns = ([r[i] for r in rows] for i in range(3 + len(specs)))
     traces = []
     for spec, values, target, label in zip(specs, columns, targets, labels):
-        envelopes = [(2.0 if spec.is_gap else 1.0) * b + _SLACK for b in bounds]
+        envelopes = [(2.0 if spec.is_gap else 1.0) * b + ESTIMATED[0] for b in bounds]
         traces.append(_finish(indices, values, target, envelopes, deviations, scale, label))
     return traces
 

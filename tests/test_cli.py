@@ -51,6 +51,23 @@ def test_verify_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert outputs[0][1].count(b"\n") == 22
 
 
+@pytest.mark.parametrize("instances", [3, 25])
+def test_verify_prints_one_fail_line_for_each_of_at_most_20_failures(instances, tmp_path, monkeypatch, capsys):
+    # a t1_1 row whose law cannot hold fails once on every instance
+    monkeypatch.setitem(laws._LAWS, "t1_1", laws._Law(lambda inst, b: [("t1_1", (1.0, 0.0))], laws.EXACT))
+    out = tmp_path / "v.csv"
+    argv = ["verify", "--instances", str(instances), "--dims", "2", "--budget", "2", "--out", str(out)]
+    assert cli.main(argv) == 1
+    records = [json.loads(line) for line in (tmp_path / "v.jsonl").read_text().splitlines()]
+    failed = [r for r in records if not r["pass"]]
+    assert [r["law_id"] for r in failed] == ["t1_1"] * instances
+    assert all(r["slack"] == -1.0 for r in failed)
+    skipped = sum(1 for r in records if r.get("skipped"))
+    summary, *lines = capsys.readouterr().out.splitlines()
+    assert summary == f"{len(records) - skipped} law checks, {skipped} skips, {instances} failures"
+    assert lines == [f"FAIL t1_1 on {r['instance_digest']}: slack -1.000e+00" for r in failed[:20]]
+
+
 def test_verify_default_flags_build_the_default_suite_config(tmp_path, monkeypatch, capsys):
     configs = []
     monkeypatch.setattr(laws, "run_suite", lambda config: configs.append(config) or [])
@@ -293,6 +310,22 @@ def test_figure_output_is_byte_identical_across_runs(example, tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") == 102  # header and the default 101 grid points
+
+
+@pytest.mark.parametrize("example", ["2", "3", "4"])
+def test_figure_differences_stay_within_the_theorem_4_1_bound(example, tmp_path):
+    # |omega_q - omega_A| <= sqrt(2 (1 - q)) ||T||: omega_A comes from the closed form of
+    # omega_q at q = 1; a phase bracket that stopped at its cap read 3.3e-16 above the bound 0
+    # at q = 1 of example 4
+    out = tmp_path / "f.csv"
+    assert cli.main(["figure", "--example", example, "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    columns = header.split(",")
+    for row in rows:
+        values = dict(zip(columns, map(float, row.split(","))))
+        assert values["abs_diff"] <= values["upper_bound"], row
+    if example == "4":
+        assert rows[-1] == "1,0.707106781187,0,0"
 
 
 @pytest.mark.parametrize("example, mat", [(2, EX2), (3, np.eye(2) / 20.0)])

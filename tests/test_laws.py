@@ -1,12 +1,11 @@
 import json
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from aqradius import (
     Budget,
-    LinComboParams,
     SuiteConfig,
     Weight,
     a_opnorm,
@@ -73,51 +72,66 @@ class TestT1_23:
 
 class TestT1_45:
     def test_mu_zero_reduces_to_radius_comparison(self, rng):
+        # gamma = 1 and the composite parameter is 1: both sides of t1_4 are omega_A(T)
         w = random_pd_weight(rng, 2)
         t = crandn(rng, 2, 2)
-        params = LinComboParams.for_q(1.0, 0.0, 0.5)
-        assert params.gamma == pytest.approx(1.0)
-        rep4, rep5 = check_law("t1_45", w, t, 0.5, params=params, budget=FAST)
+        rep4, rep5 = check_law("t1_45", w, t, 0.5, coefficients=(1.0, 0.0), budget=FAST)
         assert rep4.passed and rep5.passed
+        assert rep4.lhs == rep4.rhs
 
     def test_equal_coefficients_at_q_one(self, rng):
+        # gamma = 2 and the composite parameter is 1
         w = random_pd_weight(rng, 2)
         t = crandn(rng, 2, 2)
-        params = LinComboParams.for_q(1.0, 1.0, 1.0)
-        assert params.gamma == pytest.approx(2.0)
-        rep4, rep5 = check_law("t1_45", w, t, 1.0, params=params, budget=FAST)
+        rep4, rep5 = check_law("t1_45", w, t, 1.0, coefficients=(1.0, 1.0), budget=FAST)
         assert rep4.passed and rep5.passed
+        assert rep4.lhs == pytest.approx(2.0 * aq_radius(w, t, 1.0, FAST).value, rel=1e-14)
 
     def test_random_combo_on_example1(self, rng):
         lam = complex(*rng.standard_normal(2))
         mu = complex(*rng.standard_normal(2))
-        try:
-            params = LinComboParams.for_q(lam, mu, 0.5)
-        except ValueError:
-            return
-        for rep in check_law("t1_45", I2, EX1, 0.5, params=params, budget=FAST):
+        for rep in check_law("t1_45", I2, EX1, 0.5, coefficients=(lam, mu), budget=FAST):
             assert rep.passed or rep.skipped
 
     def test_out_of_domain_composite_is_skipped(self):
-        # lambda = mu = 1 at q = -1 gives gamma -> 0 upfront
-        with pytest.raises(ValueError, match="gamma"):
-            LinComboParams.for_q(1.0, 1.0, -1.0)
         # lambda = -mu conj(q) makes the composite parameter vanish
-        params = LinComboParams.for_q(-0.5, 1.0, 0.5)
-        rep4, rep5 = check_law("t1_45", I2, EX1, 0.5, params=params, budget=FAST)
+        rep4, rep5 = check_law("t1_45", I2, EX1, 0.5, coefficients=(-0.5, 1.0), budget=FAST)
         assert rep4.skipped and rep5.skipped
-        assert "composite" in rep4.skip_reason
+        assert rep4.skip_reason == rep5.skip_reason == "composite parameter |0.0000+0.0000j| outside (0, 1]"
+
+    def test_vanishing_gamma_is_skipped(self):
+        # lambda = mu = 1 at q = -1 gives gamma = 0
+        reports = check_law("t1_45", I2, EX1, -1.0, coefficients=(1.0, 1.0), budget=FAST)
+        assert [(r.law_id, r.skipped, r.skip_reason) for r in reports] == [
+            (law_id, True, "degenerate combination: gamma vanishes") for law_id in ("t1_4", "t1_5")
+        ]
 
     @pytest.mark.parametrize("c", [1e-13, 1e-100, 1e100])
     def test_degeneracy_is_relative(self, c):
         # gamma is homogeneous in (lambda, mu), so small coefficients are no degeneracy:
-        # an absolute 1e-24 floor on gamma^2 rejected (1e-13, 1e-13) at q = 1/2
+        # an absolute 1e-24 floor on gamma^2 rejected (1e-13, 1e-13) at q = 1/2.  Both
+        # sides scale with c, and the verdicts do not move.
         lam, mu = 0.3 - 0.7j, -1.2 + 0.4j
-        gamma = LinComboParams.for_q(c * lam, c * mu, 0.5).gamma
-        assert gamma == pytest.approx(c * LinComboParams.for_q(lam, mu, 0.5).gamma, rel=1e-14)
-        assert LinComboParams.for_q(1e-13, 1e-13, 0.5).gamma == pytest.approx(math.sqrt(3) * 1e-13, rel=1e-14)
-        with pytest.raises(ValueError, match="gamma"):
-            LinComboParams.for_q(c, -c, 1.0)
+        unit = check_law("t1_45", I2, EX1, 0.5, coefficients=(lam, mu), budget=FAST)
+        scaled = check_law("t1_45", I2, EX1, 0.5, coefficients=(c * lam, c * mu), budget=FAST)
+        for rep, big in zip(unit, scaled):
+            assert not big.skipped and big.passed == rep.passed
+            assert big.lhs == pytest.approx(c * rep.lhs, rel=1e-12)
+            assert big.rhs == pytest.approx(c * rep.rhs, rel=1e-12)
+        for rep in check_law("t1_45", I2, EX1, 1.0, coefficients=(c, -c), budget=FAST):
+            assert rep.skipped and rep.skip_reason == "degenerate combination: gamma vanishes"
+
+    @pytest.mark.parametrize("c", [1e-310, 1e-300, 5e307])
+    def test_reports_do_not_move_under_a_scaled_weight(self, c):
+        # the weighted adjoint is formed at unit size: at 1e-310, 1/lambda overflowed
+        # and the partner operator A^+ T^H A was not finite
+        t, coefficients = np.array([[0.2 + 0.1j, 1.0], [-0.4j, 0.5]]), (0.8, 0.5j)
+        unit = check_law("t1_45", Weight.diagonal([1.0, 3.0]), t, 0.6, coefficients=coefficients, budget=FAST)
+        scaled = check_law("t1_45", Weight.diagonal([c, 3.0 * c]), t, 0.6, coefficients=coefficients, budget=FAST)
+        for rep, other in zip(unit, scaled):
+            assert other.passed == rep.passed
+            assert other.lhs == pytest.approx(rep.lhs, rel=1e-12)
+            assert other.rhs == pytest.approx(rep.rhs, rel=1e-12)
 
     def test_ordinary_adjoint_is_provably_wrong_on_skewed_weights(self):
         # frozen counterexample: the weighted-adjoint law is tight, while T^H in
@@ -130,9 +144,8 @@ class TestT1_45:
             ]
         )
         q = 0.021787300301263524
-        params = LinComboParams.for_q(0.0, 1.0, q)
         budget = Budget(32, 300)
-        good4, good5 = check_law("t1_45", w, t, q, params=params, budget=budget)
+        good4, good5 = check_law("t1_45", w, t, q, coefficients=(0.0, 1.0), budget=budget)
         assert good4.passed and good5.passed
         assert aq_radius(w, t.conj().T, q, budget).value < aq_radius(w, t, q, budget).value - 1.0
 
@@ -365,16 +378,15 @@ LAW_IDS = {
 def check_suite_law(name, inst, budget):
     """check_law on every ingredient of a suite instance; each group reads only its own."""
     partner = (inst.partner.w, inst.partner.t, inst.q2)
-    return check_law(name, inst.ev.w, inst.ev.t, inst.q, alpha=inst.alpha, params=inst.params, s=inst.s,
-                     partner=partner, budget=budget, seed=inst.seed)
+    return check_law(name, inst.ev.w, inst.ev.t, inst.q, alpha=inst.alpha, coefficients=inst.coefficients,
+                     s=inst.s, partner=partner, budget=budget, seed=inst.seed)
 
 
 @pytest.fixture(scope="module")
 def suite_instance():
-    """Instance 0 of suite seed 1, whose (lambda, mu) is valid, and its suite reports at FAST."""
+    """Instance 0 of suite seed 1 and its suite reports at FAST."""
     config = SuiteConfig(n_instances=1, seed=1, budget=FAST)
     inst = _random_instance(config.seed, 0, config.dims)
-    assert inst.params is not None
     return inst, run_suite(config)
 
 
@@ -397,7 +409,7 @@ class TestLawTable:
     def test_check_law_rejects_unknown_names_and_missing_ingredients(self):
         with pytest.raises(ValueError, match="unknown law 't6'.*t1_1, t1_23"):
             check_law("t6", I2, EX1, 0.5)
-        for name, ingredient in [("t1_23", "alpha"), ("t1_45", "params"), ("t5_3", "s"), ("t3", "partner")]:
+        for name, ingredient in [("t1_23", "alpha"), ("t1_45", "coefficients"), ("t5_3", "s"), ("t3", "partner")]:
             with pytest.raises(ValueError, match=f"law '{name}' needs {ingredient}"):
                 check_law(name, I2, EX1, 0.5)
 
@@ -421,7 +433,8 @@ class TestLadder:
         for digest, restarts in passing_restarts.items():
             inst = instances[digest]
             for factor in (f for f in (1, 4) if f < restarts):  # the runs below the passing one
-                lhs, rhs = dict(_LAWS["app1"].check(inst, budget.scaled(factor)))["app1_omega"]
+                scaled = replace(budget, restarts=budget.restarts * factor)
+                lhs, rhs = dict(_LAWS["app1"].check(inst, scaled))["app1_omega"]
                 assert rhs - lhs < -ESTIMATED[0]
             suite_reports = [r for r in rerun if r.instance_digest == digest]
             public = sorted(check_suite_law("app1", inst, budget), key=lambda r: r.law_id)

@@ -349,12 +349,12 @@ class TestEstimatorContracts:
         w = random_pd_weight(rng, 3)
         t = crandn(rng, 3, 3)
         q = 0.45
-        small = Budget(restarts=4, iterations=60)
+        small, big = Budget(restarts=4, iterations=60), Budget(restarts=8, iterations=60)
         rad_small = aq_radius(w, t, q, small, seed=9).value
-        rad_big = aq_radius(w, t, q, small.scaled(2), seed=9).value
+        rad_big = aq_radius(w, t, q, big, seed=9).value
         assert rad_big >= rad_small - 1e-12
         cra_small = aq_crawford(w, t, q, small, seed=9).value
-        cra_big = aq_crawford(w, t, q, small.scaled(2), seed=9).value
+        cra_big = aq_crawford(w, t, q, big, seed=9).value
         assert cra_big <= cra_small + 1e-12
 
     def test_deterministic_for_fixed_seed(self, rng):
@@ -473,7 +473,7 @@ class TestStarts:
 
     @pytest.mark.parametrize("factor", [2, 4, 16])
     def test_budget_ladder_extends_the_starts(self, factor):
-        # Budget.scaled keeps the smaller budget's starts, so best-so-far holds
+        # a budget with more restarts keeps the smaller budget's starts, so best-so-far holds
         for m in (1, 6, 8):
             small = _starts(7, m, 4)
             assert _starts(7, factor * m, 4)[:m].tobytes() == small.tobytes()

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqradius import (
-    LinComboParams,
     NotABounded,
     OperatorSequence,
     QOutOfRange,
     Weight,
+    a_adjoint,
     a_inner,
     a_norm_vec,
     a_opnorm,
@@ -173,6 +173,10 @@ class TestWeight:
         with pytest.raises(ValueError, match="finite"):
             Weight([[np.inf, 0], [0, 1]])
 
+    def test_rejects_a_negative_psd_tol(self):
+        with pytest.raises(ValueError, match="psd_tol must be nonnegative"):
+            Weight(np.eye(2), psd_tol=-1.0)
+
     def test_entries_whose_sum_overflows(self):
         # A + A^H overflows above about 9e307: the weight is halved before the sum there,
         # and every value under 1.5e308 I equals its value under I, with no RuntimeWarning
@@ -240,7 +244,6 @@ Q_ENTRIES = {
     "trace_gaps": lambda q: trace_gaps(_SEQUENCE, q, indices=(1, 2)),
     "trace_q": lambda q: trace_q(Weight.identity(2), _T, [0.5, q]),
     "check_law": lambda q: check_law("t4_1", Weight.identity(2), _T, q),
-    "LinComboParams.for_q": lambda q: LinComboParams.for_q(1.0, 0.5j, q),
 }
 TAKE_ZERO = list(Q_ENTRIES)[:7]
 
@@ -449,6 +452,32 @@ class TestUnitReduction:
 
     def test_cache_keeps_eight_reductions(self):
         assert _unit_reduction.cache_info().maxsize == semispace._REDUCED == 8
+
+
+class TestAAdjoint:
+    T = np.array([[0.2 + 0.1j, 1.0], [-0.4j, 0.5]])
+
+    def test_pairs_like_the_weighted_product(self, rng):
+        # <T x, y>_A = <x, T^# y>_A on a rank-deficient weight, for a T that keeps null(A) in it
+        w = Weight.diagonal([2.0, 0.5, 0.0])
+        t = np.zeros((3, 3), dtype=complex)
+        t[:2, :2] = crandn(rng, 2, 2)
+        x, y = crandn(rng, 3, 1)[:, 0], crandn(rng, 3, 1)[:, 0]
+        assert a_inner(w, t @ x, y) == pytest.approx(a_inner(w, x, a_adjoint(w, t) @ y), rel=1e-13)
+
+    @pytest.mark.parametrize("c", [1e-310, 1e-300, 5e307])
+    def test_scale_free_in_the_weight(self, c):
+        # T, lambda_r and A are taken at unit size: at 1e-310, 1/lambda overflowed to a NaN
+        # adjoint with a RuntimeWarning; A^+ T^H A does not depend on the scale of A
+        unit = a_adjoint(Weight.diagonal([1.0, 3.0]), self.T)
+        assert a_adjoint(Weight.diagonal([c, 3.0 * c]), self.T) == pytest.approx(unit, rel=1e-12)
+
+    def test_refuses_an_adjoint_beyond_the_largest_float(self):
+        # A^+ T^H A has the entry 1e9 conj(T_21), which is 1e308 at T_21 = 1e299 and overflows at 1e300
+        w = Weight.diagonal([1e-9, 1.0])
+        assert a_adjoint(w, [[0.0, 0.0], [1e299, 0.0]])[0, 1] == pytest.approx(1e308, rel=1e-15)
+        with pytest.raises(ValueError, match="weighted adjoint overflows the largest float"):
+            a_adjoint(w, [[0.0, 0.0], [1e300, 0.0]])
 
 
 class TestUnitScale:
