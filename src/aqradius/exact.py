@@ -3,12 +3,15 @@
 Any 2x2 complex matrix is unitarily similar to ``exp(i t) [[gamma, a], [b, gamma]]``
 with 0 <= b <= a, and its q-numerical range for |q| <= 1 is a translated filled
 ellipse; a complex q rotates the ellipse of |q| by arg q, so every modulus is
-taken at |q|.  q is checked and read once, by ``semispace._q_parts``, as |q| and
-p = sqrt(1 - |q|^2): a q outside the closed unit disc raises ``QOutOfRange``
-from ``semispace.validate_q``, as it does for the estimators, and only the
-Jordan formula's narrower domain is checked here.  Both extremal moduli lie on
-the ellipse's boundary, at its farthest or nearest point to the origin
-(`_boundary_extreme`), but for a Crawford number of 0 when the origin is inside.
+taken at |q|.  Each public function checks and reads q once, by
+``semispace._q_parts``, as |q| and p = sqrt(1 - |q|^2): a q outside the closed
+unit disc raises ``QOutOfRange`` from ``semispace.validate_q``, as it does for
+the estimators, and only the Jordan formula's narrower domain is checked here.
+The private `_q_extremal` and `_q_range` take |q| and p as derived, so an
+estimate, which derives them with its own check, checks q once in all.  Both
+extremal moduli lie on the ellipse's boundary, at its farthest or nearest point
+to the origin (`_boundary_extreme`), but for a Crawford number of 0 when the
+origin is inside.
 `q_extremal_2x2` returns each value with a unit u whose partner values reach it:
 at the extremal boundary phase; for a Crawford number of 0, at the one parameter
 of u whose ellipse of values, in a nested family, passes through the origin
@@ -150,7 +153,11 @@ def _canonical(t: np.ndarray) -> CanonicalForm2x2:
 def q_range_2x2(form: CanonicalForm2x2, q) -> EllipseDisk:
     """Ellipse-disk q-numerical range of a canonical 2x2 form: the |q| ellipse rotated by arg q."""
     q, m, p = _q_parts(q)
-    theta = cmath.phase(q)
+    return _q_range(form, m, p, cmath.phase(q))
+
+
+def _q_range(form: CanonicalForm2x2, m: float, p: float, theta: float = 0.0) -> EllipseDisk:
+    """`q_range_2x2` at the q of modulus m and phase theta, with p = sqrt(1 - m^2), as `_q_parts` derives them."""
     # ((1 + p) a +- (1 - p) b)/2 with a and b halved first, so that no product overflows and
     # q = 0 gives the disk of radius a exactly
     return EllipseDisk(
@@ -288,7 +295,12 @@ def q_extremal_2x2(form: CanonicalForm2x2, q, sup: bool) -> tuple[float, np.ndar
     value: its largest (smallest) modulus is the partner of `radius._witness`.
     """
     _, m, p = _q_parts(q)
-    disk = q_range_2x2(form, m)
+    return _q_extremal(form, m, p, sup)
+
+
+def _q_extremal(form: CanonicalForm2x2, m: float, p: float, sup: bool) -> tuple[float, np.ndarray]:
+    """`q_extremal_2x2` at |q| = m with p = sqrt(1 - m^2), as `_q_parts` derives them, for callers that did."""
+    disk = _q_range(form, m, p)
     if not sup and disk.contains(0.0):
         value, (kappa, s) = 0.0, _origin_preimage(form.a, form.b, p, -m * form.gamma)
         two_theta = math.atan2(p, m) + math.asin(kappa)  # kappa = sin(2 theta - atan2(p, |q|))

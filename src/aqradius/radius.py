@@ -8,18 +8,22 @@ imaginary part, whose sum of squares can neither overflow nor underflow, then
 the division by its norm; the value is scaled back by 2^e, and one beyond the
 largest float raises a ValueError.  With
 p = sqrt(1 - |q|^2), which `semispace._q_parts` derives with the check of q,
-`_estimate` takes the first of three routes that applies:
+the one check an estimate makes, `_estimate` takes the first of three routes
+that applies:
 
 - n = 2, or W(B) a segment [a, b] (B = e^{i phi} H + s I, H Hermitian, as for
   multiplication operators), any q: the 2x2 closed form on Python scalars,
-  `exact.q_extremal_2x2`, two-sided, with a unit u attaining omega_q or c_q.
+  `exact._q_extremal` at that |q| and p, two-sided, with a unit u attaining
+  omega_q or c_q.
   On a segment both rules depend on u through the mean and the spread of H's
   spectrum under |u_i|^2, and the two-point law on its ends spreads most for
   its mean (Bhatia-Davis): the q-range is that of the compression to the end
   eigenvectors (`_segment`), accepted within 1e-12 ||B||_F of e^{i phi} H + s I,
   so that the value is within 3e-12 ||B||_F (both are sqrt(2)-Lipschitz).  A
-  diagonal B (a multiplication operator under a diagonal weight) shows its end
-  eigenvectors: they are standard basis vectors, and no eigensolver runs.
+  diagonal B (a multiplication operator under a diagonal weight), as
+  `semispace._unit_reduction` flags it, is decided on its diagonal alone, in
+  O(n): its end eigenvectors are standard basis vectors, and neither an n x n
+  screen nor an eigensolver runs.
 - p = 0 (|q| = 1 as given; one ulp below 1, p = 1.5e-8, is not): the phase
   bracket `_bracket`.  As W(B) is convex, omega_A and c_A are the max over phi
   of lambda_max and of max(0, lambda_min) of the Hermitian part H(e^{i phi} B).
@@ -66,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import CanonicalForm2x2, _canonical, q_extremal_2x2
+from .exact import CanonicalForm2x2, _canonical, _q_extremal
 from .semispace import RankTooLow, Weight, _q_parts, _scale_back, _unit_reduction, as_operator
 
 __all__ = [
@@ -522,11 +526,11 @@ def _nearest_in_span(b: np.ndarray, basis: np.ndarray, w: complex = 0.0) -> np.n
     """Unit u in the span of two orthonormal columns with u^H B u the point of that compression's range nearest w.
 
     The range of the 2x2 compression C = basis^H B basis is an ellipse inside
-    W(B), and the Crawford closed form of C - w I (`exact.q_extremal_2x2` at
-    q = 1) gives the point nearest w with a unit vector that attains it.
+    W(B), and the Crawford closed form of C - w I (`exact._q_extremal` at
+    |q| = 1, p = 0) gives the point nearest w with a unit vector that attains it.
     """
     c = basis.conj().T @ b @ basis - w * np.eye(2)
-    return basis @ q_extremal_2x2(_canonical(c), 1.0, False)[1]
+    return basis @ _q_extremal(_canonical(c), 1.0, 0.0, False)[1]
 
 
 def _crawford_witness(b: np.ndarray, lower: float, vectors: np.ndarray, rows: np.ndarray, tol: float) -> np.ndarray:
@@ -584,35 +588,43 @@ def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _segment(b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None] | None:
+def _segment(b: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray | None] | None:
     """The closed form's 2x2 matrix V^H B V and basis V where W(B) is a segment, else None; at n = 2, (B, None).
 
     At n >= 3, with s = tr B / n, C = B - s I and e^{2 i phi} the phase of tr(C^2)
     (1 if it is 0), g = e^{-i phi} C must have ||(g - g^H) / 2||_F <= 1e-12; V holds
-    the extreme eigenvectors of (g + g^H) / 2.  ||b_ij| - |b_ji|| is at most sqrt(2)
-    times that, so a larger gap, at (0, 1) first, rejects B at less cost.  Where
-    every off-diagonal entry of B is exactly 0, as for a multiplication operator
-    under a diagonal weight, (g + g^H) / 2 is the diagonal Re diag(g), and V is
-    read off it without an eigensolver: the standard basis vectors at its last
-    largest and its first smallest entry, k and j, with V^H B V = diag(b_kk, b_jj).
+    the extreme eigenvectors of (g + g^H) / 2.  A diagonal B (`diagonal`, as
+    `semispace._unit_reduction` finds it for a multiplication operator under a
+    diagonal weight) is decided on its diagonal d alone, in O(n): C and g are the
+    vectors c = d - s and e^{-i phi} c, tr(C^2) is the sum of the c_i^2, the test
+    reads ||Im g||, and V holds the standard basis vectors at the last largest and
+    the first smallest entry of Re g, k and j, with V^H B V = diag(b_kk, b_jj); no
+    eigensolver runs.  Any other B must first have ||b_ij| - |b_ji|| <= 2e-12, at
+    (0, 1) and then everywhere, which the test implies up to a factor sqrt(2), so
+    that a larger gap rejects it at less cost.
     """
     n = b.shape[0]
     if n == 2:
         return b, None
-    if n < 3 or abs(abs(b[0, 1]) - abs(b[1, 0])) > 2e-12:
+    if n < 3:
         return None
-    mod = np.abs(b)
-    if np.abs(mod - mod.T).max() > 2e-12:
-        return None
-    c = b.copy()
-    c.ravel()[:: n + 1] -= np.trace(b) / n  # the shift touches the diagonal alone
-    square = complex(np.sum(c * c.T))  # tr(C^2) = e^{2 i phi} ||g||_F^2
+    if diagonal:
+        c = b.diagonal() - np.trace(b) / n
+    else:
+        if abs(abs(b[0, 1]) - abs(b[1, 0])) > 2e-12:
+            return None
+        mod = np.abs(b)
+        if np.abs(mod - mod.T).max() > 2e-12:
+            return None
+        c = b.copy()
+        c.ravel()[:: n + 1] -= np.trace(b) / n  # the shift touches the diagonal alone
+    square = complex(np.sum(c * c.T))  # tr(C^2) = e^{2 i phi} ||g||_F^2; c.T is c for a diagonal's vector
     g = c * (cmath.sqrt(square / abs(square)).conjugate() if square else 1.0)
     g_h = g.conj().T
     if _frobenius(g - g_h) > 2e-12:
         return None
-    if not b.ravel()[1:].reshape(n - 1, n + 1)[:, :n].any():  # the off-diagonal entries, row by row
-        h = g.diagonal().real
+    if diagonal:
+        h = g.real
         k, j = n - 1 - int(np.argmax(h[::-1])), int(np.argmin(h))
         v = np.zeros((n, 2), dtype=complex)
         v[k, 0] = v[j, 1] = 1.0
@@ -628,19 +640,20 @@ _PREPARED = 8  # the (weight, operator) preparations `_prepare` keeps
 def _prepare(w: Weight, key: bytes) -> tuple[np.ndarray, np.ndarray | None, CanonicalForm2x2 | None, float, int]:
     """What an estimate of T under A needs before q (the module docstring): b, basis, form, size and e.
 
-    key is the bytes of T, n x n complex in C order, and B 2^-e and e come from
-    `semispace._unit_reduction(w, key)`, whose cached array the division leaves as it is.  b is
+    key is the bytes of T, n x n complex in C order, and B 2^-e, e and whether B is diagonal come
+    from `semispace._unit_reduction(w, key)`, whose cached array the division leaves as it is; a
+    diagonal B takes `_segment`'s O(n) path.  b is
     B / ||B||_F of B 2^-e (on the closed-form route its compression V^H b V), basis is V where
     W(B) is a segment at n >= 3, form is the canonical form of the closed form, and size is
     ||B 2^-e||_F.  The arrays are read-only.
     """
-    b, e = _unit_reduction(w, key)  # read-only and shared with `a_opnorm`: the division makes b anew
+    b, e, diagonal = _unit_reduction(w, key)  # read-only and shared with `a_opnorm`: the division makes b anew
     # both values scale with T: every route runs on B / ||B||_F, whose sum of squares at 2^-e can
     # neither overflow nor underflow
     size = _frobenius(b) or 1.0
     b = b / size
     basis = form = None
-    if (segment := _segment(b)) is not None:  # the q-range is that of C = V^H B V: its closed form
+    if (segment := _segment(b, diagonal)) is not None:  # the q-range is that of C = V^H B V: its closed form
         b, basis = segment  # (V v)^H B (V u) = v^H C u, so the route finds u and v for C and V maps them
         form = _canonical(b)
         form.u_similar.setflags(write=False)
@@ -659,7 +672,7 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
         raise RankTooLow(f"weight rank {w.rank} < 2: the constraint set is empty for |q| < 1")
     lower = None  # a lower bound of the inf, two-sided once a witness attains it
     if form is not None:
-        value, u = q_extremal_2x2(form, q, sup)
+        value, u = _q_extremal(form, m, p, sup)
         direction, evaluations, converged = TWO_SIDED, 1, 1
     elif p == 0.0:
         value, _, vectors, rows, evaluations, converged = _bracket(b, not sup)

@@ -297,13 +297,16 @@ _REDUCED = 8  # the reductions `_unit_reduction` keeps
 
 
 @functools.lru_cache(maxsize=_REDUCED)
-def _unit_reduction(w: Weight, key: bytes) -> tuple[np.ndarray, int]:
-    """The reduction of T at unit size, B 2^-e (read-only), and e, for the T whose bytes are key.
+def _unit_reduction(w: Weight, key: bytes) -> tuple[np.ndarray, int, bool]:
+    """The reduction of T at unit size, B 2^-e (read-only), e, and whether B is diagonal, for the T whose bytes are key.
 
     key is the bytes of T, n x n complex in C order, from which T is rebuilt,
     so the cache keeps no reference to the caller's array, a C and a Fortran
-    copy of T share one entry, and T changed in place keys anew.  It keeps the
-    last `_REDUCED` (8) reductions, keyed by the weight object and key; the
+    copy of T share one entry, and T changed in place keys anew.  B counts as
+    diagonal where every off-diagonal entry is exactly 0, as for a
+    multiplication operator under a diagonal weight; this is the one test of
+    it, and both readers take the O(n) path it opens.  It keeps the last
+    `_REDUCED` (8) reductions, keyed by the weight object and key; the
     seminorm (`a_opnorm`) and the estimators' preparation (`radius._prepare`)
     of one (A, T) share one.  Errors are not cached: a call that raises
     (`NotABounded`, a dimension mismatch, an overflow) raises again.
@@ -311,17 +314,25 @@ def _unit_reduction(w: Weight, key: bytes) -> tuple[np.ndarray, int]:
     n = math.isqrt(len(key) // 16)
     b, e = _unit_scale(_reduce(w, np.frombuffer(key, np.complex128).reshape(n, n)))
     b.setflags(write=False)
-    return b, e
+    r = b.shape[0]  # the weight's rank
+    return b, e, not b.ravel()[1:].reshape(r - 1, r + 1)[:, :r].any()  # the off-diagonal entries, row by row
 
 
 def a_opnorm(w: Weight, t) -> float:
     """Weighted operator seminorm: largest singular value of the reduction, taken at unit size.
 
     The reduction comes from the cache `_unit_reduction`, which the estimators
-    of the same (A, T) share.  A reduction or a seminorm beyond the largest
-    float raises a ValueError.
+    of the same (A, T) share.  A diagonal reduction reads max |b_ii| off its
+    diagonal with no SVD, each modulus correctly rounded by `math.hypot`
+    (numpy's complex abs and LAPACK's largest singular value are not always,
+    and can differ from it by an ulp or two).  Any other reduction takes the
+    SVD.  A reduction or a seminorm beyond the largest float raises a
+    ValueError.
     """
-    b, e = _unit_reduction(w, as_operator(t).tobytes())
+    b, e, diagonal = _unit_reduction(w, as_operator(t).tobytes())
+    if diagonal:
+        d = b.diagonal()
+        return _scale_back(max(map(math.hypot, d.real.tolist(), d.imag.tolist())), e)
     return _scale_back(float(np.linalg.svd(b, compute_uv=False)[0]), e)
 
 

@@ -1,3 +1,4 @@
+import sys
 import weakref
 from unittest import mock
 
@@ -26,7 +27,7 @@ from aqradius import (
     q_radius_2x2,
     reduce_to_range,
 )
-from aqradius import cli, radius
+from aqradius import cli, radius, semispace
 from aqradius.radius import (
     _BRACKET_PHASES,
     _bfgs_update,
@@ -1619,9 +1620,9 @@ def test_segment_route_runs_from_dimension_two():
     # n = 2 is the closed form on B itself, with no basis to map back by; n = 1 has no 2x2 compression (a rank-one
     # weight at |q| = 1 keeps the bracket, which returns 3, not 6)
     b = np.diag([1.0 + 1j, 2.0])
-    c2, basis = _segment(b)
+    c2, basis = _segment(b, True)
     assert c2 is b and basis is None
-    assert _segment(np.array([[1.0 + 0j]])) is None
+    assert _segment(np.array([[1.0 + 0j]]), True) is None
     est = aq_radius(Weight.diagonal([1.0, 0.0]), np.diag([3.0, 0.0]), np.exp(0.5j))
     assert est.value == pytest.approx(3.0, abs=1e-10)
 
@@ -1644,7 +1645,7 @@ def diagonal_operator(rng, n, kind):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.sampled_from([3, 4, 8]),
+    n=st.sampled_from([3, 4, 8, 16, 64]),  # 64: `converge`'s default grid
     kind=st.sampled_from(["real", "collinear", "non-collinear", "tied", "scalar"]),
     diagonal_weight=st.booleans(),
     q=st.sampled_from([0.6, 0.3 + 0.4j, 0.95, 1.0]),
@@ -1676,6 +1677,47 @@ def test_diagonal_segment_route(seed, n, kind, diagonal_weight, q):
         assert eigh.call_count == 1  # the rotated operator's segment, prepared once for both estimators
 
 
+@pytest.mark.parametrize("n", [3, 8, 64])
+@pytest.mark.parametrize("eps, accepted", [(1e-13, True), (1e-11, False)])
+def test_diagonal_segment_test_keeps_the_dense_threshold(n, eps, accepted):
+    # a collinear complex diagonal with i eps ||B||_F added to one entry, across its line: the
+    # diagonal test reads ||Im g|| against the dense test's 1e-12 ||B||_F, with no eigensolver,
+    # and the dense screens on U B U^H give the same verdict
+    rng = np.random.default_rng(n)
+    d = np.exp(0.3j) * rng.standard_normal(n) + (0.3 + 0.2j)  # on a line at angle 0.3
+    d[n // 2] += np.exp(0.3j) * 1j * eps * np.linalg.norm(d)
+    t = np.diag(d)
+    u = np.linalg.qr(crandn(rng, n, n))[0]
+    w = Weight.identity(n)
+    _prepare.cache_clear()
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        assert (_prepare(w, t.tobytes())[2] is not None) == accepted
+        assert eigh.call_count == 0
+    assert (_prepare(w, (u @ t @ u.conj().T).tobytes())[2] is not None) == accepted
+
+
+@pytest.mark.parametrize("t", [
+    pytest.param(np.array([[0.3 + 0.1j, 1.0], [0.2j, -0.4]]), id="2x2"),
+    pytest.param(np.diag(np.exp(0.3j) * np.linspace(-1.0, 2.0, 8) + (0.3 + 0.2j)), id="diagonal-segment-8"),
+])  # fmt: skip
+@pytest.mark.parametrize("estimator", [aq_radius, aq_crawford])
+def test_closed_form_estimate_checks_q_once(monkeypatch, t, estimator):
+    # the estimate derives |q| and p with its one check and hands them to the closed form,
+    # which does not check q again; every binding of validate_q is counted
+    calls, original = [], semispace.validate_q
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "aqradius"]:
+        if getattr(module, "validate_q", None) is original:
+            monkeypatch.setattr(module, "validate_q", counted)
+    est = estimator(Weight.identity(t.shape[0]), t, 0.6)
+    assert (est.direction, est.evaluations) == (TWO_SIDED, 1)
+    assert len(calls) == 1
+
+
 SEGMENT_MISSES = [
     # (id, B): W(B) is not a segment, so the bracket or the sphere search runs
     ("normal-not-collinear", np.diag([2 + 1j, 2 - 1j, 5])),
@@ -1691,7 +1733,7 @@ def test_segment_route_misses_keep_their_counts(b, q):
     w, budget = Weight.identity(3), Budget(16, 200)
     reduced = reduce_to_range(w, b)
     reduced = reduced / np.linalg.norm(reduced)
-    assert _segment(reduced) is None
+    assert _segment(reduced, semispace._unit_reduction(w, as_operator(b).tobytes())[2]) is None
     p = np.sqrt(1.0 - q * q)
     for estimator, sup in ((aq_radius, True), (aq_crawford, False)):
         est = estimator(w, b, q, budget)
@@ -1712,7 +1754,7 @@ def test_q_one_crawford_just_outside_the_segment_route(seed):
     h, g = crandn(rng, 4, 4), crandn(rng, 4, 4)
     b = np.exp(1j * rng.uniform(0, 6.3)) * (h + h.conj().T)
     b = b + 5e-12 * np.linalg.norm(b) * g / np.linalg.norm(g)
-    assert _segment(b / np.linalg.norm(b)) is None
+    assert _segment(b / np.linalg.norm(b), False) is None
     est, tol = a_crawford(Weight.identity(4), b), 1e-12 * np.linalg.norm(b, 2)
     assert (est.value, est.direction) == (0.0, TWO_SIDED)
     assert witness_value(Weight.identity(4), b, est) <= tol

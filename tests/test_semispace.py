@@ -2,6 +2,8 @@ import json
 import math
 import warnings
 import weakref
+from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -385,6 +387,64 @@ class TestAOpnorm:
             a_opnorm(Weight.identity(2), np.diag([1.5e308 + 1.3e308j, 1.0]))
 
 
+def diagonal_entries(rng, n, kind):
+    """n diagonal entries of one kind: real, complex, tied (the largest modulus several times), scalar or zero."""
+    if kind == "zero":
+        return np.zeros(n, dtype=complex)
+    if kind == "scalar":
+        return np.full(n, complex(*rng.standard_normal(2)))
+    d = rng.standard_normal(n) + (1j * rng.standard_normal(n) if kind == "complex" else 0j)
+    if kind == "tied":  # +-top and +-i top share the largest modulus
+        top = float(np.abs(d).max())
+        d[: (n + 1) // 2] = top * rng.choice([1, 1j, -1, -1j], (n + 1) // 2)
+    return rng.permutation(d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 3, 8, 64]),
+    kind=st.sampled_from(["real", "complex", "tied", "scalar", "zero"]),
+    weight=st.sampled_from(["identity", "diagonal", "rank-one"]),
+    scale=st.sampled_from([1e-300, 1.0, 1e300]),
+    k=st.integers(0, 40),
+)
+def test_diagonal_seminorm_reads_the_diagonal(seed, n, kind, weight, scale, k):
+    # a diagonal T under a diagonal weight reduces to a diagonal B: its seminorm is max |b_ii|,
+    # correctly rounded, scaled back, with no SVD; within 2 ulps of the SVD of the same reduction,
+    # which rounds |b_ii| its own way (1 ulp apart in 24% of 30000 random diagonals, 2 in 0.1%);
+    # and exactly homogeneous in 2^k, the sign of k taken so that 2^k T moves towards unit size
+    # and no entry of it rounds
+    rng = np.random.default_rng(seed)
+    if weight == "rank-one":  # diag(1, 0): a reduced dimension of 1
+        n, w = 2, Weight.diagonal([1.0, 0.0])
+    else:
+        w = Weight.identity(n) if weight == "identity" else Weight.diagonal(rng.uniform(0.1, 3.0, n))
+    t = scale * np.diag(diagonal_entries(rng, n, kind))
+    k = -k if scale > 1.0 or (scale == 1.0 and seed % 2) else k
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        value, scaled = a_opnorm(w, t), a_opnorm(w, math.ldexp(1.0, k) * t)
+        assert svd.call_count == 0
+    b, e, diagonal = _unit_reduction(w, t.tobytes())
+    assert diagonal
+    assert value == math.ldexp(float(max((Decimal(z.real) ** 2 + Decimal(z.imag) ** 2).sqrt() for z in b.diagonal())), e)
+    assert abs(value - math.ldexp(float(np.linalg.svd(b, compute_uv=False)[0]), e)) <= 2 * math.ulp(value)
+    assert scaled == math.ldexp(value, k)
+
+
+def test_seminorm_of_a_nearly_diagonal_reduction_takes_the_svd():
+    # one off-diagonal entry of 1e-300 ||B|| makes B dense: the seminorm is its largest singular value
+    t = np.diag([1.0, -2.0 + 1j, 0.5]).astype(complex)
+    t[0, 2] = 1e-300 * np.linalg.norm(t, 2)
+    w = Weight.identity(3)
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        value = a_opnorm(w, t)
+        assert svd.call_count == 1
+    b, e, diagonal = _unit_reduction(w, t.tobytes())
+    assert not diagonal
+    assert value == math.ldexp(float(np.linalg.svd(b, compute_uv=False)[0]), e)
+
+
 class TestUnitReduction:
     """`_unit_reduction`: B 2^-e and e of (A, T), shared by `a_opnorm` and the estimators' preparation."""
 
@@ -404,7 +464,8 @@ class TestUnitReduction:
             cold[0].value, cold[0].witness_x.tobytes(), cold[0].witness_y.tobytes())  # fmt: skip
 
     def test_cached_array_is_read_only(self, rng):
-        b, e = _unit_reduction(random_pd_weight(rng, 3), crandn(rng, 3, 3).tobytes())
+        b, e, diagonal = _unit_reduction(random_pd_weight(rng, 3), crandn(rng, 3, 3).tobytes())
+        assert diagonal is False
         assert not b.flags.writeable
         with pytest.raises(ValueError):
             b[0, 0] = 1.0
