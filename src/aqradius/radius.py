@@ -8,7 +8,7 @@ imaginary part, whose sum of squares can neither overflow nor underflow, then
 the division by its norm; the value is scaled back by 2^e, and one beyond the
 largest float raises a ValueError.  With
 p = sqrt(1 - |q|^2), which `semispace._q_parts` derives with the check of q,
-the one check an estimate makes, `_estimate` takes the first of three routes
+the one check an estimate makes, `_estimate` takes the first of four routes
 that applies:
 
 - n = 2, or W(B) a segment [a, b] (B = e^{i phi} H + s I, H Hermitian, as for
@@ -24,12 +24,29 @@ that applies:
   `semispace._unit_reduction` flags it, is decided on its diagonal alone, in
   O(n): its end eigenvectors are standard basis vectors, and neither an n x n
   screen nor an eigensolver runs.
+- n = 3 to 8 and B = s I + C graded (`_graded`): s = tr B / n and a Hermitian
+  K has [K, C] = C, as for J_n, weighted shifts and their unitary conjugates.
+  Then e^{i theta K} C e^{-i theta K} = e^{i theta} C, so W_q(B) is the disk
+  of radius omega_q(C) about q s: omega_q = |s| |q| + omega_q(C) and
+  c_q = max(0, |s| |q| - omega_q(C)).  `_prepare` keeps s and C where C passes
+  a trace test for nilpotency (`_centred`), and K is solved for once a value
+  needs it.  At |q| < 1 the sup search runs once for both estimators
+  (`_graded_sup`): omega_q is its value, a lower bound, as on the sphere
+  route, and c_q, where |s| |q| > L, is |s| |q| - L, an upper bound, for L
+  the sup rule of C at the search's u.  At |q| = 1 omega(C) is
+  lambda_max(H(C)), from one eigenproblem: omega_A = |s| + omega(C), and
+  c_A = |s| - omega(C) where that is positive, both two-sided where
+  pi ||[K, C] - C||_F <= 1e-12 omega_A.  These witness pairs are the sup's
+  pair for C, turned by e^{i theta K} so that v^H C u lines up with q s (or
+  against it).  Where c_q would be 0, or the residual is larger at |q| = 1,
+  the value takes the next route.
 - p = 0 (|q| = 1 as given; one ulp below 1, p = 1.5e-8, is not): the phase
   bracket `_bracket`.  As W(B) is convex, omega_A and c_A are the max over phi
   of lambda_max and of max(0, lambda_min) of the Hermitian part H(e^{i phi} B).
   omega_A is its best sample, two-sided once the bracket closes; c_A takes the
   lower bound max(0, best lambda_min), two-sided once a witness built from the
-  bracket's eigenvectors (`_crawford_witness`) attains it within 1e-12 ||B||_2.
+  bracket's eigenvectors (`_crawford_witness`) attains it within 1e-12 ||B||_2
+  (of a diagonal B its largest |b_ii|, with no SVD).
 - otherwise: the sphere search `_extremize`, whose suprema are lower bounds and
   infima upper bounds; an inf of exactly 0 is two-sided once its witness
   attains it within 1e-12 / sqrt(n) <= 1e-12 ||B||_2, as c_q >= 0.
@@ -49,7 +66,9 @@ it found, an upper bound.
 What depends on (A, T) alone is prepared once and shared by `aq_radius` and
 `aq_crawford` at every q: `_prepare` holds B / ||B||_F (on the closed-form
 route the 2x2 compression V^H B V instead), the basis V, the canonical form
-of the closed form, ||B 2^-e||_F and e.  It keeps the last `_PREPARED` (8)
+of the closed form, ||B 2^-e||_F, e, whether B is diagonal, and s and C where
+B may be graded (K and the shared sup search have caches of the same size
+and key).  It keeps the last `_PREPARED` (8)
 preparations in an LRU cache keyed by the weight object and T's bytes alone,
 read in C order (they fix T's n x n shape, so a C and a Fortran copy of T
 share one entry, and T changed in place keys anew); its arrays are read-only.
@@ -67,6 +86,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,7 +150,10 @@ class Estimate:
     best) and `converged = 1` when it closed, else 0.  A Crawford certificate
     adds no count: its 2x2 closed forms solve no eigenproblem, and its
     eigenvectors are the bracket's.  The closed form (reduced dimension 2, or
-    W(B) a segment) reports `evaluations = 1` and `converged = 1`.  Both count
+    W(B) a segment) reports `evaluations = 1` and `converged = 1`.  A graded B
+    reports, at |q| < 1, the counts of the sup search both estimators share
+    (the Crawford number too, unless it takes the disk search), and at
+    |q| = 1 its one eigenproblem, `evaluations = 1` and `converged = 1`.  Both count
     the route's work alone: they are the same whether or not the preparation
     of (A, T) it ran on was cached (the module docstring).
     """
@@ -633,53 +656,199 @@ def _segment(b: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray | No
     return v.conj().T @ b @ v, v
 
 
-_PREPARED = 8  # the (weight, operator) preparations `_prepare` keeps
+class _Graded(NamedTuple):
+    """A graded B = s I + C (`_graded`): s, C, the eigenvalues and eigenvectors of K, and ||[K, C] - C||_F."""
+
+    shift: complex
+    c: np.ndarray
+    k_vals: np.ndarray
+    k_vecs: np.ndarray
+    residual: float
+
+
+def _centred(b: np.ndarray, diagonal: bool) -> tuple[complex, np.ndarray] | None:
+    """s = tr B / n and C = B - s I (read-only) where C may be graded (`_graded`) at n = 3 to 8, else None.
+
+    A graded C is nilpotent, so a C with |tr C^2| > 1e-10 ||C||_F^2 is declined,
+    at O(n^2) cost, and so is a diagonal B (C = 0 is a segment).
+    """
+    n = b.shape[0]
+    if diagonal or not 3 <= n <= _BFGS_DIM:
+        return None
+    s = complex(b.trace()) / n
+    c = b.copy()
+    c.ravel()[:: n + 1] -= s
+    if abs(np.vdot(c.T.conj(), c)) > 1e-10 * np.vdot(c, c).real:  # |tr C^2|, each term c_ji c_ij
+        return None
+    c.setflags(write=False)
+    return s, c
+
+
+@functools.lru_cache(maxsize=_BFGS_DIM)
+def _hermitian_basis(n: int) -> np.ndarray:
+    """n^2 Hermitian n x n matrices whose real span holds every Hermitian one, stacked; read-only."""
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    rows, cols = np.triu_indices(n, 1)
+    real, imag = n + np.arange(rows.size), n + rows.size + np.arange(rows.size)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    basis[real, rows, cols] = basis[real, cols, rows] = 1.0
+    basis[imag, rows, cols], basis[imag, cols, rows] = 1j, -1j
+    basis.setflags(write=False)
+    return basis
+
+
+_PREPARED = 8  # the (weight, operator) preparations `_prepare`, `_graded` and `_graded_sup` keep
 
 
 @functools.lru_cache(maxsize=_PREPARED)
-def _prepare(w: Weight, key: bytes) -> tuple[np.ndarray, np.ndarray | None, CanonicalForm2x2 | None, float, int]:
-    """What an estimate of T under A needs before q (the module docstring): b, basis, form, size and e.
+def _graded(w: Weight, key: bytes) -> _Graded | None:
+    """B = s I + C with a Hermitian generator K, [K, C] = C, for the `_centred` s and C of `_prepare`, else None.
+
+    Then e^{i theta K} C e^{-i theta K} = e^{i theta} C, so the convex W_q(C) is
+    invariant under rotation about 0, a disk, and W_q(B) the disk of radius
+    omega_q(C) about q s (J_n, weighted shifts, their unitary conjugates); C
+    maps K's eigenspace of lambda into that of lambda + 1.  One least-squares
+    solve over the real span of `_hermitian_basis` finds K, accepted where
+    ||[K, C] - C||_F <= 1e-12 ||C||_F.  It keeps the last `_PREPARED` (8) keys.
+    """
+    s, c = _prepare(w, key)[6]
+    n = c.shape[0]
+    basis = _hermitian_basis(n)
+    comm = (basis @ c - c @ basis).reshape(n * n, n * n)  # row j: [H_j, C], entry by entry
+    rhs = np.concatenate([c.real, c.imag]).ravel()
+    x = np.linalg.lstsq(np.concatenate([comm.real, comm.imag], axis=1).T, rhs)[0]
+    k = (x @ basis.reshape(n * n, n * n)).reshape(n, n)
+    residual = _frobenius(k @ c - c @ k - c)
+    if residual > 1e-12 * _frobenius(c):
+        return None
+    k_vals, k_vecs = np.linalg.eigh(k)
+    for a in (k_vals, k_vecs):
+        a.setflags(write=False)
+    return _Graded(s, c, k_vals, k_vecs, residual)
+
+
+def _turn(graded: _Graded, u: np.ndarray, v: np.ndarray, toward: complex) -> tuple[np.ndarray, np.ndarray]:
+    """e^{i theta K} u and e^{i theta K} v, with theta in [-pi, pi] that turns v^H C u to the phase of `toward`.
+
+    As e^{-i theta K} C e^{i theta K} = e^{-i theta} C, the turn keeps <u, v> and
+    multiplies v^H C u by e^{-i theta}; there is none where either is 0.
+    """
+    z = complex(np.vdot(v, graded.c @ u))
+    if z == 0.0 or toward == 0.0:
+        return u, v
+    theta = cmath.phase(z * toward.conjugate())
+    turn = (graded.k_vecs * np.exp(1j * theta * graded.k_vals)) @ graded.k_vecs.conj().T
+    return turn @ u, turn @ v
+
+
+@functools.lru_cache(maxsize=_PREPARED)
+def _prepare(
+    w: Weight, key: bytes
+) -> tuple[np.ndarray, np.ndarray | None, CanonicalForm2x2 | None, float, int, bool, tuple[complex, np.ndarray] | None]:
+    """What an estimate of T under A needs before q (the module docstring): b, basis, form, size, e, diagonal, centred.
 
     key is the bytes of T, n x n complex in C order, and B 2^-e, e and whether B is diagonal come
     from `semispace._unit_reduction(w, key)`, whose cached array the division leaves as it is; a
     diagonal B takes `_segment`'s O(n) path.  b is
     B / ||B||_F of B 2^-e (on the closed-form route its compression V^H b V), basis is V where
-    W(B) is a segment at n >= 3, form is the canonical form of the closed form, and size is
-    ||B 2^-e||_F.  The arrays are read-only.
+    W(B) is a segment at n >= 3, form is the canonical form of the closed form, size is
+    ||B 2^-e||_F, and centred is `_centred` of b off the closed-form route.  The arrays are read-only.
     """
     b, e, diagonal = _unit_reduction(w, key)  # read-only and shared with `a_opnorm`: the division makes b anew
     # both values scale with T: every route runs on B / ||B||_F, whose sum of squares at 2^-e can
     # neither overflow nor underflow
     size = _frobenius(b) or 1.0
     b = b / size
-    basis = form = None
+    basis = form = centred = None
     if (segment := _segment(b, diagonal)) is not None:  # the q-range is that of C = V^H B V: its closed form
         b, basis = segment  # (V v)^H B (V u) = v^H C u, so the route finds u and v for C and V maps them
         form = _canonical(b)
         form.u_similar.setflags(write=False)
+    else:
+        centred = _centred(b, diagonal)
     for a in (b, basis):
         if a is not None:
             a.setflags(write=False)
-    return b, basis, form, size, e
+    return b, basis, form, size, e, diagonal, centred
+
+
+@functools.lru_cache(maxsize=_PREPARED)
+def _graded_sup(
+    w: Weight, key: bytes, m: float, p: float, budget: Budget, seed: int
+) -> tuple[float, np.ndarray, int, int]:
+    """The sphere search's sup of a B that `_centred` keeps (`_prepare`): value, unit u (read-only) and counts.
+
+    It keeps the last `_PREPARED` (8) keys, so that `aq_crawford` reads the search
+    `aq_radius` ran at the same |q|, budget and seed.
+    """
+    b = _prepare(w, key)[0]
+    value, u, evaluations, converged = _extremize(_rule(b, m, p, "sup"), b.shape[0], budget, seed, True)
+    u.setflags(write=False)
+    return value, u, evaluations, converged
+
+
+def _graded_estimate(
+    w: Weight, key: bytes, q: complex, m: float, p: float, budget: Budget, seed: int, sup: bool
+) -> tuple[float, str, np.ndarray, np.ndarray | None, int, int] | None:
+    """Value, direction, u, v and counts of a `_centred` B (the module docstring), or None where another route decides.
+
+    At |q| < 1 omega_q is the value of the sup search `_graded_sup`, with its witness.  For a graded
+    B, W_q(B) is the disk of radius omega_q(C) about q s, so c_q = |s| |q| - omega_q(C) where that
+    is positive; at |q| < 1 the sup rule of C at the search's u, L = |q| |<C u, u>| + p rho, is a
+    lower bound of omega_q(C).  The rule of B is at most |q| |s| plus that of C, equal where
+    <C u, u> lines up with s, so omega_q + c_q <= 2 |s| |q|, equal at the search's peak.  Searched
+    on C, the rule peaks on a whole orbit e^{i theta K} u, where restarts rarely retire at a found
+    peak: that search took about 12% longer on shifted J3.  At |q| = 1, omega(C) is lambda_max(H(C))
+    from one `eigh`.  For |phi| <= pi, e^{i phi} C is within |phi| ||[K, C] - C||_2 of
+    e^{i phi K} C e^{-i phi K}, so omega(C) is within pi ||[K, C] - C||_2 of lambda_max(H(C)):
+    omega_A = |s| + omega(C) and c_A are two-sided where pi ||[K, C] - C||_F is at most
+    1e-12 (|s| + lambda_max), that is 1e-12 omega_A(B) <= 1e-12 ||B||_2.  The witness of a graded
+    B is the sup's pair for C, turned (`_turn`) so that v^H C u lines up with q s (or against it).
+    """
+    if p > 0.0:
+        value, u, evaluations, converged = _graded_sup(w, key, m, p, budget, seed)
+        if sup:  # `_estimate` builds the partner, as on the sphere route
+            return value, LOWER_BOUND_OF_SUP, u, None, evaluations, converged
+    if (graded := _graded(w, key)) is None:
+        return None
+    shift, c = abs(graded.shift) * m, graded.c
+    if p == 0.0:
+        vals, vecs = np.linalg.eigh(0.5 * (c + c.conj().T))
+        omega, u, evaluations, converged = float(vals[-1]), vecs[:, -1], 1, 1
+        if math.pi * graded.residual > 1e-12 * (shift + omega):
+            return None
+        direction = TWO_SIDED
+    else:
+        cu = c @ u
+        centre = complex(np.vdot(u, cu))
+        omega, direction = m * abs(centre) + p * float(np.linalg.norm(cu - centre * u)), UPPER_BOUND_OF_INF
+    if not (sup or shift > omega):
+        return None
+    v = _witness(c, u, q, p, True)
+    u, v = _turn(graded, u, v, q * graded.shift if sup else -q * graded.shift)
+    return (shift + omega if sup else shift - omega), direction, u, v, evaluations, converged
 
 
 def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> Estimate:
     """The sup (or the inf) of |<T x, y>_A| and its witness pair, by the route of the module docstring."""
     q, m, p = _q_parts(q)
     budget = budget or _DEFAULT_BUDGET
-    b, basis, form, size, e = _prepare(w, as_operator(t).tobytes())
+    key = as_operator(t).tobytes()
+    b, basis, form, size, e, diagonal, centred = _prepare(w, key)
     if w.rank < 2 and 1.0 - m > 1e-12:
         raise RankTooLow(f"weight rank {w.rank} < 2: the constraint set is empty for |q| < 1")
-    lower = None  # a lower bound of the inf, two-sided once a witness attains it
+    lower = v = None  # lower: a lower bound of the inf, two-sided once a witness attains it
     if form is not None:
         value, u = _q_extremal(form, m, p, sup)
         direction, evaluations, converged = TWO_SIDED, 1, 1
+    elif centred is not None and (found := _graded_estimate(w, key, q, m, p, budget, seed, sup)) is not None:
+        value, direction, u, v, evaluations, converged = found
     elif p == 0.0:
         value, _, vectors, rows, evaluations, converged = _bracket(b, not sup)
         if sup:
             u, direction = vectors[:, -1], TWO_SIDED if converged else LOWER_BOUND_OF_SUP
-        else:
-            lower, tol = value, 1e-12 * np.linalg.norm(b, 2)
+        else:  # ||B||_2 of a diagonal B is its largest |b_ii|, with no SVD
+            lower, tol = value, 1e-12 * (np.abs(b.diagonal()).max() if diagonal else np.linalg.norm(b, 2))
             u = _crawford_witness(b, lower, vectors, rows, tol)
             value, direction = float(abs(np.vdot(u, b @ u))), UPPER_BOUND_OF_INF
     else:
@@ -690,7 +859,8 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
         value, direction = (value, LOWER_BOUND_OF_SUP) if sup else (-value, UPPER_BOUND_OF_INF)
         if value == 0.0 and not sup:  # c_q >= 0; 1 / sqrt(n) <= ||B||_2 needs no SVD
             lower, tol = 0.0, 1e-12 / math.sqrt(b.shape[0])
-    v = _witness(b, u, q, p, sup)
+    if v is None:
+        v = _witness(b, u, q, p, sup)
     if lower is not None and abs(np.vdot(v, b @ u)) - lower <= tol:
         value, direction = lower, TWO_SIDED
     u, v = (u, v) if basis is None else (basis @ u, basis @ v)
@@ -702,10 +872,13 @@ def aq_radius(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> E
     """Estimate of the weighted q-numerical radius: two-sided at reduced dimension 2, on a segment or at |q| = 1.
 
     The closed form at reduced dimension 2 or where W(B) is a segment (a
-    rotated, shifted Hermitian B), the phase bracket at |q| = 1 (a lower bound
-    where its phase cap ends it open), and otherwise a lower bound: the max of
+    rotated, shifted Hermitian B); at |q| = 1, for a graded B = s I + C (a
+    shifted J_n or weighted shift) |s| + lambda_max(H(C)) from one
+    eigenproblem, else the phase bracket (a lower bound where its phase cap
+    ends it open); and otherwise a lower bound: the max of
     ``|q <B u, u>| + sqrt(1 - |q|^2) ||(I - u u^H) B u||`` over unit u in the
-    reduced space by multi-start projected ascent from Gaussian starts.  The returned witnesses are an
+    reduced space by multi-start projected ascent from Gaussian starts, whose
+    search `aq_crawford` of a graded B reuses.  The returned witnesses are an
     exact constraint pair attaining the reported value.
     """
     return _estimate(w, t, q, budget, seed, sup=True)
@@ -715,7 +888,10 @@ def aq_crawford(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) ->
     """Estimate of the weighted q-Crawford number: two-sided at reduced dimension 2, on a segment or at |q| = 1.
 
     Reduced dimension 2 and a segment W(B) take the closed form, 0 where the
-    ellipse-disk range holds the origin, with a witness pair attaining it.  At
+    ellipse-disk range holds the origin, with a witness pair attaining it.  A
+    graded B = s I + C whose disk W_q(B) misses 0 takes |s| |q| - omega_q(C):
+    two-sided at |q| = 1, and below an upper bound from the sup search that
+    `aq_radius` runs (one search serves both).  At
     |q| = 1 the phase bracket gives the lower bound max(0, max_phi lambda_min),
     two-sided where a witness attains it; one built from 2x2 closed forms on
     the bracket's eigenvectors serves c_A = 0 and eigenvalue crossings.  Otherwise the sphere search
@@ -727,7 +903,11 @@ def aq_crawford(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) ->
 
 
 def a_radius(w: Weight, t, budget: Budget | None = None, seed: int = 0) -> Estimate:
-    """Weighted numerical radius: the q-radius estimator at q = 1, two-sided once its phase bracket closes."""
+    """Weighted numerical radius: the q-radius estimator at q = 1, two-sided once its phase bracket closes.
+
+    A graded B = s I + C (J_n, a weighted shift, a unitary conjugate, shifted) takes |s| + lambda_max(H(C))
+    from one eigenproblem instead, two-sided where its generator's residual is within 1e-12 omega_A.
+    """
     return aq_radius(w, t, 1.0, budget=budget, seed=seed)
 
 
