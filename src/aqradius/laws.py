@@ -258,7 +258,7 @@ def _t1_45(inst: _Instance, b: Budget):
     try:
         validate_q(qc)
     except QOutOfRange:
-        reason = f"composite parameter |{qc:.4f}| outside (0, 1]"
+        reason = f"composite parameter |{abs(qc):.4f}| outside (0, 1]"
         return [("t1_4", reason), ("t1_5", reason)]
     ev, am = inst.ev, abs(mu)
     base = abs(lam) * ev.radius_q(1.0, b)

@@ -30,16 +30,17 @@ that applies:
   of radius omega_q(C) about q s: omega_q = |s| |q| + omega_q(C) and
   c_q = max(0, |s| |q| - omega_q(C)).  `_prepare` keeps s and C where C passes
   a trace test for nilpotency (`_centred`), and K is solved for once a value
-  needs it.  At |q| < 1 the sup search runs once for both estimators
-  (`_graded_sup`): omega_q is its value, a lower bound, as on the sphere
-  route, and c_q, where |s| |q| > L, is |s| |q| - L, an upper bound, for L
-  the sup rule of C at the search's u.  At |q| = 1 omega(C) is
-  lambda_max(H(C)), from one eigenproblem: omega_A = |s| + omega(C), and
-  c_A = |s| - omega(C) where that is positive, both two-sided where
-  pi ||[K, C] - C||_F <= 1e-12 omega_A.  These witness pairs are the sup's
-  pair for C, turned by e^{i theta K} so that v^H C u lines up with q s (or
-  against it).  Where c_q would be 0, or the residual is larger at |q| = 1,
-  the value takes the next route.
+  that reads it is asked for: the Crawford number, and omega_A at |q| = 1.
+  omega_q at |q| < 1 takes the sphere route, as for any B, and its search
+  (`_search`, cached) serves c_q too: where |s| |q| > L, c_q is
+  |s| |q| - L, an upper bound, for L the sup rule of C at the search's u.
+  At |q| = 1 omega(C) is lambda_max(H(C)), from one eigenproblem:
+  omega_A = |s| + omega(C), and c_A = |s| - omega(C) where that is positive,
+  both two-sided where pi ||[K, C] - C||_F <= 1e-12 omega_A.  These witness
+  pairs are the sup's pair for C, turned by e^{i theta K} so that v^H C u
+  lines up with q s (or against it).  Where c_q would be 0 (s = 0 among
+  them, which runs no sup search), or the residual is larger at |q| = 1, the
+  value takes the next route.
 - p = 0 (|q| = 1 as given; one ulp below 1, p = 1.5e-8, is not): the phase
   bracket `_bracket`.  As W(B) is convex, omega_A and c_A are the max over phi
   of lambda_max and of max(0, lambda_min) of the Hermitian part H(e^{i phi} B).
@@ -47,9 +48,10 @@ that applies:
   lower bound max(0, best lambda_min), two-sided once a witness built from the
   bracket's eigenvectors (`_crawford_witness`) attains it within 1e-12 ||B||_2
   (of a diagonal B its largest |b_ii|, with no SVD).
-- otherwise: the sphere search `_extremize`, whose suprema are lower bounds and
-  infima upper bounds; an inf of exactly 0 is two-sided once its witness
-  attains it within 1e-12 / sqrt(n) <= 1e-12 ||B||_2, as c_q >= 0.
+- otherwise: the sphere search `_extremize`, run by `_search`, whose suprema
+  are lower bounds and infima upper bounds; an inf of exactly 0 is two-sided
+  once its witness attains it within 1e-12 / sqrt(n) <= 1e-12 ||B||_2, as
+  c_q >= 0.
 
 For a unit vector u, the values attainable over all admissible partner vectors
 form a circle (n = 2) or a full disk (n >= 3) of radius
@@ -67,17 +69,17 @@ What depends on (A, T) alone is prepared once and shared by `aq_radius` and
 `aq_crawford` at every q: `_prepare` holds B / ||B||_F (on the closed-form
 route the 2x2 compression V^H B V instead), the basis V, the canonical form
 of the closed form, ||B 2^-e||_F, e, whether B is diagonal, and s and C where
-B may be graded (K and the shared sup search have caches of the same size
-and key).  It keeps the last `_PREPARED` (8)
-preparations in an LRU cache keyed by the weight object and T's bytes alone,
-read in C order (they fix T's n x n shape, so a C and a Fortran copy of T
-share one entry, and T changed in place keys anew); its arrays are read-only.
-A miss starts from B 2^-e and e of `semispace._unit_reduction`, a cache of
-the same key that `a_opnorm` shares, so the seminorm and both estimators of
-one (A, T) reduce T once; T is rebuilt from the bytes there, so neither
-cache keeps a reference to the caller's array, and a value and its
-witnesses have the same bits whether either was cached or not.  Errors are
-not cached: a call that raises raises again.
+B may be graded (K has a cache of the same size and key, and so has every
+sphere search, `_search`, whose key adds |q|, p, the budget, the seed and the
+rule).  It keeps the last `_PREPARED` (8) preparations in an LRU cache keyed
+by the weight object and T's bytes alone, read in C order (they fix T's n x n
+shape, so a C and a Fortran copy of T share one entry, and T changed in place
+keys anew); its arrays are read-only.  A miss starts from B 2^-e and e of
+`semispace._unit_reduction`, a cache of the same key that `a_opnorm` shares,
+so the seminorm and both estimators of one (A, T) reduce T once; T is rebuilt
+from the bytes there, so no cache keeps a reference to the caller's array,
+and a value and its witnesses have the same bits whether any was cached or
+not.  Errors are not cached: a call that raises raises again.
 """
 
 from __future__ import annotations
@@ -150,12 +152,13 @@ class Estimate:
     best) and `converged = 1` when it closed, else 0.  A Crawford certificate
     adds no count: its 2x2 closed forms solve no eigenproblem, and its
     eigenvectors are the bracket's.  The closed form (reduced dimension 2, or
-    W(B) a segment) reports `evaluations = 1` and `converged = 1`.  A graded B
-    reports, at |q| < 1, the counts of the sup search both estimators share
-    (the Crawford number too, unless it takes the disk search), and at
-    |q| = 1 its one eigenproblem, `evaluations = 1` and `converged = 1`.  Both count
-    the route's work alone: they are the same whether or not the preparation
-    of (A, T) it ran on was cached (the module docstring).
+    W(B) a segment) reports `evaluations = 1` and `converged = 1`.  The
+    Crawford number of a graded B reports, at |q| < 1, the counts of the sup
+    search `aq_radius` runs (the disk search's where it takes that route),
+    and a graded B at |q| = 1 its one eigenproblem, `evaluations = 1` and
+    `converged = 1`.  Both count the route's work alone: they are the same
+    whether or not the preparation of (A, T) or the search it read was cached
+    (the module docstring).
     """
 
     value: float
@@ -697,7 +700,7 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return basis
 
 
-_PREPARED = 8  # the (weight, operator) preparations `_prepare`, `_graded` and `_graded_sup` keep
+_PREPARED = 8  # the (weight, operator) keys `_prepare` and `_graded` keep, and the searches `_search` keeps
 
 
 @functools.lru_cache(maxsize=_PREPARED)
@@ -773,16 +776,17 @@ def _prepare(
 
 
 @functools.lru_cache(maxsize=_PREPARED)
-def _graded_sup(
-    w: Weight, key: bytes, m: float, p: float, budget: Budget, seed: int
+def _search(
+    w: Weight, key: bytes, m: float, p: float, budget: Budget, seed: int, sup: bool
 ) -> tuple[float, np.ndarray, int, int]:
-    """The sphere search's sup of a B that `_centred` keeps (`_prepare`): value, unit u (read-only) and counts.
+    """The sphere search of the sup (or the disk) rule on `_prepare`'s b: value, unit u (read-only) and counts.
 
-    It keeps the last `_PREPARED` (8) keys, so that `aq_crawford` reads the search
-    `aq_radius` ran at the same |q|, budget and seed.
+    Every sphere search runs here.  It keeps the last `_PREPARED` (8) keys, so that `aq_crawford`
+    of a graded B reads the sup search `aq_radius` ran at the same |q|, budget and seed.
     """
     b = _prepare(w, key)[0]
-    value, u, evaluations, converged = _extremize(_rule(b, m, p, "sup"), b.shape[0], budget, seed, True)
+    n, kind = b.shape[0], "sup" if sup else "disk"
+    value, u, evaluations, converged = _extremize(_rule(b, m, p, kind), n, budget, seed, n <= _BFGS_DIM)
     u.setflags(write=False)
     return value, u, evaluations, converged
 
@@ -792,11 +796,12 @@ def _graded_estimate(
 ) -> tuple[float, str, np.ndarray, np.ndarray | None, int, int] | None:
     """Value, direction, u, v and counts of a `_centred` B (the module docstring), or None where another route decides.
 
-    At |q| < 1 omega_q is the value of the sup search `_graded_sup`, with its witness.  For a graded
-    B, W_q(B) is the disk of radius omega_q(C) about q s, so c_q = |s| |q| - omega_q(C) where that
-    is positive; at |q| < 1 the sup rule of C at the search's u, L = |q| |<C u, u>| + p rho, is a
-    lower bound of omega_q(C).  The rule of B is at most |q| |s| plus that of C, equal where
-    <C u, u> lines up with s, so omega_q + c_q <= 2 |s| |q|, equal at the search's peak.  Searched
+    `_estimate` asks here for omega_A and for the Crawford number, the values that read K.  For a
+    graded B, W_q(B) is the disk of radius omega_q(C) about q s, so c_q = |s| |q| - omega_q(C) where
+    that is positive, which needs s != 0; at |q| < 1 the sup rule of C at the u of B's sup search
+    (`_search`, the one `aq_radius` runs), L = |q| |<C u, u>| + p rho, is a lower bound of
+    omega_q(C).  The rule of B is at most |q| |s| plus that of C, equal where <C u, u> lines up
+    with s, so omega_q + c_q <= 2 |s| |q|, equal at the search's peak.  Searched
     on C, the rule peaks on a whole orbit e^{i theta K} u, where restarts rarely retire at a found
     peak: that search took about 12% longer on shifted J3.  At |q| = 1, omega(C) is lambda_max(H(C))
     from one `eigh`.  For |phi| <= pi, e^{i phi} C is within |phi| ||[K, C] - C||_2 of
@@ -805,11 +810,7 @@ def _graded_estimate(
     1e-12 (|s| + lambda_max), that is 1e-12 omega_A(B) <= 1e-12 ||B||_2.  The witness of a graded
     B is the sup's pair for C, turned (`_turn`) so that v^H C u lines up with q s (or against it).
     """
-    if p > 0.0:
-        value, u, evaluations, converged = _graded_sup(w, key, m, p, budget, seed)
-        if sup:  # `_estimate` builds the partner, as on the sphere route
-            return value, LOWER_BOUND_OF_SUP, u, None, evaluations, converged
-    if (graded := _graded(w, key)) is None:
+    if (graded := _graded(w, key)) is None or not (sup or graded.shift * m):  # c_q > 0 needs s q != 0
         return None
     shift, c = abs(graded.shift) * m, graded.c
     if p == 0.0:
@@ -819,6 +820,7 @@ def _graded_estimate(
             return None
         direction = TWO_SIDED
     else:
+        u, evaluations, converged = _search(w, key, m, p, budget, seed, True)[1:]
         cu = c @ u
         centre = complex(np.vdot(u, cu))
         omega, direction = m * abs(centre) + p * float(np.linalg.norm(cu - centre * u)), UPPER_BOUND_OF_INF
@@ -841,7 +843,7 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
     if form is not None:
         value, u = _q_extremal(form, m, p, sup)
         direction, evaluations, converged = TWO_SIDED, 1, 1
-    elif centred is not None and (found := _graded_estimate(w, key, q, m, p, budget, seed, sup)) is not None:
+    elif centred and (p == 0.0 or not sup) and (found := _graded_estimate(w, key, q, m, p, budget, seed, sup)):
         value, direction, u, v, evaluations, converged = found
     elif p == 0.0:
         value, _, vectors, rows, evaluations, converged = _bracket(b, not sup)
@@ -852,10 +854,7 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
             u = _crawford_witness(b, lower, vectors, rows, tol)
             value, direction = float(abs(np.vdot(u, b @ u))), UPPER_BOUND_OF_INF
     else:
-        kind = "sup" if sup else "disk"
-        value, u, evaluations, converged = _extremize(
-            _rule(b, m, p, kind), b.shape[0], budget, seed, b.shape[0] <= _BFGS_DIM
-        )
+        value, u, evaluations, converged = _search(w, key, m, p, budget, seed, sup)
         value, direction = (value, LOWER_BOUND_OF_SUP) if sup else (-value, UPPER_BOUND_OF_INF)
         if value == 0.0 and not sup:  # c_q >= 0; 1 / sqrt(n) <= ||B||_2 needs no SVD
             lower, tol = 0.0, 1e-12 / math.sqrt(b.shape[0])
@@ -877,9 +876,9 @@ def aq_radius(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) -> E
     eigenproblem, else the phase bracket (a lower bound where its phase cap
     ends it open); and otherwise a lower bound: the max of
     ``|q <B u, u>| + sqrt(1 - |q|^2) ||(I - u u^H) B u||`` over unit u in the
-    reduced space by multi-start projected ascent from Gaussian starts, whose
-    search `aq_crawford` of a graded B reuses.  The returned witnesses are an
-    exact constraint pair attaining the reported value.
+    reduced space by multi-start projected ascent from Gaussian starts, also
+    for a graded B, whose cached search `aq_crawford` reads.  The returned
+    witnesses are an exact constraint pair attaining the reported value.
     """
     return _estimate(w, t, q, budget, seed, sup=True)
 
@@ -891,7 +890,8 @@ def aq_crawford(w: Weight, t, q, budget: Budget | None = None, seed: int = 0) ->
     ellipse-disk range holds the origin, with a witness pair attaining it.  A
     graded B = s I + C whose disk W_q(B) misses 0 takes |s| |q| - omega_q(C):
     two-sided at |q| = 1, and below an upper bound from the sup search that
-    `aq_radius` runs (one search serves both).  At
+    `aq_radius` runs (one cached search serves both); with s = 0 it runs no
+    sup search, as its disk holds 0.  At
     |q| = 1 the phase bracket gives the lower bound max(0, max_phi lambda_min),
     two-sided where a witness attains it; one built from 2x2 closed forms on
     the bracket's eigenvectors serves c_A = 0 and eigenvalue crossings.  Otherwise the sphere search

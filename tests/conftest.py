@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from aqradius import Weight
+from aqradius import Weight, radius
+
+
+def clear_estimate_caches():
+    """Empty the estimators' caches of (A, T): preparations, generators and sphere searches; the next call runs cold."""
+    for cache in (radius._prepare, radius._graded, radius._search):
+        cache.cache_clear()
 
 
 def crandn(rng, *shape):

@@ -41,7 +41,7 @@ from aqradius.radius import (
     _witness,
 )
 from aqradius.semispace import as_operator
-from conftest import crandn, nearly_normal, phase_grid, random_pd_weight, random_q
+from conftest import clear_estimate_caches, crandn, nearly_normal, phase_grid, random_pd_weight, random_q
 from oracle import oracle_grid
 
 EX1 = np.array([[0.0, 1.0 / 70.0], [0.0, 0.0]], dtype=complex)
@@ -364,6 +364,7 @@ class TestEstimatorContracts:
         w = random_pd_weight(rng, 3)
         t = crandn(rng, 3, 3)
         e1 = aq_radius(w, t, 0.3, Budget(8, 80), seed=5)
+        clear_estimate_caches()
         e2 = aq_radius(w, t, 0.3, Budget(8, 80), seed=5)
         assert e1.value == e2.value
         assert np.array_equal(e1.witness_x, e2.witness_x)
@@ -495,6 +496,7 @@ class TestStarts:
         for estimator in (aq_radius, aq_crawford):
             cached = estimator(w, t, q, Budget(8, 80), seed=4)
             _starts.cache_clear()
+            clear_estimate_caches()  # else the cached search would serve the fresh call
             fresh = estimator(w, t, q, Budget(8, 80), seed=4)
             assert fresh.value == cached.value
             assert fresh.witness_x.tobytes() == cached.witness_x.tobytes()
@@ -519,21 +521,24 @@ PREPARED_ROUTES = [
 
 
 class TestPrepared:
-    """`_prepare`: the (A, T) work shared by both estimators, cached for the last 8 pairs."""
+    """`_prepare` and `_search`: the (A, T) work both estimators share and their sphere searches, 8 keys each."""
 
     @pytest.mark.parametrize("q, make, route", [pytest.param(*case[1:], id=case[0]) for case in PREPARED_ROUTES])
     def test_cold_warm_and_crossed_calls_agree(self, rng, q, make, route):
         (w, t), budget = make(rng), Budget(8, 80)
         _, basis, form, *_ = _prepare(w, as_operator(t).tobytes())
         assert (form is not None, basis is not None) == route
+        sphere = int(form is None and q < 1.0)
         for estimator, other in ((aq_radius, aq_crawford), (aq_crawford, aq_radius)):
-            _prepare.cache_clear()
+            clear_estimate_caches()
             cold = estimate_fields(estimator(w, t, q, budget, seed=4))
             warm = estimate_fields(estimator(w, t, q, budget, seed=4))
-            _prepare.cache_clear()
+            assert radius._search.cache_info()[:2] == (sphere, sphere)  # (hits, misses): the cold search served
+            clear_estimate_caches()
             other(w, t, q, budget, seed=4)
             crossed = estimate_fields(estimator(w, t, q, budget, seed=4))
-            assert _prepare.cache_info()[:2] == (1, 1)  # (hits, misses): the other estimator's preparation served
+            assert _prepare.cache_info().misses == 1  # the other estimator's preparation served
+            assert radius._search.cache_info()[:2] == (0, 2 * sphere)  # each estimator ran its own search
             assert warm == cold
             assert crossed == cold
 
@@ -542,7 +547,7 @@ class TestPrepared:
         before = aq_radius(w, t, 0.6, Budget(8, 80))
         t[0, 1] += 1.0
         after = estimate_fields(aq_radius(w, t, 0.6, Budget(8, 80)))
-        _prepare.cache_clear()
+        clear_estimate_caches()
         assert after == estimate_fields(aq_radius(w, t.copy(), 0.6, Budget(8, 80)))
         assert after[0] != before.value
 
@@ -554,7 +559,7 @@ class TestPrepared:
         for estimator in (aq_radius, aq_crawford):
             seen = []
             for first, second in (copies, copies[::-1]):
-                _prepare.cache_clear()
+                clear_estimate_caches()
                 seen += [estimate_fields(estimator(w, m, 0.6, Budget(8, 80))) for m in (first, second)]
             assert seen == [seen[0]] * 4
 
@@ -563,12 +568,17 @@ class TestPrepared:
     ])  # fmt: skip
     def test_cached_arrays_are_read_only(self, t, count):
         # a segment keeps B's compression, V and the form's basis; a sphere search B alone; n = 2 B and
-        # the basis; a graded B (J3) also C and K's eigenvalues and eigenvectors
+        # the basis; a graded B (J3) also C and K's eigenvalues and eigenvectors; count is those
+        # prepared arrays, and a cached sphere search (every route without a form) adds its u
         w, key = Weight.identity(t.shape[0]), as_operator(t).tobytes()
         b, basis, form, _, _, _, centred = _prepare(w, key)
         graded = radius._graded(w, key)[2:4] if centred else ()
         arrays = [a for a in (b, basis, form and form.u_similar, *(centred or ())[1:], *graded) if a is not None]
         assert len(arrays) == count
+        if form is None:
+            searched = radius._search(w, key, 0.6, 0.8, Budget(2, 20), 0, True)[1]
+            assert searched is not None
+            arrays.append(searched)
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -599,7 +609,8 @@ class TestPrepared:
         assert _prepare.cache_info().currsize == 1
 
     def test_cache_keeps_eight_preparations(self):
-        assert _prepare.cache_info().maxsize == radius._PREPARED == 8
+        caches = (_prepare, radius._graded, radius._search)
+        assert [cache.cache_info().maxsize for cache in caches] == [radius._PREPARED] * 3 == [8] * 3
 
 
 class TestStopRule:
@@ -1083,6 +1094,7 @@ def test_estimates_invariant_under_weight_scaling(seed, n, scale):
     tol = 1e-9 * a_opnorm(w, t)
     for estimator in (aq_radius, aq_crawford):
         est = estimator(w_scaled, t, q, budget, seed=3)
+        clear_estimate_caches()
         again = estimator(w_scaled, t, q, budget, seed=3)
         assert again.value == est.value
         assert np.array_equal(again.witness_x, est.witness_x)
@@ -1901,6 +1913,34 @@ def test_operators_that_are_not_graded_keep_their_route(rng):
         assert not is_graded(w, t)
     est = a_radius(I3, j2_point)
     assert est.direction == LOWER_BOUND_OF_SUP
+
+
+@pytest.mark.parametrize("t", [
+    pytest.param(JORDAN3, id="jordan3"),
+    pytest.param(np.triu(crandn(np.random.default_rng(7), 3, 3), 1), id="strictly-upper-triangular"),
+])  # fmt: skip
+def test_standalone_crawford_runs_one_search(monkeypatch, t):
+    # J3 (s = 0) and a strictly upper triangular 3x3 (nilpotent, with no generator) hold 0 in W_q:
+    # a Crawford call alone runs the disk search and no sup search, every binding counted
+    calls, original = [], radius._extremize
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "aqradius"]:
+        if getattr(module, "_extremize", None) is original:
+            monkeypatch.setattr(module, "_extremize", counted)
+    clear_estimate_caches()
+    est = aq_crawford(I3, t, 0.6)
+    assert len(calls) == 1
+    q, m, p = semispace._q_parts(0.6)
+    b = _prepare(I3, as_operator(t).tobytes())[0]
+    value, u, evaluations, converged = original(_rule(b, m, p, "disk"), 3, Budget(), 0, True)
+    assert (value, est.value, est.direction) == (0.0, 0.0, TWO_SIDED)
+    assert (est.evaluations, est.converged) == (evaluations, converged)
+    assert est.witness_x.tobytes() == I3._lift(u).tobytes()
+    assert est.witness_y.tobytes() == I3._lift(_witness(b, u, q, p, False)).tobytes()
 
 
 @pytest.mark.xfail(reason="at |q| = 1/2 the peak of J3's rule is degenerate, and the sphere search stops short")

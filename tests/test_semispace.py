@@ -43,7 +43,7 @@ from aqradius import (
 from aqradius import semispace
 from aqradius.radius import _prepare
 from aqradius.semispace import _q_parts, _unit_reduction, _unit_scale
-from conftest import crandn, random_pd_weight
+from conftest import clear_estimate_caches, crandn, random_pd_weight
 
 
 def lift_basis(w):
@@ -450,11 +450,11 @@ class TestUnitReduction:
 
     def test_seminorm_and_estimators_share_one_reduction(self, rng):
         w, t = random_pd_weight(rng, 3), crandn(rng, 3, 3)
-        _prepare.cache_clear()
+        clear_estimate_caches()
         _unit_reduction.cache_clear()
         cold = aq_radius(w, t, 0.6), a_opnorm(w, t)
         assert _unit_reduction.cache_info()[:2] == (1, 1)  # (hits, misses): the seminorm's served
-        _prepare.cache_clear()
+        clear_estimate_caches()
         _unit_reduction.cache_clear()
         norm = a_opnorm(w, t)
         est = aq_radius(w, t, 0.6)
