@@ -24,23 +24,23 @@ that applies:
   `semispace._unit_reduction` flags it, is decided on its diagonal alone, in
   O(n): its end eigenvectors are standard basis vectors, and neither an n x n
   screen nor an eigensolver runs.
-- n = 3 to 8 and B = s I + C graded (`_graded`): s = tr B / n and a Hermitian
-  K has [K, C] = C, as for J_n, weighted shifts and their unitary conjugates.
-  Then e^{i theta K} C e^{-i theta K} = e^{i theta} C, so W_q(B) is the disk
-  of radius omega_q(C) about q s: omega_q = |s| |q| + omega_q(C) and
-  c_q = max(0, |s| |q| - omega_q(C)).  `_prepare` keeps s and C where C passes
-  a trace test for nilpotency (`_centred`), and K is solved for once a value
-  that reads it is asked for: the Crawford number, and omega_A at |q| = 1.
-  omega_q at |q| < 1 takes the sphere route, as for any B, and its search
-  (`_search`, cached) serves c_q too: where |s| |q| > L, c_q is
-  |s| |q| - L, an upper bound, for L the sup rule of C at the search's u.
+- n = 3 to 8 and B = s I + C graded (`_generator`): s = tr B / n and a
+  Hermitian K has [K, C] = C, as for J_n, weighted shifts and their unitary
+  conjugates.  Then e^{i theta K} C e^{-i theta K} = e^{i theta} C, so W_q(B)
+  is the disk of radius omega_q(C) about q s: omega_q = |s| |q| + omega_q(C)
+  and c_q = max(0, |s| |q| - omega_q(C)).  `_prepare` keeps s and C where C
+  passes a trace test for nilpotency (`_centred`), and each value that reads
+  K solves for it, uncached: omega_A at |q| = 1, and the Crawford number
+  where s q != 0.  omega_q at |q| < 1 takes the sphere route, as for any B,
+  and its search (`_search`, cached) serves c_q too: where |s| |q| > L, c_q
+  is |s| |q| - L, an upper bound, for L the sup rule of C at the search's u.
   At |q| = 1 omega(C) is lambda_max(H(C)), from one eigenproblem:
   omega_A = |s| + omega(C), and c_A = |s| - omega(C) where that is positive,
   both two-sided where pi ||[K, C] - C||_F <= 1e-12 omega_A.  These witness
   pairs are the sup's pair for C, turned by e^{i theta K} so that v^H C u
-  lines up with q s (or against it).  Where c_q would be 0 (s = 0 among
-  them, which runs no sup search), or the residual is larger at |q| = 1, the
-  value takes the next route.
+  lines up with q s (or against it).  Where c_q would be 0 (s q = 0 among
+  them, which solves for no K and runs no sup search), or the residual is
+  larger at |q| = 1, the value takes the next route.
 - p = 0 (|q| = 1 as given; one ulp below 1, p = 1.5e-8, is not): the phase
   bracket `_bracket`.  As W(B) is convex, omega_A and c_A are the max over phi
   of lambda_max and of max(0, lambda_min) of the Hermitian part H(e^{i phi} B).
@@ -69,9 +69,9 @@ What depends on (A, T) alone is prepared once and shared by `aq_radius` and
 `aq_crawford` at every q: `_prepare` holds B / ||B||_F (on the closed-form
 route the 2x2 compression V^H B V instead), the basis V, the canonical form
 of the closed form, ||B 2^-e||_F, e, whether B is diagonal, and s and C where
-B may be graded (K has a cache of the same size and key, and so has every
-sphere search, `_search`, whose key adds |q|, p, the budget, the seed and the
-rule).  It keeps the last `_PREPARED` (8) preparations in an LRU cache keyed
+B may be graded (every sphere search, `_search`, has a cache of the same
+size whose key adds |q|, p, the budget, the seed and the rule; K has none).
+It keeps the last `_PREPARED` (8) preparations in an LRU cache keyed
 by the weight object and T's bytes alone, read in C order (they fix T's n x n
 shape, so a C and a Fortran copy of T share one entry, and T changed in place
 keys anew); its arrays are read-only.  A miss starts from B 2^-e and e of
@@ -88,7 +88,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -659,18 +658,8 @@ def _segment(b: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray | No
     return v.conj().T @ b @ v, v
 
 
-class _Graded(NamedTuple):
-    """A graded B = s I + C (`_graded`): s, C, the eigenvalues and eigenvectors of K, and ||[K, C] - C||_F."""
-
-    shift: complex
-    c: np.ndarray
-    k_vals: np.ndarray
-    k_vecs: np.ndarray
-    residual: float
-
-
 def _centred(b: np.ndarray, diagonal: bool) -> tuple[complex, np.ndarray] | None:
-    """s = tr B / n and C = B - s I (read-only) where C may be graded (`_graded`) at n = 3 to 8, else None.
+    """s = tr B / n and C = B - s I (read-only) where C may be graded (`_generator`) at n = 3 to 8, else None.
 
     A graded C is nilpotent, so a C with |tr C^2| > 1e-10 ||C||_F^2 is declined,
     at O(n^2) cost, and so is a diagonal B (C = 0 is a segment).
@@ -700,21 +689,16 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return basis
 
 
-_PREPARED = 8  # the (weight, operator) keys `_prepare` and `_graded` keep, and the searches `_search` keeps
-
-
-@functools.lru_cache(maxsize=_PREPARED)
-def _graded(w: Weight, key: bytes) -> _Graded | None:
-    """B = s I + C with a Hermitian generator K, [K, C] = C, for the `_centred` s and C of `_prepare`, else None.
+def _generator(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The eigenvalues and eigenvectors of a Hermitian K with [K, C] = C, and ||[K, C] - C||_F, else None.
 
     Then e^{i theta K} C e^{-i theta K} = e^{i theta} C, so the convex W_q(C) is
-    invariant under rotation about 0, a disk, and W_q(B) the disk of radius
+    invariant under rotation about 0, a disk, and W_q(s I + C) the disk of radius
     omega_q(C) about q s (J_n, weighted shifts, their unitary conjugates); C
     maps K's eigenspace of lambda into that of lambda + 1.  One least-squares
     solve over the real span of `_hermitian_basis` finds K, accepted where
-    ||[K, C] - C||_F <= 1e-12 ||C||_F.  It keeps the last `_PREPARED` (8) keys.
+    ||[K, C] - C||_F <= 1e-12 ||C||_F.  Nothing caches K: each value that reads it solves anew.
     """
-    s, c = _prepare(w, key)[6]
     n = c.shape[0]
     basis = _hermitian_basis(n)
     comm = (basis @ c - c @ basis).reshape(n * n, n * n)  # row j: [H_j, C], entry by entry
@@ -724,24 +708,10 @@ def _graded(w: Weight, key: bytes) -> _Graded | None:
     residual = _frobenius(k @ c - c @ k - c)
     if residual > 1e-12 * _frobenius(c):
         return None
-    k_vals, k_vecs = np.linalg.eigh(k)
-    for a in (k_vals, k_vecs):
-        a.setflags(write=False)
-    return _Graded(s, c, k_vals, k_vecs, residual)
+    return *np.linalg.eigh(k), residual
 
 
-def _turn(graded: _Graded, u: np.ndarray, v: np.ndarray, toward: complex) -> tuple[np.ndarray, np.ndarray]:
-    """e^{i theta K} u and e^{i theta K} v, with theta in [-pi, pi] that turns v^H C u to the phase of `toward`.
-
-    As e^{-i theta K} C e^{i theta K} = e^{-i theta} C, the turn keeps <u, v> and
-    multiplies v^H C u by e^{-i theta}; there is none where either is 0.
-    """
-    z = complex(np.vdot(v, graded.c @ u))
-    if z == 0.0 or toward == 0.0:
-        return u, v
-    theta = cmath.phase(z * toward.conjugate())
-    turn = (graded.k_vecs * np.exp(1j * theta * graded.k_vals)) @ graded.k_vecs.conj().T
-    return turn @ u, turn @ v
+_PREPARED = 8  # the (weight, operator) keys `_prepare` keeps, and the searches `_search` keeps
 
 
 @functools.lru_cache(maxsize=_PREPARED)
@@ -792,13 +762,16 @@ def _search(
 
 
 def _graded_estimate(
-    w: Weight, key: bytes, q: complex, m: float, p: float, budget: Budget, seed: int, sup: bool
+    w: Weight, key: bytes, centred: tuple[complex, np.ndarray], q: complex, m: float, p: float, budget: Budget,
+    seed: int, sup: bool,
 ) -> tuple[float, str, np.ndarray, np.ndarray | None, int, int] | None:
-    """Value, direction, u, v and counts of a `_centred` B (the module docstring), or None where another route decides.
+    """Value, direction, u, v and counts of B = s I + C, `centred` = (s, C) (the module docstring), or None
+    where another route decides.
 
-    `_estimate` asks here for omega_A and for the Crawford number, the values that read K.  For a
+    `_estimate` asks here for omega_A and for the Crawford number, the values that read K; the
+    Crawford number first needs s q != 0, and only then does `_generator` solve for K.  For a
     graded B, W_q(B) is the disk of radius omega_q(C) about q s, so c_q = |s| |q| - omega_q(C) where
-    that is positive, which needs s != 0; at |q| < 1 the sup rule of C at the u of B's sup search
+    that is positive; at |q| < 1 the sup rule of C at the u of B's sup search
     (`_search`, the one `aq_radius` runs), L = |q| |<C u, u>| + p rho, is a lower bound of
     omega_q(C).  The rule of B is at most |q| |s| plus that of C, equal where <C u, u> lines up
     with s, so omega_q + c_q <= 2 |s| |q|, equal at the search's peak.  Searched
@@ -808,15 +781,17 @@ def _graded_estimate(
     e^{i phi K} C e^{-i phi K}, so omega(C) is within pi ||[K, C] - C||_2 of lambda_max(H(C)):
     omega_A = |s| + omega(C) and c_A are two-sided where pi ||[K, C] - C||_F is at most
     1e-12 (|s| + lambda_max), that is 1e-12 omega_A(B) <= 1e-12 ||B||_2.  The witness of a graded
-    B is the sup's pair for C, turned (`_turn`) so that v^H C u lines up with q s (or against it).
+    B is the sup's pair for C, turned by e^{i theta K} so that v^H C u lines up with q s (or against it).
     """
-    if (graded := _graded(w, key)) is None or not (sup or graded.shift * m):  # c_q > 0 needs s q != 0
+    s, c = centred
+    if not (sup or s * m) or (generator := _generator(c)) is None:  # c_q > 0 needs s q != 0
         return None
-    shift, c = abs(graded.shift) * m, graded.c
+    k_vals, k_vecs, residual = generator
+    shift = abs(s) * m
     if p == 0.0:
         vals, vecs = np.linalg.eigh(0.5 * (c + c.conj().T))
         omega, u, evaluations, converged = float(vals[-1]), vecs[:, -1], 1, 1
-        if math.pi * graded.residual > 1e-12 * (shift + omega):
+        if math.pi * residual > 1e-12 * (shift + omega):
             return None
         direction = TWO_SIDED
     else:
@@ -827,7 +802,12 @@ def _graded_estimate(
     if not (sup or shift > omega):
         return None
     v = _witness(c, u, q, p, True)
-    u, v = _turn(graded, u, v, q * graded.shift if sup else -q * graded.shift)
+    # As e^{-i theta K} C e^{i theta K} = e^{-i theta} C, the turn e^{i theta K}, theta in [-pi, pi], keeps
+    # <u, v> and multiplies v^H C u by e^{-i theta}, to the phase of q s (or -q s); none where either is 0
+    z, toward = complex(np.vdot(v, c @ u)), q * s if sup else -q * s
+    if z != 0.0 and toward != 0.0:
+        turn = (k_vecs * np.exp(1j * cmath.phase(z * toward.conjugate()) * k_vals)) @ k_vecs.conj().T
+        u, v = turn @ u, turn @ v
     return (shift + omega if sup else shift - omega), direction, u, v, evaluations, converged
 
 
@@ -843,7 +823,7 @@ def _estimate(w: Weight, t, q, budget: Budget | None, seed: int, sup: bool) -> E
     if form is not None:
         value, u = _q_extremal(form, m, p, sup)
         direction, evaluations, converged = TWO_SIDED, 1, 1
-    elif centred and (p == 0.0 or not sup) and (found := _graded_estimate(w, key, q, m, p, budget, seed, sup)):
+    elif centred and (p == 0.0 or not sup) and (found := _graded_estimate(w, key, centred, q, m, p, budget, seed, sup)):
         value, direction, u, v, evaluations, converged = found
     elif p == 0.0:
         value, _, vectors, rows, evaluations, converged = _bracket(b, not sup)

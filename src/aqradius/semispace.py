@@ -138,7 +138,8 @@ class Weight:
     sum of finite entries overflows) before factorization to be robust against
     round-off in file input; a largest eigenvalue beyond the largest float
     raises a ValueError.  Eigenvalues below ``psd_tol`` count as zero; anything below
-    ``-psd_tol`` rejects the matrix as not PSD.
+    ``-psd_tol`` rejects the matrix as not PSD.  A ``psd_tol`` that is negative,
+    infinite or NaN raises a ValueError.
 
     Attributes
     ----------
@@ -164,8 +165,8 @@ class Weight:
         if psd_tol is None:
             psd_tol = 1e-10 * max(lam_max, 0.0)
         psd_tol = float(psd_tol)
-        if psd_tol < 0.0:
-            raise ValueError("psd_tol must be nonnegative")
+        if not 0.0 <= psd_tol < math.inf:  # a NaN or infinite tolerance would count every eigenvalue as zero
+            raise ValueError("psd_tol must be nonnegative and finite")
         if vals.size and float(vals[-1]) < -psd_tol:
             raise ValueError(
                 f"weight is not positive semidefinite: min eigenvalue {vals[-1]:.3e}"
@@ -375,9 +376,19 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def _json_size(obj: dict, name: str) -> int:
+    """obj[name] as an int; a bool, a fraction or a non-number raises a ValueError instead of being cut to an int."""
+    value = obj[name]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows = int(obj["rows"])
-    cols = int(obj["cols"])
+    rows = _json_size(obj, "rows")
+    cols = _json_size(obj, "cols")
     re = np.asarray(obj["re"], dtype=np.float64)
     im = np.asarray(obj["im"], dtype=np.float64)
     if rows != cols:

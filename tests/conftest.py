@@ -5,8 +5,8 @@ from aqradius import Weight, radius
 
 
 def clear_estimate_caches():
-    """Empty the estimators' caches of (A, T): preparations, generators and sphere searches; the next call runs cold."""
-    for cache in (radius._prepare, radius._graded, radius._search):
+    """Empty the estimators' caches of (A, T): preparations and sphere searches; the next call runs cold."""
+    for cache in (radius._prepare, radius._search):
         cache.cache_clear()
 
 

@@ -239,6 +239,15 @@ def test_bad_input_exits_2_with_one_error_line(argv, message, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("rows", [2.5, True], ids=["fraction", "bool"])
+def test_compute_exits_2_on_a_size_that_is_not_an_integer(rows, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({**matrix_to_json(EX2), "rows": rows}))
+    assert cli.main(["compute", "--matrix", str(path), "--q", "0.5"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: rows must be an integer")
+
+
 def test_compute_exact_uses_the_closed_forms(tmp_path, capsys):
     # reduced dimension 2 takes every value from the closed forms, with witnesses; the
     # second matrix is the one whose q = 1 Crawford number a sphere search missed by

@@ -564,16 +564,15 @@ class TestPrepared:
             assert seen == [seen[0]] * 4
 
     @pytest.mark.parametrize("t, count", [
-        (np.diag([1.0, 2.0, -0.5]) + 0.3j * np.eye(3), 3), (JORDAN3 + 0.5 * np.eye(3, k=-1), 1), (EX1, 2), (JORDAN3, 4),
+        (np.diag([1.0, 2.0, -0.5]) + 0.3j * np.eye(3), 3), (JORDAN3 + 0.5 * np.eye(3, k=-1), 1), (EX1, 2), (JORDAN3, 2),
     ])  # fmt: skip
     def test_cached_arrays_are_read_only(self, t, count):
         # a segment keeps B's compression, V and the form's basis; a sphere search B alone; n = 2 B and
-        # the basis; a graded B (J3) also C and K's eigenvalues and eigenvectors; count is those
-        # prepared arrays, and a cached sphere search (every route without a form) adds its u
+        # the basis; a graded B (J3) also C, as no cache keeps K; count is those prepared arrays,
+        # and a cached sphere search (every route without a form) adds its u
         w, key = Weight.identity(t.shape[0]), as_operator(t).tobytes()
         b, basis, form, _, _, _, centred = _prepare(w, key)
-        graded = radius._graded(w, key)[2:4] if centred else ()
-        arrays = [a for a in (b, basis, form and form.u_similar, *(centred or ())[1:], *graded) if a is not None]
+        arrays = [a for a in (b, basis, form and form.u_similar, *(centred or ())[1:]) if a is not None]
         assert len(arrays) == count
         if form is None:
             searched = radius._search(w, key, 0.6, 0.8, Budget(2, 20), 0, True)[1]
@@ -609,8 +608,8 @@ class TestPrepared:
         assert _prepare.cache_info().currsize == 1
 
     def test_cache_keeps_eight_preparations(self):
-        caches = (_prepare, radius._graded, radius._search)
-        assert [cache.cache_info().maxsize for cache in caches] == [radius._PREPARED] * 3 == [8] * 3
+        caches = (_prepare, radius._search)
+        assert [cache.cache_info().maxsize for cache in caches] == [radius._PREPARED] * 2 == [8] * 2
 
 
 class TestStopRule:
@@ -1738,9 +1737,9 @@ def test_closed_form_estimate_checks_q_once(monkeypatch, t, estimator):
 
 
 def is_graded(w, t):
-    """Whether the preparation of (A, T) keeps a C that may be graded, and `radius._graded` finds its generator."""
-    key = as_operator(t).tobytes()
-    return _prepare(w, key)[6] is not None and radius._graded(w, key) is not None
+    """Whether the preparation of (A, T) keeps a C that may be graded, and `radius._generator` finds its generator."""
+    centred = _prepare(w, as_operator(t).tobytes())[6]
+    return centred is not None and radius._generator(centred[1]) is not None
 
 
 SEGMENT_MISSES = [
@@ -1941,6 +1940,33 @@ def test_standalone_crawford_runs_one_search(monkeypatch, t):
     assert (est.evaluations, est.converged) == (evaluations, converged)
     assert est.witness_x.tobytes() == I3._lift(u).tobytes()
     assert est.witness_y.tobytes() == I3._lift(_witness(b, u, q, p, False)).tobytes()
+
+
+@pytest.mark.parametrize("estimator, q", [
+    pytest.param(aq_crawford, 0.6, id="aq_crawford-0.6"),
+    pytest.param(aq_crawford, 1.0, id="aq_crawford-1.0"),
+    pytest.param(lambda w, t, q: a_crawford(w, t), 1.0, id="a_crawford"),
+])  # fmt: skip
+@pytest.mark.parametrize("t", [
+    pytest.param(JORDAN3, id="jordan3"),
+    pytest.param(np.triu(crandn(np.random.default_rng(7), 3, 3), 1), id="strictly-upper-triangular"),
+])  # fmt: skip
+def test_standalone_crawford_solves_no_generator(monkeypatch, t, estimator, q):
+    # s = tr B / n = 0 for both, so W_q holds 0 and the Crawford number never reads a generator:
+    # no least-squares solve runs, and the estimate is that of the route after the graded one
+    calls, original = [], np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    clear_estimate_caches()
+    est = estimate_fields(estimator(I3, t, q))
+    assert calls == []
+    monkeypatch.setattr(radius, "_graded_estimate", lambda *args: None)
+    clear_estimate_caches()
+    assert est == estimate_fields(estimator(I3, t, q))
 
 
 @pytest.mark.xfail(reason="at |q| = 1/2 the peak of J3's rule is degenerate, and the sphere search stops short")

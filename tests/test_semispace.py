@@ -179,6 +179,15 @@ class TestWeight:
         with pytest.raises(ValueError, match="psd_tol must be nonnegative"):
             Weight(np.eye(2), psd_tol=-1.0)
 
+    @pytest.mark.parametrize("psd_tol", [np.nan, np.inf])
+    def test_rejects_a_psd_tol_that_is_not_finite(self, psd_tol):
+        # such a tolerance would count every eigenvalue as zero, and the error would blame the weight
+        with pytest.raises(ValueError, match="psd_tol must be nonnegative and finite"):
+            Weight(np.eye(3), psd_tol=psd_tol)
+        text = json.dumps({**weight_to_json(Weight.identity(3)), "psd_tol": psd_tol})  # NaN or Infinity
+        with pytest.raises(ValueError, match="psd_tol must be nonnegative and finite"):
+            weight_from_json(json.loads(text))
+
     def test_entries_whose_sum_overflows(self):
         # A + A^H overflows above about 9e307: the weight is halved before the sum there,
         # and every value under 1.5e308 I equals its value under I, with no RuntimeWarning
@@ -649,6 +658,18 @@ class TestJson:
         again = weight_from_json(weight_to_json(w))
         np.testing.assert_allclose(again.a, w.a)
         assert again.psd_tol == w.psd_tol
+
+    @pytest.mark.parametrize("size", [2.5, True, "2", None])
+    def test_rejects_sizes_that_are_not_integers(self, size):
+        # none is cut to an int: 2.5 is not 2, and true is not 1
+        for name in ("rows", "cols"):
+            obj = {"rows": 2, "cols": 2, "re": [0] * 4, "im": [0] * 4, name: size}
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                matrix_from_json(obj)
+
+    def test_integral_float_sizes_are_read_as_ints(self):
+        m = matrix_from_json({"rows": 2.0, "cols": 2.0, "re": [1, 2, 3, 4], "im": [0] * 4})
+        np.testing.assert_array_equal(m, [[1, 2], [3, 4]])
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
