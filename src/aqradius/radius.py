@@ -29,7 +29,8 @@ that applies:
   conjugates.  Then e^{i theta K} C e^{-i theta K} = e^{i theta} C, so W_q(B)
   is the disk of radius omega_q(C) about q s: omega_q = |s| |q| + omega_q(C)
   and c_q = max(0, |s| |q| - omega_q(C)).  `_prepare` keeps s and C where C
-  passes a trace test for nilpotency (`_centred`), and each value that reads
+  passes a trace test for nilpotency, |tr C^2| <= 1e-10 ||C||_F^2, on the
+  tr(C^2) that the segment test reads too, and each value that reads
   K solves for it, uncached: omega_A at |q| = 1, and the Crawford number
   where s q != 0.  omega_q at |q| < 1 takes the sphere route, as for any B,
   and its search (`_search`, cached) serves c_q too: where |s| |q| > L, c_q
@@ -613,67 +614,31 @@ def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _segment(b: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """The closed form's 2x2 matrix V^H B V and basis V where W(B) is a segment, else None; at n = 2, (B, None).
+def _segment(b: np.ndarray, c: np.ndarray, square: complex) -> tuple[np.ndarray, np.ndarray] | None:
+    """The closed form's 2x2 matrix V^H B V and basis V where W(B) is a segment, else None.
 
-    At n >= 3, with s = tr B / n, C = B - s I and e^{2 i phi} the phase of tr(C^2)
-    (1 if it is 0), g = e^{-i phi} C must have ||(g - g^H) / 2||_F <= 1e-12; V holds
-    the extreme eigenvectors of (g + g^H) / 2.  A diagonal B (`diagonal`, as
-    `semispace._unit_reduction` finds it for a multiplication operator under a
-    diagonal weight) is decided on its diagonal d alone, in O(n): C and g are the
-    vectors c = d - s and e^{-i phi} c, tr(C^2) is the sum of the c_i^2, the test
-    reads ||Im g||, and V holds the standard basis vectors at the last largest and
-    the first smallest entry of Re g, k and j, with V^H B V = diag(b_kk, b_jj); no
-    eigensolver runs.  Any other B must first have ||b_ij| - |b_ji|| <= 2e-12, at
-    (0, 1) and then everywhere, which the test implies up to a factor sqrt(2), so
-    that a larger gap rejects it at less cost.
+    `_prepare` passes B at n >= 3, C = B - s I with s = tr B / n, and square = tr(C^2).  By
+    Cauchy-Schwarz |tr(C^2)| <= ||C||_F^2, with equality exactly where g = e^{-i phi} C is Hermitian,
+    e^{2 i phi} the phase of tr(C^2) (1 if it is 0): W(B) is a segment where ||(g - g^H) / 2||_F <=
+    1e-12, and V holds the extreme eigenvectors of (g + g^H) / 2.  Off the diagonal |g_ij| = |b_ij|,
+    so the test bounds every ||b_ij| - |b_ji|| by 2e-12.  A diagonal B (as
+    `semispace._unit_reduction` finds it for a multiplication operator under a diagonal weight)
+    comes as the vector c = d - s of its diagonal d and is decided in O(n): g is e^{-i phi} c, the
+    test reads ||Im g||, and V holds the standard basis vectors at the last largest and the first
+    smallest entry of Re g, k and j, with V^H B V = diag(b_kk, b_jj); no eigensolver runs.
     """
-    n = b.shape[0]
-    if n == 2:
-        return b, None
-    if n < 3:
-        return None
-    if diagonal:
-        c = b.diagonal() - np.trace(b) / n
-    else:
-        if abs(abs(b[0, 1]) - abs(b[1, 0])) > 2e-12:
-            return None
-        mod = np.abs(b)
-        if np.abs(mod - mod.T).max() > 2e-12:
-            return None
-        c = b.copy()
-        c.ravel()[:: n + 1] -= np.trace(b) / n  # the shift touches the diagonal alone
-    square = complex(np.sum(c * c.T))  # tr(C^2) = e^{2 i phi} ||g||_F^2; c.T is c for a diagonal's vector
     g = c * (cmath.sqrt(square / abs(square)).conjugate() if square else 1.0)
     g_h = g.conj().T
     if _frobenius(g - g_h) > 2e-12:
         return None
-    if diagonal:
+    if c.ndim == 1:
         h = g.real
-        k, j = n - 1 - int(np.argmax(h[::-1])), int(np.argmin(h))
-        v = np.zeros((n, 2), dtype=complex)
+        k, j = c.size - 1 - int(np.argmax(h[::-1])), int(np.argmin(h))
+        v = np.zeros((c.size, 2), dtype=complex)
         v[k, 0] = v[j, 1] = 1.0
         return np.array([[b[k, k], 0.0], [0.0, b[j, j]]]), v
     v = np.linalg.eigh(0.5 * (g + g_h))[1][:, [-1, 0]]
     return v.conj().T @ b @ v, v
-
-
-def _centred(b: np.ndarray, diagonal: bool) -> tuple[complex, np.ndarray] | None:
-    """s = tr B / n and C = B - s I (read-only) where C may be graded (`_generator`) at n = 3 to 8, else None.
-
-    A graded C is nilpotent, so a C with |tr C^2| > 1e-10 ||C||_F^2 is declined,
-    at O(n^2) cost, and so is a diagonal B (C = 0 is a segment).
-    """
-    n = b.shape[0]
-    if diagonal or not 3 <= n <= _BFGS_DIM:
-        return None
-    s = complex(b.trace()) / n
-    c = b.copy()
-    c.ravel()[:: n + 1] -= s
-    if abs(np.vdot(c.T.conj(), c)) > 1e-10 * np.vdot(c, c).real:  # |tr C^2|, each term c_ji c_ij
-        return None
-    c.setflags(write=False)
-    return s, c
 
 
 @functools.lru_cache(maxsize=_BFGS_DIM)
@@ -721,24 +686,43 @@ def _prepare(
     """What an estimate of T under A needs before q (the module docstring): b, basis, form, size, e, diagonal, centred.
 
     key is the bytes of T, n x n complex in C order, and B 2^-e, e and whether B is diagonal come
-    from `semispace._unit_reduction(w, key)`, whose cached array the division leaves as it is; a
-    diagonal B takes `_segment`'s O(n) path.  b is
-    B / ||B||_F of B 2^-e (on the closed-form route its compression V^H b V), basis is V where
-    W(B) is a segment at n >= 3, form is the canonical form of the closed form, size is
-    ||B 2^-e||_F, and centred is `_centred` of b off the closed-form route.  The arrays are read-only.
+    from `semispace._unit_reduction(w, key)`, whose cached array the division leaves as it is.  b
+    is B / ||B||_F of B 2^-e (on the closed-form route its compression V^H b V), basis is V where
+    W(B) is a segment at n >= 3, form is the canonical form of the closed form, and size is
+    ||B 2^-e||_F.  At n >= 3, s = tr B / n and C = B - s I (of a diagonal B, its diagonal's vector)
+    are formed once, and tr(C^2) decides both shapes that need no search: W(B) is a segment where
+    |tr C^2| meets ||C||_F^2 (`_segment`), and centred is (s, C) where C may be graded (`_generator`),
+    off the closed-form route at n = 3 to 8 for a B that is not diagonal: a graded C is nilpotent, so
+    it needs |tr C^2| <= 1e-10 ||C||_F^2.  The O(1) screen ||b_01| - |b_10|| <= 2e-12, which the
+    segment test implies, comes first: a B that fails it runs no segment test, and above n = 8, where
+    no graded test follows, forms no C (at n = 16 a centring and its tr(C^2) take about 30 times as
+    long as the screen).  The arrays are read-only.
     """
     b, e, diagonal = _unit_reduction(w, key)  # read-only and shared with `a_opnorm`: the division makes b anew
     # both values scale with T: every route runs on B / ||B||_F, whose sum of squares at 2^-e can
     # neither overflow nor underflow
     size = _frobenius(b) or 1.0
     b = b / size
+    n = b.shape[0]
+    segment = (b, None) if n == 2 else None
     basis = form = centred = None
-    if (segment := _segment(b, diagonal)) is not None:  # the q-range is that of C = V^H B V: its closed form
-        b, basis = segment  # (V v)^H B (V u) = v^H C u, so the route finds u and v for C and V maps them
+    paired = n > 2 and abs(abs(b[0, 1]) - abs(b[1, 0])) <= 2e-12  # |b_01| = |b_10| on a segment: an O(1) screen
+    if paired or 3 <= n <= _BFGS_DIM:
+        s = b.trace() / n
+        if diagonal:
+            c = b.diagonal() - s
+        else:
+            c = b.copy()
+            c.ravel()[:: n + 1] -= s  # the shift touches the diagonal alone
+        square = complex((c * c.T).sum())  # tr(C^2); c.T is c for a diagonal's vector
+        segment = _segment(b, c, square) if paired else None
+        if segment is None and n <= _BFGS_DIM and not diagonal and abs(square) <= 1e-10 * np.vdot(c, c).real:
+            c.setflags(write=False)
+            centred = complex(s), c
+    if segment is not None:  # the q-range is that of V^H B V: its closed form
+        b, basis = segment  # (V v)^H B (V u) = v^H (V^H B V) u, so the route finds u and v for V^H B V and V maps them
         form = _canonical(b)
         form.u_similar.setflags(write=False)
-    else:
-        centred = _centred(b, diagonal)
     for a in (b, basis):
         if a is not None:
             a.setflags(write=False)

@@ -386,11 +386,21 @@ def _json_size(obj: dict, name: str) -> int:
     return int(value)
 
 
+def _json_floats(obj: dict, name: str) -> np.ndarray:
+    """obj[name] as a float array; a value numpy cannot read as numbers, such as an object, raises a ValueError."""
+    try:
+        return np.asarray(obj[name], dtype=np.float64)
+    except TypeError:
+        raise ValueError(f"{name} must be a list of numbers, got {obj[name]!r}") from None
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a matrix must be a JSON object with rows, cols, re and im, got {type(obj).__name__}")
     rows = _json_size(obj, "rows")
     cols = _json_size(obj, "cols")
-    re = np.asarray(obj["re"], dtype=np.float64)
-    im = np.asarray(obj["im"], dtype=np.float64)
+    re = _json_floats(obj, "re")
+    im = _json_floats(obj, "im")
     if rows != cols:
         raise ValueError("only square matrices are supported")
     if re.size != rows * cols or im.size != rows * cols:
@@ -405,5 +415,8 @@ def weight_to_json(w: Weight) -> dict:
 
 
 def weight_from_json(obj: dict) -> Weight:
-    psd_tol = obj.get("psd_tol")
-    return Weight(matrix_from_json(obj), psd_tol=psd_tol)
+    a = matrix_from_json(obj)
+    psd_tol = obj.get("psd_tol")  # a number or null, as for rows and cols: "1e-3" and true are not read as floats
+    if psd_tol is not None and (isinstance(psd_tol, bool) or not isinstance(psd_tol, (int, float))):
+        raise ValueError(f"psd_tol must be a number or null, got {psd_tol!r}")
+    return Weight(a, psd_tol=psd_tol)

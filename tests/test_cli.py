@@ -248,6 +248,30 @@ def test_compute_exits_2_on_a_size_that_is_not_an_integer(rows, tmp_path, capsys
     assert len(err) == 1 and err[0].startswith("error: rows must be an integer")
 
 
+_IDENTITY2 = {"rows": 2, "cols": 2, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}
+
+
+@pytest.mark.parametrize(
+    ("flag", "obj", "message"),
+    [
+        ("--weight", {**_IDENTITY2, "psd_tol": [1]}, "psd_tol must be a number or null"),
+        ("--weight", {**_IDENTITY2, "psd_tol": "1e-3"}, "psd_tol must be a number or null"),
+        ("--weight", {**_IDENTITY2, "psd_tol": True}, "psd_tol must be a number or null"),
+        ("--matrix", {**_IDENTITY2, "re": {"a": 1}}, "re must be a list of numbers"),
+        ("--matrix", [1, 0, 0, 1], "a matrix must be a JSON object"),
+    ],
+    ids=["psd-tol-list", "psd-tol-string", "psd-tol-bool", "re-object", "top-level-list"],
+)
+def test_compute_exits_2_on_json_of_the_wrong_shape(flag, obj, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    matrix = str(path) if flag == "--matrix" else _matrix_file(tmp_path, np.eye(2))
+    weight = ["--weight", str(path)] if flag == "--weight" else []
+    assert cli.main(["compute", "--matrix", matrix, *weight, "--q", "0.5"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+
 def test_compute_exact_uses_the_closed_forms(tmp_path, capsys):
     # reduced dimension 2 takes every value from the closed forms, with witnesses; the
     # second matrix is the one whose q = 1 Crawford number a sphere search missed by

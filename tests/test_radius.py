@@ -36,7 +36,6 @@ from aqradius.radius import (
     _normalize_rows,
     _prepare,
     _rule,
-    _segment,
     _starts,
     _witness,
 )
@@ -1637,11 +1636,13 @@ def test_segment_route(seed, n, c, modulus, positive):
 def test_segment_route_runs_from_dimension_two():
     # n = 2 is the closed form on B itself, with no basis to map back by; n = 1 has no 2x2 compression (a rank-one
     # weight at |q| = 1 keeps the bracket, which returns 3, not 6)
-    b = np.diag([1.0 + 1j, 2.0])
-    c2, basis = _segment(b, True)
-    assert c2 is b and basis is None
-    assert _segment(np.array([[1.0 + 0j]]), True) is None
-    est = aq_radius(Weight.diagonal([1.0, 0.0]), np.diag([3.0, 0.0]), np.exp(0.5j))
+    t = np.diag([1.0 + 1j, 2.0])
+    b, basis, form = _prepare(Weight.identity(2), t.tobytes())[:3]
+    assert b.shape == (2, 2) and form is not None and basis is None
+    w, t = Weight.diagonal([1.0, 0.0]), np.diag([3.0 + 0j, 0.0])
+    b, basis, form = _prepare(w, t.tobytes())[:3]
+    assert b.shape == (1, 1) and (basis, form) == (None, None)
+    est = aq_radius(w, t, np.exp(0.5j))
     assert est.value == pytest.approx(3.0, abs=1e-10)
 
 
@@ -1700,7 +1701,9 @@ def test_diagonal_segment_route(seed, n, kind, diagonal_weight, q):
 def test_diagonal_segment_test_keeps_the_dense_threshold(n, eps, accepted):
     # a collinear complex diagonal with i eps ||B||_F added to one entry, across its line: the
     # diagonal test reads ||Im g|| against the dense test's 1e-12 ||B||_F, with no eigensolver,
-    # and the dense screens on U B U^H give the same verdict
+    # and the dense test on U B U^H gives the same verdict.  So does a dense rotated Hermitian B
+    # whose entry (n - 1, 1) grows by eps ||B||_F: ||b_ij| - |b_ji|| = eps ||B||_F there alone,
+    # away from the (0, 1) pair that `_prepare` screens above n = 8
     rng = np.random.default_rng(n)
     d = np.exp(0.3j) * rng.standard_normal(n) + (0.3 + 0.2j)  # on a line at angle 0.3
     d[n // 2] += np.exp(0.3j) * 1j * eps * np.linalg.norm(d)
@@ -1712,6 +1715,10 @@ def test_diagonal_segment_test_keeps_the_dense_threshold(n, eps, accepted):
         assert (_prepare(w, t.tobytes())[2] is not None) == accepted
         assert eigh.call_count == 0
     assert (_prepare(w, (u @ t @ u.conj().T).tobytes())[2] is not None) == accepted
+    h = crandn(rng, n, n)
+    b = np.exp(0.3j) * (h + h.conj().T) + (0.3 + 0.2j) * np.eye(n)
+    b[n - 1, 1] *= 1.0 + eps * np.linalg.norm(b) / abs(b[n - 1, 1])
+    assert (_prepare(w, b.tobytes())[2] is not None) == accepted
 
 
 @pytest.mark.parametrize("t", [
@@ -1759,7 +1766,7 @@ def test_segment_route_misses_keep_their_counts(b, q):
     w, budget = Weight.identity(3), Budget(16, 200)
     reduced = reduce_to_range(w, b)
     reduced = reduced / np.linalg.norm(reduced)
-    assert _segment(reduced, semispace._unit_reduction(w, as_operator(b).tobytes())[2]) is None
+    assert _prepare(w, as_operator(b).tobytes())[2] is None
     p = np.sqrt(1.0 - q * q)
     graded = is_graded(w, b)
     for estimator, sup in ((aq_radius, True), (aq_crawford, False)):
@@ -1783,7 +1790,7 @@ def test_q_one_crawford_just_outside_the_segment_route(seed):
     h, g = crandn(rng, 4, 4), crandn(rng, 4, 4)
     b = np.exp(1j * rng.uniform(0, 6.3)) * (h + h.conj().T)
     b = b + 5e-12 * np.linalg.norm(b) * g / np.linalg.norm(g)
-    assert _segment(b / np.linalg.norm(b), False) is None
+    assert _prepare(Weight.identity(4), b.tobytes())[2] is None
     est, tol = a_crawford(Weight.identity(4), b), 1e-12 * np.linalg.norm(b, 2)
     assert (est.value, est.direction) == (0.0, TWO_SIDED)
     assert witness_value(Weight.identity(4), b, est) <= tol

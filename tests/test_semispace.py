@@ -676,3 +676,16 @@ class TestJson:
             matrix_from_json({"rows": 2, "cols": 3, "re": [0] * 6, "im": [0] * 6})
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2, "cols": 2, "re": [0] * 3, "im": [0] * 4})
+        # wrong JSON types raise a ValueError that names the field, not a TypeError from numpy or float()
+        ok = {"rows": 2, "cols": 2, "re": [1, 0, 0, 1], "im": [0] * 4}
+        with pytest.raises(ValueError, match="re must be a list of numbers"):
+            matrix_from_json({**ok, "re": {"a": 1}})
+        for obj in ([1, 0, 0, 1], "I"):
+            with pytest.raises(ValueError, match="a matrix must be a JSON object"):
+                matrix_from_json(obj)
+            with pytest.raises(ValueError, match="a matrix must be a JSON object"):
+                weight_from_json(obj)
+        for psd_tol in ([1], "1e-3", True):  # float() would read "1e-3" as 0.001 and true as 1.0
+            with pytest.raises(ValueError, match="psd_tol must be a number or null"):
+                weight_from_json({**ok, "psd_tol": psd_tol})
+        assert weight_from_json({**ok, "psd_tol": 0}).psd_tol == 0.0
